@@ -12,7 +12,17 @@ on uncensored data.
 Solver: damped Newton on the estimating equation in log-parameter space
 (positivity for free), with a Nelder-Mead fallback on the objective and a
 small deterministic multistart screen so that among multiple roots the one
-with the smallest objective wins.
+with the smallest objective wins.  Newton uses the exact Jacobian
+
+    J_theta = d jvec / d theta - sum_i w_i (grad u_i + alpha u_i u_i^T) f_i^alpha,
+
+with d jvec / d theta from the family's closed-form integrals (Basu, Harris,
+Hjort & Jones 1998, Biometrika 85:549, for the alpha-weighted information),
+and J_eta = J_theta diag(theta) in the log coordinates eta.  Each iterate
+takes one pass over the points for (g, J); the line search evaluates only g.
+A trajectory that moves more than _MAX_LOG_DRIFT from its own start in any
+log coordinate is running off to the parameter boundary (scale to infinity
+with shape collapsing) and is stopped as not converged.
 """
 
 from __future__ import annotations
@@ -30,6 +40,11 @@ from .kmpl import kmpl_fit
 from .model import ParametricFamily, mdpde_psi, lambda_model
 
 __all__ = ["FitConfig", "FitResult", "mdpde_objective", "fit", "fit_grid"]
+
+# a Newton trajectory farther than this from its own start in some log
+# coordinate (a factor e^20) is a boundary runaway; no accepted root on the
+# acceptance designs lies anywhere near that far from its start
+_MAX_LOG_DRIFT = 20.0
 
 # deterministic log-space offsets tried as alternative starts
 _OFFSETS_1D = [(0.7,), (-0.7,), (1.4,), (-1.4,), (2.1,), (-2.1,)]
@@ -80,6 +95,28 @@ class FitResult:
     residual_mass: float
     message: str = ""
 
+    @classmethod
+    def failed(cls, family: ParametricFamily, n: int, alpha: float, message: str) -> "FitResult":
+        """Not-converged result for a fit that raised: NaN estimate and
+        matrices, infinite residual and condition number."""
+        nan_matrix = np.full((family.dim, family.dim), np.nan)
+        return cls(
+            family=family,
+            n=n,
+            alpha=float(alpha),
+            theta_hat=np.full(family.dim, np.nan),
+            objective_value=np.nan,
+            eqn_residual=np.inf,
+            converged=False,
+            n_iter=0,
+            lambda_hat=nan_matrix,
+            c_hat=nan_matrix.copy(),
+            sigma_hat=nan_matrix.copy(),
+            lambda_cond=np.inf,
+            residual_mass=np.nan,
+            message=message,
+        )
+
     @property
     def se(self) -> np.ndarray:
         """Standard errors sqrt(diag(sigma_hat) / n)."""
@@ -124,32 +161,43 @@ class FitResult:
 
 
 class _WeightedEquation:
-    """Estimating equation and objective over fixed product-limit weights."""
+    """Estimating equation and objective over fixed product-limit weights.
+
+    The points are validated once here; every evaluation after that goes
+    through the family's unvalidated closed forms.
+    """
 
     def __init__(self, sample: CensoredSample, family: ParametricFamily, alpha: float):
         km = kmpl_fit(sample)
-        self.points = km.weight_points
+        self.points = family._check_x(km.weight_points)
         self.weights = km.weight_masses
         self.residual_mass = km.residual_mass
         self.family = family
         self.alpha = alpha
 
-    def estimating(self, theta: np.ndarray) -> np.ndarray:
+    def estimating(self, theta: np.ndarray, jacobian: bool = False):
+        """g(theta) or, with ``jacobian``, (g, J_theta) from one pass."""
         fam, alpha = self.family, self.alpha
-        u = fam.score(theta, self.points)
+        logf, u, du = fam._pointwise(theta, self.points, 2 if jacobian else 1)
         if alpha == 0.0:
-            return -(self.weights @ u)
-        falpha = np.exp(alpha * fam.logpdf(theta, self.points))
-        jvec = fam.weighted_integrals(theta, alpha).jvec
-        return jvec - (self.weights * falpha) @ u
+            # jvec and its theta-derivative vanish identically at alpha = 0
+            wf, jvec, djvec = self.weights, 0.0, 0.0
+        else:
+            wf = self.weights * np.exp(alpha * logf)
+            _, jvec, _, djvec = fam._integrals(theta, alpha, jacobian)
+        g = jvec - wf @ u
+        if not jacobian:
+            return g
+        p = g.size
+        return g, djvec - (wf @ du.reshape(-1, p * p)).reshape(p, p) - alpha * (u.T * wf) @ u
 
     def objective(self, theta: np.ndarray) -> float:
         fam, alpha = self.family, self.alpha
-        logf = fam.logpdf(theta, self.points)
+        logf = fam._pointwise(theta, self.points, 0)[0]
         if alpha == 0.0:
             value = -float(self.weights @ logf)
         else:
-            xi = fam.weighted_integrals(theta, alpha).xi
+            xi = fam._integrals(theta, alpha, False)[0]
             value = (
                 xi
                 - (1.0 + alpha) / alpha * float(self.weights @ np.exp(alpha * logf))
@@ -159,16 +207,23 @@ class _WeightedEquation:
 
     # log-space views used by the solver; wild trial points are allowed to
     # overflow quietly and come back as NaN/inf for the damping logic
-    def estimating_log(self, eta: np.ndarray) -> np.ndarray:
+    def estimating_log(self, eta: np.ndarray, jacobian: bool = False):
+        """g at theta = exp(eta) or, with ``jacobian``, (g, J_eta) where
+        J_eta = J_theta diag(theta)."""
+        theta = np.exp(eta)
         try:
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                return self.estimating(np.exp(eta))
+            with np.errstate(all="ignore"):
+                if not jacobian:
+                    return self.estimating(theta)
+                g, jac = self.estimating(theta, jacobian=True)
+                return g, jac * theta
         except (ValueError, FloatingPointError):
-            return np.full(eta.shape, np.nan)
+            nan = np.full(eta.shape, np.nan)
+            return (nan, np.full((eta.size,) * 2, np.nan)) if jacobian else nan
 
     def objective_log(self, eta: np.ndarray) -> float:
         try:
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            with np.errstate(all="ignore"):
                 value = self.objective(np.exp(eta))
         except (ValueError, FloatingPointError):
             return np.inf
@@ -180,8 +235,8 @@ class _WeightedEquation:
         zero on all observations, making the equation trivially zero) do not.
         """
         try:
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                logf = self.family.logpdf(np.exp(eta), self.points)
+            with np.errstate(all="ignore"):
+                logf = self.family._pointwise(np.exp(eta), self.points, 0)[0]
                 return float(self.weights @ np.exp(self.alpha * logf))
         except (ValueError, FloatingPointError):
             return 0.0
@@ -198,48 +253,51 @@ def mdpde_objective(sample: CensoredSample, family: ParametricFamily, theta, alp
     return _WeightedEquation(sample, family, alpha).objective(theta)
 
 
-def _fd_jacobian(func, eta: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    p = eta.size
-    jac = np.empty((p, p))
-    for j in range(p):
-        step = np.zeros(p)
-        step[j] = h
-        jac[:, j] = (func(eta + step) - func(eta - step)) / (2.0 * h)
-    return jac
+def _norm(g: np.ndarray) -> float:
+    """Euclidean norm of a residual; inf when it is not finite or overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.linalg.norm(g))
+    return value if np.isfinite(value) else np.inf
 
 
 def _newton(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int):
-    eta = eta0.copy()
+    """Damped Newton from eta0 on the log-space estimating equation.
+
+    Returns (eta, residual norm, iterations, converged).  A step that does
+    not reduce the residual within 15 halvings, a singular or non-finite
+    Jacobian, and a drift beyond _MAX_LOG_DRIFT from eta0 all end the
+    trajectory as not converged.
+    """
+    eta = eta0
     g = eq.estimating_log(eta)
     if not np.all(np.isfinite(g)):
         return eta, np.inf, 0, False
-    for iteration in range(1, max_iter + 1):
-        norm_g = float(np.linalg.norm(g))
+    norm_g = _norm(g)
+    for iteration in range(max_iter):
         if norm_g <= tol:
-            return eta, norm_g, iteration - 1, True
-        jac = _fd_jacobian(eq.estimating_log, eta)
+            return eta, norm_g, iteration, True
+        g, jac = eq.estimating_log(eta, jacobian=True)
         if not np.all(np.isfinite(jac)):
-            return eta, norm_g, iteration, False
+            return eta, norm_g, iteration + 1, False
         try:
             step = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:
-            return eta, norm_g, iteration, False
+            return eta, norm_g, iteration + 1, False
         big = np.max(np.abs(step))
         if big > 4.0:
             step *= 4.0 / big
-        lam, improved = 1.0, False
+        lam = 1.0
         for _ in range(15):
             trial = eta + lam * step
-            g_trial = eq.estimating_log(trial)
-            trial_norm = float(np.linalg.norm(g_trial))
-            if np.isfinite(trial_norm) and trial_norm < norm_g:
-                eta, g = trial, g_trial
-                improved = True
+            trial_norm = _norm(eq.estimating_log(trial))
+            if trial_norm < norm_g:
+                eta, norm_g = trial, trial_norm
                 break
             lam *= 0.5
-        if not improved:
-            return eta, norm_g, iteration, False
-    norm_g = float(np.linalg.norm(g))
+        else:
+            return eta, norm_g, iteration + 1, False
+        if np.max(np.abs(eta - eta0)) > _MAX_LOG_DRIFT:
+            return eta, norm_g, iteration + 1, False
     return eta, norm_g, max_iter, norm_g <= tol
 
 
@@ -388,29 +446,9 @@ def fit_grid(
             result = fit(sample, family, step_config)
         except (varest.SingularSensitivityError, ValueError, np.linalg.LinAlgError) as exc:
             # per-alpha failure (singular sandwich, non-integrable f^(1+a) at
-            # a runaway estimate, ...): record it, keep sweeping
-            result = None
-            failure = str(exc)
-        if result is None:
-            # keep sweeping from the last good start
-            results.append(
-                FitResult(
-                    family=family,
-                    n=sample.n,
-                    alpha=float(alpha),
-                    theta_hat=np.full(family.dim, np.nan),
-                    objective_value=np.nan,
-                    eqn_residual=np.inf,
-                    converged=False,
-                    n_iter=0,
-                    lambda_hat=np.full((family.dim,) * 2, np.nan),
-                    c_hat=np.full((family.dim,) * 2, np.nan),
-                    sigma_hat=np.full((family.dim,) * 2, np.nan),
-                    lambda_cond=np.inf,
-                    residual_mass=np.nan,
-                    message=failure,
-                )
-            )
+            # a runaway estimate, ...): record it, keep sweeping from the
+            # last good start
+            results.append(FitResult.failed(family, sample.n, alpha, str(exc)))
             continue
         results.append(result)
         if result.converged:

@@ -11,9 +11,11 @@ Both shipped families (exponential by mean, Weibull by scale/shape) evaluate
 these in closed form; the exponential ones are elementary, while the Weibull
 ones follow from the substitution w = (x/sigma)^b, which turns every
 integrand into w^c (log w)^m e^{-(1+alpha) w} and hence into gamma /
-digamma / trigamma expressions.  A generic quadrature path over a unit-interval
-substitution is kept both as the fallback for families without closed forms
-and as an independent cross-check of the closed forms.
+digamma / trigamma expressions.  The same integrals give the derivative of
+jvec in theta, which the estimator's Newton solver needs for the exact
+Jacobian of its estimating equation.  A generic quadrature path over a
+unit-interval substitution is kept as an independent cross-check of the
+closed forms.
 """
 
 from __future__ import annotations
@@ -104,9 +106,28 @@ class ParametricFamily:
         raise NotImplementedError
 
     def weighted_integrals(self, theta, alpha: float) -> WeightedIntegrals:
-        """Closed-form (xi, jvec, kmat); subclasses without closed forms fall
-        back to :meth:`weighted_integrals_quadrature`."""
-        return self.weighted_integrals_quadrature(theta, alpha)
+        """Closed-form (xi, jvec, kmat)."""
+        raise NotImplementedError
+
+    def _pointwise(self, theta: np.ndarray, x: np.ndarray, order: int):
+        """(log f, u, grad u) at x from one pass, for theta and x already
+        validated; u is None at order 0 and grad u (shape (..., p, p)) is None
+        below order 2.  The solver's evaluations call this directly."""
+        raise NotImplementedError
+
+    def _integrals(self, theta: np.ndarray, alpha: float, jacobian: bool):
+        """(xi, jvec, kmat, djvec) for an already validated theta, where
+        djvec = d jvec / d theta = integral of grad u f^(1+alpha) plus
+        (1+alpha) kmat.  Without ``jacobian`` only xi and jvec are formed
+        (kmat and djvec are None), which skips the trigamma terms."""
+        raise NotImplementedError
+
+    def _validated_integrals(self, theta, alpha: float) -> WeightedIntegrals:
+        theta = self.validate(theta)
+        if alpha < 0.0:
+            raise ValueError("alpha must be nonnegative")
+        xi, jvec, kmat, _ = self._integrals(theta, alpha, True)
+        return WeightedIntegrals(float(xi), jvec, kmat)
 
     def _unit_substitution(
         self, theta, t: np.ndarray, alpha: float = 0.0
@@ -165,18 +186,14 @@ class Exponential(ParametricFamily):
     param_names = ("mean",)
 
     def logpdf(self, theta, x):
-        (m,) = self.validate(theta)
-        x = self._check_x(x)
-        return -np.log(m) - x / m
+        return self._pointwise(self.validate(theta), self._check_x(x), 0)[0]
 
     def cdf(self, theta, x):
         (m,) = self.validate(theta)
         return -np.expm1(-np.asarray(x, dtype=float) / m)
 
     def score(self, theta, x):
-        (m,) = self.validate(theta)
-        x = self._check_x(x)
-        return ((x - m) / m**2)[..., None]
+        return self._pointwise(self.validate(theta), self._check_x(x), 1)[1]
 
     def mean(self, theta):
         (m,) = self.validate(theta)
@@ -187,14 +204,26 @@ class Exponential(ParametricFamily):
         return rng.exponential(m, size)
 
     def weighted_integrals(self, theta, alpha):
-        (m,) = self.validate(theta)
-        if alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
+        return self._validated_integrals(theta, alpha)
+
+    def _pointwise(self, theta, x, order):
+        (m,) = theta
+        logf = -np.log(m) - x / m
+        u = ((x - m) / m**2)[..., None] if order >= 1 else None
+        du = ((m - 2.0 * x) / m**3)[..., None, None] if order >= 2 else None
+        return logf, u, du
+
+    def _integrals(self, theta, alpha, jacobian):
+        (m,) = theta
         beta = 1.0 + alpha
         xi = m**-alpha / beta
         jvec = np.array([-alpha * m ** -(alpha + 1.0) / beta**2])
+        if not jacobian:
+            return xi, jvec, None, None
         kmat = np.array([[(1.0 + alpha**2) * beta**-3 * m ** -(alpha + 2.0)]])
-        return WeightedIntegrals(xi, jvec, kmat)
+        # integral of grad u f^(1+alpha), grad u = (m - 2x) / m^3
+        h = (alpha - 1.0) * m ** -(alpha + 2.0) / beta**2
+        return xi, jvec, kmat, h + beta * kmat
 
     def _unit_substitution(self, theta, t, alpha: float = 0.0):
         (m,) = self.validate(theta)
@@ -208,10 +237,7 @@ class Weibull(ParametricFamily):
     param_names = ("scale", "shape")
 
     def logpdf(self, theta, x):
-        sigma, b = self.validate(theta)
-        x = self._check_x(x)
-        logx = np.log(x / sigma)
-        return np.log(b / sigma) + (b - 1.0) * logx - np.exp(b * logx)
+        return self._pointwise(self.validate(theta), self._check_x(x), 0)[0]
 
     def cdf(self, theta, x):
         sigma, b = self.validate(theta)
@@ -219,11 +245,7 @@ class Weibull(ParametricFamily):
         return -np.expm1(-np.power(np.maximum(x, 0.0) / sigma, b))
 
     def score(self, theta, x):
-        sigma, b = self.validate(theta)
-        x = self._check_x(x)
-        logx = np.log(x / sigma)
-        w = np.exp(b * logx)
-        return np.stack([(b / sigma) * (w - 1.0), 1.0 / b + logx * (1.0 - w)], axis=-1)
+        return self._pointwise(self.validate(theta), self._check_x(x), 1)[1]
 
     def mean(self, theta):
         sigma, b = self.validate(theta)
@@ -234,9 +256,28 @@ class Weibull(ParametricFamily):
         return sigma * rng.weibull(b, size)
 
     def weighted_integrals(self, theta, alpha):
-        sigma, b = self.validate(theta)
-        if alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
+        return self._validated_integrals(theta, alpha)
+
+    def _pointwise(self, theta, x, order):
+        sigma, b = theta
+        logx = np.log(x / sigma)
+        w = np.exp(b * logx)
+        logf = np.log(b / sigma) + (b - 1.0) * logx - w
+        if order == 0:
+            return logf, None, None
+        u = np.empty(logx.shape + (2,))
+        u[..., 0] = (b / sigma) * (w - 1.0)
+        u[..., 1] = 1.0 / b + logx * (1.0 - w)
+        if order == 1:
+            return logf, u, None
+        du = np.empty(logx.shape + (2, 2))
+        du[..., 0, 0] = -(b / sigma**2) * (w - 1.0) - (b / sigma) ** 2 * w
+        du[..., 0, 1] = du[..., 1, 0] = (w - 1.0 + b * logx * w) / sigma
+        du[..., 1, 1] = -1.0 / b**2 - logx**2 * w
+        return logf, u, du
+
+    def _integrals(self, theta, alpha, jacobian):
+        sigma, b = theta
         beta = 1.0 + alpha
         kappa = alpha * (b - 1.0) / b
         if kappa <= -1.0:
@@ -245,39 +286,35 @@ class Weibull(ParametricFamily):
             )
         logbeta = np.log(beta)
 
-        # i0/i1/i2(c) = integral of w^c (log w)^m e^{-beta w} dw, m = 0,1,2
-        def i0(c):
-            return special.gamma(c + 1.0) * beta ** -(c + 1.0)
-
-        def i1(c):
-            return i0(c) * (special.digamma(c + 1.0) - logbeta)
-
-        def i2(c):
-            d = special.digamma(c + 1.0) - logbeta
-            return i0(c) * (d * d + special.polygamma(1, c + 1.0))
+        # i0/i1/i2[m] = integral of w^c (log w)^k e^{-beta w} dw at
+        # c = kappa + m, for k = 0, 1, 2; trigamma is zeta(2, .), which is
+        # what polygamma(1, .) evaluates, without its wrapper's overhead
+        cs = (kappa, kappa + 1.0, kappa + 2.0) if jacobian else (kappa, kappa + 1.0)
+        i0 = [special.gamma(c + 1.0) * beta ** -(c + 1.0) for c in cs]
+        d = [special.digamma(c + 1.0) - logbeta for c in cs]
+        i1 = [g * dm for g, dm in zip(i0, d)]
 
         pref = (b / sigma) ** alpha
-        xi = pref * i0(kappa)
-        j_scale = pref * (b / sigma) * (i0(kappa + 1.0) - i0(kappa))
-        j_shape = pref / b * (i0(kappa) + i1(kappa) - i1(kappa + 1.0))
-        k_ss = pref * (b / sigma) ** 2 * (
-            i0(kappa + 2.0) - 2.0 * i0(kappa + 1.0) + i0(kappa)
-        )
-        k_sb = pref / sigma * (
-            i0(kappa + 1.0)
-            - i0(kappa)
-            - (i1(kappa + 2.0) - 2.0 * i1(kappa + 1.0) + i1(kappa))
-        )
-        k_bb = pref / b**2 * (
-            i0(kappa)
-            + 2.0 * (i1(kappa) - i1(kappa + 1.0))
-            + i2(kappa)
-            - 2.0 * i2(kappa + 1.0)
-            + i2(kappa + 2.0)
-        )
+        xi = pref * i0[0]
+        j_scale = pref * (b / sigma) * (i0[1] - i0[0])
+        j_shape = pref / b * (i0[0] + i1[0] - i1[1])
         jvec = np.array([j_scale, j_shape])
+        if not jacobian:
+            return xi, jvec, None, None
+
+        i2 = [g * (dm * dm + special.zeta(2.0, c + 1.0)) for g, dm, c in zip(i0, d, cs)]
+        k_ss = pref * (b / sigma) ** 2 * (i0[2] - 2.0 * i0[1] + i0[0])
+        k_sb = pref / sigma * (i0[1] - i0[0] - (i1[2] - 2.0 * i1[1] + i1[0]))
+        k_bb = pref / b**2 * (
+            i0[0] + 2.0 * (i1[0] - i1[1]) + i2[0] - 2.0 * i2[1] + i2[2]
+        )
         kmat = np.array([[k_ss, k_sb], [k_sb, k_bb]])
-        return WeightedIntegrals(float(xi), jvec, kmat)
+        # integral of grad u f^(1+alpha)
+        h_ss = pref * (-(b / sigma**2) * (i0[1] - i0[0]) - (b / sigma) ** 2 * i0[1])
+        h_sb = pref / sigma * (i0[1] - i0[0] + i1[1])
+        h_bb = pref / b**2 * (-i0[0] - i2[1])
+        hmat = np.array([[h_ss, h_sb], [h_sb, h_bb]])
+        return xi, jvec, kmat, hmat + beta * kmat
 
     def _unit_substitution(self, theta, t, alpha: float = 0.0):
         # exponent chosen so the transformed integrand vanishes like t^4 at

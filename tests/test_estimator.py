@@ -1,11 +1,18 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import optimize
 
 from robustsurv import (
     CensoredSample,
     EXPONENTIAL,
+    FamilySpec,
     FitConfig,
+    FitResult,
+    SyntheticDesign,
     WEIBULL,
     fit,
     fit_grid,
@@ -13,6 +20,7 @@ from robustsurv import (
     mdpde_objective,
     simulate,
 )
+from robustsurv.estimator import _MAX_LOG_DRIFT, _initial_theta, _newton, _WeightedEquation
 
 
 def uncensored(z):
@@ -60,8 +68,6 @@ class TestObjective:
 
     def test_gradient_matches_estimating_equation(self, weibull_censored):
         # grad objective = (1+alpha) * estimating equation
-        from robustsurv.estimator import _WeightedEquation
-
         eq = _WeightedEquation(weibull_censored, WEIBULL, 0.4)
         theta = np.array([2.1, 4.7])
         grad_fd = np.empty(2)
@@ -72,6 +78,95 @@ class TestObjective:
             down[j] -= h
             grad_fd[j] = (eq.objective(up) - eq.objective(down)) / (2 * h)
         np.testing.assert_allclose(grad_fd, 1.4 * eq.estimating(theta), rtol=1e-5, atol=1e-9)
+
+
+def contaminated_design(seed):
+    """Criterion 2's contaminated design: Weibull(2, 5) lifetimes, 5%
+    Exp(5) outliers, 10% exponential censoring."""
+    return SyntheticDesign(
+        lifetime=FamilySpec("weibull", (2.0, 5.0)),
+        censoring_mean=17.4,
+        contamination_fraction=0.05,
+        contamination=FamilySpec("exp", (5.0,)),
+        seed=seed,
+    )
+
+
+@lru_cache(maxsize=None)
+def jacobian_sample(contaminated):
+    if contaminated:
+        return simulate(contaminated_design(2024), 100, replication=0)
+    design = SyntheticDesign(
+        lifetime=FamilySpec("weibull", (2.0, 5.0)), censoring_mean=17.4, seed=2024
+    )
+    return simulate(design, 100, replication=0)
+
+
+def central_jacobian(func, x, steps):
+    """Central-difference Jacobian of func at x, one step per coordinate."""
+    columns = []
+    for j, h in enumerate(steps):
+        shift = np.zeros(x.size)
+        shift[j] = h
+        columns.append((func(x + shift) - func(x - shift)) / (2.0 * h))
+    return np.column_stack(columns)
+
+
+class TestExactJacobian:
+    """The solver's closed-form Jacobian against central differences of the
+    estimating equation, in theta and in the solver's log coordinates."""
+
+    @given(
+        family=st.sampled_from([EXPONENTIAL, WEIBULL]),
+        contaminated=st.booleans(),
+        alpha=st.floats(0.0, 1.0),
+        log_offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    )
+    @example(family=WEIBULL, contaminated=True, alpha=0.0, log_offset=(0.3, -0.4))
+    @example(family=EXPONENTIAL, contaminated=False, alpha=0.0, log_offset=(-0.5, 0.0))
+    def test_matches_central_differences(self, family, contaminated, alpha, log_offset):
+        eq = _WeightedEquation(jacobian_sample(contaminated), family, alpha)
+        eta = np.log([2.0, 5.0][: family.dim]) + np.array(log_offset[: family.dim])
+        theta = np.exp(eta)
+
+        g, jac = eq.estimating(theta, jacobian=True)
+        np.testing.assert_array_equal(g, eq.estimating(theta))
+        fd = central_jacobian(eq.estimating, theta, 1e-5 * theta)
+        np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(jac).max())
+
+        g_log, jac_log = eq.estimating_log(eta, jacobian=True)
+        np.testing.assert_array_equal(g_log, g)
+        fd_log = central_jacobian(eq.estimating_log, eta, np.full(eta.size, 1e-5))
+        np.testing.assert_allclose(
+            jac_log, fd_log, rtol=1e-6, atol=1e-6 * np.abs(jac_log).max()
+        )
+
+
+class TestSolver:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_trial_residuals_stay_quiet(self):
+        # replication 40 of the mc_contaminated benchmark workload at seed 7
+        # (design seed SeedSequence([7, 40]).generate_state(1)[0]): damped
+        # Newton steps of the alpha = 0 fit try points whose residual norm
+        # overflows; they must count as rejected steps, not warn
+        sample = simulate(contaminated_design(3928868563), 100, replication=0)
+        results = fit_grid(sample, WEIBULL, [0.0, 0.5])
+        assert all(r.converged for r in results)
+
+    def test_runaway_trajectory_stopped_early(self):
+        # replication 7 of the same workload: from the default start, Newton
+        # at alpha = 0.5 runs off to scale -> inf with shape -> alpha/(1+alpha),
+        # where f^(1+alpha) stops being integrable; without the drift stop it
+        # takes 75 iterations, out to scale 3e27, before the line search fails
+        sample = simulate(contaminated_design(1750529956), 100, replication=0)
+        eq = _WeightedEquation(sample, WEIBULL, 0.5)
+        eta0 = np.log(_initial_theta(sample, WEIBULL))
+        eta, _, iters, ok = _newton(eq, eta0, 1e-8, 200)
+        assert not ok
+        assert iters < 50
+        assert np.max(np.abs(eta - eta0)) > _MAX_LOG_DRIFT
+        # the fit still finds the root through its fallback
+        assert fit(sample, WEIBULL, FitConfig(alpha=0.5)).converged
 
 
 class TestFit:
@@ -184,6 +279,16 @@ class TestFitGrid:
         assert results[0].converged
         assert not results[1].converged
         assert results[1].eqn_residual == np.inf or results[1].message
+
+    def test_failed_result_placeholder(self):
+        failed = FitResult.failed(WEIBULL, 40, 0.5, "singular sandwich")
+        assert not failed.converged
+        assert failed.alpha == 0.5 and failed.n == 40 and failed.n_iter == 0
+        assert failed.message == "singular sandwich"
+        assert failed.theta_hat.shape == (2,) and np.isnan(failed.theta_hat).all()
+        for matrix in (failed.lambda_hat, failed.c_hat, failed.sigma_hat):
+            assert matrix.shape == (2, 2) and np.isnan(matrix).all()
+        assert failed.eqn_residual == np.inf and failed.lambda_cond == np.inf
 
 
 class TestVeteranTable:
