@@ -10,19 +10,36 @@ likelihood (the approximate MLE), not the censored-data MLE; the two coincide
 on uncensored data.
 
 Solver: damped Newton on the estimating equation in log-parameter space
-(positivity for free), with a Nelder-Mead fallback on the objective and a
-small deterministic multistart screen so that among multiple roots the one
-with the smallest objective wins.  Newton uses the exact Jacobian
+(positivity for free), a descent Newton on the objective when that fails,
+and a small deterministic multistart screen so that among multiple roots the
+one with the smallest objective wins.  Both use the exact Jacobian
 
     J_theta = d jvec / d theta - sum_i w_i (grad u_i + alpha u_i u_i^T) f_i^alpha,
 
 with d jvec / d theta from the family's closed-form integrals (Basu, Harris,
 Hjort & Jones 1998, Biometrika 85:549, for the alpha-weighted information),
 and J_eta = J_theta diag(theta) in the log coordinates eta.  Each iterate
-takes one pass over the points for (g, J); the line search evaluates only g.
-A trajectory that moves more than _MAX_LOG_DRIFT from its own start in any
-log coordinate is running off to the parameter boundary (scale to infinity
-with shape collapsing) and is stopped as not converged.
+takes one pass over the points for (g, J).
+
+The first trajectory, from the start, is residual Newton: it solves
+J_eta step = -g and accepts a step that lowers |g|.  Every later trajectory
+is descent Newton on the objective H, whose eta-gradient is
+(1 + alpha) theta * g and whose eta-Hessian is (1 + alpha) times
+diag(theta) J_theta diag(theta) + diag(theta * g).  The Hessian's
+eigenvalues are replaced by their absolute values, so each step points
+downhill on H, and the step is backtracked to an Armijo decrease of H.  At a
+root the diagonal term vanishes and the step is the Newton step.
+
+Either trajectory that moves more than _MAX_LOG_DRIFT from its own start in
+any log coordinate is running off to the parameter boundary (scale to
+infinity with shape collapsing) and is stopped as not converged.
+
+FitResult.message names the path of the returned estimate: "newton" (the
+first trajectory), "descent" (the descent from the start after the first
+trajectory failed), "descent-restart" (a descent from a log-space offset of
+the start that found a root with a smaller objective).  "-degenerate" is
+appended to a root at which the density has vanished on every observation,
+and ": no root at tol ..." to any path that did not converge.
 """
 
 from __future__ import annotations
@@ -32,7 +49,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from . import varest
 from .data import CensoredSample
@@ -45,6 +61,16 @@ __all__ = ["FitConfig", "FitResult", "mdpde_objective", "fit", "fit_grid"]
 # coordinate (a factor e^20) is a boundary runaway; no accepted root on the
 # acceptance designs lies anywhere near that far from its start
 _MAX_LOG_DRIFT = 20.0
+# a step longer than this in some log coordinate is shortened to it, and it
+# is halved at most _MAX_HALVINGS times before the trajectory gives up
+_MAX_LOG_STEP = 4.0
+_MAX_HALVINGS = 15
+# sufficient-decrease fraction of the descent line search (Armijo)
+_ARMIJO = 1e-4
+# near a root the objective is flat to rounding: a descent trial point whose
+# objective rises by no more than this, relative, is accepted when it lowers
+# the residual norm
+_FLAT_REL = 1e-13
 
 # deterministic log-space offsets tried as alternative starts
 _OFFSETS_1D = [(0.7,), (-0.7,), (1.4,), (-1.4,), (2.1,), (-2.1,)]
@@ -60,7 +86,6 @@ class FitConfig:
 
     alpha: float = 0.0
     start: Sequence[float] | None = None
-    alpha_grid: Sequence[float] | None = None
     tol_gradient: float = 1e-8
     max_iter: int = 200
     n_multistart: int = 5
@@ -77,7 +102,8 @@ class FitResult:
     """Fitted parameter with its censoring-free sandwich covariance.
 
     sigma_hat estimates the covariance of sqrt(n)(theta_hat - theta0); the
-    per-estimate covariance is sigma_hat / n.
+    per-estimate covariance is sigma_hat / n.  message names the solver path
+    of the estimate (see the module docstring) or why the fit failed.
     """
 
     family: ParametricFamily
@@ -206,28 +232,26 @@ class _WeightedEquation:
         return value if np.isfinite(value) else np.inf
 
     # log-space views used by the solver; wild trial points are allowed to
-    # overflow quietly and come back as NaN/inf for the damping logic
+    # overflow and come back as NaN/inf for the damping logic, under the
+    # quiet floating-point state that fit() sets once for its whole solve
     def estimating_log(self, eta: np.ndarray, jacobian: bool = False):
         """g at theta = exp(eta) or, with ``jacobian``, (g, J_eta) where
         J_eta = J_theta diag(theta)."""
         theta = np.exp(eta)
         try:
-            with np.errstate(all="ignore"):
-                if not jacobian:
-                    return self.estimating(theta)
-                g, jac = self.estimating(theta, jacobian=True)
-                return g, jac * theta
+            if not jacobian:
+                return self.estimating(theta)
+            g, jac = self.estimating(theta, jacobian=True)
+            return g, jac * theta
         except (ValueError, FloatingPointError):
             nan = np.full(eta.shape, np.nan)
             return (nan, np.full((eta.size,) * 2, np.nan)) if jacobian else nan
 
     def objective_log(self, eta: np.ndarray) -> float:
         try:
-            with np.errstate(all="ignore"):
-                value = self.objective(np.exp(eta))
+            return self.objective(np.exp(eta))
         except (ValueError, FloatingPointError):
             return np.inf
-        return value if np.isfinite(value) else np.inf
 
     def data_mass(self, eta: np.ndarray) -> float:
         """Weighted mean of f^alpha over the sample; a genuine root keeps it
@@ -235,9 +259,8 @@ class _WeightedEquation:
         zero on all observations, making the equation trivially zero) do not.
         """
         try:
-            with np.errstate(all="ignore"):
-                logf = self.family._pointwise(np.exp(eta), self.points, 0)[0]
-                return float(self.weights @ np.exp(self.alpha * logf))
+            logf = self.family._pointwise(np.exp(eta), self.points, 0)[0]
+            return float(self.weights @ np.exp(self.alpha * logf))
         except (ValueError, FloatingPointError):
             return 0.0
 
@@ -255,18 +278,18 @@ def mdpde_objective(sample: CensoredSample, family: ParametricFamily, theta, alp
 
 def _norm(g: np.ndarray) -> float:
     """Euclidean norm of a residual; inf when it is not finite or overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.linalg.norm(g))
+    value = float(np.linalg.norm(g))
     return value if np.isfinite(value) else np.inf
 
 
-def _newton(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int):
-    """Damped Newton from eta0 on the log-space estimating equation.
+def _solve(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int, step):
+    """Iterate ``step(eta, norm_g)`` from eta0 until the residual norm |g| is
+    within tol.
 
-    Returns (eta, residual norm, iterations, converged).  A step that does
-    not reduce the residual within 15 halvings, a singular or non-finite
-    Jacobian, and a drift beyond _MAX_LOG_DRIFT from eta0 all end the
-    trajectory as not converged.
+    ``step`` returns the accepted (eta, |g|), or None when it cannot move.
+    Returns (eta, residual norm, iterations, converged).  A non-finite
+    residual at eta0, a step that cannot move, and a drift beyond
+    _MAX_LOG_DRIFT from eta0 all end the trajectory as not converged.
     """
     eta = eta0
     g = eq.estimating_log(eta)
@@ -276,29 +299,89 @@ def _newton(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int):
     for iteration in range(max_iter):
         if norm_g <= tol:
             return eta, norm_g, iteration, True
-        g, jac = eq.estimating_log(eta, jacobian=True)
-        if not np.all(np.isfinite(jac)):
+        moved = step(eta, norm_g)
+        if moved is None:
             return eta, norm_g, iteration + 1, False
-        try:
-            step = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            return eta, norm_g, iteration + 1, False
-        big = np.max(np.abs(step))
-        if big > 4.0:
-            step *= 4.0 / big
-        lam = 1.0
-        for _ in range(15):
-            trial = eta + lam * step
-            trial_norm = _norm(eq.estimating_log(trial))
-            if trial_norm < norm_g:
-                eta, norm_g = trial, trial_norm
-                break
-            lam *= 0.5
-        else:
-            return eta, norm_g, iteration + 1, False
+        eta, norm_g = moved
         if np.max(np.abs(eta - eta0)) > _MAX_LOG_DRIFT:
             return eta, norm_g, iteration + 1, False
     return eta, norm_g, max_iter, norm_g <= tol
+
+
+def _capped(step: np.ndarray) -> np.ndarray:
+    big = np.max(np.abs(step))
+    return step * (_MAX_LOG_STEP / big) if big > _MAX_LOG_STEP else step
+
+
+def _newton(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int):
+    """Damped Newton from eta0 on the log-space estimating equation.
+
+    A step is accepted once it lowers |g|; one that does not within
+    _MAX_HALVINGS halvings, or a singular or non-finite Jacobian, ends the
+    trajectory (see _solve for the rest of the contract).
+    """
+
+    def step(eta, norm_g):
+        g, jac = eq.estimating_log(eta, jacobian=True)
+        if not np.all(np.isfinite(jac)):
+            return None
+        try:
+            direction = _capped(np.linalg.solve(jac, -g))
+        except np.linalg.LinAlgError:
+            return None
+        lam = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = eta + lam * direction
+            trial_norm = _norm(eq.estimating_log(trial))
+            if trial_norm < norm_g:
+                return trial, trial_norm
+            lam *= 0.5
+        return None
+
+    return _solve(eq, eta0, tol, max_iter, step)
+
+
+def _descent(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int):
+    """Descent Newton from eta0 on the objective in log coordinates.
+
+    The eta-Hessian over (1 + alpha), diag(theta) J_theta diag(theta) +
+    diag(theta * g), has its eigenvalues replaced by their absolute values,
+    so the step is downhill; it is accepted on an Armijo decrease of the
+    objective, or, where the objective is flat to rounding (_FLAT_REL), on a
+    lower |g|.  An infinite objective at eta0 (f^(1+alpha) not integrable)
+    means the descent cannot start.  See _solve for the rest of the contract.
+    """
+    value = eq.objective_log(eta0)
+    slope_scale = _ARMIJO * (1.0 + eq.alpha)
+
+    def step(eta, norm_g):
+        nonlocal value
+        g, jac = eq.estimating_log(eta, jacobian=True)
+        if not (np.isfinite(value) and np.all(np.isfinite(jac))):
+            return None
+        theta = np.exp(eta)
+        grad = theta * g
+        hess = theta[:, None] * jac
+        eigval, eigvec = np.linalg.eigh(0.5 * (hess + hess.T) + np.diag(grad))
+        eigval = np.abs(eigval)
+        if not eigval.min() > 0.0:
+            return None
+        direction = _capped(-eigvec @ ((eigvec.T @ grad) / eigval))
+        slope = slope_scale * float(grad @ direction)
+        flat = value + _FLAT_REL * abs(value)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = eta + t * direction
+            trial_value = eq.objective_log(trial)
+            if trial_value <= flat:
+                trial_norm = _norm(eq.estimating_log(trial))
+                if trial_value <= value + t * slope or trial_norm < norm_g:
+                    value = trial_value
+                    return trial, trial_norm
+            t *= 0.5
+        return None
+
+    return _solve(eq, eta0, tol, max_iter, step)
 
 
 def _initial_theta(sample: CensoredSample, family: ParametricFamily) -> np.ndarray:
@@ -336,13 +419,17 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
     """Fit the divergence estimator at config.alpha and attach the sandwich.
 
     Among multiple estimating-equation roots the one with the smallest
-    objective value is returned; failures fall back to simplex minimization
-    with a Newton polish.  Non-convergence yields converged=False rather than
-    an exception; a singular sensitivity matrix raises
-    :class:`varest.SingularSensitivityError`.
+    objective value is returned.  When residual Newton from the start fails,
+    descent Newton on the objective takes over from the same start; offsets
+    of the start whose objective undercuts the best root (every offset when
+    there is no root) are descended from as well.  FitResult.message names
+    the path taken (see the module docstring).  Non-convergence yields
+    converged=False rather than an exception; a singular sensitivity matrix
+    raises :class:`varest.SingularSensitivityError`.
     """
     config = config or FitConfig()
     alpha = config.alpha
+    tol, max_iter = config.tol_gradient, config.max_iter
     eq = _WeightedEquation(sample, family, alpha)
     if config.start is not None:
         start = family.validate(config.start)
@@ -350,7 +437,6 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
         start = family.validate(_initial_theta(sample, family))
     eta0 = np.log(start)
     offsets = (_OFFSETS_1D if family.dim == 1 else _OFFSETS_2D)[: config.n_multistart - 1]
-    reference_mass = eq.data_mass(eta0)
 
     candidates: list[tuple[float, np.ndarray, float, int, bool, str]] = []
     degenerate: list[tuple[float, np.ndarray, float, int, bool, str]] = []
@@ -371,30 +457,22 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
         candidates.append((eq.objective_log(eta), eta.copy(), residual, iters, ok, tag))
         return ok
 
-    eta, residual, iters, ok = _newton(eq, eta0, config.tol_gradient, config.max_iter)
-    if add_candidate(eta, residual, iters, ok, "newton"):
-        # screen alternative starts; only chase ones that undercut the root
-        best_obj = min(c[0] for c in candidates)
+    # trial points may overflow; the solver treats those as rejected steps
+    with np.errstate(all="ignore"):
+        reference_mass = eq.data_mass(eta0)
+        eta, residual, iters, ok = _newton(eq, eta0, tol, max_iter)
+        if not add_candidate(eta, residual, iters, ok, "newton"):
+            eta, residual, iters2, ok = _descent(eq, eta0, tol, max_iter)
+            add_candidate(eta, residual, iters + iters2, ok, "descent")
+        # screen alternative starts; only chase ones that undercut the best
+        # root, or every one when there is none
+        best_obj = min((c[0] for c in candidates if c[4]), default=np.inf)
         for off in offsets:
             eta_alt = eta0 + np.asarray(off)
             if eq.objective_log(eta_alt) < best_obj:
-                eta2, res2, it2, ok2 = _newton(eq, eta_alt, config.tol_gradient, config.max_iter)
-                if ok2:
-                    add_candidate(eta2, res2, it2, ok2, "newton-restart")
-    else:
-        with np.errstate(invalid="ignore"):  # simplex may compare inf values
-            nm = optimize.minimize(
-                eq.objective_log,
-                eta0,
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-            )
-        eta2, res2, it2, ok2 = _newton(eq, nm.x, config.tol_gradient, config.max_iter)
-        add_candidate(eta2, res2, iters + it2, ok2, "simplex+polish")
-        for off in offsets:
-            eta3, res3, it3, ok3 = _newton(eq, eta0 + np.asarray(off), config.tol_gradient, config.max_iter)
-            if ok3:
-                add_candidate(eta3, res3, it3, ok3, "newton-restart")
+                eta, residual, iters, ok = _descent(eq, eta_alt, tol, max_iter)
+                if ok:
+                    add_candidate(eta, residual, iters, ok, "descent-restart")
 
     pool = [c for c in candidates if c[4]] or candidates or degenerate
     obj, eta_hat, residual, iters, ok, tag = min(pool, key=lambda c: (c[0], c[2]))
@@ -418,20 +496,20 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
         sigma_hat=cov.sigma_hat,
         lambda_cond=cov.lambda_cond,
         residual_mass=eq.residual_mass,
-        message=tag if ok else f"{tag}: no root at tol {config.tol_gradient:g}",
+        message=tag if ok else f"{tag}: no root at tol {tol:g}",
     )
 
 
 def fit_grid(
     sample: CensoredSample,
     family: ParametricFamily,
-    alpha_grid: Sequence[float] | None = None,
+    alpha_grid: Sequence[float],
     config: FitConfig | None = None,
 ) -> list[FitResult]:
     """Sequential fits over an ascending alpha grid, warm-starting each alpha
     from the previous estimate; per-alpha failures do not abort the sweep."""
     config = config or FitConfig()
-    grid = list(alpha_grid if alpha_grid is not None else (config.alpha_grid or ()))
+    grid = list(alpha_grid)
     if not grid:
         raise ValueError("alpha_grid must contain at least one value")
     if any(b < a for a, b in zip(grid, grid[1:])) or grid[0] < 0.0:

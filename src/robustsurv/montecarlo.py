@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -80,7 +82,9 @@ class ExperimentReport:
     ``rows`` is one dict per (alpha x hypothesis) or (alpha x parameter)
     cell; ``wall_seconds`` is informational and deliberately excluded from
     the CSV serialization so identical (spec, seed) runs produce identical
-    bytes regardless of timing or worker count.
+    bytes regardless of timing or worker count.  ``test_failures`` counts,
+    by reason, the Wald tests that raised on a converged fit (their p-values
+    count as failed in the rows); it is not part of the CSV either.
     """
 
     kind: str
@@ -94,6 +98,7 @@ class ExperimentReport:
     invalid: bool
     wall_seconds: float
     design_label: str
+    test_failures: dict[str, int] = field(default_factory=dict)
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -114,6 +119,11 @@ class ExperimentReport:
             f"failed fits by alpha: "
             + (", ".join(f"{a:g}: {k}" for a, k in sorted(self.failed_by_alpha.items())) or "none"),
         ]
+        if self.test_failures:
+            lines.append(
+                "failed tests by reason: "
+                + ", ".join(f"{r}: {k}" for r, k in sorted(self.test_failures.items()))
+            )
         if self.invalid:
             lines.append(
                 "WARNING: more than "
@@ -140,19 +150,27 @@ def _fit_sweep(spec: ExperimentSpec, replication: int):
     return sample, fit_grid(sample, family, spec.alpha_grid, spec.fit_config)
 
 
-def _level_power_rep(spec: ExperimentSpec, replication: int) -> np.ndarray:
-    """p-value per (alpha, hypothesis); NaN marks a failed fit or test."""
+def _failure_reason(exc: Exception) -> str:
+    """Exception type and message, without a trailing parenthesised detail
+    such as a condition number, so that like failures share one reason."""
+    return re.sub(r"\s*\(.*\)$", "", f"{type(exc).__name__}: {exc}")
+
+
+def _level_power_rep(spec: ExperimentSpec, replication: int) -> tuple[np.ndarray, Counter]:
+    """p-value per (alpha, hypothesis), NaN marking a failed fit or test, and
+    the failed tests counted by reason."""
     _, fits = _fit_sweep(spec, replication)
     out = np.full((len(spec.alpha_grid), len(spec.hypotheses)), np.nan)
+    failures: Counter = Counter()
     for i, fr in enumerate(fits):
         if not fr.converged:
             continue
         for j, (_, restriction) in enumerate(spec.hypotheses):
             try:
                 out[i, j] = wald_statistic(fr, restriction).p_value
-            except (np.linalg.LinAlgError, ValueError):
-                pass
-    return out
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                failures[_failure_reason(exc)] += 1
+    return out, failures
 
 
 def _estimate_rep(spec: ExperimentSpec, replication: int) -> np.ndarray:
@@ -168,15 +186,14 @@ def _estimate_rep(spec: ExperimentSpec, replication: int) -> np.ndarray:
     return out
 
 
-def _collect(spec: ExperimentSpec, worker) -> np.ndarray:
+def _collect(spec: ExperimentSpec, worker) -> list:
+    """worker(spec, rep) for every replication, in replication order."""
     task = partial(worker, spec)
     if spec.workers == 1:
-        results = [task(rep) for rep in range(spec.replications)]
-    else:
-        chunk = max(1, spec.replications // (spec.workers * 8))
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(task, range(spec.replications), chunksize=chunk))
-    return np.stack(results)
+        return [task(rep) for rep in range(spec.replications)]
+    chunk = max(1, spec.replications // (spec.workers * 8))
+    with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        return list(pool.map(task, range(spec.replications), chunksize=chunk))
 
 
 def _failures(per_rep_valid: np.ndarray, spec: ExperimentSpec) -> tuple[dict, bool]:
@@ -195,7 +212,11 @@ def run_level_power(spec: ExperimentSpec) -> ExperimentReport:
     if spec.kind != "level_power":
         raise ValueError("spec.kind must be 'level_power'")
     start = time.perf_counter()
-    pvals = _collect(spec, _level_power_rep)  # (reps, n_alpha, n_hyp)
+    per_rep = _collect(spec, _level_power_rep)
+    pvals = np.stack([out for out, _ in per_rep])  # (reps, n_alpha, n_hyp)
+    test_failures: Counter = Counter()
+    for _, failures in per_rep:
+        test_failures.update(failures)
     rows = []
     for i, alpha in enumerate(spec.alpha_grid):
         for j, (name, _) in enumerate(spec.hypotheses):
@@ -228,12 +249,13 @@ def run_level_power(spec: ExperimentSpec) -> ExperimentReport:
         invalid=invalid,
         wall_seconds=time.perf_counter() - start,
         design_label=_design_label(spec.design),
+        test_failures=dict(test_failures),
     )
 
 
 def _estimation_report(spec: ExperimentSpec, with_ratio: bool) -> ExperimentReport:
     start = time.perf_counter()
-    stacked = _collect(spec, _estimate_rep)  # (reps, n_alpha, 2p)
+    stacked = np.stack(_collect(spec, _estimate_rep))  # (reps, n_alpha, 2p)
     family, theta0 = spec.design.lifetime.resolve()
     p = family.dim
     rows = []

@@ -112,6 +112,28 @@ def central_jacobian(func, x, steps):
     return np.column_stack(columns)
 
 
+def objective_minimum(sample, alpha, scale_range, shape_range):
+    """Oracle: Weibull minimiser of mdpde_objective, from the best point of a
+    120 x 80 grid, log-spaced over the given ranges, polished by Nelder-Mead."""
+
+    def objective(eta):
+        try:
+            with np.errstate(all="ignore"):
+                return mdpde_objective(sample, WEIBULL, np.exp(eta), alpha)
+        except ValueError:  # f^(1+alpha) not integrable
+            return np.inf
+
+    log_scale = np.linspace(*np.log(scale_range), 120)
+    log_shape = np.linspace(*np.log(shape_range), 80)
+    values = np.array([[objective(np.array([a, b])) for b in log_shape] for a in log_scale])
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    polished = optimize.minimize(
+        objective, [log_scale[i], log_shape[j]], method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
+    )
+    return np.exp(polished.x)
+
+
 class TestExactJacobian:
     """The solver's closed-form Jacobian against central differences of the
     estimating equation, in theta and in the solver's log coordinates."""
@@ -167,6 +189,21 @@ class TestSolver:
         assert np.max(np.abs(eta - eta0)) > _MAX_LOG_DRIFT
         # the fit still finds the root through its fallback
         assert fit(sample, WEIBULL, FitConfig(alpha=0.5)).converged
+
+    def test_descent_fallback_after_failed_newton(self):
+        # replication 213 of the same workload at alpha = 0: residual Newton
+        # from the default start runs its 200 iterations towards scale 2e6;
+        # descent on the objective from the same start finds the minimiser
+        sample = simulate(contaminated_design(502419184), 100, replication=0)
+        eq = _WeightedEquation(sample, WEIBULL, 0.0)
+        eta0 = np.log(_initial_theta(sample, WEIBULL))
+        _, _, iters, ok = _newton(eq, eta0, 1e-8, 200)
+        assert not ok and iters == 200
+        result = fit(sample, WEIBULL, FitConfig(alpha=0.0))
+        assert result.converged and result.message == "descent"
+        np.testing.assert_allclose(result.theta_hat, [2.29417, 1.63180], atol=1e-5)
+        oracle = objective_minimum(sample, 0.0, (1e-2, 1e3), (0.05, 20.0))
+        np.testing.assert_allclose(result.theta_hat, oracle, rtol=1e-6)
 
 
 class TestFit:
@@ -262,23 +299,19 @@ class TestFitGrid:
         with pytest.raises(ValueError):
             fit_grid(exp_sample, EXPONENTIAL, [])
 
-    def test_grid_from_config(self, exp_sample):
-        results = fit_grid(
-            exp_sample, EXPONENTIAL, None, FitConfig(alpha_grid=(0.0, 0.5))
-        )
-        assert [r.alpha for r in results] == [0.0, 0.5]
-
-    def test_boundary_runaway_reported_not_converged(self):
-        # heavy-tailed mixture where f^(1+alpha) stops being integrable at the
-        # robust fit's shape: the solver must not report the degenerate
-        # boundary "root" as a converged estimate
+    def test_heavy_tail_interior_minimiser(self):
+        # heavy-tailed mixture whose warm start from the alpha = 0 fit (shape
+        # 0.35) lies where f^(1+alpha) is not integrable at alpha = 1; the
+        # objective still has an interior minimiser (shape above
+        # alpha/(1+alpha) = 0.5), which the fit must find
         rng = np.random.default_rng(0)
         z = np.concatenate([rng.weibull(0.45, 60), rng.exponential(80.0, 20)])
         sample = uncensored(z)
         results = fit_grid(sample, WEIBULL, [0.0, 1.0])
-        assert results[0].converged
-        assert not results[1].converged
-        assert results[1].eqn_residual == np.inf or results[1].message
+        assert all(r.converged for r in results)
+        assert results[0].theta_hat[1] < 0.5
+        oracle = objective_minimum(sample, 1.0, (1e-4, 1e3), (0.5, 5.0))
+        np.testing.assert_allclose(results[1].theta_hat, oracle, rtol=1e-6)
 
     def test_failed_result_placeholder(self):
         failed = FitResult.failed(WEIBULL, 40, 0.5, "singular sandwich")

@@ -95,6 +95,25 @@ class TestLevelPower:
         for row in report.rows:
             assert row["failed"] == 8
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_test_failures_counted_by_reason(self, workers):
+        # r = 2 restriction on a one-parameter family: its Jacobian is
+        # rank-deficient, so wald_statistic raises on every converged fit
+        bad = LinearRestriction(np.ones((1, 2)), np.ones(2), description="rank 1")
+        spec = small_spec(
+            replications=6,
+            workers=workers,
+            hypotheses=(("H_mean1", LinearRestriction.simple((1.0,))), ("H_bad", bad)),
+        )
+        report = run_level_power(spec)
+        reason = "ValueError: restriction jacobian is rank-deficient at theta"
+        converged = sum(r["valid"] for r in report.rows if r["hypothesis"] == "H_mean1")
+        assert converged > 0
+        assert report.test_failures == {reason: converged}
+        assert all(r["valid"] == 0 for r in report.rows if r["hypothesis"] == "H_bad")
+        assert f"failed tests by reason: {reason}: {converged}" in report.summary()
+        assert "rank-deficient" not in report.to_csv_string()
+
     def test_csv_roundtrip(self, tmp_path):
         report = run_level_power(small_spec())
         out = tmp_path / "report.csv"
