@@ -20,7 +20,7 @@ from .data import (
     simulate,
     write_csv,
 )
-from .estimator import FitConfig, FitResult, fit, fit_grid, mdpde_objective
+from .estimator import FitConfig, FitResult, UnidentifiableSampleError, fit, fit_grid, mdpde_objective
 from .hypothesis import (
     FunctionRestriction,
     LinearRestriction,
@@ -44,7 +44,7 @@ from .influence import (
     pif,
     sigma_model,
 )
-from .kmpl import KmplFit, SubdistEmpiricals, km_integral, kmpl_fit, subdist_empiricals
+from .kmpl import KmplFit, kmpl_fit
 from .model import (
     EXPONENTIAL,
     WEIBULL,
@@ -85,7 +85,6 @@ from .varest import (
     c_hat,
     covariance_estimate,
     gamma_tables,
-    lambda_empirical,
     sigma_hat,
     u_hat,
 )

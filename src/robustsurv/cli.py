@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import re
 import sys
@@ -457,10 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--status-column", default="status")
         p.add_argument("--arm-column", default=None)
         p.add_argument("--arm", default=None, help="arm value to select with --arm-column")
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("ROBUSTSURV_SEED", "0")))
-        p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("ROBUSTSURV_WORKERS", "1")))
+        p.add_argument("--seed", type=int, default=None,
+                       help="random seed (default: $ROBUSTSURV_SEED, else 0)")
+        p.add_argument("--workers", type=int, default=None,
+                       help="worker processes (default: $ROBUSTSURV_WORKERS, else 1)")
         p.add_argument("--out", default=".", help="output directory")
         return p
 
@@ -503,12 +504,22 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "out", None):
         os.makedirs(args.out, exist_ok=True)
     try:
+        # the environment is read per call, not when the parser was built
+        if args.seed is None:
+            args.seed = int(os.environ.get("ROBUSTSURV_SEED", "0"))
+        if args.workers is None:
+            args.workers = int(os.environ.get("ROBUSTSURV_WORKERS", "1"))
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

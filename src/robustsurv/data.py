@@ -70,6 +70,16 @@ class CensoredSample:
         delta.setflags(write=False)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "_derived", {})
+
+    def _memo(self, key: str, build):
+        """``build(self)``, built on first use: the sample is immutable, so a
+        table derived from it alone is shared, read-only, by every caller
+        (threads racing on the first call still all get the stored one)."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            return self._derived.setdefault(key, build(self))
 
     @property
     def n(self) -> int:

@@ -55,7 +55,7 @@ from .data import CensoredSample
 from .kmpl import kmpl_fit
 from .model import ParametricFamily, mdpde_psi, lambda_model
 
-__all__ = ["FitConfig", "FitResult", "mdpde_objective", "fit", "fit_grid"]
+__all__ = ["FitConfig", "FitResult", "UnidentifiableSampleError", "mdpde_objective", "fit", "fit_grid"]
 
 # a Newton trajectory farther than this from its own start in some log
 # coordinate (a factor e^20) is a boundary runaway; no accepted root on the
@@ -78,6 +78,11 @@ _OFFSETS_2D = [
     (0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5),
     (0.7, 0.7), (-0.7, -0.7), (0.7, -0.7), (-0.7, 0.7),
 ]
+
+
+class UnidentifiableSampleError(ValueError):
+    """Fewer distinct event times than the family has parameters: no event
+    for the exponential, fewer than two distinct event times for the Weibull."""
 
 
 @dataclass(frozen=True)
@@ -123,8 +128,8 @@ class FitResult:
 
     @classmethod
     def failed(cls, family: ParametricFamily, n: int, alpha: float, message: str) -> "FitResult":
-        """Not-converged result for a fit that raised: NaN estimate and
-        matrices, infinite residual and condition number."""
+        """Not-converged result: NaN estimate and matrices, infinite residual
+        and condition number."""
         nan_matrix = np.full((family.dim, family.dim), np.nan)
         return cls(
             family=family,
@@ -198,6 +203,7 @@ class _WeightedEquation:
         self.points = family._check_x(km.weight_points)
         self.weights = km.weight_masses
         self.residual_mass = km.residual_mass
+        self.event_times = km.support.size
         self.family = family
         self.alpha = alpha
 
@@ -424,13 +430,20 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
     of the start whose objective undercuts the best root (every offset when
     there is no root) are descended from as well.  FitResult.message names
     the path taken (see the module docstring).  Non-convergence yields
-    converged=False rather than an exception; a singular sensitivity matrix
+    converged=False, the best point found and NaN matrices, not an exception.
+    An unidentifiable sample raises :class:`UnidentifiableSampleError` before
+    any solve; a converged estimate whose sensitivity matrix is singular
     raises :class:`varest.SingularSensitivityError`.
     """
     config = config or FitConfig()
     alpha = config.alpha
     tol, max_iter = config.tol_gradient, config.max_iter
     eq = _WeightedEquation(sample, family, alpha)
+    if eq.event_times < family.dim:
+        raise UnidentifiableSampleError(
+            f"{family.family_id} needs at least {family.dim} distinct event "
+            f"time(s); the sample has {eq.event_times}"
+        )
     if config.start is not None:
         start = family.validate(config.start)
     else:
@@ -477,11 +490,14 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
     pool = [c for c in candidates if c[4]] or candidates or degenerate
     obj, eta_hat, residual, iters, ok, tag = min(pool, key=lambda c: (c[0], c[2]))
     theta_hat = np.exp(eta_hat)
-
-    lam = lambda_model(family, theta_hat, alpha)
-    cov = varest.covariance_estimate(
-        sample, lambda x, th: mdpde_psi(family, th, alpha, x), theta_hat, lam
-    )
+    if ok:
+        lam = lambda_model(family, theta_hat, alpha)
+        cov = varest.covariance_estimate(
+            sample, lambda x, th: mdpde_psi(family, th, alpha, x), theta_hat, lam
+        )
+    else:  # no sandwich away from a root, where Lambda need not even exist
+        nan = np.full((family.dim, family.dim), np.nan)
+        cov = varest.CovarianceEstimate(nan, nan.copy(), nan.copy(), np.inf)
     return FitResult(
         family=family,
         n=sample.n,
@@ -523,9 +539,8 @@ def fit_grid(
         try:
             result = fit(sample, family, step_config)
         except (varest.SingularSensitivityError, ValueError, np.linalg.LinAlgError) as exc:
-            # per-alpha failure (singular sandwich, non-integrable f^(1+a) at
-            # a runaway estimate, ...): record it, keep sweeping from the
-            # last good start
+            # per-alpha failure (unidentifiable sample, singular sandwich,
+            # ...): record it, keep sweeping from the last good start
             results.append(FitResult.failed(family, sample.n, alpha, str(exc)))
             continue
         results.append(result)

@@ -11,6 +11,7 @@ reserved for the divergence tuning parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,6 +30,21 @@ __all__ = [
     "chi2_sf",
     "chi2_quantile",
 ]
+
+
+def _central_differences(func, x, step: float) -> np.ndarray:
+    """Central differences of func at x, one row per coordinate of x, with
+    step step * (1 + |x_j|); shared by the restriction checks and
+    power_approx."""
+    x = np.asarray(x, dtype=float)
+    rows = []
+    for j in range(x.size):
+        h = step * (1.0 + abs(x[j]))
+        up, down = x.copy(), x.copy()
+        up[j] += h
+        down[j] -= h
+        rows.append((func(up) - func(down)) / (2.0 * h))
+    return np.stack(rows, axis=0)
 
 
 def chi2_sf(df: int, x: float) -> float:
@@ -53,20 +69,9 @@ class Restriction:
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _fd_jacobian(self, theta: np.ndarray, step: float = 1e-6) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        cols = []
-        for j in range(theta.size):
-            h = step * (1.0 + abs(theta[j]))
-            up, down = theta.copy(), theta.copy()
-            up[j] += h
-            down[j] -= h
-            cols.append((self.m(up) - self.m(down)) / (2.0 * h))
-        return np.stack(cols, axis=0)
-
     def validate_at(self, theta) -> None:
-        """Check the Jacobian against finite differences (1e-6) and its rank
-        (singular values above 1e-10)."""
+        """Check the shapes of m and M, M against finite differences of m
+        (1e-6) and its rank (singular values above 1e-10)."""
         theta = np.asarray(theta, dtype=float)
         m = np.asarray(self.m(theta), dtype=float)
         if m.shape != (self.r,):
@@ -74,24 +79,37 @@ class Restriction:
         jac = np.asarray(self.jacobian(theta), dtype=float)
         if jac.shape != (theta.size, self.r):
             raise ValueError(f"jacobian must be {theta.size} x {self.r}")
-        fd = self._fd_jacobian(theta)
+        if self._checked_rank(theta, jac) < self.r:
+            raise ValueError("restriction jacobian is rank-deficient at theta")
+
+    def _checked_rank(self, theta: np.ndarray, jac: np.ndarray) -> int:
+        """Rank of jac after checking it against finite differences of m."""
+        fd = _central_differences(self.m, theta, 1e-6)
         if not np.allclose(jac, fd, atol=1e-6, rtol=1e-6):
             raise ValueError("restriction jacobian disagrees with finite differences")
-        if np.linalg.matrix_rank(jac, tol=1e-10) < self.r:
-            raise ValueError("restriction jacobian is rank-deficient at theta")
+        return int(np.linalg.matrix_rank(jac, tol=1e-10))
 
 
 @dataclass(frozen=True, eq=False)
 class LinearRestriction(Restriction):
-    """m(theta) = A^T theta - target; covers simple and per-component nulls."""
+    """m(theta) = A^T theta - target; covers simple and per-component nulls.
+
+    The Jacobian is A itself, exactly, so validate_at skips the
+    finite-difference check; A and target are read-only copies of the
+    caller's arrays, which lets A's rank be taken once.
+    """
 
     matrix: np.ndarray  # (p, r)
     target: np.ndarray  # (r,)
     description: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-        object.__setattr__(self, "target", np.atleast_1d(np.asarray(self.target, dtype=float)))
+        matrix = np.array(self.matrix, dtype=float)
+        target = np.atleast_1d(np.array(self.target, dtype=float))
+        matrix.setflags(write=False)
+        target.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "target", target)
 
     @property
     def r(self) -> int:
@@ -102,6 +120,13 @@ class LinearRestriction(Restriction):
 
     def jacobian(self, theta):
         return self.matrix
+
+    def _checked_rank(self, theta, jac):
+        return self._rank
+
+    @cached_property
+    def _rank(self) -> int:
+        return int(np.linalg.matrix_rank(self.matrix, tol=1e-10))
 
     @classmethod
     def simple(cls, theta0) -> "LinearRestriction":
@@ -134,7 +159,7 @@ class FunctionRestriction(Restriction):
 
     def jacobian(self, theta):
         if self.jacobian_func is None:
-            return self._fd_jacobian(np.asarray(theta, dtype=float))
+            return _central_differences(self.m, theta, 1e-6)
         return np.asarray(self.jacobian_func(theta), dtype=float)
 
 
@@ -235,13 +260,7 @@ def power_approx(
     wbar = _w_bar(theta_star, restriction, sigma)
     if wbar <= 1e-14:
         raise ValueError("theta_star satisfies the null; the power approximation is undefined")
-    grad = np.empty(theta_star.size)
-    for j in range(theta_star.size):
-        h = 1e-5 * (1.0 + abs(theta_star[j]))
-        up, down = theta_star.copy(), theta_star.copy()
-        up[j] += h
-        down[j] -= h
-        grad[j] = (_w_bar(up, restriction, sigma) - _w_bar(down, restriction, sigma)) / (2.0 * h)
+    grad = _central_differences(lambda th: _w_bar(th, restriction, sigma), theta_star, 1e-5)
     var_star = float(grad @ sigma @ grad)
     if var_star <= 0.0:
         raise ValueError("degenerate variance in the power approximation")

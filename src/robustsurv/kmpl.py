@@ -1,23 +1,24 @@
-"""Product-limit estimation and empirical sub-distribution functions.
+"""Product-limit estimation.
 
 The product-limit CDF carries probability mass only at event times.  When the
 largest observation is censored the estimate is defective (total mass < 1);
 for integration purposes the leftover mass is reassigned to the largest
 observed time (Efron-style tail completion) so the weights form a proper
 distribution, while the raw defective masses stay available for diagnostics.
+The fit depends on the sample alone, so it is computed once per sample and
+shared, read-only, by every caller.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .data import CensoredSample
 
-__all__ = ["KmplFit", "SubdistEmpiricals", "kmpl_fit", "subdist_empiricals", "km_integral"]
+__all__ = ["KmplFit", "kmpl_fit"]
 
 RESIDUAL_MASS_FLAG = 0.05  # defective-tail fraction worth surfacing in reports
 
@@ -71,44 +72,18 @@ class KmplFit:
                 )
 
 
-@dataclass(frozen=True)
-class SubdistEmpiricals:
-    """Empirical step functions for Z and its censored/uncensored parts.
-
-    The marginal is defined as the sum of the two parts, so the additivity
-    identity holds exactly, not merely to rounding.
-    """
-
-    z: np.ndarray
-    _cum_event: np.ndarray
-    _cum_censored: np.ndarray
-    n: int
-
-    def g_z(self, x) -> np.ndarray:
-        """Fraction of observations with Z <= x."""
-        return self.g_z0(x) + self.g_z1(x)
-
-    def g_z1(self, x) -> np.ndarray:
-        """Fraction of uncensored observations (delta = 1) with Z <= x."""
-        return self._lookup(self._cum_event, x)
-
-    def g_z0(self, x) -> np.ndarray:
-        """Fraction of censored observations (delta = 0) with Z <= x."""
-        return self._lookup(self._cum_censored, x)
-
-    def _lookup(self, cum: np.ndarray, x) -> np.ndarray:
-        idx = np.searchsorted(self.z, np.asarray(x, dtype=float), side="right")
-        padded = np.concatenate(([0.0], cum))
-        return padded[idx] / self.n
-
-
 def kmpl_fit(sample: CensoredSample) -> KmplFit:
     """Product-limit fit over the sample's canonical ordering.
 
     The survival factor at the i-th ordered observation is
     1 - delta_i / (n - i + 1); masses fall at event times only and the jump at
-    a tied event time aggregates the tied factors.
+    a tied event time aggregates the tied factors.  Built on the first call
+    for a sample; later calls return the same read-only fit.
     """
+    return sample._memo("kmpl", _kmpl_fit)
+
+
+def _kmpl_fit(sample: CensoredSample) -> KmplFit:
     z, delta = sample.z, sample.delta
     n = sample.n
     at_risk = n - np.arange(n)
@@ -146,22 +121,3 @@ def kmpl_fit(sample: CensoredSample) -> KmplFit:
         weight_points=weight_points,
         weight_masses=weight_masses,
     )
-
-
-def subdist_empiricals(sample: CensoredSample) -> SubdistEmpiricals:
-    """Right-continuous empirical sub-distribution evaluators; the censored and
-    uncensored parts add up to the marginal exactly, by construction."""
-    return SubdistEmpiricals(
-        z=sample.z,
-        _cum_event=np.cumsum(sample.delta).astype(float),
-        _cum_censored=np.cumsum(1 - sample.delta).astype(float),
-        n=sample.n,
-    )
-
-
-def km_integral(fit: KmplFit, phi: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Expectation of phi under the tail-completed product-limit weights."""
-    values = np.asarray(phi(fit.weight_points), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("phi is non-finite at a support point")
-    return float(fit.weight_masses @ values)

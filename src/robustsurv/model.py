@@ -394,17 +394,21 @@ def mdpde_psi(family: ParametricFamily, theta, alpha: float, x) -> np.ndarray:
     """Divergence estimating function jvec(theta) - u(x) f(x)^alpha.
 
     Bounded in x for alpha > 0; reduces to -u(x) at alpha = 0.  Scalar x
-    yields shape (p,), array x yields (len(x), p).
+    yields shape (p,), array x yields (len(x), p).  theta and x are validated
+    once; log f and u come from one pass over x and jvec from the closed forms
+    without the kmat terms.
     """
+    if alpha < 0.0:
+        raise ValueError("alpha must be nonnegative")
     scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = family.score(theta, x)
+    theta = family.validate(theta)
+    x = family._check_x(np.atleast_1d(np.asarray(x, dtype=float)))
+    logf, u, _ = family._pointwise(theta, x, 1)
     if alpha == 0.0:
         out = -u
     else:
-        falpha = np.exp(alpha * family.logpdf(theta, x))
-        jvec = family.weighted_integrals(theta, alpha).jvec
-        out = jvec[None, :] - u * falpha[:, None]
+        jvec = family._integrals(theta, alpha, False)[1]
+        out = jvec[None, :] - u * np.exp(alpha * logf)[:, None]
     return out[0] if scalar else out
 
 

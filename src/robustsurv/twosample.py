@@ -11,12 +11,13 @@ square root gives the one-sided test with a standard normal null.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import special
 
 from .estimator import FitResult
-from .hypothesis import chi2_quantile, chi2_sf
+from .hypothesis import _central_differences, chi2_quantile, chi2_sf
 
 __all__ = [
     "TwoSampleRestriction",
@@ -46,8 +47,9 @@ class TwoSampleRestriction:
         raise NotImplementedError
 
     def validate_at(self, theta1, theta2) -> None:
-        """Finite-difference check of both Jacobians (1e-6) and the rank of
-        the stacked [M1; M2] (singular values above 1e-10)."""
+        """Check the shapes of both Jacobians, each against finite differences
+        of m (1e-6), and the rank of the stacked [M1; M2] (singular values
+        above 1e-10)."""
         theta1 = np.asarray(theta1, dtype=float)
         theta2 = np.asarray(theta2, dtype=float)
         jac1 = np.asarray(self.jacobian1(theta1, theta2), dtype=float)
@@ -55,34 +57,29 @@ class TwoSampleRestriction:
         for which, jac, point in (("1", jac1, theta1), ("2", jac2, theta2)):
             if jac.shape != (point.size, self.r):
                 raise ValueError(f"jacobian{which} must be {point.size} x {self.r}")
-            fd = np.stack(
-                [
-                    self._fd_column(which, theta1, theta2, j)
-                    for j in range(point.size)
-                ],
-                axis=0,
-            )
+        if self._checked_rank(theta1, theta2, jac1, jac2) < self.r:
+            raise ValueError("stacked two-sample jacobian is rank-deficient")
+
+    def _checked_rank(self, theta1, theta2, jac1, jac2) -> int:
+        """Rank of [M1; M2] after checking both against finite differences."""
+        fd1 = _central_differences(lambda t: self.m(t, theta2), theta1, 1e-6)
+        fd2 = _central_differences(lambda t: self.m(theta1, t), theta2, 1e-6)
+        for which, jac, fd in (("1", jac1, fd1), ("2", jac2, fd2)):
             if not np.allclose(jac, fd, atol=1e-6, rtol=1e-6):
                 raise ValueError(
                     f"jacobian{which} disagrees with finite differences"
                 )
-        if np.linalg.matrix_rank(np.vstack([jac1, jac2]), tol=1e-10) < self.r:
-            raise ValueError("stacked two-sample jacobian is rank-deficient")
-
-    def _fd_column(self, which, theta1, theta2, j, step: float = 1e-6):
-        point = theta1 if which == "1" else theta2
-        h = step * (1.0 + abs(point[j]))
-        up, down = point.copy(), point.copy()
-        up[j] += h
-        down[j] -= h
-        if which == "1":
-            return (self.m(up, theta2) - self.m(down, theta2)) / (2.0 * h)
-        return (self.m(theta1, up) - self.m(theta1, down)) / (2.0 * h)
+        return int(np.linalg.matrix_rank(np.vstack([jac1, jac2]), tol=1e-10))
 
 
 @dataclass(frozen=True, eq=False)
 class LinearTwoSampleRestriction(TwoSampleRestriction):
-    """m = A1^T theta1 + A2^T theta2 - target."""
+    """m = A1^T theta1 + A2^T theta2 - target.
+
+    The Jacobians are A1 and A2 themselves, exactly, so validate_at skips the
+    finite-difference check; the matrices and target are read-only copies of
+    the caller's arrays, which lets the rank of [A1; A2] be taken once.
+    """
 
     matrix1: np.ndarray
     matrix2: np.ndarray
@@ -90,9 +87,14 @@ class LinearTwoSampleRestriction(TwoSampleRestriction):
     description: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix1", np.asarray(self.matrix1, dtype=float))
-        object.__setattr__(self, "matrix2", np.asarray(self.matrix2, dtype=float))
-        object.__setattr__(self, "target", np.atleast_1d(np.asarray(self.target, dtype=float)))
+        arrays = {
+            "matrix1": np.array(self.matrix1, dtype=float),
+            "matrix2": np.array(self.matrix2, dtype=float),
+            "target": np.atleast_1d(np.array(self.target, dtype=float)),
+        }
+        for name, value in arrays.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def r(self) -> int:
@@ -110,6 +112,13 @@ class LinearTwoSampleRestriction(TwoSampleRestriction):
 
     def jacobian2(self, theta1, theta2):
         return self.matrix2
+
+    def _checked_rank(self, theta1, theta2, jac1, jac2):
+        return self._rank
+
+    @cached_property
+    def _rank(self) -> int:
+        return int(np.linalg.matrix_rank(np.vstack([self.matrix1, self.matrix2]), tol=1e-10))
 
     @classmethod
     def homogeneity(cls, dim: int) -> "LinearTwoSampleRestriction":

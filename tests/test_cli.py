@@ -199,6 +199,33 @@ class TestSimulateCommand:
         assert int(rows[0]["valid"]) + int(rows[0]["failed"]) == 20
 
 
+    def test_environment_read_per_call(self, outdir, monkeypatch):
+        from robustsurv import cli
+
+        specs = []
+
+        def capture(spec):
+            specs.append(spec)
+            return real(spec)
+
+        real = cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        argv = [
+            "simulate", "--family", "exp", "--theta", "1",
+            "--censoring-mean", "9", "--n", "20", "--replications", "2",
+            "--alpha", "0", "--hypothesis", "mean=1", "--out", str(outdir),
+        ]
+        for seed, workers in (("11", "1"), ("12", "2")):
+            monkeypatch.setenv("ROBUSTSURV_SEED", seed)
+            monkeypatch.setenv("ROBUSTSURV_WORKERS", workers)
+            assert main(argv) == 0
+        assert [(s.design.seed, s.workers) for s in specs] == [(11, 1), (12, 2)]
+        monkeypatch.delenv("ROBUSTSURV_SEED")
+        monkeypatch.delenv("ROBUSTSURV_WORKERS")
+        assert main(argv + ["--seed", "5"]) == 0
+        assert (specs[-1].design.seed, specs[-1].workers) == (5, 1)
+
+
 class TestErrorPaths:
     def test_missing_file(self, outdir, capsys):
         code = main(["fit", "nope.csv", "--out", str(outdir)])

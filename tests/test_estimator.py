@@ -13,6 +13,7 @@ from robustsurv import (
     FitConfig,
     FitResult,
     SyntheticDesign,
+    UnidentifiableSampleError,
     WEIBULL,
     fit,
     fit_grid,
@@ -313,6 +314,19 @@ class TestFitGrid:
         oracle = objective_minimum(sample, 1.0, (1e-4, 1e3), (0.5, 5.0))
         np.testing.assert_allclose(results[1].theta_hat, oracle, rtol=1e-6)
 
+    def test_no_root_at_non_integrable_start_reported(self):
+        # cold alpha = 1 fit whose start (shape 0.286) lies where f^(1+alpha)
+        # is not integrable: no trajectory converges, and the fit must say so
+        # rather than raise when forming the sandwich there
+        rng = np.random.default_rng(21)
+        z = np.concatenate([rng.weibull(0.45, 60), rng.exponential(80.0, 20)])
+        result = fit(uncensored(z), WEIBULL, FitConfig(alpha=1.0))
+        assert not result.converged
+        assert result.message.endswith("no root at tol 1e-08")
+        assert np.all(np.isfinite(result.theta_hat)) and result.theta_hat[1] < 0.5
+        for matrix in (result.lambda_hat, result.c_hat, result.sigma_hat):
+            assert matrix.shape == (2, 2) and np.isnan(matrix).all()
+
     def test_failed_result_placeholder(self):
         failed = FitResult.failed(WEIBULL, 40, 0.5, "singular sandwich")
         assert not failed.converged
@@ -359,6 +373,40 @@ class TestTinySamples:
         result = fit(sample, EXPONENTIAL, FitConfig(alpha=0.3))
         assert np.all(np.isfinite(result.theta_hat))
         assert result.theta_hat[0] > 0
+
+
+class TestUnidentifiableSamples:
+    @pytest.mark.parametrize(
+        "z,delta,family",
+        [
+            ([1.0, 2.0, 3.0], [0, 0, 0], EXPONENTIAL),  # no event
+            ([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 0], WEIBULL),  # one event
+            ([2.0, 2.0, 2.0], [1, 1, 1], WEIBULL),  # all times tied
+        ],
+    )
+    def test_rejected_up_front(self, z, delta, family):
+        sample = CensoredSample(np.array(z), np.array(delta, dtype=np.int8))
+        with pytest.raises(UnidentifiableSampleError, match="distinct event time"):
+            fit(sample, family, FitConfig(alpha=0.5))
+        # a sweep records the failure per alpha instead of aborting
+        results = fit_grid(sample, family, [0.0, 0.5])
+        assert not any(r.converged for r in results)
+        assert all("distinct event time" in r.message for r in results)
+
+    @given(
+        st.lists(st.floats(0.1, 50.0), min_size=1, max_size=30),
+        st.floats(0.1, 50.0),
+        st.integers(0, 5),
+    )
+    def test_fewer_than_two_event_times_never_fit_weibull(self, censored, event_time, ties):
+        z = np.array(censored + [event_time] * ties)
+        delta = np.array([0] * len(censored) + [1] * ties, dtype=np.int8)
+        sample = CensoredSample(z, delta)
+        with pytest.raises(UnidentifiableSampleError):
+            fit(sample, WEIBULL)
+        if ties == 0:
+            with pytest.raises(UnidentifiableSampleError):
+                fit(sample, EXPONENTIAL)
 
 
 class TestFitConfig:

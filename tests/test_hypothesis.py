@@ -14,6 +14,7 @@ from robustsurv import (
     simulate,
     wald_statistic,
 )
+from robustsurv import hypothesis as hypothesis_module
 from robustsurv.hypothesis import chi2_quantile, chi2_sf
 
 
@@ -54,10 +55,36 @@ class TestRestrictions:
         with pytest.raises(ValueError, match="finite differences"):
             bad.validate_at(np.array([1.0, 1.0]))
 
+    def test_linear_matrix_is_a_read_only_copy(self):
+        matrix, target = np.eye(2), np.array([2.0, 5.0])
+        restriction = LinearRestriction(matrix, target)
+        assert matrix.flags.writeable and target.flags.writeable
+        assert not np.shares_memory(restriction.matrix, matrix)
+        assert not np.shares_memory(restriction.target, target)
+        assert not restriction.matrix.flags.writeable
+        # the caller's array can change without touching the restriction or
+        # its rank, which validate_at takes once
+        restriction.validate_at(np.array([1.0, 1.0]))
+        matrix[:] = 0.0
+        restriction.validate_at(np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(restriction.matrix, np.eye(2))
+
+    def test_linear_jacobian_exact_without_finite_differences(self, monkeypatch):
+        def no_fd(*args):
+            raise AssertionError("finite differences of a linear restriction")
+
+        monkeypatch.setattr(hypothesis_module, "_central_differences", no_fd)
+        LinearRestriction.simple((2.0, 5.0)).validate_at(np.array([2.5, 4.0]))
+        LinearRestriction.component(1, 5.0, 2).validate_at(np.array([2.5, 4.0]))
+        # shapes are still checked on every call
+        with pytest.raises(ValueError, match="r=1 vector"):
+            LinearRestriction(np.eye(2)[:, :1], np.zeros(2)).validate_at(np.ones(2))
+
     def test_validate_rejects_rank_deficiency(self):
         degenerate = LinearRestriction(np.zeros((2, 1)), np.zeros(1))
-        with pytest.raises(ValueError, match="rank"):
-            degenerate.validate_at(np.array([1.0, 1.0]))
+        for _ in range(2):  # the cached rank fails every call
+            with pytest.raises(ValueError, match="rank"):
+                degenerate.validate_at(np.array([1.0, 1.0]))
 
 
 class TestWaldStatistic:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from robustsurv import CensoredSample, km_integral, kmpl_fit, subdist_empiricals
+from robustsurv import CensoredSample, kmpl_fit
 
 
 def sample_of(pairs):
@@ -84,53 +84,13 @@ class TestKmplFit:
         )
 
 
-class TestKmIntegral:
-    def test_normalizes(self, small_sample):
-        assert km_integral(kmpl_fit(small_sample), lambda x: np.ones_like(x)) == pytest.approx(1.0)
-
-    def test_identity_on_uncensored_is_mean(self):
-        z = np.array([0.5, 1.5, 9.0, 2.0])
-        fit = kmpl_fit(CensoredSample(z, np.ones(4, dtype=np.int8)))
-        assert km_integral(fit, lambda x: x) == pytest.approx(z.mean())
-
-    def test_hand_value(self, small_sample):
-        assert km_integral(kmpl_fit(small_sample), lambda x: x) == pytest.approx(7 / 3)
-
-    def test_linear_in_phi(self, small_sample):
+class TestSharedPerSample:
+    def test_one_read_only_fit_per_sample(self, small_sample):
         fit = kmpl_fit(small_sample)
-        a = km_integral(fit, lambda x: x)
-        b = km_integral(fit, lambda x: x**2)
-        combo = km_integral(fit, lambda x: 2.0 * x + 3.0 * x**2)
-        assert combo == pytest.approx(2 * a + 3 * b, rel=1e-12)
-
-    def test_nonfinite_phi_raises(self, small_sample):
-        with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
-            km_integral(kmpl_fit(small_sample), lambda x: np.log(x - 1.0))
-
-
-class TestSubdist:
-    def test_counting_example(self):
-        emp = subdist_empiricals(sample_of([(1, 1), (2, 0)]))
-        assert emp.g_z1(1.5) == 0.5
-        assert emp.g_z0(1.5) == 0.0
-        assert emp.g_z(2.0) == 1.0
-
-    def test_no_censorings(self):
-        emp = subdist_empiricals(sample_of([(1, 1), (2, 1)]))
-        assert np.all(emp.g_z0(np.linspace(0, 3, 50)) == 0.0)
-
-    def test_additivity_exact(self):
-        rng = np.random.default_rng(0)
-        z = rng.exponential(1.0, 200)
-        delta = (rng.random(200) < 0.7).astype(np.int8)
-        emp = subdist_empiricals(CensoredSample(z, delta))
-        query = rng.uniform(0, 5, 1000)
-        np.testing.assert_array_equal(
-            emp.g_z(query), emp.g_z0(query) + emp.g_z1(query)
-        )
-
-    def test_right_continuous_steps(self):
-        emp = subdist_empiricals(sample_of([(1, 1), (1, 0), (2, 1)]))
-        assert emp.g_z(1.0 - 1e-12) == 0.0
-        assert emp.g_z(1.0) == pytest.approx(2 / 3)
-        assert emp.g_z(5.0) == 1.0
+        assert kmpl_fit(small_sample) is fit
+        for arr in (fit.support, fit.cdf_values, fit.jumps, fit.weight_points, fit.weight_masses):
+            assert not arr.flags.writeable
+        # an equal but distinct sample gets its own fit with the same numbers
+        other = kmpl_fit(sample_of([(1.0, 1), (2.0, 0), (3.0, 1)]))
+        assert other is not fit
+        np.testing.assert_array_equal(other.weight_masses, fit.weight_masses)

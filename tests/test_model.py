@@ -127,6 +127,28 @@ class TestMdpdePsi:
         )
         assert mdpde_psi(EXPONENTIAL, [1.0], 0.0, 1.0)[0] == 0.0
 
+    @pytest.mark.parametrize(
+        "family,theta", [(EXPONENTIAL, (2.0,)), (WEIBULL, (2.0, 5.0)), (WEIBULL, (95.0, 0.92))]
+    )
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_single_pass_matches_public_forms_bitwise(self, family, theta, alpha):
+        x = np.geomspace(0.05, 50.0, 30) * theta[0]
+        expected = (
+            weighted_integrals(family, theta, alpha).jvec[None, :]
+            - family.score(theta, x) * np.exp(alpha * family.logpdf(theta, x))[:, None]
+        )
+        if alpha == 0.0:
+            expected = -family.score(theta, x)
+        np.testing.assert_array_equal(mdpde_psi(family, theta, alpha, x), expected)
+
+    def test_validates_inputs(self):
+        with pytest.raises(ValueError, match="alpha"):
+            mdpde_psi(EXPONENTIAL, [1.0], -0.1, [1.0])
+        with pytest.raises(ValueError, match="positive"):
+            mdpde_psi(EXPONENTIAL, [1.0], 0.5, [0.0, 1.0])
+        with pytest.raises(ValueError, match="invalid"):
+            mdpde_psi(WEIBULL, [1.0, -2.0], 0.5, [1.0])
+
     def test_bounded_for_positive_alpha(self):
         x = np.geomspace(1e-6, 1e6, 4000)
         values = np.abs(mdpde_psi(EXPONENTIAL, [1.0], 0.5, x)[:, 0])

@@ -14,6 +14,7 @@ from robustsurv import (
     two_sample_power_approx,
     two_sample_wald,
 )
+from robustsurv import twosample
 from robustsurv.hypothesis import chi2_quantile
 
 
@@ -184,3 +185,30 @@ class TestContiguous:
             two_sample_contiguous(
                 np.zeros(2), np.zeros(2), HOM, np.eye(2), 1.5, (2.0, 5.0), (2.0, 5.0)
             )
+
+
+class TestLinearTwoSampleRestriction:
+    def test_matrices_are_read_only_copies(self):
+        a1, a2 = np.eye(2), -np.eye(2)
+        restriction = LinearTwoSampleRestriction(a1, a2, np.zeros(2))
+        assert a1.flags.writeable and a2.flags.writeable
+        for own, caller in ((restriction.matrix1, a1), (restriction.matrix2, a2)):
+            assert not np.shares_memory(own, caller) and not own.flags.writeable
+        theta = np.array([2.0, 5.0])
+        restriction.validate_at(theta, theta)
+        a1[:] = 0.0
+        a2[:] = 0.0
+        restriction.validate_at(theta, theta)  # rank taken once, still 2
+
+    def test_exact_jacobians_without_finite_differences(self, monkeypatch):
+        def no_fd(*args):
+            raise AssertionError("finite differences of a linear restriction")
+
+        monkeypatch.setattr(twosample, "_central_differences", no_fd)
+        theta = np.array([2.0, 5.0])
+        HOM.validate_at(theta, theta)
+        SHAPE_EQ.negated().validate_at(theta, theta)
+        degenerate = LinearTwoSampleRestriction(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="rank-deficient"):
+                degenerate.validate_at(theta, theta)

@@ -14,7 +14,6 @@ from robustsurv import (
     c_hat,
     fit,
     gamma_tables,
-    lambda_empirical,
     lambda_model,
     mdpde_psi,
     sigma_hat,
@@ -64,6 +63,12 @@ class TestGammaTables:
         assert np.all(tables.gamma >= 0.0)
         assert np.all(np.diff(tables.gamma) >= 0)
 
+    def test_one_read_only_table_per_sample(self, small_sample):
+        tables = gamma_tables(small_sample)
+        assert gamma_tables(small_sample) is tables
+        for arr in (tables.z, tables.delta, tables.gamma0, tables.gamma):
+            assert not arr.flags.writeable
+
     def test_phi_callable_or_array(self, small_sample):
         tables = gamma_tables(small_sample)
         via_callable = tables.gamma1(lambda z: np.ones_like(z))
@@ -92,6 +97,17 @@ class TestUHat:
         values = u_hat(sample, psi_for(EXPONENTIAL, 0.3), np.array([1.0]))[:, 0]
         se = values.std() / np.sqrt(values.size)
         assert abs(values.mean()) < 3 * se
+
+    def test_columns_match_single_column_passes_bitwise(self, veteran):
+        # the (n, p) pass accumulates down axis 0 in the same order as a
+        # pass over each column alone
+        sample = veteran["B"]
+        psi = psi_for(WEIBULL, 0.5)
+        theta = np.array([95.0, 0.92])
+        both = u_hat(sample, psi, theta)
+        for col in range(2):
+            alone = u_hat(sample, lambda x, th: psi(x, th)[:, col], theta)
+            np.testing.assert_array_equal(both[:, col], alone[:, 0])
 
     def test_nonfinite_psi_raises(self, small_sample):
         with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
@@ -214,23 +230,3 @@ class TestSigmaHat:
         expected = np.linalg.inv(lam) @ classical_c @ np.linalg.inv(lam)
         np.testing.assert_allclose(result.sigma_hat, expected, rtol=1e-12)
         np.testing.assert_allclose(result.c_hat, classical_c, rtol=1e-12)
-
-
-class TestLambdaEmpirical:
-    def test_matches_model_lambda_without_censoring(self):
-        rng = np.random.default_rng(15)
-        z = rng.exponential(1.0, 40_000)
-        sample = CensoredSample(z, np.ones(z.size, dtype=np.int8))
-        emp = lambda_empirical(sample, psi_for(EXPONENTIAL, 0.5), np.array([1.0]))
-        mod = lambda_model(EXPONENTIAL, [1.0], 0.5)
-        np.testing.assert_allclose(emp, mod, rtol=0.05)
-
-    def test_biased_under_censoring(self):
-        # the plain average targets the observed-Z law; with heavy censoring it
-        # drifts from the lifetime-law sensitivity, which is why the
-        # model-based Lambda is the default
-        design = SyntheticDesign(lifetime=FamilySpec("exp", (1.0,)), censoring_mean=1.0, seed=3)
-        sample = simulate(design, 40_000)
-        emp = lambda_empirical(sample, psi_for(EXPONENTIAL, 0.5), np.array([1.0]))
-        mod = lambda_model(EXPONENTIAL, [1.0], 0.5)
-        assert abs(emp[0, 0] - mod[0, 0]) / mod[0, 0] > 0.1
