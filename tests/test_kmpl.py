@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from robustsurv import CensoredSample, kmpl_fit
+from robustsurv import CensoredSample, km_integral, kmpl_fit
 
 
 def sample_of(pairs):
@@ -82,6 +82,30 @@ class TestKmplFit:
         np.testing.assert_allclose(
             [float(r["jump"]) for r in rows], fit.jumps, rtol=0, atol=0
         )
+
+
+class TestKmIntegral:
+    def test_normalizes(self, small_sample):
+        assert km_integral(kmpl_fit(small_sample), lambda x: np.ones_like(x)) == pytest.approx(1.0)
+
+    def test_identity_on_uncensored_is_mean(self):
+        z = np.array([0.5, 1.5, 9.0, 2.0])
+        fit = kmpl_fit(CensoredSample(z, np.ones(4, dtype=np.int8)))
+        assert km_integral(fit, lambda x: x) == pytest.approx(z.mean())
+
+    def test_hand_value(self, small_sample):
+        assert km_integral(kmpl_fit(small_sample), lambda x: x) == pytest.approx(7 / 3)
+
+    def test_linear_in_phi(self, small_sample):
+        fit = kmpl_fit(small_sample)
+        a = km_integral(fit, lambda x: x)
+        b = km_integral(fit, lambda x: x**2)
+        combo = km_integral(fit, lambda x: 2.0 * x + 3.0 * x**2)
+        assert combo == pytest.approx(2 * a + 3 * b, rel=1e-12)
+
+    def test_nonfinite_phi_raises(self, small_sample):
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
+            km_integral(kmpl_fit(small_sample), lambda x: np.log(x - 1.0))
 
 
 class TestSharedPerSample:
