@@ -30,9 +30,15 @@ eigenvalues are replaced by their absolute values, so each step points
 downhill on H, and the step is backtracked to an Armijo decrease of H.  At a
 root the diagonal term vanishes and the step is the Newton step.
 
-Either trajectory that moves more than _MAX_LOG_DRIFT from its own start in
-any log coordinate is running off to the parameter boundary (scale to
-infinity with shape collapsing) and is stopped as not converged.
+Either trajectory that moves more than _MAX_LOG_DRIFT (e^20) from its own
+start in any log coordinate is running off to the parameter boundary (scale
+to infinity with shape collapsing) and is stopped as not converged.  The
+residual Newton trajectory is also stopped as not converged when it stalls:
+an accepted step that leaves |g| above half its value five accepted steps
+earlier (_STALL_RATIO, _STALL_STEPS).  Newton converges q-quadratically near
+a regular root, so such a trajectory is crawling towards the boundary, and
+the descent from the same start takes over sooner.  The descent has no stall
+stop, since an Armijo descent need not lower |g| steadily.
 
 FitResult.message names the path of the returned estimate: "newton" (the
 first trajectory), "descent" (the descent from the start after the first
@@ -61,6 +67,14 @@ __all__ = ["FitConfig", "FitResult", "UnidentifiableSampleError", "mdpde_objecti
 # coordinate (a factor e^20) is a boundary runaway; no accepted root on the
 # acceptance designs lies anywhere near that far from its start
 _MAX_LOG_DRIFT = 20.0
+# Newton converges q-quadratically near a regular root (Nocedal & Wright,
+# Numerical Optimization, 2nd ed., section 3.3), so a residual Newton
+# trajectory whose |g| after an accepted step is above _STALL_RATIO times its
+# value _STALL_STEPS accepted steps earlier is not converging and is stopped;
+# converging trajectories on the acceptance designs and the contaminated
+# Monte Carlo never come near that ratio
+_STALL_STEPS = 5
+_STALL_RATIO = 0.5
 # a step longer than this in some log coordinate is shortened to it, and it
 # is halved at most _MAX_HALVINGS times before the trajectory gives up
 _MAX_LOG_STEP = 4.0
@@ -109,6 +123,9 @@ class FitResult:
     sigma_hat estimates the covariance of sqrt(n)(theta_hat - theta0); the
     per-estimate covariance is sigma_hat / n.  message names the solver path
     of the estimate (see the module docstring) or why the fit failed.
+    n_iter counts the iterations of every trajectory behind the returned
+    estimate: for "descent" that includes the failed first Newton trajectory
+    from the same start.
     """
 
     family: ParametricFamily
@@ -288,20 +305,26 @@ def _norm(g: np.ndarray) -> float:
     return value if np.isfinite(value) else np.inf
 
 
-def _solve(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int, step):
+def _solve(
+    eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int, step,
+    stall: bool = False,
+):
     """Iterate ``step(eta, norm_g)`` from eta0 until the residual norm |g| is
     within tol.
 
     ``step`` returns the accepted (eta, |g|), or None when it cannot move.
     Returns (eta, residual norm, iterations, converged).  A non-finite
     residual at eta0, a step that cannot move, and a drift beyond
-    _MAX_LOG_DRIFT from eta0 all end the trajectory as not converged.
+    _MAX_LOG_DRIFT from eta0 all end the trajectory as not converged; with
+    ``stall``, so does an accepted step that leaves |g| above _STALL_RATIO
+    times its value _STALL_STEPS accepted steps earlier.
     """
     eta = eta0
     g = eq.estimating_log(eta)
     if not np.all(np.isfinite(g)):
         return eta, np.inf, 0, False
     norm_g = _norm(g)
+    norms = [norm_g]
     for iteration in range(max_iter):
         if norm_g <= tol:
             return eta, norm_g, iteration, True
@@ -311,6 +334,14 @@ def _solve(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int, s
         eta, norm_g = moved
         if np.max(np.abs(eta - eta0)) > _MAX_LOG_DRIFT:
             return eta, norm_g, iteration + 1, False
+        if stall:
+            norms.append(norm_g)
+            if (
+                norm_g > tol
+                and len(norms) > _STALL_STEPS
+                and norm_g > _STALL_RATIO * norms[-1 - _STALL_STEPS]
+            ):
+                return eta, norm_g, iteration + 1, False
     return eta, norm_g, max_iter, norm_g <= tol
 
 
@@ -323,8 +354,9 @@ def _newton(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int):
     """Damped Newton from eta0 on the log-space estimating equation.
 
     A step is accepted once it lowers |g|; one that does not within
-    _MAX_HALVINGS halvings, or a singular or non-finite Jacobian, ends the
-    trajectory (see _solve for the rest of the contract).
+    _MAX_HALVINGS halvings, a singular or non-finite Jacobian, or a stall
+    (|g| not halved in _STALL_STEPS accepted steps) ends the trajectory (see
+    _solve for the rest of the contract).
     """
 
     def step(eta, norm_g):
@@ -344,7 +376,7 @@ def _newton(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int):
             lam *= 0.5
         return None
 
-    return _solve(eq, eta0, tol, max_iter, step)
+    return _solve(eq, eta0, tol, max_iter, step, stall=True)
 
 
 def _descent(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int):
@@ -355,7 +387,10 @@ def _descent(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int)
     so the step is downhill; it is accepted on an Armijo decrease of the
     objective, or, where the objective is flat to rounding (_FLAT_REL), on a
     lower |g|.  An infinite objective at eta0 (f^(1+alpha) not integrable)
-    means the descent cannot start.  See _solve for the rest of the contract.
+    means the descent cannot start.  It has no stall stop: an Armijo descent
+    lowers the objective, not necessarily |g|, and may shrink |g| slowly far
+    from a root before its Newton phase.  See _solve for the rest of the
+    contract.
     """
     value = eq.objective_log(eta0)
     slope_scale = _ARMIJO * (1.0 + eq.alpha)

@@ -21,7 +21,14 @@ from robustsurv import (
     mdpde_objective,
     simulate,
 )
-from robustsurv.estimator import _MAX_LOG_DRIFT, _initial_theta, _newton, _WeightedEquation
+from robustsurv.estimator import (
+    _MAX_LOG_DRIFT,
+    _STALL_STEPS,
+    _initial_theta,
+    _newton,
+    _solve,
+    _WeightedEquation,
+)
 
 
 def uncensored(z):
@@ -179,27 +186,48 @@ class TestSolver:
     def test_runaway_trajectory_stopped_early(self):
         # replication 7 of the same workload: from the default start, Newton
         # at alpha = 0.5 runs off to scale -> inf with shape -> alpha/(1+alpha),
-        # where f^(1+alpha) stops being integrable; without the drift stop it
-        # takes 75 iterations, out to scale 3e27, before the line search fails
+        # where f^(1+alpha) stops being integrable; without the drift and
+        # stall stops it takes 75 iterations, out to scale 3e27, before the
+        # line search fails (the stall stop now ends it at drift 5.2)
         sample = simulate(contaminated_design(1750529956), 100, replication=0)
         eq = _WeightedEquation(sample, WEIBULL, 0.5)
         eta0 = np.log(_initial_theta(sample, WEIBULL))
-        eta, _, iters, ok = _newton(eq, eta0, 1e-8, 200)
+        _, _, iters, ok = _newton(eq, eta0, 1e-8, 200)
         assert not ok
         assert iters < 50
-        assert np.max(np.abs(eta - eta0)) > _MAX_LOG_DRIFT
         # the fit still finds the root through its fallback
         assert fit(sample, WEIBULL, FitConfig(alpha=0.5)).converged
 
+    def test_drift_stop_ends_a_runaway_that_lowers_the_residual(self, exp_sample):
+        # a trajectory that halves |g| at every step is not stalled, but one
+        # that moves eta by 4 per step passes the drift bound at step 6
+        eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0)
+        eta, _, iters, ok = _solve(
+            eq, np.zeros(1), 1e-8, 200, lambda eta, norm_g: (eta + 4.0, 0.5 * norm_g), stall=True
+        )
+        assert not ok
+        assert iters == 6 and eta[0] > _MAX_LOG_DRIFT
+
+    def test_stall_stop_only_where_asked(self, exp_sample):
+        # |g| falling by 10 % per step, which is 0.59 over five steps
+        eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0)
+        crawl = lambda eta, norm_g: (eta + 0.01, 0.9 * norm_g)
+        _, _, iters, ok = _solve(eq, np.zeros(1), 1e-300, 100, crawl, stall=True)
+        assert not ok and iters == _STALL_STEPS
+        # without the stall stop (descent) the same crawl runs to max_iter
+        _, _, iters, ok = _solve(eq, np.zeros(1), 1e-300, 100, crawl)
+        assert not ok and iters == 100
+
     def test_descent_fallback_after_failed_newton(self):
         # replication 213 of the same workload at alpha = 0: residual Newton
-        # from the default start runs its 200 iterations towards scale 2e6;
+        # from the default start crawls towards scale 2e6 (without the stall
+        # stop it runs its 200 iterations; the stall stop ends it at 9);
         # descent on the objective from the same start finds the minimiser
         sample = simulate(contaminated_design(502419184), 100, replication=0)
         eq = _WeightedEquation(sample, WEIBULL, 0.0)
         eta0 = np.log(_initial_theta(sample, WEIBULL))
         _, _, iters, ok = _newton(eq, eta0, 1e-8, 200)
-        assert not ok and iters == 200
+        assert not ok and iters <= 15
         result = fit(sample, WEIBULL, FitConfig(alpha=0.0))
         assert result.converged and result.message == "descent"
         np.testing.assert_allclose(result.theta_hat, [2.29417, 1.63180], atol=1e-5)
