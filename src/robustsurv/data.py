@@ -44,9 +44,13 @@ class CsvFormatError(ValueError):
     """Malformed input file; message carries row/column location."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CensoredSample:
-    """Immutable canonically-ordered sample of (observed time, event flag)."""
+    """Immutable canonically-ordered sample of (observed time, event flag).
+
+    Equality and hashing are by identity, as for the tables memoised on a
+    sample: a sample equals only itself, and can key a dict or join a set.
+    """
 
     z: np.ndarray
     delta: np.ndarray

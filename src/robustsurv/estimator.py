@@ -51,6 +51,7 @@ and ": no root at tol ..." to any path that did not converge.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -224,8 +225,9 @@ class _WeightedEquation:
         self.family = family
         self.alpha = alpha
 
-    def estimating(self, theta: np.ndarray, jacobian: bool = False):
-        """g(theta) or, with ``jacobian``, (g, J_theta) from one pass."""
+    def estimating(self, theta, jacobian: bool = False):
+        """g(theta) or, with ``jacobian``, (g, J_theta) from one pass; theta
+        is a sequence of scalars (see ParametricFamily._pointwise)."""
         fam, alpha = self.family, self.alpha
         logf, u, du = fam._pointwise(theta, self.points, 2 if jacobian else 1)
         if alpha == 0.0:
@@ -240,7 +242,7 @@ class _WeightedEquation:
         p = g.size
         return g, djvec - (wf @ du.reshape(-1, p * p)).reshape(p, p) - alpha * (u.T * wf) @ u
 
-    def objective(self, theta: np.ndarray) -> float:
+    def objective(self, theta) -> float:
         fam, alpha = self.family, self.alpha
         logf = fam._pointwise(theta, self.points, 0)[0]
         if alpha == 0.0:
@@ -252,29 +254,31 @@ class _WeightedEquation:
                 - (1.0 + alpha) / alpha * float(self.weights @ np.exp(alpha * logf))
                 + 1.0 / alpha
             )
-        return value if np.isfinite(value) else np.inf
+        return value if math.isfinite(value) else math.inf
 
-    # log-space views used by the solver; wild trial points are allowed to
-    # overflow and come back as NaN/inf for the damping logic, under the
-    # quiet floating-point state that fit() sets once for its whole solve
+    # log-space views used by the solver.  They evaluate on Python floats, so
+    # a wild trial point that overflows, divides by zero or leaves the domain
+    # of a log raises (ArithmeticError, ValueError); that comes back as NaN/inf
+    # for the damping logic, as do numpy's overflows under the quiet
+    # floating-point state that fit() sets once for its whole solve
     def estimating_log(self, eta: np.ndarray, jacobian: bool = False):
         """g at theta = exp(eta) or, with ``jacobian``, (g, J_eta) where
         J_eta = J_theta diag(theta)."""
         theta = np.exp(eta)
         try:
             if not jacobian:
-                return self.estimating(theta)
-            g, jac = self.estimating(theta, jacobian=True)
+                return self.estimating(theta.tolist())
+            g, jac = self.estimating(theta.tolist(), jacobian=True)
             return g, jac * theta
-        except (ValueError, FloatingPointError):
+        except (ArithmeticError, ValueError):
             nan = np.full(eta.shape, np.nan)
             return (nan, np.full((eta.size,) * 2, np.nan)) if jacobian else nan
 
     def objective_log(self, eta: np.ndarray) -> float:
         try:
-            return self.objective(np.exp(eta))
-        except (ValueError, FloatingPointError):
-            return np.inf
+            return self.objective(np.exp(eta).tolist())
+        except (ArithmeticError, ValueError):
+            return math.inf
 
     def data_mass(self, eta: np.ndarray) -> float:
         """Weighted mean of f^alpha over the sample; a genuine root keeps it
@@ -282,9 +286,9 @@ class _WeightedEquation:
         zero on all observations, making the equation trivially zero) do not.
         """
         try:
-            logf = self.family._pointwise(np.exp(eta), self.points, 0)[0]
+            logf = self.family._pointwise(np.exp(eta).tolist(), self.points, 0)[0]
             return float(self.weights @ np.exp(self.alpha * logf))
-        except (ValueError, FloatingPointError):
+        except (ArithmeticError, ValueError):
             return 0.0
 
 
@@ -300,9 +304,10 @@ def mdpde_objective(sample: CensoredSample, family: ParametricFamily, theta, alp
 
 
 def _norm(g: np.ndarray) -> float:
-    """Euclidean norm of a residual; inf when it is not finite or overflows."""
-    value = float(np.linalg.norm(g))
-    return value if np.isfinite(value) else np.inf
+    """Euclidean norm of a residual (sqrt(g @ g), as np.linalg.norm forms it
+    for a vector); inf when it is not finite or overflows."""
+    value = math.sqrt(float(g @ g))
+    return value if math.isfinite(value) else math.inf
 
 
 def _solve(

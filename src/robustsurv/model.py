@@ -109,13 +109,20 @@ class ParametricFamily:
         """Closed-form (xi, jvec, kmat)."""
         raise NotImplementedError
 
-    def _pointwise(self, theta: np.ndarray, x: np.ndarray, order: int):
+    # The closed forms below take theta as a sequence of p scalars and do
+    # their scalar arithmetic in the type they are given.  The solver passes
+    # Python floats (theta.tolist()), whose arithmetic costs a fraction of
+    # numpy scalars' but raises ArithmeticError or ValueError where numpy
+    # returns inf or NaN; the solver counts those as rejected trial points.
+    # The public methods pass the validated array, whose numpy scalars keep
+    # numpy's overflow semantics.
+    def _pointwise(self, theta, x: np.ndarray, order: int):
         """(log f, u, grad u) at x from one pass, for theta and x already
         validated; u is None at order 0 and grad u (shape (..., p, p)) is None
         below order 2.  The solver's evaluations call this directly."""
         raise NotImplementedError
 
-    def _integrals(self, theta: np.ndarray, alpha: float, jacobian: bool):
+    def _integrals(self, theta, alpha: float, jacobian: bool):
         """(xi, jvec, kmat, djvec) for an already validated theta, where
         djvec = d jvec / d theta = integral of grad u f^(1+alpha) plus
         (1+alpha) kmat.  Without ``jacobian`` only xi and jvec are formed
@@ -284,14 +291,15 @@ class Weibull(ParametricFamily):
             raise ValueError(
                 f"f^(1+alpha) is not integrable for shape={b}, alpha={alpha}"
             )
-        logbeta = np.log(beta)
 
         # i0/i1/i2[m] = integral of w^c (log w)^k e^{-beta w} dw at
         # c = kappa + m, for k = 0, 1, 2; trigamma is zeta(2, .), which is
-        # what polygamma(1, .) evaluates, without its wrapper's overhead
+        # what polygamma(1, .) evaluates, without its wrapper's overhead; each
+        # special function is called once on all the c + 1
         cs = (kappa, kappa + 1.0, kappa + 2.0) if jacobian else (kappa, kappa + 1.0)
-        i0 = [special.gamma(c + 1.0) * beta ** -(c + 1.0) for c in cs]
-        d = [special.digamma(c + 1.0) - logbeta for c in cs]
+        c1 = np.array([c + 1.0 for c in cs])
+        i0 = [g * beta ** -c for g, c in zip(special.gamma(c1).tolist(), c1.tolist())]
+        d = (special.digamma(c1) - np.log(beta)).tolist()
         i1 = [g * dm for g, dm in zip(i0, d)]
 
         pref = (b / sigma) ** alpha
@@ -302,7 +310,7 @@ class Weibull(ParametricFamily):
         if not jacobian:
             return xi, jvec, None, None
 
-        i2 = [g * (dm * dm + special.zeta(2.0, c + 1.0)) for g, dm, c in zip(i0, d, cs)]
+        i2 = [g * (dm * dm + z) for g, dm, z in zip(i0, d, special.zeta(2.0, c1).tolist())]
         k_ss = pref * (b / sigma) ** 2 * (i0[2] - 2.0 * i0[1] + i0[0])
         k_sb = pref / sigma * (i0[1] - i0[0] - (i1[2] - 2.0 * i1[1] + i1[0]))
         k_bb = pref / b**2 * (

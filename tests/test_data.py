@@ -99,6 +99,12 @@ class TestCensoredSample:
         obs = small_sample.observations
         assert obs[0].z == 1.0 and obs[0].delta == 1
 
+    def test_identity_equality_and_hash(self):
+        pairs = [(3.0, 1), (1.0, 0), (2.0, 1)]
+        a, b = CensoredSample.from_pairs(pairs), CensoredSample.from_pairs(pairs)
+        assert a == a and a != b
+        assert {a: "a", b: "b"}[a] == "a" and len({a, b, a}) == 2
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 5), st.integers(0, 1)),

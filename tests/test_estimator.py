@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -217,6 +218,33 @@ class TestSolver:
         # without the stall stop (descent) the same crawl runs to max_iter
         _, _, iters, ok = _solve(eq, np.zeros(1), 1e-300, 100, crawl)
         assert not ok and iters == 100
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("family", [EXPONENTIAL, WEIBULL], ids=["exp", "weibull"])
+    def test_extreme_trial_points_are_rejected_not_raised(self, weibull_censored, family, alpha):
+        # the solver's evaluations on trial points out to theta = 0 and inf:
+        # overflow, division by zero and log(0) must come back as values the
+        # damping logic rejects, never as an exception or a warning
+        eq = _WeightedEquation(weibull_censored, family, alpha)
+        p = family.dim
+        for eta in itertools.product((-800.0, -40.0, 0.0, 40.0, 800.0), repeat=p):
+            eta = np.array(eta)
+            with np.errstate(all="ignore"):  # as fit() sets for its solve
+                g = eq.estimating_log(eta)
+                g_j, jac = eq.estimating_log(eta, jacobian=True)
+                value = eq.objective_log(eta)
+                mass = eq.data_mass(eta)
+            assert g.shape == g_j.shape == (p,) and jac.shape == (p, p)
+            assert not np.isnan(value) and value > -np.inf
+            if np.max(np.abs(eta)) == 800.0:  # some coordinate is 0 or inf
+                assert not np.all(np.isfinite(g)) and not np.all(np.isfinite(g_j))
+                assert not np.all(np.isfinite(jac))
+                # never counted as density mass (NaN, or 0.0 for an
+                # evaluation that raised)
+                assert not mass > 0.0
+            if np.min(eta) == -800.0:  # density not defined at theta = 0
+                assert value == np.inf
 
     def test_descent_fallback_after_failed_newton(self):
         # replication 213 of the same workload at alpha = 0: residual Newton
