@@ -257,10 +257,11 @@ class _WeightedEquation:
         return value if math.isfinite(value) else math.inf
 
     # log-space views used by the solver.  They evaluate on Python floats, so
-    # a wild trial point that overflows, divides by zero or leaves the domain
-    # of a log raises (ArithmeticError, ValueError); that comes back as NaN/inf
-    # for the damping logic, as do numpy's overflows under the quiet
-    # floating-point state that fit() sets once for its whole solve
+    # a wild trial point whose closed forms overflow or divide by zero raises
+    # ArithmeticError, and one where f^(1+alpha) is not integrable raises
+    # ValueError; both come back as NaN/inf for the damping logic, as do
+    # numpy's overflows under the quiet floating-point state that fit() sets
+    # once for its whole solve
     def estimating_log(self, eta: np.ndarray, jacobian: bool = False):
         """g at theta = exp(eta) or, with ``jacobian``, (g, J_eta) where
         J_eta = J_theta diag(theta)."""

@@ -112,8 +112,9 @@ class ParametricFamily:
     # The closed forms below take theta as a sequence of p scalars and do
     # their scalar arithmetic in the type they are given.  The solver passes
     # Python floats (theta.tolist()), whose arithmetic costs a fraction of
-    # numpy scalars' but raises ArithmeticError or ValueError where numpy
-    # returns inf or NaN; the solver counts those as rejected trial points.
+    # numpy scalars' but raises ArithmeticError (OverflowError,
+    # ZeroDivisionError) where numpy returns inf or NaN; the solver counts
+    # those as rejected trial points.
     # The public methods pass the validated array, whose numpy scalars keep
     # numpy's overflow semantics.
     def _pointwise(self, theta, x: np.ndarray, order: int):

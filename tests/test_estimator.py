@@ -189,7 +189,7 @@ class TestSolver:
         # at alpha = 0.5 runs off to scale -> inf with shape -> alpha/(1+alpha),
         # where f^(1+alpha) stops being integrable; without the drift and
         # stall stops it takes 75 iterations, out to scale 3e27, before the
-        # line search fails (the stall stop now ends it at drift 5.2)
+        # line search fails (the stall stop ends it at iteration 8, drift 5.2)
         sample = simulate(contaminated_design(1750529956), 100, replication=0)
         eq = _WeightedEquation(sample, WEIBULL, 0.5)
         eta0 = np.log(_initial_theta(sample, WEIBULL))
