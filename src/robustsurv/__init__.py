@@ -12,8 +12,6 @@ from .data import (
     CensoredSample,
     CsvFormatError,
     SyntheticDesign,
-    censoring_mean_for_rate,
-    censoring_rate,
     ingest_csv,
     ingest_csv_arms,
     replication_rng,
@@ -56,8 +54,6 @@ from .model import (
     get_family,
     lambda_model,
     mdpde_psi,
-    score,
-    weighted_integrals,
 )
 from .montecarlo import (
     ExperimentReport,
@@ -67,7 +63,6 @@ from .montecarlo import (
     run_mse,
     run_variance_ratio,
 )
-from .quadrature import QuadratureError, integrate_unit
 from .twosample import (
     LinearTwoSampleRestriction,
     TwoSampleReport,

@@ -338,9 +338,8 @@ def _cmd_compare(args) -> int:
                          "one_sided": parsed.direction != "two-sided",
                          "converged": False})
             continue
-        report = two_sample_wald(fit1, fit2, parsed.restriction)
-        if parsed.direction != "two-sided":
-            report = one_sided_wald(fit1, fit2, parsed.restriction)
+        wald = two_sample_wald if parsed.direction == "two-sided" else one_sided_wald
+        report = wald(fit1, fit2, parsed.restriction)
         row = report.to_dict()
         row["converged"] = True
         rows.append(row)
@@ -361,7 +360,8 @@ def _cmd_influence(args) -> int:
     theta0 = np.array([float(v) for v in args.theta.split(",")])
     family.validate(theta0)
     grid = np.geomspace(args.t_min, args.t_max, args.t_points)
-    alphas = _alpha_values(args) if (args.alpha or args.alpha_grid) else (0.0, 0.5, 1.0)
+    explicit = args.alpha is not None or args.alpha_grid is not None
+    alphas = _alpha_values(args) if explicit else (0.0, 0.5, 1.0)
     written = []
     for alpha in alphas:
         curve = if_curve(family, theta0, alpha, grid)

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy import optimize
 
-from .model import FamilySpec, ParametricFamily
-from .quadrature import integrate_unit
+from .model import FamilySpec
 
 __all__ = [
     "CensoredObservation",
@@ -29,8 +27,6 @@ __all__ = [
     "ingest_csv_arms",
     "write_csv",
     "simulate",
-    "censoring_rate",
-    "censoring_mean_for_rate",
     "replication_rng",
 ]
 
@@ -236,54 +232,3 @@ def simulate(design: SyntheticDesign, n: int, replication: int | None = None) ->
         x[contaminated] = cfam.sample(ctheta, rng, n_bad)
     c = rng.exponential(design.censoring_mean, n)
     return CensoredSample(np.minimum(x, c), (x <= c).astype(np.int8))
-
-
-def censoring_rate(family: ParametricFamily, theta, censoring_mean: float) -> float:
-    """P(C < X) for C ~ Exp(mean) independent of X ~ family(theta).
-
-    Equals 1 - E[exp(-X/mean)], computed by quadrature over the family's
-    transformed domain.
-    """
-    theta = family.validate(theta)
-    if not censoring_mean > 0.0:
-        raise ValueError("censoring_mean must be positive")
-
-    def integrand(t):
-        x, jac = family._unit_substitution(theta, t)
-        return np.exp(family.logpdf(theta, x) - x / censoring_mean) * jac
-
-    return 1.0 - float(integrate_unit(integrand)[0])
-
-
-def censoring_mean_for_rate(
-    family: ParametricFamily,
-    theta,
-    target_rate: float,
-    *,
-    bracket: tuple[float, float] | None = None,
-) -> float:
-    """Exponential-censoring mean giving censoring probability target_rate.
-
-    P(C < X) decreases monotonically from 1 to 0 in the censoring mean, so a
-    bracketing root search on the quadrature-evaluated probability suffices.
-    """
-    if not 0.0 < target_rate < 1.0:
-        raise ValueError("target_rate must lie in (0, 1)")
-    mu = family.mean(theta)
-    if bracket is None:
-        lo, hi = 1e-3 * mu, mu
-        while censoring_rate(family, theta, hi) > target_rate:
-            hi *= 4.0
-            if hi > 1e9 * mu:
-                raise ValueError("no censoring mean attains the target rate")
-    else:
-        lo, hi = bracket
-        if (censoring_rate(family, theta, lo) - target_rate) * (
-            censoring_rate(family, theta, hi) - target_rate
-        ) > 0.0:
-            raise ValueError("target rate not bracketed by the supplied interval")
-    return float(
-        optimize.brentq(
-            lambda m: censoring_rate(family, theta, m) - target_rate, lo, hi, xtol=1e-10
-        )
-    )

@@ -11,8 +11,9 @@ on uncensored data.
 
 Solver: damped Newton on the estimating equation in log-parameter space
 (positivity for free), a descent Newton on the objective when that fails,
-and a small deterministic multistart screen so that among multiple roots the
-one with the smallest objective wins.  Both use the exact Jacobian
+and a deterministic screen of four log-space offsets of the start so that
+among multiple roots the one with the smallest objective wins.  Both use the
+exact Jacobian
 
     J_theta = d jvec / d theta - sum_i w_i (grad u_i + alpha u_i u_i^T) f_i^alpha,
 
@@ -50,7 +51,6 @@ and ": no root at tol ..." to any path that did not converge.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -68,6 +68,10 @@ __all__ = ["FitConfig", "FitResult", "UnidentifiableSampleError", "mdpde_objecti
 # coordinate (a factor e^20) is a boundary runaway; no accepted root on the
 # acceptance designs lies anywhere near that far from its start
 _MAX_LOG_DRIFT = 20.0
+# every trajectory stops as converged once the residual norm |g| is within
+# _TOL_GRADIENT, and as not converged after _MAX_ITER iterations
+_TOL_GRADIENT = 1e-8
+_MAX_ITER = 200
 # Newton converges q-quadratically near a regular root (Nocedal & Wright,
 # Numerical Optimization, 2nd ed., section 3.3), so a residual Newton
 # trajectory whose |g| after an accepted step is above _STALL_RATIO times its
@@ -88,11 +92,8 @@ _ARMIJO = 1e-4
 _FLAT_REL = 1e-13
 
 # deterministic log-space offsets tried as alternative starts
-_OFFSETS_1D = [(0.7,), (-0.7,), (1.4,), (-1.4,), (2.1,), (-2.1,)]
-_OFFSETS_2D = [
-    (0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5),
-    (0.7, 0.7), (-0.7, -0.7), (0.7, -0.7), (-0.7, 0.7),
-]
+_OFFSETS_1D = [(0.7,), (-0.7,), (1.4,), (-1.4,)]
+_OFFSETS_2D = [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5)]
 
 
 class UnidentifiableSampleError(ValueError):
@@ -102,19 +103,17 @@ class UnidentifiableSampleError(ValueError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Tuning for a single fit (or a warm-started alpha sweep)."""
+    """Divergence tuning constant and optional solver start of one fit (a
+    warm-started alpha sweep passes each estimate on as the next start).
+    The residual tolerance 1e-8, the cap of 200 iterations per trajectory
+    and the four restart offsets are fixed (see the module docstring)."""
 
     alpha: float = 0.0
     start: Sequence[float] | None = None
-    tol_gradient: float = 1e-8
-    max_iter: int = 200
-    n_multistart: int = 5
 
     def __post_init__(self):
         if self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
-        if self.tol_gradient <= 0.0 or self.max_iter < 1 or self.n_multistart < 1:
-            raise ValueError("tolerances and iteration counts must be positive")
 
 
 @dataclass(frozen=True)
@@ -478,7 +477,6 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
     """
     config = config or FitConfig()
     alpha = config.alpha
-    tol, max_iter = config.tol_gradient, config.max_iter
     eq = _WeightedEquation(sample, family, alpha)
     if eq.event_times < family.dim:
         raise UnidentifiableSampleError(
@@ -490,7 +488,7 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
     else:
         start = family.validate(_initial_theta(sample, family))
     eta0 = np.log(start)
-    offsets = (_OFFSETS_1D if family.dim == 1 else _OFFSETS_2D)[: config.n_multistart - 1]
+    offsets = _OFFSETS_1D if family.dim == 1 else _OFFSETS_2D
 
     candidates: list[tuple[float, np.ndarray, float, int, bool, str]] = []
     degenerate: list[tuple[float, np.ndarray, float, int, bool, str]] = []
@@ -514,9 +512,9 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
     # trial points may overflow; the solver treats those as rejected steps
     with np.errstate(all="ignore"):
         reference_mass = eq.data_mass(eta0)
-        eta, residual, iters, ok = _newton(eq, eta0, tol, max_iter)
+        eta, residual, iters, ok = _newton(eq, eta0, _TOL_GRADIENT, _MAX_ITER)
         if not add_candidate(eta, residual, iters, ok, "newton"):
-            eta, residual, iters2, ok = _descent(eq, eta0, tol, max_iter)
+            eta, residual, iters2, ok = _descent(eq, eta0, _TOL_GRADIENT, _MAX_ITER)
             add_candidate(eta, residual, iters + iters2, ok, "descent")
         # screen alternative starts; only chase ones that undercut the best
         # root, or every one when there is none
@@ -524,7 +522,7 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
         for off in offsets:
             eta_alt = eta0 + np.asarray(off)
             if eq.objective_log(eta_alt) < best_obj:
-                eta, residual, iters, ok = _descent(eq, eta_alt, tol, max_iter)
+                eta, residual, iters, ok = _descent(eq, eta_alt, _TOL_GRADIENT, _MAX_ITER)
                 if ok:
                     add_candidate(eta, residual, iters, ok, "descent-restart")
 
@@ -553,7 +551,7 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
         sigma_hat=cov.sigma_hat,
         lambda_cond=cov.lambda_cond,
         residual_mass=eq.residual_mass,
-        message=tag if ok else f"{tag}: no root at tol {tol:g}",
+        message=tag if ok else f"{tag}: no root at tol {_TOL_GRADIENT:g}",
     )
 
 
@@ -576,9 +574,8 @@ def fit_grid(
     results: list[FitResult] = []
     start = config.start
     for alpha in grid:
-        step_config = dataclasses.replace(config, alpha=float(alpha), start=start)
         try:
-            result = fit(sample, family, step_config)
+            result = fit(sample, family, FitConfig(float(alpha), start))
         except (varest.SingularSensitivityError, ValueError, np.linalg.LinAlgError) as exc:
             # per-alpha failure (unidentifiable sample, singular sandwich,
             # ...): record it, keep sweeping from the last good start

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .model import ParametricFamily, lambda_model, mdpde_psi, weighted_integrals
+from .model import ParametricFamily, lambda_model, mdpde_psi
 
 __all__ = [
     "IfCurve",
@@ -43,8 +43,8 @@ def sigma_model(family: ParametricFamily, theta, alpha: float) -> np.ndarray:
     reduces to kmat(2 alpha) - jvec(alpha) jvec(alpha)^T.
     """
     lam = lambda_model(family, theta, alpha)
-    jvec = weighted_integrals(family, theta, alpha).jvec
-    c0 = weighted_integrals(family, theta, 2.0 * alpha).kmat - np.outer(jvec, jvec)
+    jvec = family.weighted_integrals(theta, alpha).jvec
+    c0 = family.weighted_integrals(theta, 2.0 * alpha).kmat - np.outer(jvec, jvec)
     inv = np.linalg.inv(lam)
     sigma = inv @ c0 @ inv.T
     return 0.5 * (sigma + sigma.T)

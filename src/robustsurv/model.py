@@ -13,9 +13,8 @@ ones follow from the substitution w = (x/sigma)^b, which turns every
 integrand into w^c (log w)^m e^{-(1+alpha) w} and hence into gamma /
 digamma / trigamma expressions.  The same integrals give the derivative of
 jvec in theta, which the estimator's Newton solver needs for the exact
-Jacobian of its estimating equation.  A generic quadrature path over a
-unit-interval substitution is kept as an independent cross-check of the
-closed forms.
+Jacobian of its estimating equation.  The closed forms are the only
+evaluation path; the test suite checks them against adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .quadrature import integrate_unit
-
 __all__ = [
     "FamilySpec",
     "ParametricFamily",
@@ -37,8 +34,6 @@ __all__ = [
     "WEIBULL",
     "WeightedIntegrals",
     "get_family",
-    "score",
-    "weighted_integrals",
     "mdpde_psi",
     "lambda_model",
 ]
@@ -137,51 +132,12 @@ class ParametricFamily:
         xi, jvec, kmat, _ = self._integrals(theta, alpha, True)
         return WeightedIntegrals(float(xi), jvec, kmat)
 
-    def _unit_substitution(
-        self, theta, t: np.ndarray, alpha: float = 0.0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Map t in (0,1) to x in (0,inf); returns (x, dx/dt).
-
-        The map may depend on alpha so the transformed f^(1+alpha) integrands
-        vanish to high order at the endpoints.
-        """
-        raise NotImplementedError
-
     # -- generic paths ----------------------------------------------------
     def pdf(self, theta, x) -> np.ndarray:
         return np.exp(self.logpdf(theta, x))
 
     def sf(self, theta, x) -> np.ndarray:
         return 1.0 - self.cdf(theta, x)
-
-    def weighted_integrals_quadrature(
-        self, theta, alpha: float, *, atol: float = 1e-8, rtol: float = 1e-8
-    ) -> WeightedIntegrals:
-        """(xi, jvec, kmat) by adaptive Gauss-Legendre on the transformed
-        domain; one vectorized pass integrates all 1 + p + p(p+1)/2 components.
-        """
-        theta = self.validate(theta)
-        if alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
-        p = self.dim
-        iu, ju = np.triu_indices(p)
-
-        def integrand(t: np.ndarray) -> np.ndarray:
-            x, jac = self._unit_substitution(theta, t, alpha)
-            weight = np.exp((1.0 + alpha) * self.logpdf(theta, x)) * jac
-            u = self.score(theta, x)
-            cols = [weight]
-            cols.extend(u[:, j] * weight for j in range(p))
-            cols.extend(u[:, i] * u[:, j] * weight for i, j in zip(iu, ju))
-            return np.column_stack(cols)
-
-        flat = integrate_unit(integrand, atol=atol, rtol=rtol)
-        xi = float(flat[0])
-        jvec = flat[1 : 1 + p].copy()
-        kmat = np.empty((p, p))
-        kmat[iu, ju] = flat[1 + p :]
-        kmat[ju, iu] = flat[1 + p :]
-        return WeightedIntegrals(xi, jvec, kmat)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.param_names}>"
@@ -232,11 +188,6 @@ class Exponential(ParametricFamily):
         # integral of grad u f^(1+alpha), grad u = (m - 2x) / m^3
         h = (alpha - 1.0) * m ** -(alpha + 2.0) / beta**2
         return xi, jvec, kmat, h + beta * kmat
-
-    def _unit_substitution(self, theta, t, alpha: float = 0.0):
-        (m,) = self.validate(theta)
-        return m * t / (1.0 - t), m / (1.0 - t) ** 2
-
 
 class Weibull(ParametricFamily):
     """Weibull lifetimes with scale sigma and shape b: F(x) = 1 - exp(-(x/sigma)^b)."""
@@ -325,19 +276,6 @@ class Weibull(ParametricFamily):
         hmat = np.array([[h_ss, h_sb], [h_sb, h_bb]])
         return xi, jvec, kmat, hmat + beta * kmat
 
-    def _unit_substitution(self, theta, t, alpha: float = 0.0):
-        # exponent chosen so the transformed integrand vanishes like t^4 at
-        # the origin (the raw 1/b map leaves a w^kappa endpoint singularity
-        # that degrades Gauss-Legendre to algebraic convergence)
-        sigma, b = self.validate(theta)
-        kappa = alpha * (b - 1.0) / b
-        c = max(2.0, 5.0 / (kappa + 1.0)) if kappa > -1.0 else 2.0
-        ratio = t / (1.0 - t)
-        x = sigma * np.power(ratio, c / b)
-        jac = (sigma * c / b) * np.power(ratio, c / b - 1.0) / (1.0 - t) ** 2
-        return x, jac
-
-
 EXPONENTIAL = Exponential()
 WEIBULL = Weibull()
 
@@ -378,27 +316,6 @@ class FamilySpec:
 # -- module-level operations ----------------------------------------------
 
 
-def score(family: ParametricFamily, theta, x) -> np.ndarray:
-    """Likelihood score grad log f_theta(x); shape (..., p)."""
-    return family.score(theta, x)
-
-
-def weighted_integrals(
-    family: ParametricFamily, theta, alpha: float, *, method: str = "closed"
-) -> WeightedIntegrals:
-    """(xi, jvec, kmat) for the family at (theta, alpha).
-
-    ``method="closed"`` uses the family's closed forms (both shipped families
-    have them); ``method="quadrature"`` forces the generic transformed-domain
-    Gauss-Legendre path, which doubles as the cross-check oracle.
-    """
-    if method == "closed":
-        return family.weighted_integrals(theta, alpha)
-    if method == "quadrature":
-        return family.weighted_integrals_quadrature(theta, alpha)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def mdpde_psi(family: ParametricFamily, theta, alpha: float, x) -> np.ndarray:
     """Divergence estimating function jvec(theta) - u(x) f(x)^alpha.
 
@@ -421,16 +338,14 @@ def mdpde_psi(family: ParametricFamily, theta, alpha: float, x) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def lambda_model(
-    family: ParametricFamily, theta, alpha: float, *, method: str = "closed"
-) -> np.ndarray:
+def lambda_model(family: ParametricFamily, theta, alpha: float) -> np.ndarray:
     """Model-based sensitivity matrix of the divergence estimating function.
 
     Differentiating psi_alpha under the model integral collapses to the
     alpha-weighted information matrix kmat(theta): the grad-u terms from the
     two pieces of psi cancel and (1+alpha) kmat - alpha kmat remains.
     """
-    lam = weighted_integrals(family, theta, alpha, method=method).kmat
+    lam = family.weighted_integrals(theta, alpha).kmat
     if not np.all(np.isfinite(lam)):
         raise ValueError("sensitivity matrix has non-finite entries")
     return lam

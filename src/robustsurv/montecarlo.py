@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .data import SyntheticDesign, simulate
-from .estimator import FitConfig, fit_grid
+from .estimator import fit_grid
 from .hypothesis import Restriction, wald_statistic
 
 __all__ = [
@@ -56,7 +56,6 @@ class ExperimentSpec:
     level: float = 0.05
     kind: str = "level_power"
     workers: int = 1
-    fit_config: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -147,7 +146,7 @@ def _format_cell(value, exact: bool = False) -> str:
 def _fit_sweep(spec: ExperimentSpec, replication: int):
     sample = simulate(spec.design, spec.n, replication=replication)
     family, _ = spec.design.lifetime.resolve()
-    return sample, fit_grid(sample, family, spec.alpha_grid, spec.fit_config)
+    return sample, fit_grid(sample, family, spec.alpha_grid)
 
 
 def _failure_reason(exc: Exception) -> str:

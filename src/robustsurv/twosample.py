@@ -194,40 +194,31 @@ def _check_fits(fit1: FitResult, fit2: FitResult) -> None:
         )
 
 
-def pooled_sigma(
-    fit1: FitResult,
-    fit2: FitResult,
-    restriction: TwoSampleRestriction,
-    n1: int | None = None,
-    n2: int | None = None,
-) -> np.ndarray:
-    """(n2/N) M1^T Sigma1 M1 + (n1/N) M2^T Sigma2 M2 at the fitted point."""
-    n1 = fit1.n if n1 is None else n1
-    n2 = fit2.n if n2 is None else n2
+def _pooled(jac1, sigma1, jac2, sigma2, n1: int, n2: int) -> np.ndarray:
+    """(n2/N) M1^T Sigma1 M1 + (n1/N) M2^T Sigma2 M2."""
     total = n1 + n2
-    jac1 = restriction.jacobian1(fit1.theta_hat, fit2.theta_hat)
-    jac2 = restriction.jacobian2(fit1.theta_hat, fit2.theta_hat)
     return (
-        (total - n1) / total * jac1.T @ fit1.sigma_hat @ jac1
-        + (total - n2) / total * jac2.T @ fit2.sigma_hat @ jac2
+        (total - n1) / total * jac1.T @ sigma1 @ jac1
+        + (total - n2) / total * jac2.T @ sigma2 @ jac2
     )
 
 
+def pooled_sigma(fit1: FitResult, fit2: FitResult, restriction: TwoSampleRestriction) -> np.ndarray:
+    """(n2/N) M1^T Sigma1 M1 + (n1/N) M2^T Sigma2 M2 at the fitted point."""
+    jac1 = restriction.jacobian1(fit1.theta_hat, fit2.theta_hat)
+    jac2 = restriction.jacobian2(fit1.theta_hat, fit2.theta_hat)
+    return _pooled(jac1, fit1.sigma_hat, jac2, fit2.sigma_hat, fit1.n, fit2.n)
+
+
 def two_sample_wald(
-    fit1: FitResult,
-    fit2: FitResult,
-    restriction: TwoSampleRestriction,
-    *,
-    n1: int | None = None,
-    n2: int | None = None,
+    fit1: FitResult, fit2: FitResult, restriction: TwoSampleRestriction
 ) -> TwoSampleReport:
     """(n1 n2 / (n1 + n2)) m^T SigmaTilde^{-1} m with chi-square_r p-value."""
     _check_fits(fit1, fit2)
-    n1 = fit1.n if n1 is None else n1
-    n2 = fit2.n if n2 is None else n2
+    n1, n2 = fit1.n, fit2.n
     restriction.validate_at(fit1.theta_hat, fit2.theta_hat)
     m = restriction.m(fit1.theta_hat, fit2.theta_hat)
-    sigma_tilde = pooled_sigma(fit1, fit2, restriction, n1, n2)
+    sigma_tilde = pooled_sigma(fit1, fit2, restriction)
     cond = float(np.linalg.cond(sigma_tilde))
     if not np.isfinite(cond) or cond > 1e12:
         raise np.linalg.LinAlgError(
@@ -251,18 +242,13 @@ def two_sample_wald(
 
 
 def one_sided_wald(
-    fit1: FitResult,
-    fit2: FitResult,
-    restriction: TwoSampleRestriction,
-    *,
-    n1: int | None = None,
-    n2: int | None = None,
+    fit1: FitResult, fit2: FitResult, restriction: TwoSampleRestriction
 ) -> TwoSampleReport:
     """Signed square root of the two-sided statistic for r = 1, testing
     H1: m(theta1, theta2) > 0; p-value from the standard normal upper tail."""
     if restriction.r != 1:
         raise ValueError("one-sided tests need a rank-one restriction")
-    base = two_sample_wald(fit1, fit2, restriction, n1=n1, n2=n2)
+    base = two_sample_wald(fit1, fit2, restriction)
     m = float(restriction.m(fit1.theta_hat, fit2.theta_hat)[0])
     statistic = float(np.sign(m) * np.sqrt(base.statistic))
     return TwoSampleReport(
@@ -301,15 +287,13 @@ def two_sample_power_approx(
     m = restriction.m(theta1, theta2)
     if float(m @ m) <= 1e-28:
         raise ValueError("(theta1, theta2) satisfies the null; power approximation undefined")
-    total = n1 + n2
     jac1 = restriction.jacobian1(theta1, theta2)
     jac2 = restriction.jacobian2(theta1, theta2)
-    sigma_tilde = (
-        (total - n1) / total * jac1.T @ np.asarray(sigma1, dtype=float) @ jac1
-        + (total - n2) / total * jac2.T @ np.asarray(sigma2, dtype=float) @ jac2
+    sigma_tilde = _pooled(
+        jac1, np.asarray(sigma1, dtype=float), jac2, np.asarray(sigma2, dtype=float), n1, n2
     )
     ell = float(m @ np.linalg.solve(sigma_tilde, m))
-    scale = n1 * n2 / total
+    scale = n1 * n2 / (n1 + n2)
     z = np.sqrt(1.0 / scale) / (2.0 * np.sqrt(ell)) * (
         chi2_quantile(restriction.r, level) - scale * ell
     )

@@ -27,7 +27,6 @@ from robustsurv import (
     if2_wald,
     if_estimator,
     kmpl_fit,
-    lambda_model,
     mdpde_psi,
     noncentral_chi2_sf,
     noncentral_weights,
@@ -41,6 +40,7 @@ from robustsurv import (
     wald_statistic,
 )
 from conftest import ks_distance_uniform
+from quadrature_oracle import weighted_integrals_quadrature
 
 WEIBULL_TRUTH = (2.0, 5.0)
 CENSORING_MEAN = 17.4
@@ -167,7 +167,7 @@ def test_criterion_4_closed_form_oracles():
             )
             worst_psi = max(worst_psi, np.max(np.abs(psi - psi_ref) / (np.abs(psi_ref) + 1.0)))
 
-            lam = lambda_model(EXPONENTIAL, [theta], alpha, method="quadrature")[0, 0]
+            lam = weighted_integrals_quadrature(EXPONENTIAL, [theta], alpha).kmat[0, 0]
             lam_ref = (1 + alpha**2) * (1 + alpha) ** -3 * theta ** -(alpha + 2)
             worst_lambda = max(worst_lambda, abs(lam - lam_ref) / lam_ref)
 

@@ -184,6 +184,14 @@ class TestInfluenceCommand:
         rows2 = read_csv_rows(outdir / "if2_pif_alpha0.5.csv")
         assert all(float(r["if2"]) >= 0.0 for r in rows2)
 
+    def test_alpha_zero_writes_one_curve(self, outdir):
+        code = main([
+            "influence", "--family", "weibull", "--theta", "2,5",
+            "--alpha", "0", "--t-points", "20", "--out", str(outdir),
+        ])
+        assert code == 0
+        assert sorted(p.name for p in outdir.iterdir()) == ["if_alpha0.csv"]
+
 
 class TestSimulateCommand:
     def test_tiny_level_run(self, outdir):

@@ -6,12 +6,8 @@ from hypothesis import strategies as st
 from robustsurv import (
     CensoredSample,
     CsvFormatError,
-    EXPONENTIAL,
     FamilySpec,
     SyntheticDesign,
-    WEIBULL,
-    censoring_mean_for_rate,
-    censoring_rate,
     ingest_csv,
     ingest_csv_arms,
     simulate,
@@ -185,38 +181,3 @@ class TestSimulate:
                 censoring_mean=1.0,
                 contamination_fraction=0.2,
             )
-
-
-class TestCensoringMean:
-    def test_exponential_target_matches_paper_design(self):
-        mean = censoring_mean_for_rate(EXPONENTIAL, [1.0], 0.10)
-        assert mean == pytest.approx(9.0, abs=0.01)
-
-    def test_weibull_target_matches_paper_design(self):
-        mean = censoring_mean_for_rate(WEIBULL, [2.0, 5.0], 0.10)
-        assert mean == pytest.approx(17.4, abs=0.2)
-
-    def test_monte_carlo_oracle(self):
-        theta = [2.0, 5.0]
-        target = 0.25
-        mean = censoring_mean_for_rate(WEIBULL, theta, target)
-        rng = np.random.default_rng(99)
-        n = 1_000_000
-        x = WEIBULL.sample(theta, rng, n)
-        c = rng.exponential(mean, n)
-        rate = np.mean(c < x)
-        se = np.sqrt(target * (1 - target) / n)
-        assert abs(rate - target) < 3 * se
-
-    def test_rate_monotone_in_mean(self):
-        assert censoring_rate(EXPONENTIAL, [1.0], 1.0) > censoring_rate(
-            EXPONENTIAL, [1.0], 20.0
-        )
-
-    def test_invalid_target(self):
-        with pytest.raises(ValueError):
-            censoring_mean_for_rate(EXPONENTIAL, [1.0], 1.5)
-
-    def test_bad_bracket(self):
-        with pytest.raises(ValueError, match="bracket"):
-            censoring_mean_for_rate(EXPONENTIAL, [1.0], 0.5, bracket=(100.0, 200.0))

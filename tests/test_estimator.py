@@ -469,7 +469,3 @@ class TestFitConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             FitConfig(alpha=-0.1)
-        with pytest.raises(ValueError):
-            FitConfig(tol_gradient=0.0)
-        with pytest.raises(ValueError):
-            FitConfig(max_iter=0)

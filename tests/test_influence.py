@@ -79,10 +79,10 @@ class TestSigmaModel:
     def test_matches_quadrature_assembly(self):
         theta = np.array([2.0, 5.0])
         alpha = 0.4
-        from robustsurv.quadrature import integrate_unit
+        from quadrature_oracle import integrate_unit, unit_substitution
 
         def integrand(t):
-            x, jac = WEIBULL._unit_substitution(theta, t)
+            x, jac = unit_substitution(WEIBULL, theta, t)
             f = np.exp(WEIBULL.logpdf(theta, x)) * jac
             psi = mdpde_psi(WEIBULL, theta, alpha, x)
             iu, ju = np.triu_indices(2)

@@ -79,7 +79,7 @@ class TestLevelPower:
         calls = {"count": 0}
         real_fit_grid = montecarlo.fit_grid
 
-        def flaky(sample, family, grid, config):
+        def flaky(sample, family, grid, config=None):
             calls["count"] += 1
             results = real_fit_grid(sample, family, grid, config)
             if calls["count"] % 3 == 0:  # fail every third replication
