@@ -42,7 +42,7 @@ from .influence import (
     pif,
     sigma_model,
 )
-from .kmpl import KmplFit, km_integral, kmpl_fit
+from .kmpl import KmplFit, kmpl_fit
 from .model import (
     EXPONENTIAL,
     WEIBULL,

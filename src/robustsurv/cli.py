@@ -38,7 +38,7 @@ from .estimator import FitConfig, fit_grid
 from .hypothesis import LinearRestriction, Restriction, wald_statistic
 from .influence import if_curve, if2_wald, pif, sigma_model
 from .kmpl import kmpl_fit
-from .model import FamilySpec, ParametricFamily, get_family
+from .model import FamilySpec, ParametricFamily, get_family, validate_alpha
 from .montecarlo import ExperimentSpec, run_experiment
 from .twosample import (
     LinearTwoSampleRestriction,
@@ -235,13 +235,13 @@ def _alpha_values(args) -> tuple[float, ...]:
     if args.alpha is not None and args.alpha_grid is not None:
         raise ValueError("use either --alpha or --alpha-grid, not both")
     if args.alpha is not None:
-        return (float(args.alpha),)
+        return (validate_alpha(args.alpha),)
     if args.alpha_grid is not None:
         parts = args.alpha_grid.split(":")
         if len(parts) != 3:
             raise ValueError("--alpha-grid expects start:stop:step")
-        start, stop, step = (float(v) for v in parts)
-        if step <= 0 or stop < start:
+        start, stop, step = validate_alpha(parts[0]), validate_alpha(parts[1]), float(parts[2])
+        if not step > 0 or stop < start:
             raise ValueError("--alpha-grid expects ascending start:stop with step > 0")
         count = int(round((stop - start) / step))
         grid = tuple(round(start + k * step, 10) for k in range(count + 1))
@@ -362,16 +362,16 @@ def _cmd_influence(args) -> int:
     grid = np.geomspace(args.t_min, args.t_max, args.t_points)
     explicit = args.alpha is not None or args.alpha_grid is not None
     alphas = _alpha_values(args) if explicit else (0.0, 0.5, 1.0)
+    parsed = hypothesis_parse(args.hypothesis, family) if args.hypothesis else None
+    if parsed is not None and parsed.two_sample:
+        raise ValueError("influence curves use one-sample hypotheses")
     written = []
     for alpha in alphas:
         curve = if_curve(family, theta0, alpha, grid)
         out = os.path.join(args.out, f"if_alpha{alpha:g}.csv")
         curve.write_csv(out)
         written.append(out)
-        if args.hypothesis:
-            parsed = hypothesis_parse(args.hypothesis, family)
-            if parsed.two_sample:
-                raise ValueError("influence curves use one-sample hypotheses")
+        if parsed is not None:
             sigma = sigma_model(family, theta0, alpha)
             if2 = if2_wald(family, theta0, alpha, parsed.restriction, grid, sigma=sigma)
             d = np.ones(family.dim)

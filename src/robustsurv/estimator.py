@@ -19,8 +19,10 @@ exact Jacobian
 
 with d jvec / d theta from the family's closed-form integrals (Basu, Harris,
 Hjort & Jones 1998, Biometrika 85:549, for the alpha-weighted information),
-and J_eta = J_theta diag(theta) in the log coordinates eta.  Each iterate
-takes one pass over the points for (g, J).
+and J_eta = J_theta diag(theta) in the log coordinates eta.  The family's
+fused pass gives (g, J) at a point at once, and no trajectory makes it twice
+at one point: the pass at an accepted trial point is the next step's.  The
+p x p step algebra runs on Python floats.
 
 The first trajectory, from the start, is residual Newton: it solves
 J_eta step = -g and accepts a step that lowers |g|.  Every later trajectory
@@ -53,14 +55,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import varest
 from .data import CensoredSample
 from .kmpl import kmpl_fit
-from .model import ParametricFamily, mdpde_psi, lambda_model
+from .model import ParametricFamily, lambda_model, mdpde_psi, validate_alpha
 
 __all__ = ["FitConfig", "FitResult", "UnidentifiableSampleError", "mdpde_objective", "fit", "fit_grid"]
 
@@ -112,8 +114,7 @@ class FitConfig:
     start: Sequence[float] | None = None
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
+        validate_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -208,6 +209,14 @@ class FitResult:
         return out
 
 
+class _Point(NamedTuple):
+    """A solver point eta with g, J_eta (by rows) and |g| there, as floats."""
+    eta: tuple
+    g: tuple
+    jac: tuple
+    norm: float
+
+
 class _WeightedEquation:
     """Estimating equation and objective over fixed product-limit weights.
 
@@ -219,27 +228,18 @@ class _WeightedEquation:
         km = kmpl_fit(sample)
         self.points = family._check_x(km.weight_points)
         self.weights = km.weight_masses
+        self.prepared = family._prepare(self.points)
         self.residual_mass = km.residual_mass
         self.event_times = km.support.size
         self.family = family
         self.alpha = alpha
 
     def estimating(self, theta, jacobian: bool = False):
-        """g(theta) or, with ``jacobian``, (g, J_theta) from one pass; theta
-        is a sequence of scalars (see ParametricFamily._pointwise)."""
-        fam, alpha = self.family, self.alpha
-        logf, u, du = fam._pointwise(theta, self.points, 2 if jacobian else 1)
-        if alpha == 0.0:
-            # jvec and its theta-derivative vanish identically at alpha = 0
-            wf, jvec, djvec = self.weights, 0.0, 0.0
-        else:
-            wf = self.weights * np.exp(alpha * logf)
-            _, jvec, _, djvec = fam._integrals(theta, alpha, jacobian)
-        g = jvec - wf @ u
-        if not jacobian:
-            return g
-        p = g.size
-        return g, djvec - (wf @ du.reshape(-1, p * p)).reshape(p, p) - alpha * (u.T * wf) @ u
+        """g(theta) or, with ``jacobian``, (g, J_theta): arrays of one pass."""
+        g, jac = self.family._equation(
+            [float(v) for v in theta], self.alpha, self.prepared, self.weights
+        )
+        return (np.array(g), np.array(jac)) if jacobian else np.array(g)
 
     def objective(self, theta) -> float:
         fam, alpha = self.family, self.alpha
@@ -261,18 +261,19 @@ class _WeightedEquation:
     # ValueError; both come back as NaN/inf for the damping logic, as do
     # numpy's overflows under the quiet floating-point state that fit() sets
     # once for its whole solve
-    def estimating_log(self, eta: np.ndarray, jacobian: bool = False):
-        """g at theta = exp(eta) or, with ``jacobian``, (g, J_eta) where
-        J_eta = J_theta diag(theta)."""
-        theta = np.exp(eta)
+    def point(self, eta) -> _Point:
+        """The solver's one evaluation at theta = exp(eta): (g, J_eta) with
+        J_eta = J_theta diag(theta), from the family's fused pass."""
+        theta = np.exp(eta).tolist()
         try:
-            if not jacobian:
-                return self.estimating(theta.tolist())
-            g, jac = self.estimating(theta.tolist(), jacobian=True)
-            return g, jac * theta
+            g, jac = self.family._equation(theta, self.alpha, self.prepared, self.weights)
         except (ArithmeticError, ValueError):
-            nan = np.full(eta.shape, np.nan)
-            return (nan, np.full((eta.size,) * 2, np.nan)) if jacobian else nan
+            nan = (math.nan,) * len(theta)
+            return _Point(eta, nan, (nan,) * len(theta), math.inf)
+        jac = tuple(tuple(d * th for d, th in zip(row, theta)) for row in jac)
+        # |g|, inf where it is not finite or overflows
+        norm = math.sqrt(sum(v * v for v in g))
+        return _Point(eta, g, jac, norm if math.isfinite(norm) else math.inf)
 
     def objective_log(self, eta: np.ndarray) -> float:
         try:
@@ -303,59 +304,69 @@ def mdpde_objective(sample: CensoredSample, family: ParametricFamily, theta, alp
     return _WeightedEquation(sample, family, alpha).objective(theta)
 
 
-def _norm(g: np.ndarray) -> float:
-    """Euclidean norm of a residual (sqrt(g @ g), as np.linalg.norm forms it
-    for a vector); inf when it is not finite or overflows."""
-    value = math.sqrt(float(g @ g))
-    return value if math.isfinite(value) else math.inf
+def _finite(rows) -> bool:
+    return all(math.isfinite(v) for row in rows for v in row)
 
 
 def _solve(
-    eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int, step,
+    eq: _WeightedEquation, eta0, tol: float, max_iter: int, step,
     stall: bool = False,
 ):
-    """Iterate ``step(eta, norm_g)`` from eta0 until the residual norm |g| is
-    within tol.
+    """Iterate ``step(point)`` from the point at eta0 until the residual norm
+    |g| is within tol.
 
-    ``step`` returns the accepted (eta, |g|), or None when it cannot move.
-    Returns (eta, residual norm, iterations, converged).  A non-finite
-    residual at eta0, a step that cannot move, and a drift beyond
-    _MAX_LOG_DRIFT from eta0 all end the trajectory as not converged; with
-    ``stall``, so does an accepted step that leaves |g| above _STALL_RATIO
-    times its value _STALL_STEPS accepted steps earlier.
+    ``step`` returns the accepted next :class:`_Point`, with its pass, or
+    None when it cannot move.  Returns (eta, residual norm, iterations,
+    converged).  A non-finite residual at eta0, a step that cannot move, and
+    a drift beyond _MAX_LOG_DRIFT from eta0 all end the trajectory as not
+    converged; with ``stall``, so does an accepted step that leaves |g| above
+    _STALL_RATIO times its value _STALL_STEPS accepted steps earlier.
     """
-    eta = eta0
-    g = eq.estimating_log(eta)
-    if not np.all(np.isfinite(g)):
-        return eta, np.inf, 0, False
-    norm_g = _norm(g)
-    norms = [norm_g]
+    eta0 = tuple(float(v) for v in eta0)
+    at = eq.point(eta0)
+    if not all(math.isfinite(v) for v in at.g):
+        return eta0, math.inf, 0, False
+    norms = [at.norm]
     for iteration in range(max_iter):
-        if norm_g <= tol:
-            return eta, norm_g, iteration, True
-        moved = step(eta, norm_g)
+        if at.norm <= tol:
+            return at.eta, at.norm, iteration, True
+        moved = step(at)
         if moved is None:
-            return eta, norm_g, iteration + 1, False
-        eta, norm_g = moved
-        if np.max(np.abs(eta - eta0)) > _MAX_LOG_DRIFT:
-            return eta, norm_g, iteration + 1, False
+            return at.eta, at.norm, iteration + 1, False
+        at = moved
+        if max(abs(v - v0) for v, v0 in zip(at.eta, eta0)) > _MAX_LOG_DRIFT:
+            return at.eta, at.norm, iteration + 1, False
         if stall:
-            norms.append(norm_g)
+            norms.append(at.norm)
             if (
-                norm_g > tol
+                at.norm > tol
                 and len(norms) > _STALL_STEPS
-                and norm_g > _STALL_RATIO * norms[-1 - _STALL_STEPS]
+                and at.norm > _STALL_RATIO * norms[-1 - _STALL_STEPS]
             ):
-                return eta, norm_g, iteration + 1, False
-    return eta, norm_g, max_iter, norm_g <= tol
+                return at.eta, at.norm, iteration + 1, False
+    return at.eta, at.norm, max_iter, at.norm <= tol
 
 
-def _capped(step: np.ndarray) -> np.ndarray:
-    big = np.max(np.abs(step))
-    return step * (_MAX_LOG_STEP / big) if big > _MAX_LOG_STEP else step
+def _capped(step) -> tuple:
+    big = max(abs(v) for v in step)
+    return tuple(v * (_MAX_LOG_STEP / big) for v in step) if big > _MAX_LOG_STEP else tuple(step)
 
 
-def _newton(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int):
+def _newton_direction(jac, g):
+    """Capped Newton step -J^-1 g on floats, by Cramer's rule for the shipped
+    p <= 2; None when J is not finite or singular."""
+    if len(g) == 1:
+        det, step = jac[0][0], (-g[0],)
+    else:
+        (a, b), (c, d) = jac
+        det, step = a * d - b * c, (b * g[1] - d * g[0], c * g[0] - a * g[1])
+    if not (_finite(jac) and det != 0.0):
+        return None
+    step = tuple(v / det for v in step)
+    return _capped(step) if _finite((step,)) else None
+
+
+def _newton(eq: _WeightedEquation, eta0, tol: float, max_iter: int):
     """Damped Newton from eta0 on the log-space estimating equation.
 
     A step is accepted once it lowers |g|; one that does not within
@@ -364,27 +375,22 @@ def _newton(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int):
     _solve for the rest of the contract).
     """
 
-    def step(eta, norm_g):
-        g, jac = eq.estimating_log(eta, jacobian=True)
-        if not np.all(np.isfinite(jac)):
-            return None
-        try:
-            direction = _capped(np.linalg.solve(jac, -g))
-        except np.linalg.LinAlgError:
+    def step(at):
+        direction = _newton_direction(at.jac, at.g)
+        if direction is None:
             return None
         lam = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = eta + lam * direction
-            trial_norm = _norm(eq.estimating_log(trial))
-            if trial_norm < norm_g:
-                return trial, trial_norm
+            trial = eq.point(tuple(v + lam * d for v, d in zip(at.eta, direction)))
+            if trial.norm < at.norm:
+                return trial
             lam *= 0.5
         return None
 
     return _solve(eq, eta0, tol, max_iter, step, stall=True)
 
 
-def _descent(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int):
+def _descent(eq: _WeightedEquation, eta0, tol: float, max_iter: int):
     """Descent Newton from eta0 on the objective in log coordinates.
 
     The eta-Hessian over (1 + alpha), diag(theta) J_theta diag(theta) +
@@ -400,30 +406,29 @@ def _descent(eq: _WeightedEquation, eta0: np.ndarray, tol: float, max_iter: int)
     value = eq.objective_log(eta0)
     slope_scale = _ARMIJO * (1.0 + eq.alpha)
 
-    def step(eta, norm_g):
+    def step(at):
         nonlocal value
-        g, jac = eq.estimating_log(eta, jacobian=True)
-        if not (np.isfinite(value) and np.all(np.isfinite(jac))):
+        if not (math.isfinite(value) and _finite(at.jac)):
             return None
-        theta = np.exp(eta)
-        grad = theta * g
-        hess = theta[:, None] * jac
+        theta = np.exp(at.eta)
+        grad = theta * at.g
+        hess = theta[:, None] * np.array(at.jac)
         eigval, eigvec = np.linalg.eigh(0.5 * (hess + hess.T) + np.diag(grad))
         eigval = np.abs(eigval)
         if not eigval.min() > 0.0:
             return None
-        direction = _capped(-eigvec @ ((eigvec.T @ grad) / eigval))
+        direction = _capped((-eigvec @ ((eigvec.T @ grad) / eigval)).tolist())
         slope = slope_scale * float(grad @ direction)
         flat = value + _FLAT_REL * abs(value)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = eta + t * direction
-            trial_value = eq.objective_log(trial)
+            trial_eta = tuple(v + t * d for v, d in zip(at.eta, direction))
+            trial_value = eq.objective_log(trial_eta)
             if trial_value <= flat:
-                trial_norm = _norm(eq.estimating_log(trial))
-                if trial_value <= value + t * slope or trial_norm < norm_g:
+                trial = eq.point(trial_eta)
+                if trial_value <= value + t * slope or trial.norm < at.norm:
                     value = trial_value
-                    return trial, trial_norm
+                    return trial
             t *= 0.5
         return None
 
@@ -487,11 +492,11 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
         start = family.validate(config.start)
     else:
         start = family.validate(_initial_theta(sample, family))
-    eta0 = np.log(start)
+    eta0 = tuple(np.log(start).tolist())
     offsets = _OFFSETS_1D if family.dim == 1 else _OFFSETS_2D
 
-    candidates: list[tuple[float, np.ndarray, float, int, bool, str]] = []
-    degenerate: list[tuple[float, np.ndarray, float, int, bool, str]] = []
+    candidates: list[tuple[float, tuple, float, int, bool, str]] = []
+    degenerate: list[tuple[float, tuple, float, int, bool, str]] = []
 
     def add_candidate(eta, residual, iters, ok, tag) -> bool:
         """Record a solver outcome; boundary runaways (density mass collapsed
@@ -503,10 +508,10 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
             and eq.data_mass(eta) < 1e-8 * reference_mass
         ):
             degenerate.append(
-                (eq.objective_log(eta), eta.copy(), residual, iters, False, f"{tag}-degenerate")
+                (eq.objective_log(eta), eta, residual, iters, False, f"{tag}-degenerate")
             )
             return False
-        candidates.append((eq.objective_log(eta), eta.copy(), residual, iters, ok, tag))
+        candidates.append((eq.objective_log(eta), eta, residual, iters, ok, tag))
         return ok
 
     # trial points may overflow; the solver treats those as rejected steps
@@ -520,7 +525,7 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
         # root, or every one when there is none
         best_obj = min((c[0] for c in candidates if c[4]), default=np.inf)
         for off in offsets:
-            eta_alt = eta0 + np.asarray(off)
+            eta_alt = tuple(v + o for v, o in zip(eta0, off))
             if eq.objective_log(eta_alt) < best_obj:
                 eta, residual, iters, ok = _descent(eq, eta_alt, _TOL_GRADIENT, _MAX_ITER)
                 if ok:
@@ -564,18 +569,18 @@ def fit_grid(
     """Sequential fits over an ascending alpha grid, warm-starting each alpha
     from the previous estimate; per-alpha failures do not abort the sweep."""
     config = config or FitConfig()
-    grid = list(alpha_grid)
+    grid = [validate_alpha(a) for a in alpha_grid]
     if not grid:
         raise ValueError("alpha_grid must contain at least one value")
-    if any(b < a for a, b in zip(grid, grid[1:])) or grid[0] < 0.0:
-        raise ValueError("alpha_grid must be ascending and nonnegative")
+    if any(b < a for a, b in zip(grid, grid[1:])):
+        raise ValueError("alpha_grid must be ascending")
     if config.start is not None:
         family.validate(config.start)
     results: list[FitResult] = []
     start = config.start
     for alpha in grid:
         try:
-            result = fit(sample, family, FitConfig(float(alpha), start))
+            result = fit(sample, family, FitConfig(alpha, start))
         except (varest.SingularSensitivityError, ValueError, np.linalg.LinAlgError) as exc:
             # per-alpha failure (unidentifiable sample, singular sandwich,
             # ...): record it, keep sweeping from the last good start

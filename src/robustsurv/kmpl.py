@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .data import CensoredSample
 
-__all__ = ["KmplFit", "kmpl_fit", "km_integral"]
+__all__ = ["KmplFit", "kmpl_fit"]
 
 RESIDUAL_MASS_FLAG = 0.05  # defective-tail fraction worth surfacing in reports
 
@@ -122,11 +121,3 @@ def _kmpl_fit(sample: CensoredSample) -> KmplFit:
         weight_points=weight_points,
         weight_masses=weight_masses,
     )
-
-
-def km_integral(fit: KmplFit, phi: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Expectation of phi under the tail-completed product-limit weights."""
-    values = np.asarray(phi(fit.weight_points), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("phi is non-finite at a support point")
-    return float(fit.weight_masses @ values)

@@ -12,13 +12,19 @@ these in closed form; the exponential ones are elementary, while the Weibull
 ones follow from the substitution w = (x/sigma)^b, which turns every
 integrand into w^c (log w)^m e^{-(1+alpha) w} and hence into gamma /
 digamma / trigamma expressions.  The same integrals give the derivative of
-jvec in theta, which the estimator's Newton solver needs for the exact
-Jacobian of its estimating equation.  The closed forms are the only
-evaluation path; the test suite checks them against adaptive quadrature.
+jvec in theta.  The closed forms are the only evaluation path; the test
+suite checks them against adaptive quadrature.
+
+The solver's fused pass gives the estimating equation g = jvec - sum_i m_i
+u_i f_i^alpha and its exact Jacobian from one reduction, weighted by v_i =
+m_i f_i^alpha, of the rows 1, x, x^2 (exponential) or, with t = log(x /
+sigma) and w = e^{b t}, 1, w - 1, t (w - 1), t w, t^2 w, (w - 1)^2,
+t (w - 1)^2, (t (w - 1))^2 (Weibull); log f and u take one pass of their own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +40,7 @@ __all__ = [
     "WEIBULL",
     "WeightedIntegrals",
     "get_family",
+    "validate_alpha",
     "mdpde_psi",
     "lambda_model",
 ]
@@ -43,6 +50,14 @@ class WeightedIntegrals(NamedTuple):
     xi: float
     jvec: np.ndarray
     kmat: np.ndarray
+
+
+def validate_alpha(alpha) -> float:
+    """alpha as a float; ValueError unless it is finite and nonnegative."""
+    alpha = float(alpha)
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha!r}")
+    return alpha
 
 
 def _as_theta(theta) -> np.ndarray:
@@ -113,24 +128,27 @@ class ParametricFamily:
     # The public methods pass the validated array, whose numpy scalars keep
     # numpy's overflow semantics.
     def _pointwise(self, theta, x: np.ndarray, order: int):
-        """(log f, u, grad u) at x from one pass, for theta and x already
-        validated; u is None at order 0 and grad u (shape (..., p, p)) is None
-        below order 2.  The solver's evaluations call this directly."""
+        """(log f, u) at x from one pass, for theta and x already validated;
+        u (shape (..., p)) is None at order 0.  The public log f, score and
+        mdpde_psi, and the solver's objective, call this directly."""
         raise NotImplementedError
 
     def _integrals(self, theta, alpha: float, jacobian: bool):
-        """(xi, jvec, kmat, djvec) for an already validated theta, where
-        djvec = d jvec / d theta = integral of grad u f^(1+alpha) plus
-        (1+alpha) kmat.  Without ``jacobian`` only xi and jvec are formed
-        (kmat and djvec are None), which skips the trigamma terms."""
+        """(xi, jvec, kmat, djvec), matrices as tuples of rows, for an already
+        validated theta, where djvec = d jvec / d theta = integral of grad u
+        f^(1+alpha) plus (1+alpha) kmat.  Without ``jacobian`` only xi and
+        jvec are formed (kmat and djvec are None), skipping the trigamma terms."""
+        raise NotImplementedError
+
+    def _equation(self, theta, alpha: float, prepared, mass: np.ndarray):
+        """The fused pass (module docstring) at the points that ``_prepare``
+        turned into ``prepared``, with masses ``mass``: (g, J_theta), J by
+        rows, as Python floats for a Python-float theta."""
         raise NotImplementedError
 
     def _validated_integrals(self, theta, alpha: float) -> WeightedIntegrals:
-        theta = self.validate(theta)
-        if alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
-        xi, jvec, kmat, _ = self._integrals(theta, alpha, True)
-        return WeightedIntegrals(float(xi), jvec, kmat)
+        xi, jvec, kmat, _ = self._integrals(self.validate(theta), validate_alpha(alpha), True)
+        return WeightedIntegrals(float(xi), np.array(jvec), np.array(kmat))
 
     # -- generic paths ----------------------------------------------------
     def pdf(self, theta, x) -> np.ndarray:
@@ -174,20 +192,38 @@ class Exponential(ParametricFamily):
         (m,) = theta
         logf = -np.log(m) - x / m
         u = ((x - m) / m**2)[..., None] if order >= 1 else None
-        du = ((m - 2.0 * x) / m**3)[..., None, None] if order >= 2 else None
-        return logf, u, du
+        return logf, u
 
     def _integrals(self, theta, alpha, jacobian):
         (m,) = theta
         beta = 1.0 + alpha
         xi = m**-alpha / beta
-        jvec = np.array([-alpha * m ** -(alpha + 1.0) / beta**2])
+        jvec = (-alpha * m ** -(alpha + 1.0) / beta**2,)
         if not jacobian:
             return xi, jvec, None, None
-        kmat = np.array([[(1.0 + alpha**2) * beta**-3 * m ** -(alpha + 2.0)]])
+        k = (1.0 + alpha**2) * beta**-3 * m ** -(alpha + 2.0)
         # integral of grad u f^(1+alpha), grad u = (m - 2x) / m^3
         h = (alpha - 1.0) * m ** -(alpha + 2.0) / beta**2
-        return xi, jvec, kmat, h + beta * kmat
+        return xi, jvec, ((k,),), ((h + beta * k,),)
+
+    def _prepare(self, x):
+        return np.stack((np.ones_like(x), x, x * x))
+
+    def _equation(self, theta, alpha, rows, mass):
+        (m,) = theta
+        if alpha == 0.0:
+            # jvec and its theta-derivative vanish identically at alpha = 0
+            v, pref, j, dj = mass, 1.0, 0.0, 0.0
+        else:
+            # f^alpha = m^-alpha e^(-alpha x / m)
+            v = mass * np.exp((-alpha / m) * rows[1])
+            pref = m**-alpha
+            _, (j,), _, ((dj,),) = self._integrals(theta, alpha, True)
+        s0, s1, s2 = (pref * s for s in (rows @ v).tolist())
+        # u = (x - m) / m^2 and grad u = (m - 2x) / m^3, summed with v
+        m2 = m * m
+        jac = dj - (m * s0 - 2.0 * s1) / (m2 * m) - alpha * (s2 - 2.0 * m * s1 + m2 * s0) / (m2 * m2)
+        return (j - (s1 - m * s0) / m2,), ((jac,),)
 
 class Weibull(ParametricFamily):
     """Weibull lifetimes with scale sigma and shape b: F(x) = 1 - exp(-(x/sigma)^b)."""
@@ -223,17 +259,11 @@ class Weibull(ParametricFamily):
         w = np.exp(b * logx)
         logf = np.log(b / sigma) + (b - 1.0) * logx - w
         if order == 0:
-            return logf, None, None
+            return logf, None
         u = np.empty(logx.shape + (2,))
         u[..., 0] = (b / sigma) * (w - 1.0)
         u[..., 1] = 1.0 / b + logx * (1.0 - w)
-        if order == 1:
-            return logf, u, None
-        du = np.empty(logx.shape + (2, 2))
-        du[..., 0, 0] = -(b / sigma**2) * (w - 1.0) - (b / sigma) ** 2 * w
-        du[..., 0, 1] = du[..., 1, 0] = (w - 1.0 + b * logx * w) / sigma
-        du[..., 1, 1] = -1.0 / b**2 - logx**2 * w
-        return logf, u, du
+        return logf, u
 
     def _integrals(self, theta, alpha, jacobian):
         sigma, b = theta
@@ -258,7 +288,7 @@ class Weibull(ParametricFamily):
         xi = pref * i0[0]
         j_scale = pref * (b / sigma) * (i0[1] - i0[0])
         j_shape = pref / b * (i0[0] + i1[0] - i1[1])
-        jvec = np.array([j_scale, j_shape])
+        jvec = (j_scale, j_shape)
         if not jacobian:
             return xi, jvec, None, None
 
@@ -268,13 +298,44 @@ class Weibull(ParametricFamily):
         k_bb = pref / b**2 * (
             i0[0] + 2.0 * (i1[0] - i1[1]) + i2[0] - 2.0 * i2[1] + i2[2]
         )
-        kmat = np.array([[k_ss, k_sb], [k_sb, k_bb]])
+        kmat = ((k_ss, k_sb), (k_sb, k_bb))
         # integral of grad u f^(1+alpha)
         h_ss = pref * (-(b / sigma**2) * (i0[1] - i0[0]) - (b / sigma) ** 2 * i0[1])
         h_sb = pref / sigma * (i0[1] - i0[0] + i1[1])
         h_bb = pref / b**2 * (-i0[0] - i2[1])
-        hmat = np.array([[h_ss, h_sb], [h_sb, h_bb]])
-        return xi, jvec, kmat, hmat + beta * kmat
+        d_sb = h_sb + beta * k_sb
+        return xi, jvec, kmat, ((h_ss + beta * k_ss, d_sb), (d_sb, h_bb + beta * k_bb))
+
+    def _prepare(self, x):
+        return np.log(x), np.ones_like(x)
+
+    def _equation(self, theta, alpha, prepared, mass):
+        logx, ones = prepared
+        sigma, b = theta
+        t = logx - math.log(sigma)
+        w = np.exp(b * t)
+        if alpha == 0.0:
+            # jvec and its theta-derivative vanish identically at alpha = 0
+            v, pref = mass, 1.0
+            j_s = j_b = d_ss = d_sb = d_bb = 0.0
+        else:
+            # f^alpha = (b / sigma)^alpha e^(alpha ((b - 1) t - w))
+            v = mass * np.exp(alpha * ((b - 1.0) * t - w))
+            pref = (b / sigma) ** alpha
+            _, (j_s, j_b), _, ((d_ss, d_sb), (_, d_bb)) = self._integrals(theta, alpha, True)
+        wm1, tw = w - 1.0, t * w
+        twm1 = t * wm1
+        rows = np.array((ones, wm1, twm1, tw, t * tw, wm1 * wm1, twm1 * wm1, twm1 * twm1))
+        s0, s1, s2, s3, s4, s5, s6, s7 = (pref * s for s in (rows @ v).tolist())
+        # u = (r (w - 1), 1/b - t (w - 1)) with r = b / sigma; grad u has
+        # entries -(r / sigma)(w - 1) - r^2 w, (w - 1 + b t w) / sigma and
+        # -1/b^2 - t^2 w
+        r, bb = b / sigma, b * b
+        j_sb = d_sb - (s1 + b * s3) / sigma - alpha * (s1 / sigma - r * s6)
+        return (j_s - r * s1, j_b - s0 / b + s2), (
+            (d_ss + (r / sigma) * s1 + r * r * (s1 + s0 - alpha * s5), j_sb),
+            (j_sb, d_bb + s0 / bb + s4 - alpha * (s0 / bb - 2.0 * s2 / b + s7)),
+        )
 
 EXPONENTIAL = Exponential()
 WEIBULL = Weibull()
@@ -324,17 +385,16 @@ def mdpde_psi(family: ParametricFamily, theta, alpha: float, x) -> np.ndarray:
     once; log f and u come from one pass over x and jvec from the closed forms
     without the kmat terms.
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
+    validate_alpha(alpha)
     scalar = np.ndim(x) == 0
     theta = family.validate(theta)
     x = family._check_x(np.atleast_1d(np.asarray(x, dtype=float)))
-    logf, u, _ = family._pointwise(theta, x, 1)
+    logf, u = family._pointwise(theta, x, 1)
     if alpha == 0.0:
         out = -u
     else:
-        jvec = family._integrals(theta, alpha, False)[1]
-        out = jvec[None, :] - u * np.exp(alpha * logf)[:, None]
+        jvec = np.array(family._integrals(theta, alpha, False)[1])
+        out = jvec - u * np.exp(alpha * logf)[:, None]
     return out[0] if scalar else out
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .data import SyntheticDesign, simulate
 from .estimator import fit_grid
 from .hypothesis import Restriction, wald_statistic
+from .model import validate_alpha
 
 __all__ = [
     "ExperimentSpec",
@@ -64,9 +65,9 @@ class ExperimentSpec:
             raise ValueError("n and replications must be at least 1")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
-        grid = tuple(float(a) for a in self.alpha_grid)
-        if not grid or any(b < a for a, b in zip(grid, grid[1:])) or grid[0] < 0.0:
-            raise ValueError("alpha_grid must be nonempty, ascending, nonnegative")
+        grid = tuple(validate_alpha(a) for a in self.alpha_grid)
+        if not grid or any(b < a for a, b in zip(grid, grid[1:])):
+            raise ValueError("alpha_grid must be nonempty and ascending")
         object.__setattr__(self, "alpha_grid", grid)
         if self.kind == "level_power" and not self.hypotheses:
             raise ValueError("level/power experiments need at least one hypothesis")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robustsurv import WEIBULL, EXPONENTIAL, datasets
+from robustsurv import WEIBULL, EXPONENTIAL, datasets, if2_wald, pif, sigma_model
 from robustsurv.cli import (
     HypothesisParseError,
     hypothesis_parse,
@@ -184,6 +184,37 @@ class TestInfluenceCommand:
         rows2 = read_csv_rows(outdir / "if2_pif_alpha0.5.csv")
         assert all(float(r["if2"]) >= 0.0 for r in rows2)
 
+    def test_two_sample_hypothesis_writes_nothing(self, outdir, capsys):
+        code = main([
+            "influence", "--family", "weibull", "--theta", "2,5",
+            "--hypothesis", "shape1=shape2", "--t-points", "20", "--out", str(outdir),
+        ])
+        assert code == 2
+        assert "one-sample" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    def test_hypothesis_files_match_the_api(self, outdir, tmp_path):
+        argv = [
+            "influence", "--family", "weibull", "--theta", "2,5",
+            "--alpha-grid", "0:1:0.5", "--t-points", "20",
+        ]
+        assert main(argv + ["--hypothesis", "shape=5", "--out", str(outdir)]) == 0
+        plain = tmp_path / "plain"
+        assert main(argv + ["--out", str(plain)]) == 0
+        theta0, grid = np.array([2.0, 5.0]), np.geomspace(1e-2, 1e2, 20)
+        restriction = hypothesis_parse("shape=5", WEIBULL).restriction
+        for alpha in (0.0, 0.5, 1.0):
+            name = f"if_alpha{alpha:g}.csv"
+            assert (outdir / name).read_bytes() == (plain / name).read_bytes()
+            sigma = sigma_model(WEIBULL, theta0, alpha)
+            if2 = if2_wald(WEIBULL, theta0, alpha, restriction, grid, sigma=sigma)
+            pifv = pif(WEIBULL, theta0, alpha, restriction, np.ones(2), grid,
+                       level=0.05, sigma=sigma)
+            rows = read_csv_rows(outdir / f"if2_pif_alpha{alpha:g}.csv")
+            assert [float(r["if2"]) for r in rows] == if2.tolist()
+            assert [float(r["pif"]) for r in rows] == pifv.tolist()
+        assert len(list(outdir.iterdir())) == 6
+
     def test_alpha_zero_writes_one_curve(self, outdir):
         code = main([
             "influence", "--family", "weibull", "--theta", "2,5",
@@ -246,6 +277,19 @@ class TestErrorPaths:
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "veteran", "--arm-column", "arm", "--arm", "B"],
+        ["influence", "--family", "weibull", "--theta", "2,5"],
+    ], ids=["fit", "influence"])
+    @pytest.mark.parametrize("alpha", [
+        ["--alpha", "nan"], ["--alpha", "inf"], ["--alpha-grid", "0:nan:0.1"],
+        ["--alpha-grid", "nan:1:0.1"], ["--alpha-grid", "0:inf:0.5"],
+    ], ids=["nan", "inf", "grid-stop-nan", "grid-start-nan", "grid-stop-inf"])
+    def test_nonfinite_alpha_writes_nothing(self, outdir, capsys, command, alpha):
+        assert main(command + alpha + ["--out", str(outdir)]) == 2
+        assert "error: alpha must be finite and nonnegative" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
 
     def test_bad_grid(self, outdir, capsys):
         code = main([

@@ -19,9 +19,11 @@ from robustsurv import (
     fit,
     fit_grid,
     if_estimator,
+    kmpl_fit,
     mdpde_objective,
     simulate,
 )
+from robustsurv import estimator
 from robustsurv.estimator import (
     _MAX_LOG_DRIFT,
     _STALL_STEPS,
@@ -165,12 +167,62 @@ class TestExactJacobian:
         fd = central_jacobian(eq.estimating, theta, 1e-5 * theta)
         np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(jac).max())
 
-        g_log, jac_log = eq.estimating_log(eta, jacobian=True)
+        at = eq.point(eta)
+        g_log, jac_log = np.array(at.g), np.array(at.jac)
         np.testing.assert_array_equal(g_log, g)
-        fd_log = central_jacobian(eq.estimating_log, eta, np.full(eta.size, 1e-5))
+        g_of_eta = lambda e: np.array(eq.point(e).g)
+        fd_log = central_jacobian(g_of_eta, eta, np.full(eta.size, 1e-5))
         np.testing.assert_allclose(
             jac_log, fd_log, rtol=1e-6, atol=1e-6 * np.abs(jac_log).max()
         )
+
+
+class TestFusedPass:
+    """The solver's fused (g, J) against an assembly from the public score,
+    logpdf and weighted_integrals over the product-limit weights."""
+
+    @given(
+        family=st.sampled_from([EXPONENTIAL, WEIBULL]),
+        contaminated=st.booleans(),
+        alpha=st.floats(0.0, 1.0),
+        log_offset=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    )
+    @example(family=WEIBULL, contaminated=True, alpha=0.0, log_offset=(0.0, 0.0))
+    @example(family=EXPONENTIAL, contaminated=True, alpha=0.0, log_offset=(1.0, 0.0))
+    @example(family=WEIBULL, contaminated=False, alpha=1.0, log_offset=(-2.0, 2.0))
+    def test_matches_public_assembly(self, family, contaminated, alpha, log_offset):
+        sample = jacobian_sample(contaminated)
+        theta = np.array([2.0, 5.0][: family.dim]) * np.exp(log_offset[: family.dim])
+        km = kmpl_fit(sample)
+        x, mass = km.weight_points, km.weight_masses
+
+        def parts(th):
+            """jvec, u and the weights mass_i f_i^alpha at th."""
+            weights = mass * np.exp(alpha * family.logpdf(th, x))
+            return family.weighted_integrals(th, alpha).jvec, family.score(th, x), weights
+
+        jvec, u, weights = parts(theta)
+        terms = weights[:, None] * u
+        g, jac = _WeightedEquation(sample, family, alpha).estimating(theta, jacobian=True)
+        scale = max(np.abs(jvec).max(), np.abs(terms).sum(axis=0).max())
+        np.testing.assert_allclose(g, jvec - terms.sum(axis=0), rtol=1e-12, atol=1e-12 * scale)
+
+        # J = d jvec / d theta - sum_i mass_i f_i^alpha (grad u_i + alpha u_i u_i^T),
+        # the theta-derivatives by central differences of the public pieces
+        d_jvec, d_u = [], []
+        for j, h in enumerate(1e-6 * theta):
+            up, down = theta.copy(), theta.copy()
+            up[j] += h
+            down[j] -= h
+            (j_up, u_up, _), (j_down, u_down, _) = parts(up), parts(down)
+            d_jvec.append((j_up - j_down) / (2.0 * h))
+            d_u.append((u_up - u_down) / (2.0 * h))
+        expected = (
+            np.column_stack(d_jvec)
+            - np.einsum("i,jik->kj", weights, np.array(d_u))
+            - alpha * (u.T * weights) @ u
+        )
+        np.testing.assert_allclose(jac, expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max())
 
 
 class TestSolver:
@@ -203,16 +255,15 @@ class TestSolver:
         # a trajectory that halves |g| at every step is not stalled, but one
         # that moves eta by 4 per step passes the drift bound at step 6
         eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0)
-        eta, _, iters, ok = _solve(
-            eq, np.zeros(1), 1e-8, 200, lambda eta, norm_g: (eta + 4.0, 0.5 * norm_g), stall=True
-        )
+        step = lambda at: at._replace(eta=(at.eta[0] + 4.0,), norm=0.5 * at.norm)
+        eta, _, iters, ok = _solve(eq, np.zeros(1), 1e-8, 200, step, stall=True)
         assert not ok
         assert iters == 6 and eta[0] > _MAX_LOG_DRIFT
 
     def test_stall_stop_only_where_asked(self, exp_sample):
         # |g| falling by 10 % per step, which is 0.59 over five steps
         eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0)
-        crawl = lambda eta, norm_g: (eta + 0.01, 0.9 * norm_g)
+        crawl = lambda at: at._replace(eta=(at.eta[0] + 0.01,), norm=0.9 * at.norm)
         _, _, iters, ok = _solve(eq, np.zeros(1), 1e-300, 100, crawl, stall=True)
         assert not ok and iters == _STALL_STEPS
         # without the stall stop (descent) the same crawl runs to max_iter
@@ -231,8 +282,9 @@ class TestSolver:
         for eta in itertools.product((-800.0, -40.0, 0.0, 40.0, 800.0), repeat=p):
             eta = np.array(eta)
             with np.errstate(all="ignore"):  # as fit() sets for its solve
-                g = eq.estimating_log(eta)
-                g_j, jac = eq.estimating_log(eta, jacobian=True)
+                at = eq.point(eta)
+                g = g_j = np.array(at.g)
+                jac = np.array(at.jac)
                 value = eq.objective_log(eta)
                 mass = eq.data_mass(eta)
             assert g.shape == g_j.shape == (p,) and jac.shape == (p, p)
@@ -261,6 +313,36 @@ class TestSolver:
         np.testing.assert_allclose(result.theta_hat, [2.29417, 1.63180], atol=1e-5)
         oracle = objective_minimum(sample, 0.0, (1e-2, 1e3), (0.05, 20.0))
         np.testing.assert_allclose(result.theta_hat, oracle, rtol=1e-6)
+
+
+    def test_no_trajectory_evaluates_a_point_twice(self, monkeypatch):
+        # replication 213 of the contaminated workload at alpha = 0 (see
+        # test_descent_fallback_after_failed_newton) takes both trajectories;
+        # every family evaluation is recorded under the trajectory making it
+        sample = simulate(contaminated_design(502419184), 100, replication=0)
+        trajectories = []
+
+        def recorded(solver):
+            def run(*args):
+                trajectories.append([])
+                return solver(*args)
+
+            return run
+
+        for name in ("_newton", "_descent"):
+            monkeypatch.setattr(estimator, name, recorded(getattr(estimator, name)))
+        fused = type(WEIBULL)._equation
+
+        def equation(self, theta, *args):
+            trajectories[-1].append(tuple(np.log(theta)))
+            return fused(self, theta, *args)
+
+        monkeypatch.setattr(type(WEIBULL), "_equation", equation)
+        result = fit(sample, WEIBULL, FitConfig(alpha=0.0))
+        assert result.converged and result.message == "descent"
+        assert len(trajectories) >= 2 and all(len(etas) > 1 for etas in trajectories)
+        for etas in trajectories:
+            assert len(set(etas)) == len(etas)
 
 
 class TestFit:
@@ -333,6 +415,14 @@ class TestFitGrid:
         single = fit(exp_sample, EXPONENTIAL, FitConfig(alpha=0.0))
         grid = fit_grid(exp_sample, EXPONENTIAL, [0.0])
         assert grid[0].theta_hat[0] == pytest.approx(single.theta_hat[0], abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_alpha_rejected_up_front(self, exp_sample, monkeypatch, bad):
+        fits = []
+        monkeypatch.setattr(estimator, "fit", lambda *args: fits.append(args))
+        with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+            fit_grid(exp_sample, EXPONENTIAL, [0.0, bad])
+        assert fits == []
 
     def test_warm_equals_cold(self, weibull_censored):
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -469,3 +559,8 @@ class TestFitConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             FitConfig(alpha=-0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_alpha_rejected(self, bad):
+        with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+            FitConfig(alpha=bad)

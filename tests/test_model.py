@@ -139,6 +139,14 @@ class TestMdpdePsi:
             expected = -family.score(theta, x)
         np.testing.assert_array_equal(mdpde_psi(family, theta, alpha, x), expected)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    def test_alpha_must_be_finite_and_nonnegative(self, bad):
+        for family, theta in ((EXPONENTIAL, [2.0]), (WEIBULL, [2.0, 5.0])):
+            with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+                family.weighted_integrals(theta, bad)
+            with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+                mdpde_psi(family, theta, bad, [1.0])
+
     def test_validates_inputs(self):
         with pytest.raises(ValueError, match="alpha"):
             mdpde_psi(EXPONENTIAL, [1.0], -0.1, [1.0])

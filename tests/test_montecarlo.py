@@ -49,6 +49,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="ascending"):
             small_spec(alpha_grid=(0.5, 0.0))
 
+    @pytest.mark.parametrize("grid", [(np.nan,), (0.0, np.nan), (0.0, np.inf)])
+    def test_rejects_nonfinite_alpha(self, grid):
+        with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+            small_spec(alpha_grid=grid)
+
     def test_rejects_missing_hypotheses(self):
         with pytest.raises(ValueError, match="hypothesis"):
             small_spec(hypotheses=())
