@@ -304,10 +304,6 @@ def mdpde_objective(sample: CensoredSample, family: ParametricFamily, theta, alp
     return _WeightedEquation(sample, family, alpha).objective(theta)
 
 
-def _finite(rows) -> bool:
-    return all(math.isfinite(v) for row in rows for v in row)
-
-
 def _solve(
     eq: _WeightedEquation, eta0, tol: float, max_iter: int, step,
     stall: bool = False,
@@ -353,17 +349,10 @@ def _capped(step) -> tuple:
 
 
 def _newton_direction(jac, g):
-    """Capped Newton step -J^-1 g on floats, by Cramer's rule for the shipped
-    p <= 2; None when J is not finite or singular."""
-    if len(g) == 1:
-        det, step = jac[0][0], (-g[0],)
-    else:
-        (a, b), (c, d) = jac
-        det, step = a * d - b * c, (b * g[1] - d * g[0], c * g[0] - a * g[1])
-    if not (_finite(jac) and det != 0.0):
-        return None
-    step = tuple(v / det for v in step)
-    return _capped(step) if _finite((step,)) else None
+    """Capped Newton step -J^-1 g on floats by varest's Cramer solve (the
+    shipped p <= 2); None when J is not finite or singular."""
+    step = varest._small_solve(jac, tuple(-v for v in g))
+    return None if step is None else _capped(step)
 
 
 def _newton(eq: _WeightedEquation, eta0, tol: float, max_iter: int):
@@ -408,7 +397,7 @@ def _descent(eq: _WeightedEquation, eta0, tol: float, max_iter: int):
 
     def step(at):
         nonlocal value
-        if not (math.isfinite(value) and _finite(at.jac)):
+        if not (math.isfinite(value) and varest._finite(at.jac)):
             return None
         theta = np.exp(at.eta)
         grad = theta * at.g

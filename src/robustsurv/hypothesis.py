@@ -10,6 +10,7 @@ reserved for the divergence tuning parameter.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -18,6 +19,7 @@ import numpy as np
 from scipy import special
 
 from .estimator import FitResult
+from .varest import _small_cond, _small_congruence, _small_solve
 
 __all__ = [
     "Restriction",
@@ -175,9 +177,6 @@ class TestReport:
     description: str
     diagnostics: dict = field(default_factory=dict)
 
-    def reject(self, level: float) -> bool:
-        return self.p_value < level
-
     def to_dict(self) -> dict:
         out = {
             "hypothesis": self.description,
@@ -205,20 +204,22 @@ class TestReport:
 def wald_statistic(fit: FitResult, restriction: Restriction) -> TestReport:
     """n m(theta_hat)^T [M^T Sigma_hat M]^{-1} m(theta_hat) with p-value from
     chi-square_r; reduces exactly to n (theta_hat - theta0)^T Sigma_hat^{-1}
-    (theta_hat - theta0) for the simple restriction."""
+    (theta_hat - theta0) for the simple restriction.  The r x r algebra runs
+    on floats (varest's Cramer solve); cond above 1e12 raises LinAlgError."""
     if not fit.converged:
         raise ValueError("Wald test requires a converged fit")
     theta = fit.theta_hat
     restriction.validate_at(theta)
-    m = restriction.m(theta)
-    jac = restriction.jacobian(theta)
-    inner = jac.T @ fit.sigma_hat @ jac
-    inner_cond = float(np.linalg.cond(inner))
-    if not np.isfinite(inner_cond) or inner_cond > 1e12:
+    m = np.asarray(restriction.m(theta), dtype=float).tolist()
+    jac = np.asarray(restriction.jacobian(theta), dtype=float).tolist()
+    inner = _small_congruence(list(zip(*jac)), fit.sigma_hat.tolist())
+    inner_cond = _small_cond(inner)
+    if not inner_cond <= 1e12:
         raise np.linalg.LinAlgError(
             f"M^T Sigma M is numerically singular (cond={inner_cond:.3g})"
         )
-    statistic = float(fit.n * (m @ np.linalg.solve(inner, m)))
+    solved = _small_solve(inner, m)
+    statistic = fit.n * sum(map(operator.mul, m, solved)) if solved is not None else np.nan
     diagnostics = {
         "lambda_cond": fit.lambda_cond,
         "inner_cond": inner_cond,

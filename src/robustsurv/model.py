@@ -60,13 +60,6 @@ def validate_alpha(alpha) -> float:
     return alpha
 
 
-def _as_theta(theta) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError("theta must be a 1-D parameter vector")
-    return arr
-
-
 class ParametricFamily:
     """A positive lifetime model with density, score and weighted integrals.
 
@@ -83,18 +76,20 @@ class ParametricFamily:
         return len(self.param_names)
 
     def validate(self, theta) -> np.ndarray:
-        theta = _as_theta(theta)
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        if theta.ndim != 1:
+            raise ValueError("theta must be a 1-D parameter vector")
         if theta.shape[0] != self.dim:
             raise ValueError(
                 f"{self.family_id} expects {self.dim} parameter(s), got {theta.shape[0]}"
             )
-        if not np.all(np.isfinite(theta)) or np.any(theta <= 0.0):
+        if not all(math.isfinite(v) and v > 0.0 for v in theta.tolist()):
             raise ValueError(f"invalid {self.family_id} parameter {theta!r}")
         return theta
 
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
+        if not (np.isfinite(x).all() and (x > 0.0).all()):
             raise ValueError("evaluation points must be positive and finite")
         return x
 
@@ -120,13 +115,12 @@ class ParametricFamily:
         raise NotImplementedError
 
     # The closed forms below take theta as a sequence of p scalars and do
-    # their scalar arithmetic in the type they are given.  The solver passes
-    # Python floats (theta.tolist()), whose arithmetic costs a fraction of
-    # numpy scalars' but raises ArithmeticError (OverflowError,
-    # ZeroDivisionError) where numpy returns inf or NaN; the solver counts
-    # those as rejected trial points.
-    # The public methods pass the validated array, whose numpy scalars keep
-    # numpy's overflow semantics.
+    # their scalar arithmetic in the type they are given.  The solver and the
+    # public integrals pass Python floats (theta.tolist()), whose arithmetic
+    # costs a fraction of numpy scalars' but raises ArithmeticError
+    # (OverflowError, ZeroDivisionError) where numpy returns inf or NaN; the
+    # solver counts those as rejected trial points, and _float_integrals
+    # turns them into ValueError.
     def _pointwise(self, theta, x: np.ndarray, order: int):
         """(log f, u) at x from one pass, for theta and x already validated;
         u (shape (..., p)) is None at order 0.  The public log f, score and
@@ -146,14 +140,19 @@ class ParametricFamily:
         rows, as Python floats for a Python-float theta."""
         raise NotImplementedError
 
+    def _float_integrals(self, theta: np.ndarray, alpha: float, jacobian: bool):
+        """_integrals on the floats of a validated theta; an ArithmeticError
+        there is raised as a ValueError chained to it."""
+        try:
+            return self._integrals(theta.tolist(), alpha, jacobian)
+        except ArithmeticError as exc:
+            raise ValueError(f"weighted integrals overflow at theta={theta.tolist()}") from exc
+
     def _validated_integrals(self, theta, alpha: float) -> WeightedIntegrals:
-        xi, jvec, kmat, _ = self._integrals(self.validate(theta), validate_alpha(alpha), True)
-        return WeightedIntegrals(float(xi), np.array(jvec), np.array(kmat))
+        xi, jvec, kmat, _ = self._float_integrals(self.validate(theta), validate_alpha(alpha), True)
+        return WeightedIntegrals(xi, np.array(jvec), np.array(kmat))
 
     # -- generic paths ----------------------------------------------------
-    def pdf(self, theta, x) -> np.ndarray:
-        return np.exp(self.logpdf(theta, x))
-
     def sf(self, theta, x) -> np.ndarray:
         return 1.0 - self.cdf(theta, x)
 
@@ -393,7 +392,7 @@ def mdpde_psi(family: ParametricFamily, theta, alpha: float, x) -> np.ndarray:
     if alpha == 0.0:
         out = -u
     else:
-        jvec = np.array(family._integrals(theta, alpha, False)[1])
+        jvec = np.array(family._float_integrals(theta, alpha, False)[1])
         out = jvec - u * np.exp(alpha * logf)[:, None]
     return out[0] if scalar else out
 
@@ -403,9 +402,15 @@ def lambda_model(family: ParametricFamily, theta, alpha: float) -> np.ndarray:
 
     Differentiating psi_alpha under the model integral collapses to the
     alpha-weighted information matrix kmat(theta): the grad-u terms from the
-    two pieces of psi cancel and (1+alpha) kmat - alpha kmat remains.
+    two pieces of psi cancel and (1+alpha) kmat - alpha kmat remains.  An
+    overflow in the closed forms or a non-finite matrix raises ValueError.
     """
-    lam = family.weighted_integrals(theta, alpha).kmat
-    if not np.all(np.isfinite(lam)):
+    try:
+        lam = family.weighted_integrals(theta, alpha).kmat
+    except ValueError as exc:
+        if not isinstance(exc.__cause__, ArithmeticError):
+            raise
+        lam = None
+    if lam is None or not all(math.isfinite(v) for v in lam.ravel().tolist()):
         raise ValueError("sensitivity matrix has non-finite entries")
     return lam

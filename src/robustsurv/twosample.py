@@ -158,9 +158,6 @@ class TwoSampleReport:
     sigma_tilde: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    def reject(self, level: float) -> bool:
-        return self.p_value < level
-
     def to_dict(self) -> dict:
         out = {
             "hypothesis": self.description,

@@ -8,8 +8,12 @@ ordered observations those plug-ins collapse to explicit order-statistic sums
 (gamma0/gamma below, prefix/suffix accumulations for the phi-weighted ones),
 which makes the whole estimate O(n log n): one sort plus linear passes.
 gamma0 and gamma depend on the sample alone, so they are built once per
-sample and shared by every fit, alpha and psi on it; only the phi-weighted
-passes are redone for each psi.
+sample and shared by every fit, alpha and psi on it, with the (n, 1)
+coefficient columns delta gamma0, gamma and (1 - delta)/(n - i + 1) - gamma/n;
+each psi takes one suffix and one prefix accumulation, and U_hat is a linear
+combination of them.  The sandwich is p x p with p <= 2, assembled on Python
+floats by a Cramer solve and a closed-form condition number that the Newton
+step and the Wald test share.
 
 All accumulations follow the canonical ordering (events precede censorings at
 ties); that ordering is the only point where the tie rule touches numerics.
@@ -17,6 +21,8 @@ ties); that ordering is the only point where the tie rule touches numerics.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,15 +50,19 @@ class SingularSensitivityError(np.linalg.LinAlgError):
 class GammaTables:
     """gamma-hat quantities evaluated at the ordered observations.
 
-    gamma0 and gamma are plain read-only arrays; the phi-weighted
-    gamma1/gamma2 are computed on demand from phi evaluated at the ordered
-    observations, one column per psi component when phi is (n, p).
+    gamma0 and gamma are plain read-only arrays, the others the read-only
+    (n, 1) columns of the module docstring; the phi-weighted gamma1/gamma2
+    are computed on demand from phi evaluated at the ordered observations,
+    one column per psi component when phi is (n, p).
     """
 
     z: np.ndarray
     delta: np.ndarray
     gamma0: np.ndarray
     gamma: np.ndarray
+    event_gamma0: np.ndarray
+    gamma_column: np.ndarray  # gamma[:, None]
+    u_coef: np.ndarray
 
     @property
     def n(self) -> int:
@@ -64,29 +74,27 @@ class GammaTables:
             raise ValueError("phi values must align with the ordered sample")
         return values
 
-    def _gamma12(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma1, gamma2) of phi values; the accumulations run down axis 0,
-        so every column gets the same bits as it would on its own."""
-        col = (slice(None),) + (None,) * (values.ndim - 1)
-        n = self.n
-        events = (self.delta == 1)[col] * values * self.gamma0[col]
-        # suffix[i] = sum_{j > i} events[j]  (0-based i)
+    def _sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n, p) columns events = delta phi gamma0, suffix[i] = sum_{j > i}
+        events[j] and prefix[i] = sum_{j <= i} events[j] gamma(Z_j) (0-based
+        i), accumulated down axis 0: every column gets the bits of its own pass."""
+        events = values.reshape(self.n, -1) * self.event_gamma0
         suffix = np.zeros_like(events)
         suffix[:-1] = np.cumsum(events[::-1], axis=0)[::-1][1:]
-        prefix = np.cumsum(events * self.gamma[col], axis=0)  # sum_{j <= i} with gamma(Z_j)
-        gamma1 = suffix / (n - np.arange(n))[col]
-        gamma2 = (prefix + self.gamma[col] * suffix) / n
-        return gamma1, gamma2
+        return events, suffix, np.cumsum(events * self.gamma_column, axis=0)
 
     def gamma1(self, phi) -> np.ndarray:
         """gamma1_hat(Z_(i); phi) = sum_{j>i} delta_j phi(Z_j) gamma0(Z_j) / (n - i + 1),
         a suffix sum over later events scaled by the number at risk."""
-        return self._gamma12(self._phi_values(phi))[0]
+        values = self._phi_values(phi)
+        return (self._sums(values)[1] / (self.n - np.arange(self.n))[:, None]).reshape(values.shape)
 
     def gamma2(self, phi) -> np.ndarray:
         """gamma2_hat(Z_(i); phi) = (1/n) sum_j delta_j phi(Z_j) gamma0(Z_j) gamma(Z_(min(i,j))),
         evaluated as a prefix sum over j <= i plus gamma(Z_(i)) times a suffix sum."""
-        return self._gamma12(self._phi_values(phi))[1]
+        values = self._phi_values(phi)
+        _, suffix, prefix = self._sums(values)
+        return ((prefix + self.gamma_column * suffix) / self.n).reshape(values.shape)
 
 
 def gamma_tables(sample: CensoredSample) -> GammaTables:
@@ -94,9 +102,9 @@ def gamma_tables(sample: CensoredSample) -> GammaTables:
 
     gamma0(Z_(i)) = exp(sum_{j<i} I(delta_j=0)/(n-j)) and
     gamma(Z_(i)) = sum_{j<i} n I(delta_j=0)/(n-j)^2, with empty sums at i=1;
-    denominators never vanish because j runs to i-1 <= n-1.  They depend on
-    the sample alone: built on the first call for a sample, shared read-only
-    afterwards.
+    denominators never vanish because j runs to i-1 <= n-1.  They and the
+    coefficient columns depend on the sample alone: built on the first call
+    for a sample, shared read-only afterwards.
     """
     return sample._memo("gamma_tables", _gamma_tables)
 
@@ -109,9 +117,11 @@ def _gamma_tables(sample: CensoredSample) -> GammaTables:
     incg = np.where(j < n, n * censored / np.maximum(n - j, 1.0) ** 2, 0.0)
     gamma0 = np.exp(np.concatenate(([0.0], np.cumsum(inc0[:-1]))))
     gamma = np.concatenate(([0.0], np.cumsum(incg[:-1])))
-    gamma0.setflags(write=False)
-    gamma.setflags(write=False)
-    return GammaTables(z=sample.z, delta=sample.delta, gamma0=gamma0, gamma=gamma)
+    event_gamma0 = ((1.0 - censored) * gamma0)[:, None]
+    u_coef = (censored / (n - j + 1.0) - gamma / n)[:, None]
+    for arr in (gamma0, gamma, event_gamma0, u_coef):
+        arr.setflags(write=False)
+    return GammaTables(sample.z, sample.delta, gamma0, gamma, event_gamma0, gamma[:, None], u_coef)
 
 
 def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray], np.ndarray], theta=None) -> np.ndarray:
@@ -128,15 +138,13 @@ def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray], np.ndarray], theta
     tables = gamma_tables(sample)
     values = psi(sample.z) if theta is None else psi(sample.z, theta)
     values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
     if values.shape[0] != sample.n:
         raise ValueError("psi must return one row per ordered observation")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("psi evaluated to non-finite values on the sample")
-    delta = tables.delta.astype(float)[:, None]
-    gamma1, gamma2 = tables._gamma12(values)
-    return values * tables.gamma0[:, None] * delta + gamma1 * (1.0 - delta) - gamma2
+    # gamma1 (1 - delta) - gamma2 = u_coef suffix - prefix / n
+    events, suffix, prefix = tables._sums(values)
+    return events + tables.u_coef * suffix - prefix / sample.n
 
 
 def c_hat(sample: CensoredSample, psi: Callable[[np.ndarray], np.ndarray], theta=None) -> np.ndarray:
@@ -145,22 +153,62 @@ def c_hat(sample: CensoredSample, psi: Callable[[np.ndarray], np.ndarray], theta
     return u.T @ u / sample.n
 
 
-def sigma_hat(lambda_mat: np.ndarray, c_mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Sandwich Lambda^{-1} C Lambda^{-1}, symmetrized against roundoff.
+def _finite(rows) -> bool:
+    return all(math.isfinite(v) for row in rows for v in row)
 
-    Returns (sigma, condition number of Lambda); raises
-    :class:`SingularSensitivityError` when Lambda is not invertible.
-    """
-    lambda_mat = np.asarray(lambda_mat, dtype=float)
-    c_mat = np.asarray(c_mat, dtype=float)
-    cond = float(np.linalg.cond(lambda_mat))
-    if not np.isfinite(cond) or cond > 1e12:
+
+def _small_solve(mat, rhs):
+    """x with mat x = rhs on Python floats (mat by rows, p <= 2), by Cramer's
+    rule; None when mat is not finite or singular or x is not finite."""
+    if len(rhs) == 1:
+        det, x = mat[0][0], (rhs[0],)
+    else:
+        (a, b), (c, d) = mat
+        det, x = a * d - b * c, (d * rhs[0] - b * rhs[1], a * rhs[1] - c * rhs[0])
+    if not (_finite(mat) and det != 0.0):
+        return None
+    x = tuple([v / det for v in x])
+    return x if all(map(math.isfinite, x)) else None
+
+
+def _small_congruence(a, b) -> list:
+    """a b a^T on Python floats, matrices as lists of rows, as (a b) a^T."""
+    left = [[sum(map(operator.mul, row, col)) for col in zip(*b)] for row in a]
+    return [[sum(map(operator.mul, row, other)) for other in a] for row in left]
+
+
+def _small_cond(mat) -> float:
+    """2-norm condition number of a 1 x 1 or 2 x 2 matrix of Python floats
+    (by rows), s_max^2 / |det| with s_max = (|(a + d, b - c)| + |(a - d, b +
+    c)|) / 2; inf unless 0 < |det| < inf (so for any non-finite entry)."""
+    if len(mat) == 1:
+        return 1.0 if 0.0 < abs(mat[0][0]) < math.inf else math.inf
+    (a, b), (c, d) = mat
+    det = abs(a * d - b * c)
+    s_max = 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
+    return s_max * (s_max / det) if 0.0 < det < math.inf else math.inf
+
+
+def sigma_hat(lambda_mat: np.ndarray, c_mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Sandwich Lambda^{-1} C Lambda^{-T} for p <= 2, symmetrized against
+    roundoff, on Python floats (Lambda^{-1} by Cramer solves of the unit
+    vectors).  Returns (sigma, 2-norm condition number of Lambda); raises
+    :class:`SingularSensitivityError` when Lambda is not invertible (cond
+    above 1e12) and ValueError for matrices larger than 2 x 2."""
+    lam = np.asarray(lambda_mat, dtype=float)
+    c = np.asarray(c_mat, dtype=float)
+    if lam.shape not in ((1, 1), (2, 2)) or c.shape != lam.shape:
+        raise ValueError(f"sigma_hat takes p x p matrices with p <= 2, got {lam.shape} and {c.shape}")
+    lam, c = lam.tolist(), c.tolist()
+    cond = _small_cond(lam)
+    if not cond <= 1e12:
         raise SingularSensitivityError(
             f"sensitivity matrix is singular at theta_hat (cond={cond:.3g})"
         )
-    inv = np.linalg.inv(lambda_mat)
-    sigma = inv @ c_mat @ inv.T
-    return 0.5 * (sigma + sigma.T), cond
+    columns = [_small_solve(lam, unit) for unit in np.eye(len(lam)).tolist()]
+    sigma = _small_congruence(list(zip(*columns)), c)
+    p = range(len(lam))
+    return np.array([[0.5 * (sigma[i][j] + sigma[j][i]) for j in p] for i in p]), cond
 
 
 @dataclass(frozen=True)

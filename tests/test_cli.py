@@ -291,6 +291,15 @@ class TestErrorPaths:
         assert "error: alpha must be finite and nonnegative" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
+    def test_overflowing_theta_writes_nothing(self, outdir, capsys):
+        code = main([
+            "influence", "--family", "weibull", "--theta", "1e-300,2",
+            "--hypothesis", "shape=2", "--out", str(outdir),
+        ])
+        assert code == 2
+        assert "error: sensitivity matrix has non-finite entries" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_bad_grid(self, outdir, capsys):
         code = main([
             "fit", "veteran", "--alpha-grid", "1:0:0.1", "--out", str(outdir)

@@ -3,12 +3,16 @@ import pytest
 from scipy import integrate, stats
 
 from robustsurv import (
+    FamilySpec,
     FitConfig,
     FunctionRestriction,
     LinearRestriction,
+    SyntheticDesign,
     WEIBULL,
     contiguous_power,
     fit,
+    fit_grid,
+    lambda_model,
     noncentral_chi2_sf,
     power_approx,
     simulate,
@@ -136,6 +140,57 @@ class TestWaldStatistic:
         row = report.to_dict()
         assert row["df"] == 2 and 0.0 <= row["p_value"] <= 1.0
         assert "lambda_cond" in row and "statistic" in report.summary().lower()
+
+
+def contaminated_sample(seed, k):
+    """Replication k of the contaminated level/power design (Weibull(2, 5),
+    10% censoring, 5% Exp(5) contamination, n = 100) under master seed seed."""
+    design = SyntheticDesign(
+        lifetime=FamilySpec("weibull", (2.0, 5.0)),
+        censoring_mean=17.4,
+        contamination_fraction=0.05,
+        contamination=FamilySpec("exp", (5.0,)),
+        seed=int(np.random.SeedSequence([seed, k]).generate_state(1)[0]),
+    )
+    return simulate(design, 100, replication=0)
+
+
+class TestAgainstNumpyAssembly:
+    """Sigma_hat, lambda_cond and the Wald p-values, assembled on floats,
+    against np.linalg.inv / cond / solve on the fit's own Lambda_hat and
+    C_hat, to 1e-12."""
+
+    hypotheses = (
+        LinearRestriction.simple((2.0, 5.0)),
+        LinearRestriction.component(1, 5.0, 2),
+        LinearRestriction.component(1, 1.0, 2),
+    )
+
+    def check(self, fr):
+        assert fr.converged
+        lam = lambda_model(WEIBULL, fr.theta_hat, fr.alpha)
+        np.testing.assert_array_equal(fr.lambda_hat, lam)
+        inv = np.linalg.inv(lam)
+        sigma = inv @ fr.c_hat @ inv.T
+        sigma = 0.5 * (sigma + sigma.T)
+        np.testing.assert_allclose(fr.sigma_hat, sigma, rtol=0, atol=1e-12 * np.abs(sigma).max())
+        assert fr.lambda_cond == pytest.approx(np.linalg.cond(lam), rel=1e-12)
+        for restriction in self.hypotheses:
+            m = restriction.m(fr.theta_hat)
+            jac = restriction.jacobian(fr.theta_hat)
+            statistic = fr.n * m @ np.linalg.solve(jac.T @ sigma @ jac, m)
+            got = wald_statistic(fr, restriction).p_value
+            assert got == pytest.approx(chi2_sf(restriction.r, statistic), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("arm", ["A", "B"])
+    def test_veteran_arms(self, veteran, arm):
+        for fr in fit_grid(veteran[arm], WEIBULL, np.linspace(0.0, 1.0, 11)):
+            self.check(fr)
+
+    def test_contaminated_replications(self):
+        for k in range(50):
+            for fr in fit_grid(contaminated_sample(7, k), WEIBULL, (0.0, 0.5)):
+                self.check(fr)
 
 
 class TestPowerApprox:

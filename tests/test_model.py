@@ -194,6 +194,14 @@ class TestLambdaModel:
     def test_alpha_zero_unit_theta(self):
         assert lambda_model(EXPONENTIAL, [1.0], 0.0)[0, 0] == pytest.approx(1.0)
 
+    def test_overflow_is_a_value_error(self):
+        # the closed forms run on Python floats, which raise OverflowError
+        # where numpy returned inf; the public surface keeps raising ValueError
+        with pytest.raises(ValueError, match="sensitivity matrix has non-finite entries"):
+            lambda_model(WEIBULL, (1e-300, 2.0), 0.5)
+        with pytest.raises(ValueError, match="overflow"):
+            WEIBULL.weighted_integrals((1e-300, 2.0), 0.5)
+
     @pytest.mark.parametrize("theta,alpha", [((2.0, 5.0), 0.5), ((1.5, 1.2), 0.0), ((3.0, 2.0), 1.0)])
     def test_weibull_matches_fd_of_model_average(self, theta, alpha):
         theta = np.asarray(theta, dtype=float)

@@ -20,6 +20,7 @@ from robustsurv import (
     simulate,
     u_hat,
 )
+from robustsurv.varest import _small_cond, _small_solve
 
 E = np.e
 
@@ -230,3 +231,74 @@ class TestSigmaHat:
         expected = np.linalg.inv(lam) @ classical_c @ np.linalg.inv(lam)
         np.testing.assert_allclose(result.sigma_hat, expected, rtol=1e-12)
         np.testing.assert_allclose(result.c_hat, classical_c, rtol=1e-12)
+
+
+def rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+def conditioned(kappa, angles, symmetric, scale, sign):
+    """2 x 2 matrix with singular values scale and scale / kappa (the smaller
+    one signed by ``sign``), symmetric when both rotations are the same."""
+    left = rotation(angles[0])
+    right = left if symmetric else rotation(angles[1])
+    return scale * left @ np.diag([1.0, sign / kappa]) @ right.T
+
+
+class TestSmallMatrixHelper:
+    """varest's Cramer solve and condition number against numpy.  Both are
+    backward stable, so on a matrix rounded to doubles they agree to about
+    eps * cond relative and no closer: the bound is 1e-9 up to cond ~5e5 and
+    8 eps cond beyond."""
+
+    @given(
+        st.floats(0.0, 10.0),
+        st.tuples(st.floats(0.0, 6.3), st.floats(0.0, 6.3)),
+        st.booleans(),
+        st.integers(-40, 40),
+        st.sampled_from([1.0, -1.0]),
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda b: max(map(abs, b)) > 1e-3),
+    )
+    def test_two_by_two_matches_numpy(self, log_kappa, angles, symmetric, exponent, sign, rhs):
+        mat = conditioned(10.0**log_kappa, angles, symmetric, 2.0**exponent, sign)
+        rows = mat.tolist()
+        expected_cond = np.linalg.cond(mat)
+        rtol = max(1e-9, 8 * np.finfo(float).eps * expected_cond)
+        assert _small_cond(rows) == pytest.approx(expected_cond, rel=rtol)
+        expected = np.linalg.solve(mat, rhs)
+        got = np.array(_small_solve(rows, rhs))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=rtol * np.abs(expected).max())
+
+    @given(st.floats(1e-300, 1e300), st.sampled_from([1.0, -1.0]), st.floats(-1e3, 1e3))
+    def test_one_by_one_matches_numpy(self, value, sign, rhs):
+        rows = [[sign * value]]
+        assert _small_cond(rows) == np.linalg.cond(np.array(rows)) == 1.0
+        assert _small_solve(rows, (rhs,))[0] == np.linalg.solve(np.array(rows), [rhs])[0]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0.0]], [[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]], [[np.nan]],
+         [[1.0, np.inf], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]],
+    )
+    def test_singular_or_nonfinite(self, rows):
+        assert _small_cond(rows) == np.inf
+        assert _small_solve(rows, (1.0,) * len(rows)) is None
+
+    @pytest.mark.parametrize("kappa", [1e11, 1e13])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_same_side_of_the_singularity_bound(self, kappa, symmetric):
+        mat = conditioned(kappa, (0.3, 1.1), symmetric, 3.0, 1.0)
+        assert (_small_cond(mat.tolist()) > 1e12) == (np.linalg.cond(mat) > 1e12)
+
+
+class TestSandwichBounds:
+    def test_only_up_to_two_by_two(self):
+        with pytest.raises(ValueError, match="p <= 2"):
+            sigma_hat(np.eye(3), np.eye(3))
+
+    def test_bound_at_the_singularity_threshold(self):
+        # cond 1e11 passes and reports numpy's condition number; 1e13 raises
+        ok = conditioned(1e11, (0.3, 1.1), True, 1.0, 1.0)
+        assert sigma_hat(ok, np.eye(2))[1] == pytest.approx(np.linalg.cond(ok), rel=1e-3)
+        with pytest.raises(SingularSensitivityError):
+            sigma_hat(conditioned(1e13, (0.3, 1.1), True, 1.0, 1.0), np.eye(2))
