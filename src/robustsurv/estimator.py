@@ -9,46 +9,51 @@ the weighted divergence objective.  alpha = 0 is the product-limit-weighted
 likelihood (the approximate MLE), not the censored-data MLE; the two coincide
 on uncensored data.
 
-Solver: damped Newton on the estimating equation in log-parameter space
-(positivity for free), a descent Newton on the objective when that fails,
-and a deterministic screen of four log-space offsets of the start so that
-among multiple roots the one with the smallest objective wins.  Both use the
-exact Jacobian
+Solver: one start and at most two trajectories from it, in log-parameter
+space (positivity for free), on the exact Jacobian
 
     J_theta = d jvec / d theta - sum_i w_i (grad u_i + alpha u_i u_i^T) f_i^alpha,
 
 with d jvec / d theta from the family's closed-form integrals (Basu, Harris,
 Hjort & Jones 1998, Biometrika 85:549, for the alpha-weighted information),
 and J_eta = J_theta diag(theta) in the log coordinates eta.  The family's
-fused pass gives (g, J) at a point at once, and no trajectory makes it twice
-at one point: the pass at an accepted trial point is the next step's.  The
-p x p step algebra runs on Python floats.
+fused pass, the solver's only evaluation, gives the objective H, g and J at
+a point at once; no trajectory makes it twice at one point, and the p x p
+step algebra runs on Python floats.
 
-The first trajectory, from the start, is residual Newton: it solves
-J_eta step = -g and accepts a step that lowers |g|.  Every later trajectory
-is descent Newton on the objective H, whose eta-gradient is
-(1 + alpha) theta * g and whose eta-Hessian is (1 + alpha) times
-diag(theta) J_theta diag(theta) + diag(theta * g).  The Hessian's
-eigenvalues are replaced by their absolute values, so each step points
-downhill on H, and the step is backtracked to an Armijo decrease of H.  At a
-root the diagonal term vanishes and the step is the Newton step.
+Residual Newton runs first: it solves J_eta step = -g and accepts a step
+that lowers |g|.  When it gives no root, descent Newton on H runs from the
+same start: the eta-Hessian of H, (1 + alpha) times diag(theta) J_theta
+diag(theta) + diag(theta * g), has its eigenvalues replaced by their
+absolute values, so each step points downhill, and the step is backtracked
+to an Armijo decrease of H (Nocedal & Wright, Numerical Optimization, 2nd
+ed., section 3.4).  At a root the diagonal term vanishes and the step is
+Newton's.
 
-Either trajectory that moves more than _MAX_LOG_DRIFT (e^20) from its own
-start in any log coordinate is running off to the parameter boundary (scale
-to infinity with shape collapsing) and is stopped as not converged.  The
-residual Newton trajectory is also stopped as not converged when it stalls:
-an accepted step that leaves |g| above half its value five accepted steps
-earlier (_STALL_RATIO, _STALL_STEPS).  Newton converges q-quadratically near
-a regular root, so such a trajectory is crawling towards the boundary, and
-the descent from the same start takes over sooner.  The descent has no stall
-stop, since an Armijo descent need not lower |g| steadily.
+Three rules keep the trajectories on genuine roots:
 
-FitResult.message names the path of the returned estimate: "newton" (the
-first trajectory), "descent" (the descent from the start after the first
-trajectory failed), "descent-restart" (a descent from a log-space offset of
-the start that found a root with a smaller objective).  "-degenerate" is
-appended to a root at which the density has vanished on every observation,
-and ": no root at tol ..." to any path that did not converge.
+* Feasible start: a Weibull start shape is raised to at least
+  1.5 alpha / (1 + alpha), above the alpha / (1 + alpha) where f^(1+alpha)
+  stops being integrable.
+* No root above its start: a trajectory has converged only if H at its end
+  is no higher than at its start (within _FLAT_REL), since the absolute
+  residual tolerance also holds as the scale runs off to infinity.
+* Explicit-start fallback: if neither trajectory finds a root from an
+  explicit FitConfig.start, the fit runs once more from the default start.
+
+A trajectory is stopped as not converged when it drifts more than
+_MAX_LOG_DRIFT (e^20) from its start in some log coordinate (a boundary
+runaway) and, for residual Newton only, when an accepted step leaves |g|
+above half its value five accepted steps earlier (_STALL_RATIO,
+_STALL_STEPS): Newton converges q-quadratically near a regular root, so the
+descent takes over sooner, while an Armijo descent need not lower |g|
+steadily.
+
+FitResult.message names the trajectory of the estimate, "newton" or
+"descent".  A converged end where the density has vanished on every
+observation is no root: Newton's hands over to the descent, and the
+descent's is tagged "descent-degenerate".  ": no root at tol 1e-08" is
+appended when no trajectory converged.
 """
 
 from __future__ import annotations
@@ -90,12 +95,8 @@ _MAX_HALVINGS = 15
 _ARMIJO = 1e-4
 # near a root the objective is flat to rounding: a descent trial point whose
 # objective rises by no more than this, relative, is accepted when it lowers
-# the residual norm
+# the residual norm, and a trajectory's root may lie this much above its start
 _FLAT_REL = 1e-13
-
-# deterministic log-space offsets tried as alternative starts
-_OFFSETS_1D = [(0.7,), (-0.7,), (1.4,), (-1.4,)]
-_OFFSETS_2D = [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5)]
 
 
 class UnidentifiableSampleError(ValueError):
@@ -106,9 +107,10 @@ class UnidentifiableSampleError(ValueError):
 @dataclass(frozen=True)
 class FitConfig:
     """Divergence tuning constant and optional solver start of one fit (a
-    warm-started alpha sweep passes each estimate on as the next start).
-    The residual tolerance 1e-8, the cap of 200 iterations per trajectory
-    and the four restart offsets are fixed (see the module docstring)."""
+    warm-started alpha sweep passes each estimate on as the next start; when
+    it gives no root, the fit retries from the default start).  The residual
+    tolerance 1e-8 and the cap of 200 iterations per trajectory are fixed
+    (see the module docstring)."""
 
     alpha: float = 0.0
     start: Sequence[float] | None = None
@@ -124,9 +126,9 @@ class FitResult:
     sigma_hat estimates the covariance of sqrt(n)(theta_hat - theta0); the
     per-estimate covariance is sigma_hat / n.  message names the solver path
     of the estimate (see the module docstring) or why the fit failed.
-    n_iter counts the iterations of every trajectory behind the returned
-    estimate: for "descent" that includes the failed first Newton trajectory
-    from the same start.
+    n_iter counts the iterations of every trajectory the fit ran: for
+    "descent" that includes the failed first Newton trajectory from the same
+    start, and after an explicit-start fallback both starts' trajectories.
     """
 
     family: ParametricFamily
@@ -210,8 +212,10 @@ class FitResult:
 
 
 class _Point(NamedTuple):
-    """A solver point eta with g, J_eta (by rows) and |g| there, as floats."""
+    """A solver point eta with the objective H (inf where it is not finite),
+    g, J_eta (by rows) and |g| there, as floats."""
     eta: tuple
+    value: float
     g: tuple
     jac: tuple
     norm: float
@@ -234,54 +238,43 @@ class _WeightedEquation:
         self.family = family
         self.alpha = alpha
 
+    def _pass(self, theta):
+        return self.family._equation([float(v) for v in theta], self.alpha, self.prepared, self.weights)
+
     def estimating(self, theta, jacobian: bool = False):
         """g(theta) or, with ``jacobian``, (g, J_theta): arrays of one pass."""
-        g, jac = self.family._equation(
-            [float(v) for v in theta], self.alpha, self.prepared, self.weights
-        )
+        _, g, jac = self._pass(theta)
         return (np.array(g), np.array(jac)) if jacobian else np.array(g)
 
     def objective(self, theta) -> float:
-        fam, alpha = self.family, self.alpha
-        logf = fam._pointwise(theta, self.points, 0)[0]
-        if alpha == 0.0:
-            value = -float(self.weights @ logf)
-        else:
-            xi = fam._integrals(theta, alpha, False)[0]
-            value = (
-                xi
-                - (1.0 + alpha) / alpha * float(self.weights @ np.exp(alpha * logf))
-                + 1.0 / alpha
-            )
+        """H(theta) from the fused pass; inf where it is not finite."""
+        try:
+            value = self._pass(theta)[0]
+        except ArithmeticError:
+            return math.inf
         return value if math.isfinite(value) else math.inf
 
-    # log-space views used by the solver.  They evaluate on Python floats, so
-    # a wild trial point whose closed forms overflow or divide by zero raises
-    # ArithmeticError, and one where f^(1+alpha) is not integrable raises
-    # ValueError; both come back as NaN/inf for the damping logic, as do
-    # numpy's overflows under the quiet floating-point state that fit() sets
-    # once for its whole solve
+    # the solver evaluates on Python floats, so a wild trial point whose
+    # closed forms overflow or divide by zero raises ArithmeticError, and one
+    # where f^(1+alpha) is not integrable raises ValueError; both come back
+    # as NaN/inf for the damping logic, as do numpy's overflows under the
+    # quiet floating-point state that fit() sets once for its whole solve
     def point(self, eta) -> _Point:
-        """The solver's one evaluation at theta = exp(eta): (g, J_eta) with
-        J_eta = J_theta diag(theta), from the family's fused pass."""
+        """The solver's one evaluation at theta = exp(eta): (H, g, J_eta)
+        with J_eta = J_theta diag(theta), from the family's fused pass."""
         theta = np.exp(eta).tolist()
         try:
-            g, jac = self.family._equation(theta, self.alpha, self.prepared, self.weights)
+            value, g, jac = self._pass(theta)
         except (ArithmeticError, ValueError):
             nan = (math.nan,) * len(theta)
-            return _Point(eta, nan, (nan,) * len(theta), math.inf)
+            return _Point(eta, math.inf, nan, (nan,) * len(theta), math.inf)
         jac = tuple(tuple(d * th for d, th in zip(row, theta)) for row in jac)
-        # |g|, inf where it is not finite or overflows
         norm = math.sqrt(sum(v * v for v in g))
-        return _Point(eta, g, jac, norm if math.isfinite(norm) else math.inf)
+        # H and |g|, inf where they are not finite or overflow
+        value, norm = (v if math.isfinite(v) else math.inf for v in (value, norm))
+        return _Point(eta, value, g, jac, norm)
 
-    def objective_log(self, eta: np.ndarray) -> float:
-        try:
-            return self.objective(np.exp(eta).tolist())
-        except (ArithmeticError, ValueError):
-            return math.inf
-
-    def data_mass(self, eta: np.ndarray) -> float:
+    def data_mass(self, eta) -> float:
         """Weighted mean of f^alpha over the sample; a genuine root keeps it
         well away from zero, while boundary runaways (density collapsing to
         zero on all observations, making the equation trivially zero) do not.
@@ -312,26 +305,30 @@ def _solve(
     |g| is within tol.
 
     ``step`` returns the accepted next :class:`_Point`, with its pass, or
-    None when it cannot move.  Returns (eta, residual norm, iterations,
-    converged).  A non-finite residual at eta0, a step that cannot move, and
-    a drift beyond _MAX_LOG_DRIFT from eta0 all end the trajectory as not
-    converged; with ``stall``, so does an accepted step that leaves |g| above
+    None when it cannot move.  Returns (last point, iterations, converged).
+    A residual within tol counts as a root only if the objective there is no
+    higher than at eta0 (within _FLAT_REL): the absolute tolerance also holds
+    far out towards the parameter boundary, where g -> 0 as the scale grows.
+    A non-finite residual at eta0, a step that cannot move, and a drift
+    beyond _MAX_LOG_DRIFT from eta0 all end the trajectory as not converged;
+    with ``stall``, so does an accepted step that leaves |g| above
     _STALL_RATIO times its value _STALL_STEPS accepted steps earlier.
     """
     eta0 = tuple(float(v) for v in eta0)
     at = eq.point(eta0)
     if not all(math.isfinite(v) for v in at.g):
-        return eta0, math.inf, 0, False
+        return at, 0, False
+    ceiling = at.value + _FLAT_REL * abs(at.value)
     norms = [at.norm]
     for iteration in range(max_iter):
         if at.norm <= tol:
-            return at.eta, at.norm, iteration, True
+            return at, iteration, at.value <= ceiling
         moved = step(at)
         if moved is None:
-            return at.eta, at.norm, iteration + 1, False
+            return at, iteration + 1, False
         at = moved
         if max(abs(v - v0) for v, v0 in zip(at.eta, eta0)) > _MAX_LOG_DRIFT:
-            return at.eta, at.norm, iteration + 1, False
+            return at, iteration + 1, False
         if stall:
             norms.append(at.norm)
             if (
@@ -339,20 +336,13 @@ def _solve(
                 and len(norms) > _STALL_STEPS
                 and at.norm > _STALL_RATIO * norms[-1 - _STALL_STEPS]
             ):
-                return at.eta, at.norm, iteration + 1, False
-    return at.eta, at.norm, max_iter, at.norm <= tol
+                return at, iteration + 1, False
+    return at, max_iter, at.norm <= tol and at.value <= ceiling
 
 
 def _capped(step) -> tuple:
     big = max(abs(v) for v in step)
     return tuple(v * (_MAX_LOG_STEP / big) for v in step) if big > _MAX_LOG_STEP else tuple(step)
-
-
-def _newton_direction(jac, g):
-    """Capped Newton step -J^-1 g on floats by varest's Cramer solve (the
-    shipped p <= 2); None when J is not finite or singular."""
-    step = varest._small_solve(jac, tuple(-v for v in g))
-    return None if step is None else _capped(step)
 
 
 def _newton(eq: _WeightedEquation, eta0, tol: float, max_iter: int):
@@ -365,10 +355,12 @@ def _newton(eq: _WeightedEquation, eta0, tol: float, max_iter: int):
     """
 
     def step(at):
-        direction = _newton_direction(at.jac, at.g)
+        # -J^-1 g by varest's Cramer solve (the shipped p <= 2); None when J
+        # is not finite or singular
+        direction = varest._small_solve(at.jac, tuple(-v for v in at.g))
         if direction is None:
             return None
-        lam = 1.0
+        direction, lam = _capped(direction), 1.0
         for _ in range(_MAX_HALVINGS):
             trial = eq.point(tuple(v + lam * d for v, d in zip(at.eta, direction)))
             if trial.norm < at.norm:
@@ -386,18 +378,15 @@ def _descent(eq: _WeightedEquation, eta0, tol: float, max_iter: int):
     diag(theta * g), has its eigenvalues replaced by their absolute values,
     so the step is downhill; it is accepted on an Armijo decrease of the
     objective, or, where the objective is flat to rounding (_FLAT_REL), on a
-    lower |g|.  An infinite objective at eta0 (f^(1+alpha) not integrable)
-    means the descent cannot start.  It has no stall stop: an Armijo descent
-    lowers the objective, not necessarily |g|, and may shrink |g| slowly far
-    from a root before its Newton phase.  See _solve for the rest of the
-    contract.
+    lower |g|; each trial point takes one fused pass, which gives both.  An
+    infinite objective at eta0 means the descent cannot start.  It has no
+    stall stop: an Armijo descent lowers the objective, not necessarily |g|
+    (see _solve for the rest of the contract).
     """
-    value = eq.objective_log(eta0)
     slope_scale = _ARMIJO * (1.0 + eq.alpha)
 
     def step(at):
-        nonlocal value
-        if not (math.isfinite(value) and varest._finite(at.jac)):
+        if not (math.isfinite(at.value) and varest._finite(at.jac)):
             return None
         theta = np.exp(at.eta)
         grad = theta * at.g
@@ -408,66 +397,84 @@ def _descent(eq: _WeightedEquation, eta0, tol: float, max_iter: int):
             return None
         direction = _capped((-eigvec @ ((eigvec.T @ grad) / eigval)).tolist())
         slope = slope_scale * float(grad @ direction)
-        flat = value + _FLAT_REL * abs(value)
-        t = 1.0
+        flat, t = at.value + _FLAT_REL * abs(at.value), 1.0
         for _ in range(_MAX_HALVINGS):
-            trial_eta = tuple(v + t * d for v, d in zip(at.eta, direction))
-            trial_value = eq.objective_log(trial_eta)
-            if trial_value <= flat:
-                trial = eq.point(trial_eta)
-                if trial_value <= value + t * slope or trial.norm < at.norm:
-                    value = trial_value
-                    return trial
+            trial = eq.point(tuple(v + t * d for v, d in zip(at.eta, direction)))
+            if trial.value <= flat and (
+                trial.value <= at.value + t * slope or trial.norm < at.norm
+            ):
+                return trial
             t *= 0.5
         return None
 
     return _solve(eq, eta0, tol, max_iter, step)
 
 
+def _root_from(eq: _WeightedEquation, eta0):
+    """Residual Newton from eta0, then the descent from eta0 when Newton
+    gives no root: (end point, iterations of both, converged, path tag).  A
+    converged end where the density has collapsed on every observation
+    (alpha > 0, mass below 1e-8 of the start's) is a boundary runaway."""
+    reference_mass = eq.data_mass(eta0) if eq.alpha > 0.0 else 0.0
+    iters = 0
+    for tag, solver in (("newton", _newton), ("descent", _descent)):
+        end, n, ok = solver(eq, eta0, _TOL_GRADIENT, _MAX_ITER)
+        iters += n
+        if ok and reference_mass > 0.0 and eq.data_mass(end.eta) < 1e-8 * reference_mass:
+            ok, tag = False, f"{tag}-degenerate"
+        if ok:
+            break
+    return end, iters, ok, tag
+
+
+def _start_eta(family: ParametricFamily, theta, alpha: float) -> tuple:
+    """log of the validated start made feasible: a Weibull shape is raised to
+    at least 1.5 alpha / (1 + alpha), since f^(1+alpha) is integrable only
+    above alpha / (1 + alpha)."""
+    theta = family.validate(theta)
+    if family.family_id == "weibull":
+        theta = np.array([theta[0], max(theta[1], 1.5 * alpha / (1.0 + alpha))])
+    return tuple(np.log(theta).tolist())
+
+
 def _initial_theta(sample: CensoredSample, family: ParametricFamily) -> np.ndarray:
-    """Moment/hazard-regression starting values.
+    """Moment/hazard-regression starting values of the two shipped families.
 
     Exponential: total time on test over event count.  Weibull: straight-line
     fit of log cumulative hazard against log time at the event times (the
     log-log diagnostic line), falling back to shape 1 when degenerate.
     """
-    events = max(sample.n_events, 1)
-    ttt_mean = float(sample.z.sum()) / events
-    ttt_mean = max(ttt_mean, 1e-12)
+    ttt_mean = max(float(sample.z.sum()) / max(sample.n_events, 1), 1e-12)
     if family.family_id == "exponential":
         return np.array([ttt_mean])
-    if family.family_id == "weibull":
-        km = kmpl_fit(sample)
-        mask = (km.cdf_values < 1.0 - 1e-9) & (km.support > 0.0)
-        t = km.support[mask]
-        if t.size >= 2 and np.unique(t).size >= 2:
-            y = np.log(-np.log1p(-km.cdf_values[mask]))
-            slope, intercept = np.polyfit(np.log(t), y, 1)
-            if np.isfinite(slope) and slope > 0:
-                b0 = float(np.clip(slope, 0.05, 100.0))
-                sigma0 = float(np.exp(-intercept / slope))
-                if np.isfinite(sigma0) and sigma0 > 0:
-                    return np.array([sigma0, b0])
-        return np.array([ttt_mean, 1.0])
-    # generic fallback: match the mean with every other coordinate at 1
-    guess = np.ones(family.dim)
-    guess[0] = ttt_mean
-    return guess
+    km = kmpl_fit(sample)
+    mask = (km.cdf_values < 1.0 - 1e-9) & (km.support > 0.0)
+    t = km.support[mask]
+    if t.size >= 2 and np.unique(t).size >= 2:
+        y = np.log(-np.log1p(-km.cdf_values[mask]))
+        slope, intercept = np.polyfit(np.log(t), y, 1)
+        if np.isfinite(slope) and slope > 0:
+            b0 = float(np.clip(slope, 0.05, 100.0))
+            sigma0 = float(np.exp(-intercept / slope))
+            if np.isfinite(sigma0) and sigma0 > 0:
+                return np.array([sigma0, b0])
+    return np.array([ttt_mean, 1.0])
 
 
 def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | None = None) -> FitResult:
     """Fit the divergence estimator at config.alpha and attach the sandwich.
 
-    Among multiple estimating-equation roots the one with the smallest
-    objective value is returned.  When residual Newton from the start fails,
-    descent Newton on the objective takes over from the same start; offsets
-    of the start whose objective undercuts the best root (every offset when
-    there is no root) are descended from as well.  FitResult.message names
-    the path taken (see the module docstring).  Non-convergence yields
-    converged=False, the best point found and NaN matrices, not an exception.
-    An unidentifiable sample raises :class:`UnidentifiableSampleError` before
-    any solve; a converged estimate whose sensitivity matrix is singular
-    raises :class:`varest.SingularSensitivityError`.
+    Residual Newton, then descent Newton when Newton gives no root, run from
+    one start (module docstring) under three rules: a Weibull start shape is
+    raised to 1.5 alpha / (1 + alpha) when below it; a root may not lie above
+    its start's objective; and an explicit config.start without a root is
+    retried once from the default start.  FitResult.message is "newton",
+    "descent" or "descent-degenerate", with ": no root at tol 1e-08" when
+    nothing converged; the fit then returns converged=False, the last
+    trajectory's end and NaN matrices rather than raising.  An unidentifiable
+    sample raises :class:`UnidentifiableSampleError` before any solve; a
+    converged estimate whose sensitivity matrix is singular raises
+    :class:`varest.SingularSensitivityError`.
     """
     config = config or FitConfig()
     alpha = config.alpha
@@ -477,52 +484,16 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
             f"{family.family_id} needs at least {family.dim} distinct event "
             f"time(s); the sample has {eq.event_times}"
         )
-    if config.start is not None:
-        start = family.validate(config.start)
-    else:
-        start = family.validate(_initial_theta(sample, family))
-    eta0 = tuple(np.log(start).tolist())
-    offsets = _OFFSETS_1D if family.dim == 1 else _OFFSETS_2D
-
-    candidates: list[tuple[float, tuple, float, int, bool, str]] = []
-    degenerate: list[tuple[float, tuple, float, int, bool, str]] = []
-
-    def add_candidate(eta, residual, iters, ok, tag) -> bool:
-        """Record a solver outcome; boundary runaways (density mass collapsed
-        relative to the start) are never counted as roots."""
-        if (
-            ok
-            and alpha > 0.0
-            and reference_mass > 0.0
-            and eq.data_mass(eta) < 1e-8 * reference_mass
-        ):
-            degenerate.append(
-                (eq.objective_log(eta), eta, residual, iters, False, f"{tag}-degenerate")
-            )
-            return False
-        candidates.append((eq.objective_log(eta), eta, residual, iters, ok, tag))
-        return ok
-
+    explicit = config.start is not None
+    eta0 = _start_eta(family, config.start if explicit else _initial_theta(sample, family), alpha)
     # trial points may overflow; the solver treats those as rejected steps
     with np.errstate(all="ignore"):
-        reference_mass = eq.data_mass(eta0)
-        eta, residual, iters, ok = _newton(eq, eta0, _TOL_GRADIENT, _MAX_ITER)
-        if not add_candidate(eta, residual, iters, ok, "newton"):
-            eta, residual, iters2, ok = _descent(eq, eta0, _TOL_GRADIENT, _MAX_ITER)
-            add_candidate(eta, residual, iters + iters2, ok, "descent")
-        # screen alternative starts; only chase ones that undercut the best
-        # root, or every one when there is none
-        best_obj = min((c[0] for c in candidates if c[4]), default=np.inf)
-        for off in offsets:
-            eta_alt = tuple(v + o for v, o in zip(eta0, off))
-            if eq.objective_log(eta_alt) < best_obj:
-                eta, residual, iters, ok = _descent(eq, eta_alt, _TOL_GRADIENT, _MAX_ITER)
-                if ok:
-                    add_candidate(eta, residual, iters, ok, "descent-restart")
-
-    pool = [c for c in candidates if c[4]] or candidates or degenerate
-    obj, eta_hat, residual, iters, ok, tag = min(pool, key=lambda c: (c[0], c[2]))
-    theta_hat = np.exp(eta_hat)
+        end, iters, ok, tag = _root_from(eq, eta0)
+        if not ok and explicit:
+            eta0 = _start_eta(family, _initial_theta(sample, family), alpha)
+            end, more, ok, tag = _root_from(eq, eta0)
+            iters += more
+    theta_hat = np.exp(end.eta)
     if ok:
         lam = lambda_model(family, theta_hat, alpha)
         cov = varest.covariance_estimate(
@@ -536,10 +507,10 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
         n=sample.n,
         alpha=alpha,
         theta_hat=theta_hat,
-        objective_value=float(obj),
-        eqn_residual=float(residual),
-        converged=bool(ok),
-        n_iter=int(iters),
+        objective_value=end.value,
+        eqn_residual=end.norm,
+        converged=ok,
+        n_iter=iters,
         lambda_hat=cov.lambda_hat,
         c_hat=cov.c_hat,
         sigma_hat=cov.sigma_hat,

@@ -71,9 +71,9 @@ class Restriction:
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def validate_at(self, theta) -> None:
+    def validate_at(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Check the shapes of m and M, M against finite differences of m
-        (1e-6) and its rank (singular values above 1e-10)."""
+        (1e-6) and its rank (singular values above 1e-10); returns (m, M)."""
         theta = np.asarray(theta, dtype=float)
         m = np.asarray(self.m(theta), dtype=float)
         if m.shape != (self.r,):
@@ -83,6 +83,7 @@ class Restriction:
             raise ValueError(f"jacobian must be {theta.size} x {self.r}")
         if self._checked_rank(theta, jac) < self.r:
             raise ValueError("restriction jacobian is rank-deficient at theta")
+        return m, jac
 
     def _checked_rank(self, theta: np.ndarray, jac: np.ndarray) -> int:
         """Rank of jac after checking it against finite differences of m."""
@@ -208,10 +209,7 @@ def wald_statistic(fit: FitResult, restriction: Restriction) -> TestReport:
     on floats (varest's Cramer solve); cond above 1e12 raises LinAlgError."""
     if not fit.converged:
         raise ValueError("Wald test requires a converged fit")
-    theta = fit.theta_hat
-    restriction.validate_at(theta)
-    m = np.asarray(restriction.m(theta), dtype=float).tolist()
-    jac = np.asarray(restriction.jacobian(theta), dtype=float).tolist()
+    m, jac = (a.tolist() for a in restriction.validate_at(fit.theta_hat))
     inner = _small_congruence(list(zip(*jac)), fit.sigma_hat.tolist())
     inner_cond = _small_cond(inner)
     if not inner_cond <= 1e12:

@@ -15,11 +15,13 @@ digamma / trigamma expressions.  The same integrals give the derivative of
 jvec in theta.  The closed forms are the only evaluation path; the test
 suite checks them against adaptive quadrature.
 
-The solver's fused pass gives the estimating equation g = jvec - sum_i m_i
-u_i f_i^alpha and its exact Jacobian from one reduction, weighted by v_i =
-m_i f_i^alpha, of the rows 1, x, x^2 (exponential) or, with t = log(x /
-sigma) and w = e^{b t}, 1, w - 1, t (w - 1), t w, t^2 w, (w - 1)^2,
-t (w - 1)^2, (t (w - 1))^2 (Weibull); log f and u take one pass of their own.
+The solver's fused pass gives the objective H, the estimating equation g =
+jvec - sum_i m_i u_i f_i^alpha and its exact Jacobian from one reduction,
+weighted by v_i = m_i f_i^alpha, of the rows 1, x, x^2 (exponential) or, with
+t = log(x / sigma) and w = e^{b t}, 1, w - 1, t (w - 1), t w, t^2 w,
+(w - 1)^2, t (w - 1)^2, (t (w - 1))^2 (Weibull): H = xi - (1 + alpha)/alpha
+sum_i v_i + 1/alpha, or -sum_i m_i log f_i at alpha = 0.  log f and u take
+one pass of their own.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ class ParametricFamily:
 
     def _equation(self, theta, alpha: float, prepared, mass: np.ndarray):
         """The fused pass (module docstring) at the points that ``_prepare``
-        turned into ``prepared``, with masses ``mass``: (g, J_theta), J by
+        turned into ``prepared``, with masses ``mass``: (H, g, J_theta), J by
         rows, as Python floats for a Python-float theta."""
         raise NotImplementedError
 
@@ -217,12 +219,16 @@ class Exponential(ParametricFamily):
             # f^alpha = m^-alpha e^(-alpha x / m)
             v = mass * np.exp((-alpha / m) * rows[1])
             pref = m**-alpha
-            _, (j,), _, ((dj,),) = self._integrals(theta, alpha, True)
+            xi, (j,), _, ((dj,),) = self._integrals(theta, alpha, True)
         s0, s1, s2 = (pref * s for s in (rows @ v).tolist())
+        if alpha == 0.0:
+            h = math.log(m) * s0 + s1 / m  # -log f = log m + x / m
+        else:
+            h = xi - (1.0 + alpha) / alpha * s0 + 1.0 / alpha
         # u = (x - m) / m^2 and grad u = (m - 2x) / m^3, summed with v
         m2 = m * m
         jac = dj - (m * s0 - 2.0 * s1) / (m2 * m) - alpha * (s2 - 2.0 * m * s1 + m2 * s0) / (m2 * m2)
-        return (j - (s1 - m * s0) / m2,), ((jac,),)
+        return h, (j - (s1 - m * s0) / m2,), ((jac,),)
 
 class Weibull(ParametricFamily):
     """Weibull lifetimes with scale sigma and shape b: F(x) = 1 - exp(-(x/sigma)^b)."""
@@ -321,17 +327,22 @@ class Weibull(ParametricFamily):
             # f^alpha = (b / sigma)^alpha e^(alpha ((b - 1) t - w))
             v = mass * np.exp(alpha * ((b - 1.0) * t - w))
             pref = (b / sigma) ** alpha
-            _, (j_s, j_b), _, ((d_ss, d_sb), (_, d_bb)) = self._integrals(theta, alpha, True)
+            xi, (j_s, j_b), _, ((d_ss, d_sb), (_, d_bb)) = self._integrals(theta, alpha, True)
         wm1, tw = w - 1.0, t * w
         twm1 = t * wm1
         rows = np.array((ones, wm1, twm1, tw, t * tw, wm1 * wm1, twm1 * wm1, twm1 * twm1))
         s0, s1, s2, s3, s4, s5, s6, s7 = (pref * s for s in (rows @ v).tolist())
+        if alpha == 0.0:
+            # log f = log(b / sigma) + (b - 1) t - w, with sum_i m_i t_i = s3 - s2
+            h = -(math.log(b / sigma) * s0 + (b - 1.0) * (s3 - s2) - s1 - s0)
+        else:
+            h = xi - (1.0 + alpha) / alpha * s0 + 1.0 / alpha
         # u = (r (w - 1), 1/b - t (w - 1)) with r = b / sigma; grad u has
         # entries -(r / sigma)(w - 1) - r^2 w, (w - 1 + b t w) / sigma and
         # -1/b^2 - t^2 w
         r, bb = b / sigma, b * b
         j_sb = d_sb - (s1 + b * s3) / sigma - alpha * (s1 / sigma - r * s6)
-        return (j_s - r * s1, j_b - s0 / b + s2), (
+        return h, (j_s - r * s1, j_b - s0 / b + s2), (
             (d_ss + (r / sigma) * s1 + r * r * (s1 + s0 - alpha * s5), j_sb),
             (j_sb, d_bb + s0 / bb + s4 - alpha * (s0 / bb - 2.0 * s2 / b + s7)),
         )
@@ -382,18 +393,22 @@ def mdpde_psi(family: ParametricFamily, theta, alpha: float, x) -> np.ndarray:
     Bounded in x for alpha > 0; reduces to -u(x) at alpha = 0.  Scalar x
     yields shape (p,), array x yields (len(x), p).  theta and x are validated
     once; log f and u come from one pass over x and jvec from the closed forms
-    without the kmat terms.
+    without the kmat terms.  A non-finite result (overflow at an extreme
+    theta) raises ValueError, as the closed forms do.
     """
     validate_alpha(alpha)
     scalar = np.ndim(x) == 0
     theta = family.validate(theta)
     x = family._check_x(np.atleast_1d(np.asarray(x, dtype=float)))
-    logf, u = family._pointwise(theta, x, 1)
-    if alpha == 0.0:
-        out = -u
-    else:
-        jvec = np.array(family._float_integrals(theta, alpha, False)[1])
-        out = jvec - u * np.exp(alpha * logf)[:, None]
+    with np.errstate(all="ignore"):
+        logf, u = family._pointwise(theta, x, 1)
+        if alpha == 0.0:
+            out = -u
+        else:
+            jvec = np.array(family._float_integrals(theta, alpha, False)[1])
+            out = jvec - u * np.exp(alpha * logf)[:, None]
+    if not np.isfinite(out).all():
+        raise ValueError(f"mdpde_psi is not finite at theta={theta.tolist()}")
     return out[0] if scalar else out
 
 

@@ -46,10 +46,10 @@ class TwoSampleRestriction:
     def jacobian2(self, theta1, theta2) -> np.ndarray:
         raise NotImplementedError
 
-    def validate_at(self, theta1, theta2) -> None:
+    def validate_at(self, theta1, theta2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Check the shapes of both Jacobians, each against finite differences
         of m (1e-6), and the rank of the stacked [M1; M2] (singular values
-        above 1e-10)."""
+        above 1e-10); returns m, M1 and M2 at (theta1, theta2)."""
         theta1 = np.asarray(theta1, dtype=float)
         theta2 = np.asarray(theta2, dtype=float)
         jac1 = np.asarray(self.jacobian1(theta1, theta2), dtype=float)
@@ -59,6 +59,7 @@ class TwoSampleRestriction:
                 raise ValueError(f"jacobian{which} must be {point.size} x {self.r}")
         if self._checked_rank(theta1, theta2, jac1, jac2) < self.r:
             raise ValueError("stacked two-sample jacobian is rank-deficient")
+        return np.asarray(self.m(theta1, theta2), dtype=float), jac1, jac2
 
     def _checked_rank(self, theta1, theta2, jac1, jac2) -> int:
         """Rank of [M1; M2] after checking both against finite differences."""
@@ -213,9 +214,8 @@ def two_sample_wald(
     """(n1 n2 / (n1 + n2)) m^T SigmaTilde^{-1} m with chi-square_r p-value."""
     _check_fits(fit1, fit2)
     n1, n2 = fit1.n, fit2.n
-    restriction.validate_at(fit1.theta_hat, fit2.theta_hat)
-    m = restriction.m(fit1.theta_hat, fit2.theta_hat)
-    sigma_tilde = pooled_sigma(fit1, fit2, restriction)
+    m, jac1, jac2 = restriction.validate_at(fit1.theta_hat, fit2.theta_hat)
+    sigma_tilde = _pooled(jac1, fit1.sigma_hat, jac2, fit2.sigma_hat, n1, n2)
     cond = float(np.linalg.cond(sigma_tilde))
     if not np.isfinite(cond) or cond > 1e12:
         raise np.linalg.LinAlgError(

@@ -245,7 +245,7 @@ class TestSolver:
         sample = simulate(contaminated_design(1750529956), 100, replication=0)
         eq = _WeightedEquation(sample, WEIBULL, 0.5)
         eta0 = np.log(_initial_theta(sample, WEIBULL))
-        _, _, iters, ok = _newton(eq, eta0, 1e-8, 200)
+        _, iters, ok = _newton(eq, eta0, 1e-8, 200)
         assert not ok
         assert iters < 50
         # the fit still finds the root through its fallback
@@ -256,18 +256,29 @@ class TestSolver:
         # that moves eta by 4 per step passes the drift bound at step 6
         eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0)
         step = lambda at: at._replace(eta=(at.eta[0] + 4.0,), norm=0.5 * at.norm)
-        eta, _, iters, ok = _solve(eq, np.zeros(1), 1e-8, 200, step, stall=True)
+        end, iters, ok = _solve(eq, np.zeros(1), 1e-8, 200, step, stall=True)
         assert not ok
-        assert iters == 6 and eta[0] > _MAX_LOG_DRIFT
+        assert iters == 6 and end.eta[0] > _MAX_LOG_DRIFT
+
+    def test_root_above_its_start_is_not_converged(self, exp_sample):
+        # a step to |g| = 0 whose objective is above the start's is a
+        # boundary pseudo-root, not a root
+        eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0)
+        rise = lambda at: at._replace(eta=(at.eta[0] + 1.0,), value=at.value + 1e-6, norm=0.0)
+        end, iters, ok = _solve(eq, np.zeros(1), 1e-8, 200, rise)
+        assert not ok and iters == 1 and end.norm == 0.0
+        # the same step without the rise converges
+        flat = lambda at: at._replace(eta=(at.eta[0] + 1.0,), norm=0.0)
+        assert _solve(eq, np.zeros(1), 1e-8, 200, flat)[2]
 
     def test_stall_stop_only_where_asked(self, exp_sample):
         # |g| falling by 10 % per step, which is 0.59 over five steps
         eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0)
         crawl = lambda at: at._replace(eta=(at.eta[0] + 0.01,), norm=0.9 * at.norm)
-        _, _, iters, ok = _solve(eq, np.zeros(1), 1e-300, 100, crawl, stall=True)
+        _, iters, ok = _solve(eq, np.zeros(1), 1e-300, 100, crawl, stall=True)
         assert not ok and iters == _STALL_STEPS
         # without the stall stop (descent) the same crawl runs to max_iter
-        _, _, iters, ok = _solve(eq, np.zeros(1), 1e-300, 100, crawl)
+        _, iters, ok = _solve(eq, np.zeros(1), 1e-300, 100, crawl)
         assert not ok and iters == 100
 
     @pytest.mark.filterwarnings("error")
@@ -285,7 +296,7 @@ class TestSolver:
                 at = eq.point(eta)
                 g = g_j = np.array(at.g)
                 jac = np.array(at.jac)
-                value = eq.objective_log(eta)
+                value = at.value
                 mass = eq.data_mass(eta)
             assert g.shape == g_j.shape == (p,) and jac.shape == (p, p)
             assert not np.isnan(value) and value > -np.inf
@@ -306,7 +317,7 @@ class TestSolver:
         sample = simulate(contaminated_design(502419184), 100, replication=0)
         eq = _WeightedEquation(sample, WEIBULL, 0.0)
         eta0 = np.log(_initial_theta(sample, WEIBULL))
-        _, _, iters, ok = _newton(eq, eta0, 1e-8, 200)
+        _, iters, ok = _newton(eq, eta0, 1e-8, 200)
         assert not ok and iters <= 15
         result = fit(sample, WEIBULL, FitConfig(alpha=0.0))
         assert result.converged and result.message == "descent"
@@ -394,6 +405,18 @@ class TestFit:
         assert result.converged
         assert result.theta_hat[0] == pytest.approx(exp_sample.z.mean(), rel=1e-7)
 
+    def test_explicit_start_without_root_falls_back_to_default(self):
+        # from start (10, 30) neither trajectory reaches a root of this
+        # contaminated sample at alpha = 0.5; the fit retries from the
+        # default start and counts the iterations of all four trajectories
+        sample = simulate(contaminated_design(5), 100)
+        cold = fit(sample, WEIBULL, FitConfig(alpha=0.5))
+        result = fit(sample, WEIBULL, FitConfig(alpha=0.5, start=(10.0, 30.0)))
+        assert result.converged
+        np.testing.assert_allclose(result.theta_hat, [2.02779, 5.58737], atol=1e-5)
+        np.testing.assert_allclose(result.theta_hat, cold.theta_hat, rtol=1e-6)
+        assert result.n_iter > cold.n_iter
+
     def test_sensitivity_tracks_influence_curve(self):
         # finite-sample sensitivity n*(theta_hat(sample+t) - theta_hat) tracks
         # the influence curve (estimating-function sign convention: the raw
@@ -461,17 +484,29 @@ class TestFitGrid:
         np.testing.assert_allclose(results[1].theta_hat, oracle, rtol=1e-6)
 
     def test_no_root_at_non_integrable_start_reported(self):
-        # cold alpha = 1 fit whose start (shape 0.286) lies where f^(1+alpha)
-        # is not integrable: no trajectory converges, and the fit must say so
-        # rather than raise when forming the sandwich there
+        # cold alpha = 1 fit whose default start (shape 0.286) lies where
+        # f^(1+alpha) is not integrable: the start shape is raised to 0.75,
+        # and the fit finds the objective's interior minimiser from there
         rng = np.random.default_rng(21)
         z = np.concatenate([rng.weibull(0.45, 60), rng.exponential(80.0, 20)])
-        result = fit(uncensored(z), WEIBULL, FitConfig(alpha=1.0))
+        sample = uncensored(z)
+        assert _initial_theta(sample, WEIBULL)[1] < 0.5
+        result = fit(sample, WEIBULL, FitConfig(alpha=1.0))
+        assert result.converged
+        oracle = objective_minimum(sample, 1.0, (1e-4, 1e3), (0.5, 5.0))
+        np.testing.assert_allclose(result.theta_hat, oracle, rtol=1e-6)
+
+    def test_no_root_reported_not_raised(self, weibull_censored, monkeypatch):
+        # one iteration per trajectory finds no root: the fit must say so
+        # rather than raise when forming the sandwich there
+        monkeypatch.setattr(estimator, "_MAX_ITER", 1)
+        result = fit(weibull_censored, WEIBULL, FitConfig(alpha=0.5))
         assert not result.converged
-        assert result.message.endswith("no root at tol 1e-08")
-        assert np.all(np.isfinite(result.theta_hat)) and result.theta_hat[1] < 0.5
+        assert result.message.endswith(": no root at tol 1e-08")
+        assert np.all(np.isfinite(result.theta_hat))
         for matrix in (result.lambda_hat, result.c_hat, result.sigma_hat):
             assert matrix.shape == (2, 2) and np.isnan(matrix).all()
+        assert result.lambda_cond == np.inf
 
     def test_failed_result_placeholder(self):
         failed = FitResult.failed(WEIBULL, 40, 0.5, "singular sandwich")

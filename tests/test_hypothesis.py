@@ -84,6 +84,25 @@ class TestRestrictions:
         with pytest.raises(ValueError, match="r=1 vector"):
             LinearRestriction(np.eye(2)[:, :1], np.zeros(2)).validate_at(np.ones(2))
 
+    def test_validate_returns_the_checked_m_and_jacobian(self, weibull_fit):
+        # wald_statistic uses what validate_at checked: m once, plus two
+        # calls per coordinate for the finite-difference Jacobian and two for
+        # its check
+        calls = []
+
+        def m_func(th):
+            calls.append(th)
+            return np.array([th[0] * th[1] - 10.0])
+
+        restriction = FunctionRestriction(r=1, m_func=m_func)
+        theta = weibull_fit.theta_hat
+        m, jac = restriction.validate_at(theta)
+        np.testing.assert_array_equal(m, restriction.m(theta))
+        np.testing.assert_array_equal(jac, restriction.jacobian(theta))
+        calls.clear()
+        wald_statistic(weibull_fit, restriction)
+        assert len(calls) == 1 + 4 * theta.size
+
     def test_validate_rejects_rank_deficiency(self):
         degenerate = LinearRestriction(np.zeros((2, 1)), np.zeros(1))
         for _ in range(2):  # the cached rank fails every call

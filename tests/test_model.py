@@ -155,6 +155,13 @@ class TestMdpdePsi:
         with pytest.raises(ValueError, match="invalid"):
             mdpde_psi(WEIBULL, [1.0, -2.0], 0.5, [1.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_overflow_is_a_value_error(self, alpha):
+        # (x / scale)^shape overflows at scale 1e-300: no warning, no NaN
+        with pytest.raises(ValueError, match="not finite"):
+            mdpde_psi(WEIBULL, (1e-300, 2.0), alpha, [1.0])
+
     def test_bounded_for_positive_alpha(self):
         x = np.geomspace(1e-6, 1e6, 4000)
         values = np.abs(mdpde_psi(EXPONENTIAL, [1.0], 0.5, x)[:, 0])

@@ -200,6 +200,23 @@ class TestLinearTwoSampleRestriction:
         a2[:] = 0.0
         restriction.validate_at(theta, theta)  # rank taken once, still 2
 
+    def test_wald_uses_the_validated_m_and_jacobians(self, two_arms, monkeypatch):
+        fit1, fit2 = two_arms
+        expected = two_sample_wald(fit1, fit2, HOM).statistic
+        m, jac1, jac2 = HOM.validate_at(fit1.theta_hat, fit2.theta_hat)
+        np.testing.assert_array_equal(m, HOM.m(fit1.theta_hat, fit2.theta_hat))
+        np.testing.assert_array_equal(jac1, HOM.matrix1)
+        np.testing.assert_array_equal(jac2, HOM.matrix2)
+        calls = []
+        for name in ("m", "jacobian1", "jacobian2"):
+            method = getattr(LinearTwoSampleRestriction, name)
+            monkeypatch.setattr(
+                LinearTwoSampleRestriction, name,
+                lambda self, *a, _n=name, _f=method: calls.append(_n) or _f(self, *a),
+            )
+        assert two_sample_wald(fit1, fit2, HOM).statistic == expected
+        assert sorted(calls) == ["jacobian1", "jacobian2", "m"]
+
     def test_exact_jacobians_without_finite_differences(self, monkeypatch):
         def no_fd(*args):
             raise AssertionError("finite differences of a linear restriction")
