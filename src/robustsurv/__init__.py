@@ -66,9 +66,7 @@ from .montecarlo import (
 from .twosample import (
     LinearTwoSampleRestriction,
     TwoSampleReport,
-    TwoSampleRestriction,
     one_sided_wald,
-    pooled_sigma,
     two_sample_contiguous,
     two_sample_power_approx,
     two_sample_wald,

@@ -198,9 +198,6 @@ class SyntheticDesign:
             raise ValueError("contamination_fraction must lie in [0, 1)")
         if self.contamination_fraction > 0.0 and self.contamination is None:
             raise ValueError("contaminated designs need a contamination family")
-        self.lifetime.resolve()
-        if self.contamination is not None:
-            self.contamination.resolve()
 
 
 def replication_rng(seed: int, replication: int | None = None) -> np.random.Generator:

@@ -241,11 +241,6 @@ class _WeightedEquation:
     def _pass(self, theta):
         return self.family._equation([float(v) for v in theta], self.alpha, self.prepared, self.weights)
 
-    def estimating(self, theta, jacobian: bool = False):
-        """g(theta) or, with ``jacobian``, (g, J_theta): arrays of one pass."""
-        _, g, jac = self._pass(theta)
-        return (np.array(g), np.array(jac)) if jacobian else np.array(g)
-
     def objective(self, theta) -> float:
         """H(theta) from the fused pass; inf where it is not finite."""
         try:

@@ -10,6 +10,7 @@ reserved for the divergence tuning parameter.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -202,22 +203,32 @@ class TestReport:
         return "\n".join(lines)
 
 
+def _wald_form(m, jac, sigma) -> tuple[float, list, float]:
+    """(m^T (M^T Sigma M)^{-1} m, M^T Sigma M, its condition number) on Python
+    floats, m, M and Sigma as lists (by rows), by varest's Cramer solve; NaN
+    where the solve overflows.  The r x r matrix takes r <= 2; cond above
+    1e12 raises LinAlgError.  Shared by the one- and two-sample Wald tests,
+    the power approximations and the two-sample IF2."""
+    if len(m) > 2:
+        raise ValueError(f"Wald forms take restrictions of rank at most 2, got r={len(m)}")
+    inner = _small_congruence(list(zip(*jac)), sigma)
+    cond = _small_cond(inner)
+    if not cond <= 1e12:
+        raise np.linalg.LinAlgError(f"M^T Sigma M is numerically singular (cond={cond:.3g})")
+    solved = _small_solve(inner, m)
+    return (sum(map(operator.mul, m, solved)) if solved is not None else math.nan), inner, cond
+
+
 def wald_statistic(fit: FitResult, restriction: Restriction) -> TestReport:
     """n m(theta_hat)^T [M^T Sigma_hat M]^{-1} m(theta_hat) with p-value from
     chi-square_r; reduces exactly to n (theta_hat - theta0)^T Sigma_hat^{-1}
     (theta_hat - theta0) for the simple restriction.  The r x r algebra runs
-    on floats (varest's Cramer solve); cond above 1e12 raises LinAlgError."""
+    on floats (:func:`_wald_form`); cond above 1e12 raises LinAlgError."""
     if not fit.converged:
         raise ValueError("Wald test requires a converged fit")
     m, jac = (a.tolist() for a in restriction.validate_at(fit.theta_hat))
-    inner = _small_congruence(list(zip(*jac)), fit.sigma_hat.tolist())
-    inner_cond = _small_cond(inner)
-    if not inner_cond <= 1e12:
-        raise np.linalg.LinAlgError(
-            f"M^T Sigma M is numerically singular (cond={inner_cond:.3g})"
-        )
-    solved = _small_solve(inner, m)
-    statistic = fit.n * sum(map(operator.mul, m, solved)) if solved is not None else np.nan
+    form, _, inner_cond = _wald_form(m, jac, fit.sigma_hat.tolist())
+    statistic = fit.n * form
     diagnostics = {
         "lambda_cond": fit.lambda_cond,
         "inner_cond": inner_cond,
@@ -233,18 +244,11 @@ def wald_statistic(fit: FitResult, restriction: Restriction) -> TestReport:
     )
 
 
-def _w_bar(theta: np.ndarray, restriction: Restriction, sigma: np.ndarray) -> float:
-    m = restriction.m(theta)
-    jac = restriction.jacobian(theta)
-    inner = jac.T @ sigma @ jac
-    return float(m @ np.linalg.solve(inner, m))
-
-
 def power_approx(
     theta_star,
     restriction: Restriction,
     sigma: np.ndarray,
-    n: int,
+    n: float,
     level: float = 0.05,
 ) -> float:
     """Normal approximation to the power at a fixed alternative theta_star:
@@ -252,14 +256,19 @@ def power_approx(
         1 - Phi( sqrt(n)/sigma_star * (chi2_{r,level}/n - wbar(theta_star)) )
 
     with wbar the population quadratic form and sigma_star^2 its
-    delta-method variance (gradient by central differences, sigma fixed).
+    delta-method variance (gradient by central differences, sigma fixed);
+    n is an effective size, n1 n2 / (n1 + n2) for two-sample tests.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    wbar = _w_bar(theta_star, restriction, sigma)
+
+    def w_bar(th):
+        return _wald_form(restriction.m(th).tolist(), restriction.jacobian(th).tolist(), sigma.tolist())[0]
+
+    wbar = w_bar(theta_star)
     if wbar <= 1e-14:
         raise ValueError("theta_star satisfies the null; the power approximation is undefined")
-    grad = _central_differences(lambda th: _w_bar(th, restriction, sigma), theta_star, 1e-5)
+    grad = _central_differences(w_bar, theta_star, 1e-5)
     var_star = float(grad @ sigma @ grad)
     if var_star <= 0.0:
         raise ValueError("degenerate variance in the power approximation")
@@ -279,10 +288,7 @@ def contiguous_power(
     upper tail with noncentrality d^T M (M^T Sigma M)^{-1} M^T d."""
     from .influence import noncentral_chi2_sf  # series utilities live there
 
-    d = np.asarray(d, dtype=float)
-    theta0 = np.asarray(theta0, dtype=float)
-    jac = restriction.jacobian(theta0)
-    inner = jac.T @ np.asarray(sigma, dtype=float) @ jac
-    md = jac.T @ d
-    ncp = float(md @ np.linalg.solve(inner, md))
+    jac = restriction.jacobian(np.asarray(theta0, dtype=float))
+    md = jac.T @ np.asarray(d, dtype=float)
+    ncp = _wald_form(md.tolist(), jac.tolist(), np.asarray(sigma, dtype=float).tolist())[0]
     return noncentral_chi2_sf(chi2_quantile(restriction.r, level), restriction.r, ncp)

@@ -18,7 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .hypothesis import _wald_form, contiguous_power
 from .model import ParametricFamily, lambda_model, mdpde_psi
+from .twosample import _stacked_sigma
+from .varest import sigma_hat
 
 __all__ = [
     "IfCurve",
@@ -40,14 +43,13 @@ def sigma_model(family: ParametricFamily, theta, alpha: float) -> np.ndarray:
     """Censoring-free asymptotic covariance of the divergence estimator.
 
     Lambda^{-1} C0 Lambda^{-1} with C0 = integral of psi psi^T dF, which
-    reduces to kmat(2 alpha) - jvec(alpha) jvec(alpha)^T.
+    reduces to kmat(2 alpha) - jvec(alpha) jvec(alpha)^T; the sandwich is
+    varest's :func:`~robustsurv.varest.sigma_hat`.
     """
     lam = lambda_model(family, theta, alpha)
     jvec = family.weighted_integrals(theta, alpha).jvec
     c0 = family.weighted_integrals(theta, 2.0 * alpha).kmat - np.outer(jvec, jvec)
-    inv = np.linalg.inv(lam)
-    sigma = inv @ c0 @ inv.T
-    return 0.5 * (sigma + sigma.T)
+    return sigma_hat(lam, c0)[0]
 
 
 def if_estimator(family: ParametricFamily, theta0, alpha: float, t) -> np.ndarray:
@@ -104,13 +106,15 @@ def if_curve(family: ParametricFamily, theta0, alpha: float, t_grid) -> IfCurve:
 
 
 def _sigma_star(family, theta0, alpha, restriction, sigma):
+    """(M, M^T Sigma M, Sigma) at a null theta0; Sigma defaults to sigma_model."""
     theta0 = np.asarray(theta0, dtype=float)
     if np.max(np.abs(restriction.m(theta0))) > 1e-8:
         raise ValueError("theta0 must satisfy the null restriction")
     if sigma is None:
         sigma = sigma_model(family, theta0, alpha)
     jac = np.asarray(restriction.jacobian(theta0), dtype=float)
-    return jac, jac.T @ np.asarray(sigma, dtype=float) @ jac
+    sigma = np.asarray(sigma, dtype=float)
+    return jac, jac.T @ sigma @ jac, sigma
 
 
 def if2_wald(
@@ -128,7 +132,7 @@ def if2_wald(
 
     a nonnegative quadratic form in the estimator IF (the first-order IF is
     identically zero at the null)."""
-    jac, inner = _sigma_star(family, theta0, alpha, restriction, sigma)
+    jac, inner, _ = _sigma_star(family, theta0, alpha, restriction, sigma)
     iv = np.atleast_2d(if_estimator(family, theta0, alpha, t))
     proj = iv @ jac
     values = 2.0 * np.einsum("ij,ij->i", proj, np.linalg.solve(inner, proj.T).T)
@@ -193,12 +197,9 @@ def contaminated_contiguous_power(
     """Asymptotic power under the contiguous alternative d with an additional
     epsilon/sqrt(n) contamination at t (the series whose epsilon-derivative at
     zero is the PIF)."""
-    jac, inner = _sigma_star(family, theta0, alpha, restriction, sigma)
+    _, _, sigma = _sigma_star(family, theta0, alpha, restriction, sigma)
     shifted = np.asarray(d, dtype=float) + epsilon * if_estimator(family, theta0, alpha, t)
-    md = jac.T @ shifted
-    ncp = float(md @ np.linalg.solve(inner, md))
-    c = float(special.chdtri(restriction.r, level))
-    return noncentral_chi2_sf(c, restriction.r, ncp)
+    return contiguous_power(shifted, restriction, sigma, theta0, level)
 
 
 def pif(
@@ -220,7 +221,7 @@ def pif(
     d = np.asarray(d, dtype=float)
     if not np.any(d):
         return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
-    jac, inner = _sigma_star(family, theta0, alpha, restriction, sigma)
+    jac, inner, _ = _sigma_star(family, theta0, alpha, restriction, sigma)
     s0 = np.linalg.solve(inner, jac.T @ d) @ jac.T  # row vector d^T M inner^{-1} M^T
     s = float(s0 @ d)
     iv = np.atleast_2d(if_estimator(family, theta0, alpha, t))
@@ -250,28 +251,24 @@ def if2_two_sample(
 ) -> float:
     """Second-order IF of the two-sample Wald functional under the null.
 
-    Contamination in arm i contributes M_i^T IF(t_i) evaluated at that arm's
-    null parameter; identical contamination in both arms of a homogeneity
-    null cancels exactly.
+    The one-sample form on the stacked theta0 = (theta10, theta20), with
+    covariance diag(omega Sigma1, (1 - omega) Sigma2) and the stacked IF
+    (zero in an arm without contamination): contamination in arm i
+    contributes M_i^T IF(t_i) evaluated at that arm's null parameter, so
+    identical contamination in both arms of a homogeneity null cancels
+    exactly.
     """
     if t1 is None and t2 is None:
         raise ValueError("supply a contamination point for at least one arm")
     if not 0.0 < omega < 1.0:
         raise ValueError("omega must lie in (0, 1)")
-    theta10 = np.asarray(theta10, dtype=float)
-    theta20 = np.asarray(theta20, dtype=float)
-    if np.max(np.abs(restriction.m(theta10, theta20))) > 1e-8:
+    theta0 = np.concatenate((np.asarray(theta10, dtype=float), np.asarray(theta20, dtype=float)))
+    if np.max(np.abs(restriction.m(theta0))) > 1e-8:
         raise ValueError("(theta10, theta20) must satisfy the null restriction")
-    m1 = np.asarray(restriction.jacobian1(theta10, theta20), dtype=float)
-    m2 = np.asarray(restriction.jacobian2(theta10, theta20), dtype=float)
-    if sigma1 is None:
-        sigma1 = sigma_model(family, theta10, alpha)
-    if sigma2 is None:
-        sigma2 = sigma_model(family, theta20, alpha)
-    pooled = omega * m1.T @ sigma1 @ m1 + (1.0 - omega) * m2.T @ sigma2 @ m2
-    q = np.zeros(restriction.r)
-    if t1 is not None:
-        q = q + m1.T @ if_estimator(family, theta10, alpha, float(t1))
-    if t2 is not None:
-        q = q + m2.T @ if_estimator(family, theta20, alpha, float(t2))
-    return float(2.0 * q @ np.linalg.solve(pooled, q))
+    jac = np.asarray(restriction.jacobian(theta0), dtype=float)
+    iv, sigmas = [], []
+    for theta, t, sigma in ((theta10, t1, sigma1), (theta20, t2, sigma2)):
+        iv.append(np.zeros(np.size(theta)) if t is None else if_estimator(family, theta, alpha, float(t)))
+        sigmas.append(sigma_model(family, theta, alpha) if sigma is None else sigma)
+    q = jac.T @ np.concatenate(iv)
+    return 2.0 * _wald_form(q.tolist(), jac.tolist(), _stacked_sigma(omega, *sigmas))[0]

@@ -41,10 +41,6 @@ class KmplFit:
     weight_masses: np.ndarray
 
     @property
-    def total_mass(self) -> float:
-        return float(self.jumps.sum())
-
-    @property
     def tail_flagged(self) -> bool:
         return self.residual_mass > RESIDUAL_MASS_FLAG
 

@@ -66,7 +66,7 @@ class ParametricFamily:
     """A positive lifetime model with density, score and weighted integrals.
 
     Subclasses provide the closed forms; everything data-facing (sampling,
-    cdf/sf, log-density) is exposed here so the fitting and variance layers
+    cdf, log-density) is exposed here so the fitting and variance layers
     never special-case the family.
     """
 
@@ -154,9 +154,15 @@ class ParametricFamily:
         xi, jvec, kmat, _ = self._float_integrals(self.validate(theta), validate_alpha(alpha), True)
         return WeightedIntegrals(xi, np.array(jvec), np.array(kmat))
 
-    # -- generic paths ----------------------------------------------------
-    def sf(self, theta, x) -> np.ndarray:
-        return 1.0 - self.cdf(theta, x)
+    def _checked(self, theta, x, order: int) -> np.ndarray:
+        """log f (order 0) or u (order 1), for logpdf and score; ValueError, as
+        from mdpde_psi, where a value overflows at an extreme theta."""
+        theta = self.validate(theta)
+        with np.errstate(all="ignore"):
+            values = self._pointwise(theta, self._check_x(x), order)[order]
+        if not np.isfinite(values).all():
+            raise ValueError(f"{self.family_id} {('log-density', 'score')[order]} is not finite at theta={theta.tolist()}")
+        return values
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.param_names}>"
@@ -169,14 +175,14 @@ class Exponential(ParametricFamily):
     param_names = ("mean",)
 
     def logpdf(self, theta, x):
-        return self._pointwise(self.validate(theta), self._check_x(x), 0)[0]
+        return self._checked(theta, x, 0)
 
     def cdf(self, theta, x):
         (m,) = self.validate(theta)
         return -np.expm1(-np.asarray(x, dtype=float) / m)
 
     def score(self, theta, x):
-        return self._pointwise(self.validate(theta), self._check_x(x), 1)[1]
+        return self._checked(theta, x, 1)
 
     def mean(self, theta):
         (m,) = self.validate(theta)
@@ -237,7 +243,7 @@ class Weibull(ParametricFamily):
     param_names = ("scale", "shape")
 
     def logpdf(self, theta, x):
-        return self._pointwise(self.validate(theta), self._check_x(x), 0)[0]
+        return self._checked(theta, x, 0)
 
     def cdf(self, theta, x):
         sigma, b = self.validate(theta)
@@ -245,7 +251,7 @@ class Weibull(ParametricFamily):
         return -np.expm1(-np.power(np.maximum(x, 0.0) / sigma, b))
 
     def score(self, theta, x):
-        return self._pointwise(self.validate(theta), self._check_x(x), 1)[1]
+        return self._checked(theta, x, 1)
 
     def mean(self, theta):
         sigma, b = self.validate(theta)
@@ -369,14 +375,21 @@ def get_family(name: str) -> ParametricFamily:
 @dataclass(frozen=True)
 class FamilySpec:
     """A serializable (family id, parameter vector) pair used by synthetic
-    designs and experiment configs."""
+    designs and experiment configs; resolved and validated once, at
+    construction, so an invalid pair raises ValueError there."""
 
     family: str
     theta: tuple[float, ...]
 
-    def resolve(self) -> tuple[ParametricFamily, np.ndarray]:
+    def __post_init__(self):
         fam = get_family(self.family)
-        return fam, fam.validate(self.theta)
+        theta = fam.validate(np.array(self.theta, dtype=float))
+        theta.setflags(write=False)
+        object.__setattr__(self, "_resolved", (fam, theta))
+
+    def resolve(self) -> tuple[ParametricFamily, np.ndarray]:
+        """The family and its validated, read-only parameter vector."""
+        return self._resolved
 
     def label(self) -> str:
         fam, theta = self.resolve()

@@ -8,6 +8,7 @@ from robustsurv import (
     CsvFormatError,
     FamilySpec,
     SyntheticDesign,
+    WEIBULL,
     ingest_csv,
     ingest_csv_arms,
     simulate,
@@ -171,6 +172,19 @@ class TestSimulate:
         expected = eps * np.exp(-12.0 / 40.0) * np.exp(-12.0 / 9.0)
         band = 3.0 * np.sqrt(eps * (1 - eps) / n)
         assert abs(frac_big - expected) < band + 0.002
+
+    def test_family_spec_validated_at_construction(self):
+        for family, theta in (
+            ("weibull", (2.0, -1.0)), ("weibull", (2.0,)), ("exp", (float("nan"),)), ("lognormal", (1.0,)),
+        ):
+            with pytest.raises(ValueError):
+                FamilySpec(family, theta)
+        caller = np.array([2.0, 5.0])
+        spec = FamilySpec("Weibull", caller)
+        family, theta = spec.resolve()
+        assert family is WEIBULL and spec.resolve()[1] is theta
+        np.testing.assert_array_equal(theta, caller)
+        assert not theta.flags.writeable and caller.flags.writeable
 
     def test_design_validation(self):
         with pytest.raises(ValueError):

