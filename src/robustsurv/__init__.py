@@ -8,7 +8,6 @@ influence-function diagnostics and a reproducible Monte Carlo harness.
 """
 
 from .data import (
-    CensoredObservation,
     CensoredSample,
     CsvFormatError,
     SyntheticDesign,
@@ -25,6 +24,8 @@ from .hypothesis import (
     Restriction,
     TestReport,
     contiguous_power,
+    noncentral_chi2_sf,
+    noncentral_weights,
     power_approx,
     wald_statistic,
 )
@@ -37,8 +38,6 @@ from .influence import (
     if_estimator,
     kstar,
     lif,
-    noncentral_chi2_sf,
-    noncentral_weights,
     pif,
     sigma_model,
 )

@@ -17,7 +17,6 @@ Hypothesis grammar (--hypothesis):
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import re
@@ -31,6 +30,7 @@ from .data import (
     CensoredSample,
     CsvFormatError,
     SyntheticDesign,
+    _csv_table,
     ingest_csv,
     ingest_csv_arms,
 )
@@ -244,22 +244,6 @@ def _alpha_values(args) -> tuple[float, ...]:
     return DEFAULT_ALPHA_GRID
 
 
-def _write_rows(path: str, columns: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _format_value(row.get(k, "")) for k in columns})
-
-
-def _format_value(value):
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    return value
-
-
 # -- subcommands ------------------------------------------------------------
 
 
@@ -269,9 +253,8 @@ def _cmd_fit(args) -> int:
     grid = _alpha_values(args)
     results = fit_grid(sample, family, grid, FitConfig())
     rows = [r.to_dict() for r in results]
-    columns = list(rows[0].keys())
     out = os.path.join(args.out, "fit.csv")
-    _write_rows(out, columns, rows)
+    _csv_table(list(rows[0]), [list(row.values()) for row in rows], out)
     for r in results:
         print(r.summary())
         print()
@@ -303,8 +286,8 @@ def _cmd_test(args) -> int:
         print()
     out = os.path.join(args.out, "test.csv")
     columns = ["alpha_dpd", "hypothesis", "statistic", "df", "p_value", "converged"]
-    extra = [k for k in rows[0] if k not in columns]
-    _write_rows(out, columns + extra, rows)
+    columns += [k for k in rows[0] if k not in columns]
+    _csv_table(columns, [[row.get(k, "") for k in columns] for row in rows], out)
     print(f"wrote {out}  (p-value vs alpha curve)")
     return 0 if ok else 1
 
@@ -338,8 +321,8 @@ def _cmd_compare(args) -> int:
     out = os.path.join(args.out, "compare.csv")
     columns = ["alpha_dpd", "hypothesis", "statistic", "df", "one_sided", "p_value",
                "n1", "n2", "converged"]
-    extra = [k for k in rows[0] if k not in columns]
-    _write_rows(out, columns + extra, rows)
+    columns += [k for k in rows[0] if k not in columns]
+    _csv_table(columns, [[row.get(k, "") for k in columns] for row in rows], out)
     print(f"wrote {out}")
     return 0 if ok else 1
 
@@ -367,8 +350,7 @@ def _cmd_influence(args) -> int:
             pifv = pif(family, theta0, alpha, parsed.restriction, d, grid,
                        level=args.level, sigma=sigma)
             out2 = os.path.join(args.out, f"if2_pif_alpha{alpha:g}.csv")
-            _write_rows(out2, ["t", "if2", "pif"],
-                        [{"t": t, "if2": a, "pif": b} for t, a, b in zip(grid, if2, pifv)])
+            _csv_table(["t", "if2", "pif"], zip(grid.tolist(), if2.tolist(), pifv.tolist()), out2)
             written.append(out2)
     for path in written:
         print(f"wrote {path}")

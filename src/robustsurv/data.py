@@ -1,4 +1,5 @@
-"""Censored samples: ingestion, canonical ordering, synthetic generation.
+"""Censored samples: ingestion, canonical ordering, synthetic generation,
+and the one plot-ready CSV format that every writer in the package uses.
 
 Everything downstream works on a :class:`CensoredSample`, which stores the
 observed pairs (z, delta) sorted ascending in z with events (delta=1) placed
@@ -6,20 +7,26 @@ before censorings at tied times.  That tie rule is the standard product-limit
 convention; the ordering fixes the order statistics and concomitants used by
 the product-limit weights and all gamma-hat accumulations, so it is enforced
 at construction and never revisited.
+
+Every CSV the package writes (samples, product-limit curves, influence
+curves, experiment reports and the command line's tables) goes through
+:func:`_csv_table`: a header row, floats (numpy floats too) to 17
+significant digits, so that they read back bit for bit, booleans as
+"true"/"false", and LF line ends on every platform.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .model import FamilySpec
 
 __all__ = [
-    "CensoredObservation",
     "CensoredSample",
     "CsvFormatError",
     "SyntheticDesign",
@@ -29,11 +36,6 @@ __all__ = [
     "simulate",
     "replication_rng",
 ]
-
-
-class CensoredObservation(NamedTuple):
-    z: float
-    delta: int
 
 
 class CsvFormatError(ValueError):
@@ -88,12 +90,6 @@ class CensoredSample:
     @property
     def n_events(self) -> int:
         return int(self.delta.sum())
-
-    @property
-    def observations(self) -> tuple[CensoredObservation, ...]:
-        return tuple(
-            CensoredObservation(float(z), int(d)) for z, d in zip(self.z, self.delta)
-        )
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, int]]) -> "CensoredSample":
@@ -166,13 +162,32 @@ def ingest_csv_arms(
     return {arm: CensoredSample.from_pairs(pairs) for arm, pairs in sorted(by_arm.items())}
 
 
+def _cell(value):
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return value
+
+
+def _csv_table(header, rows, path=None) -> str:
+    """The package's CSV text (module docstring) of a header and rows of
+    cells, each row a sequence; None and "" give empty cells.  Written to
+    ``path`` when one is given; returned either way."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([list(map(_cell, row)) for row in rows])
+    text = buf.getvalue()
+    if path is not None:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    return text
+
+
 def write_csv(sample: CensoredSample, path, time_column: str = "time", status_column: str = "status") -> None:
     """Serialize a sample so that ingest(write(s)) == s."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([time_column, status_column])
-        for z, d in zip(sample.z, sample.delta):
-            writer.writerow([f"{z:.17g}", int(d)])
+    _csv_table([time_column, status_column], zip(sample.z.tolist(), sample.delta.tolist()), path)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ space (positivity for free), on the exact Jacobian
 with d jvec / d theta from the family's closed-form integrals (Basu, Harris,
 Hjort & Jones 1998, Biometrika 85:549, for the alpha-weighted information),
 and J_eta = J_theta diag(theta) in the log coordinates eta.  The family's
-fused pass, the solver's only evaluation, gives the objective H, g and J at
-a point at once; no trajectory makes it twice at one point, and the p x p
-step algebra runs on Python floats.
+fused pass, the solver's only evaluation, gives the objective H, g, J and
+the data mass sum_i w_i f_i^alpha at a point at once; no trajectory makes it
+twice at one point, the start's pass serves both trajectories, and the
+p x p step algebra runs on Python floats.
 
 Residual Newton runs first: it solves J_eta step = -g and accepts a step
 that lowers |g|.  When it gives no root, descent Newton on H runs from the
@@ -213,12 +214,16 @@ class FitResult:
 
 class _Point(NamedTuple):
     """A solver point eta with the objective H (inf where it is not finite),
-    g, J_eta (by rows) and |g| there, as floats."""
+    g, J_eta (by rows), |g| and the data mass s0 = sum_i w_i f_i^alpha there,
+    as floats.  A genuine root keeps s0 well away from zero, while a boundary
+    runaway, where the density collapses on every observation and makes the
+    equation trivially zero, does not."""
     eta: tuple
     value: float
     g: tuple
     jac: tuple
     norm: float
+    mass: float
 
 
 class _WeightedEquation:
@@ -230,9 +235,8 @@ class _WeightedEquation:
 
     def __init__(self, sample: CensoredSample, family: ParametricFamily, alpha: float):
         km = kmpl_fit(sample)
-        self.points = family._check_x(km.weight_points)
         self.weights = km.weight_masses
-        self.prepared = family._prepare(self.points)
+        self.prepared = family._prepare(family._check_x(km.weight_points))
         self.residual_mass = km.residual_mass
         self.event_times = km.support.size
         self.family = family
@@ -259,26 +263,15 @@ class _WeightedEquation:
         with J_eta = J_theta diag(theta), from the family's fused pass."""
         theta = np.exp(eta).tolist()
         try:
-            value, g, jac = self._pass(theta)
+            value, g, jac, mass = self._pass(theta)
         except (ArithmeticError, ValueError):
             nan = (math.nan,) * len(theta)
-            return _Point(eta, math.inf, nan, (nan,) * len(theta), math.inf)
+            return _Point(eta, math.inf, nan, (nan,) * len(theta), math.inf, math.nan)
         jac = tuple(tuple(d * th for d, th in zip(row, theta)) for row in jac)
         norm = math.sqrt(sum(v * v for v in g))
         # H and |g|, inf where they are not finite or overflow
         value, norm = (v if math.isfinite(v) else math.inf for v in (value, norm))
-        return _Point(eta, value, g, jac, norm)
-
-    def data_mass(self, eta) -> float:
-        """Weighted mean of f^alpha over the sample; a genuine root keeps it
-        well away from zero, while boundary runaways (density collapsing to
-        zero on all observations, making the equation trivially zero) do not.
-        """
-        try:
-            logf = self.family._pointwise(np.exp(eta).tolist(), self.points, 0)[0]
-            return float(self.weights @ np.exp(self.alpha * logf))
-        except (ArithmeticError, ValueError):
-            return 0.0
+        return _Point(eta, value, g, jac, norm, mass)
 
 
 def mdpde_objective(sample: CensoredSample, family: ParametricFamily, theta, alpha: float) -> float:
@@ -293,24 +286,23 @@ def mdpde_objective(sample: CensoredSample, family: ParametricFamily, theta, alp
 
 
 def _solve(
-    eq: _WeightedEquation, eta0, tol: float, max_iter: int, step,
+    eq: _WeightedEquation, start: _Point, tol: float, max_iter: int, step,
     stall: bool = False,
 ):
-    """Iterate ``step(point)`` from the point at eta0 until the residual norm
-    |g| is within tol.
+    """Iterate ``step(point)`` from ``start`` until the residual norm |g| is
+    within tol.
 
     ``step`` returns the accepted next :class:`_Point`, with its pass, or
     None when it cannot move.  Returns (last point, iterations, converged).
     A residual within tol counts as a root only if the objective there is no
-    higher than at eta0 (within _FLAT_REL): the absolute tolerance also holds
-    far out towards the parameter boundary, where g -> 0 as the scale grows.
-    A non-finite residual at eta0, a step that cannot move, and a drift
-    beyond _MAX_LOG_DRIFT from eta0 all end the trajectory as not converged;
-    with ``stall``, so does an accepted step that leaves |g| above
-    _STALL_RATIO times its value _STALL_STEPS accepted steps earlier.
+    higher than at the start (within _FLAT_REL): the absolute tolerance also
+    holds far out towards the parameter boundary, where g -> 0 as the scale
+    grows.  A non-finite residual at the start, a step that cannot move, and
+    a drift beyond _MAX_LOG_DRIFT from the start all end the trajectory as
+    not converged; with ``stall``, so does an accepted step that leaves |g|
+    above _STALL_RATIO times its value _STALL_STEPS accepted steps earlier.
     """
-    eta0 = tuple(float(v) for v in eta0)
-    at = eq.point(eta0)
+    at, eta0 = start, start.eta
     if not all(math.isfinite(v) for v in at.g):
         return at, 0, False
     ceiling = at.value + _FLAT_REL * abs(at.value)
@@ -340,8 +332,8 @@ def _capped(step) -> tuple:
     return tuple(v * (_MAX_LOG_STEP / big) for v in step) if big > _MAX_LOG_STEP else tuple(step)
 
 
-def _newton(eq: _WeightedEquation, eta0, tol: float, max_iter: int):
-    """Damped Newton from eta0 on the log-space estimating equation.
+def _newton(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int):
+    """Damped Newton from ``start`` on the log-space estimating equation.
 
     A step is accepted once it lowers |g|; one that does not within
     _MAX_HALVINGS halvings, a singular or non-finite Jacobian, or a stall
@@ -363,18 +355,18 @@ def _newton(eq: _WeightedEquation, eta0, tol: float, max_iter: int):
             lam *= 0.5
         return None
 
-    return _solve(eq, eta0, tol, max_iter, step, stall=True)
+    return _solve(eq, start, tol, max_iter, step, stall=True)
 
 
-def _descent(eq: _WeightedEquation, eta0, tol: float, max_iter: int):
-    """Descent Newton from eta0 on the objective in log coordinates.
+def _descent(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int):
+    """Descent Newton from ``start`` on the objective in log coordinates.
 
     The eta-Hessian over (1 + alpha), diag(theta) J_theta diag(theta) +
     diag(theta * g), has its eigenvalues replaced by their absolute values,
     so the step is downhill; it is accepted on an Armijo decrease of the
     objective, or, where the objective is flat to rounding (_FLAT_REL), on a
     lower |g|; each trial point takes one fused pass, which gives both.  An
-    infinite objective at eta0 means the descent cannot start.  It has no
+    infinite objective at the start means the descent cannot start.  It has no
     stall stop: an Armijo descent lowers the objective, not necessarily |g|
     (see _solve for the rest of the contract).
     """
@@ -402,20 +394,22 @@ def _descent(eq: _WeightedEquation, eta0, tol: float, max_iter: int):
             t *= 0.5
         return None
 
-    return _solve(eq, eta0, tol, max_iter, step)
+    return _solve(eq, start, tol, max_iter, step)
 
 
 def _root_from(eq: _WeightedEquation, eta0):
-    """Residual Newton from eta0, then the descent from eta0 when Newton
-    gives no root: (end point, iterations of both, converged, path tag).  A
-    converged end where the density has collapsed on every observation
-    (alpha > 0, mass below 1e-8 of the start's) is a boundary runaway."""
-    reference_mass = eq.data_mass(eta0) if eq.alpha > 0.0 else 0.0
+    """Residual Newton from eta0, then the descent from the same evaluated
+    start when Newton gives no root: (end point, iterations of both,
+    converged, path tag).  A converged end where the density has collapsed
+    on every observation (alpha > 0, data mass below 1e-8 of the start's) is
+    a boundary runaway."""
+    start = eq.point(eta0)
+    reference_mass = start.mass if eq.alpha > 0.0 else 0.0
     iters = 0
     for tag, solver in (("newton", _newton), ("descent", _descent)):
-        end, n, ok = solver(eq, eta0, _TOL_GRADIENT, _MAX_ITER)
+        end, n, ok = solver(eq, start, _TOL_GRADIENT, _MAX_ITER)
         iters += n
-        if ok and reference_mass > 0.0 and eq.data_mass(end.eta) < 1e-8 * reference_mass:
+        if ok and reference_mass > 0.0 and end.mass < 1e-8 * reference_mass:
             ok, tag = False, f"{tag}-degenerate"
         if ok:
             break

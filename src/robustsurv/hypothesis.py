@@ -6,6 +6,12 @@ unrestricted estimate and its sandwich covariance: no restricted fit is ever
 computed, because the quadratic form in m(theta_hat) already carries the
 null.  The significance level is always called ``level``; ``alpha_dpd`` is
 reserved for the divergence tuning parameter.
+
+Every Wald form in the package, here and in ``twosample`` and
+``influence``, forms M^T Sigma M and checks its condition number (at most
+1e12) through :func:`_wald_inner`, on Python floats.  The chi-square tails
+live here too: central ones from scipy, and the noncentral tail of the
+contiguous power as a Poisson mixture of central ones.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ __all__ = [
     "contiguous_power",
     "chi2_sf",
     "chi2_quantile",
+    "noncentral_weights",
+    "noncentral_chi2_sf",
 ]
 
 
@@ -58,6 +66,29 @@ def chi2_sf(df: int, x: float) -> float:
 def chi2_quantile(df: int, level: float) -> float:
     """(1 - level) quantile of chi-square with df degrees of freedom."""
     return float(special.chdtri(df, level))
+
+
+def noncentral_weights(s: float) -> np.ndarray:
+    """Poisson(s/2) mixture weights C_v, truncated when the omitted Poisson
+    tail falls below 1e-12 (or after 100 000 terms)."""
+    if s < 0.0:
+        raise ValueError("noncentrality must be nonnegative")
+    half = 0.5 * s
+    weights = [np.exp(-half)]
+    cumulative = weights[0]
+    v = 0
+    while cumulative < 1.0 - 1e-12 and v < 100_000:
+        v += 1
+        weights.append(weights[-1] * half / v)
+        cumulative += weights[-1]
+    return np.asarray(weights)
+
+
+def noncentral_chi2_sf(q: float, df: int, ncp: float) -> float:
+    """P(chi2_df(ncp) > q) by the Poisson mixture of central chi-square tails."""
+    weights = noncentral_weights(ncp)
+    dfs = df + 2.0 * np.arange(weights.size)
+    return float(weights @ special.chdtrc(dfs, q))
 
 
 class Restriction:
@@ -203,18 +234,27 @@ class TestReport:
         return "\n".join(lines)
 
 
-def _wald_form(m, jac, sigma) -> tuple[float, list, float]:
-    """(m^T (M^T Sigma M)^{-1} m, M^T Sigma M, its condition number) on Python
-    floats, m, M and Sigma as lists (by rows), by varest's Cramer solve; NaN
-    where the solve overflows.  The r x r matrix takes r <= 2; cond above
-    1e12 raises LinAlgError.  Shared by the one- and two-sample Wald tests,
-    the power approximations and the two-sample IF2."""
-    if len(m) > 2:
-        raise ValueError(f"Wald forms take restrictions of rank at most 2, got r={len(m)}")
+def _wald_inner(jac, sigma) -> tuple[list, float]:
+    """(M^T Sigma M, its condition number) on Python floats, M and Sigma as
+    lists (by rows).  The r x r matrix takes r <= 2; cond above 1e12 raises
+    LinAlgError."""
+    r = len(jac[0])
+    if r > 2:
+        raise ValueError(f"Wald forms take restrictions of rank at most 2, got r={r}")
     inner = _small_congruence(list(zip(*jac)), sigma)
     cond = _small_cond(inner)
     if not cond <= 1e12:
         raise np.linalg.LinAlgError(f"M^T Sigma M is numerically singular (cond={cond:.3g})")
+    return inner, cond
+
+
+def _wald_form(m, jac, sigma) -> tuple[float, list, float]:
+    """(m^T (M^T Sigma M)^{-1} m, M^T Sigma M, its condition number) on Python
+    floats, m, M and Sigma as lists (by rows), by varest's Cramer solve; NaN
+    where the solve overflows.  :func:`_wald_inner` forms and checks the
+    r x r matrix.  Shared by the one- and two-sample Wald tests, the power
+    approximations and the two-sample IF2."""
+    inner, cond = _wald_inner(jac, sigma)
     solved = _small_solve(inner, m)
     return (sum(map(operator.mul, m, solved)) if solved is not None else math.nan), inner, cond
 
@@ -286,8 +326,6 @@ def contiguous_power(
 ) -> float:
     """Asymptotic power against theta0 + d/sqrt(n): noncentral chi-square_r
     upper tail with noncentrality d^T M (M^T Sigma M)^{-1} M^T d."""
-    from .influence import noncentral_chi2_sf  # series utilities live there
-
     jac = restriction.jacobian(np.asarray(theta0, dtype=float))
     md = jac.T @ np.asarray(d, dtype=float)
     ncp = _wald_form(md.tolist(), jac.tolist(), np.asarray(sigma, dtype=float).tolist())[0]

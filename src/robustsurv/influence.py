@@ -8,20 +8,24 @@ first-order one vanishes at the null), and the asymptotic contiguous power
 Sigma(psi; theta0), which depends on the censoring law; by default the
 censoring-free covariance (the no-censoring limit, available in closed form)
 is used, and callers holding a data-based estimate can pass it instead.
+(M^T Sigma M)^{-1} comes from the Wald tests' float helpers in
+``hypothesis``, so a covariance the tests refuse (cond above 1e12) raises
+LinAlgError here too; the noncentral chi-square series behind the PIF's
+coefficient ``kstar`` lives there as well.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .hypothesis import _wald_form, contiguous_power
+from .data import _csv_table
+from .hypothesis import _wald_form, _wald_inner, contiguous_power, noncentral_weights
 from .model import ParametricFamily, lambda_model, mdpde_psi
 from .twosample import _stacked_sigma
-from .varest import sigma_hat
+from .varest import _small_solve, sigma_hat
 
 __all__ = [
     "IfCurve",
@@ -29,8 +33,6 @@ __all__ = [
     "if_estimator",
     "if_curve",
     "if2_wald",
-    "noncentral_weights",
-    "noncentral_chi2_sf",
     "kstar",
     "contaminated_contiguous_power",
     "pif",
@@ -82,12 +84,8 @@ class IfCurve:
     alpha: float
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", *self.columns])
-            values = np.atleast_2d(self.values.T).T
-            for ti, row in zip(self.t, values):
-                writer.writerow([f"{ti:.17g}", *(f"{v:.17g}" for v in np.atleast_1d(row))])
+        values = np.atleast_2d(self.values.T).T.tolist()
+        _csv_table(["t", *self.columns], ([ti, *row] for ti, row in zip(self.t.tolist(), values)), path)
 
 
 def if_curve(family: ParametricFamily, theta0, alpha: float, t_grid) -> IfCurve:
@@ -105,8 +103,11 @@ def if_curve(family: ParametricFamily, theta0, alpha: float, t_grid) -> IfCurve:
     )
 
 
-def _sigma_star(family, theta0, alpha, restriction, sigma):
-    """(M, M^T Sigma M, Sigma) at a null theta0; Sigma defaults to sigma_model."""
+def _null_inverse(family, theta0, alpha, restriction, sigma):
+    """(M, (M^T Sigma M)^{-1}, Sigma) at a null theta0; Sigma defaults to
+    sigma_model.  The r x r matrix and its inverse are formed on floats by
+    the Wald tests' helpers, so cond(M^T Sigma M) above 1e12 raises
+    LinAlgError as the tests and contiguous_power do."""
     theta0 = np.asarray(theta0, dtype=float)
     if np.max(np.abs(restriction.m(theta0))) > 1e-8:
         raise ValueError("theta0 must satisfy the null restriction")
@@ -114,7 +115,9 @@ def _sigma_star(family, theta0, alpha, restriction, sigma):
         sigma = sigma_model(family, theta0, alpha)
     jac = np.asarray(restriction.jacobian(theta0), dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    return jac, jac.T @ sigma @ jac, sigma
+    inner, _ = _wald_inner(jac.tolist(), sigma.tolist())
+    inverse = np.array([_small_solve(inner, unit) for unit in np.eye(len(inner)).tolist()]).T
+    return jac, inverse, sigma
 
 
 def if2_wald(
@@ -132,38 +135,14 @@ def if2_wald(
 
     a nonnegative quadratic form in the estimator IF (the first-order IF is
     identically zero at the null)."""
-    jac, inner, _ = _sigma_star(family, theta0, alpha, restriction, sigma)
+    jac, inverse, _ = _null_inverse(family, theta0, alpha, restriction, sigma)
     iv = np.atleast_2d(if_estimator(family, theta0, alpha, t))
     proj = iv @ jac
-    values = 2.0 * np.einsum("ij,ij->i", proj, np.linalg.solve(inner, proj.T).T)
+    values = 2.0 * np.einsum("ij,ij->i", proj, proj @ inverse)
     return float(values[0]) if np.ndim(t) == 0 else values
 
 
-def noncentral_weights(s: float, v_max: int | None = None, *, tail: float = 1e-12) -> np.ndarray:
-    """Poisson(s/2) mixture weights C_v, truncated when the omitted Poisson
-    tail falls below ``tail`` (or at v_max when given)."""
-    if s < 0.0:
-        raise ValueError("noncentrality must be nonnegative")
-    half = 0.5 * s
-    weights = [np.exp(-half)]
-    cumulative = weights[0]
-    v = 0
-    limit = v_max if v_max is not None else 100_000
-    while cumulative < 1.0 - tail and v < limit:
-        v += 1
-        weights.append(weights[-1] * half / v)
-        cumulative += weights[-1]
-    return np.asarray(weights)
-
-
-def noncentral_chi2_sf(q: float, df: int, ncp: float, *, tail: float = 1e-12) -> float:
-    """P(chi2_df(ncp) > q) by the Poisson mixture of central chi-square tails."""
-    weights = noncentral_weights(ncp, tail=tail)
-    dfs = df + 2.0 * np.arange(weights.size)
-    return float(weights @ special.chdtrc(dfs, q))
-
-
-def kstar(s: float, p: int, level: float = 0.05, *, tail: float = 1e-12) -> float:
+def kstar(s: float, p: int, level: float = 0.05) -> float:
     """Series coefficient K*_p(s) of the power influence function.
 
     The printed series has an s^{v-1} factor whose v = 0 term is finite only
@@ -175,7 +154,7 @@ def kstar(s: float, p: int, level: float = 0.05, *, tail: float = 1e-12) -> floa
     whose s -> 0 limit is the u = 0 difference.
     """
     c = float(special.chdtri(p, level))
-    weights = noncentral_weights(s, tail=tail)
+    weights = noncentral_weights(s)
     dfs = p + 2.0 * np.arange(weights.size)
     tails = special.chdtrc(dfs, c)
     tails_next = special.chdtrc(dfs + 2.0, c)
@@ -197,7 +176,7 @@ def contaminated_contiguous_power(
     """Asymptotic power under the contiguous alternative d with an additional
     epsilon/sqrt(n) contamination at t (the series whose epsilon-derivative at
     zero is the PIF)."""
-    _, _, sigma = _sigma_star(family, theta0, alpha, restriction, sigma)
+    _, _, sigma = _null_inverse(family, theta0, alpha, restriction, sigma)
     shifted = np.asarray(d, dtype=float) + epsilon * if_estimator(family, theta0, alpha, t)
     return contiguous_power(shifted, restriction, sigma, theta0, level)
 
@@ -221,8 +200,8 @@ def pif(
     d = np.asarray(d, dtype=float)
     if not np.any(d):
         return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
-    jac, inner, _ = _sigma_star(family, theta0, alpha, restriction, sigma)
-    s0 = np.linalg.solve(inner, jac.T @ d) @ jac.T  # row vector d^T M inner^{-1} M^T
+    jac, inverse, _ = _null_inverse(family, theta0, alpha, restriction, sigma)
+    s0 = (inverse @ (jac.T @ d)) @ jac.T  # row vector d^T M (M^T Sigma M)^{-1} M^T
     s = float(s0 @ d)
     iv = np.atleast_2d(if_estimator(family, theta0, alpha, t))
     values = kstar(s, restriction.r, level) * (iv @ s0)

@@ -11,12 +11,11 @@ shared, read-only, by every caller.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CensoredSample
+from .data import CensoredSample, _csv_table
 
 __all__ = ["KmplFit", "kmpl_fit"]
 
@@ -44,28 +43,17 @@ class KmplFit:
     def tail_flagged(self) -> bool:
         return self.residual_mass > RESIDUAL_MASS_FLAG
 
-    def cdf(self, x) -> np.ndarray:
-        """Right-continuous raw CDF evaluated at x (0 before the first event)."""
-        idx = np.searchsorted(self.support, np.asarray(x, dtype=float), side="right")
-        padded = np.concatenate(([0.0], self.cdf_values))
-        return padded[idx]
-
     def write_csv(self, path) -> None:
         """(time, cdf, jump) rows plus the log-log cumulative-hazard columns
         used for straight-line model diagnostics."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["time", "cdf", "jump", "log_time", "log_cumulative_hazard"]
-            )
-            for t, c, j in zip(self.support, self.cdf_values, self.jumps):
-                if c < 1.0:
-                    loglog = f"{np.log(-np.log1p(-c)):.17g}" if 0.0 < c else ""
-                else:
-                    loglog = ""
-                writer.writerow(
-                    [f"{t:.17g}", f"{c:.17g}", f"{j:.17g}", f"{np.log(t):.17g}" if t > 0 else "", loglog]
-                )
+        _csv_table(
+            ["time", "cdf", "jump", "log_time", "log_cumulative_hazard"],
+            (
+                [t, c, j, np.log(t) if t > 0 else "", np.log(-np.log1p(-c)) if 0.0 < c < 1.0 else ""]
+                for t, c, j in zip(self.support, self.cdf_values, self.jumps)
+            ),
+            path,
+        )
 
 
 def kmpl_fit(sample: CensoredSample) -> KmplFit:

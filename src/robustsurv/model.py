@@ -66,7 +66,7 @@ class ParametricFamily:
     """A positive lifetime model with density, score and weighted integrals.
 
     Subclasses provide the closed forms; everything data-facing (sampling,
-    cdf, log-density) is exposed here so the fitting and variance layers
+    log-density, score) is exposed here so the fitting and variance layers
     never special-case the family.
     """
 
@@ -99,14 +99,8 @@ class ParametricFamily:
     def logpdf(self, theta, x) -> np.ndarray:
         raise NotImplementedError
 
-    def cdf(self, theta, x) -> np.ndarray:
-        raise NotImplementedError
-
     def score(self, theta, x) -> np.ndarray:
         """Gradient of log f at each x; shape (len(x), p)."""
-        raise NotImplementedError
-
-    def mean(self, theta) -> float:
         raise NotImplementedError
 
     def sample(self, theta, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -138,8 +132,9 @@ class ParametricFamily:
 
     def _equation(self, theta, alpha: float, prepared, mass: np.ndarray):
         """The fused pass (module docstring) at the points that ``_prepare``
-        turned into ``prepared``, with masses ``mass``: (H, g, J_theta), J by
-        rows, as Python floats for a Python-float theta."""
+        turned into ``prepared``, with masses ``mass``: (H, g, J_theta, s0),
+        J by rows and s0 = sum_i m_i f_i^alpha, as Python floats for a
+        Python-float theta."""
         raise NotImplementedError
 
     def _float_integrals(self, theta: np.ndarray, alpha: float, jacobian: bool):
@@ -177,16 +172,8 @@ class Exponential(ParametricFamily):
     def logpdf(self, theta, x):
         return self._checked(theta, x, 0)
 
-    def cdf(self, theta, x):
-        (m,) = self.validate(theta)
-        return -np.expm1(-np.asarray(x, dtype=float) / m)
-
     def score(self, theta, x):
         return self._checked(theta, x, 1)
-
-    def mean(self, theta):
-        (m,) = self.validate(theta)
-        return m
 
     def sample(self, theta, rng, size):
         (m,) = self.validate(theta)
@@ -234,7 +221,7 @@ class Exponential(ParametricFamily):
         # u = (x - m) / m^2 and grad u = (m - 2x) / m^3, summed with v
         m2 = m * m
         jac = dj - (m * s0 - 2.0 * s1) / (m2 * m) - alpha * (s2 - 2.0 * m * s1 + m2 * s0) / (m2 * m2)
-        return h, (j - (s1 - m * s0) / m2,), ((jac,),)
+        return h, (j - (s1 - m * s0) / m2,), ((jac,),), s0
 
 class Weibull(ParametricFamily):
     """Weibull lifetimes with scale sigma and shape b: F(x) = 1 - exp(-(x/sigma)^b)."""
@@ -245,17 +232,8 @@ class Weibull(ParametricFamily):
     def logpdf(self, theta, x):
         return self._checked(theta, x, 0)
 
-    def cdf(self, theta, x):
-        sigma, b = self.validate(theta)
-        x = np.asarray(x, dtype=float)
-        return -np.expm1(-np.power(np.maximum(x, 0.0) / sigma, b))
-
     def score(self, theta, x):
         return self._checked(theta, x, 1)
-
-    def mean(self, theta):
-        sigma, b = self.validate(theta)
-        return sigma * special.gamma(1.0 + 1.0 / b)
 
     def sample(self, theta, rng, size):
         sigma, b = self.validate(theta)
@@ -351,7 +329,7 @@ class Weibull(ParametricFamily):
         return h, (j_s - r * s1, j_b - s0 / b + s2), (
             (d_ss + (r / sigma) * s1 + r * r * (s1 + s0 - alpha * s5), j_sb),
             (j_sb, d_bb + s0 / bb + s4 - alpha * (s0 / bb - 2.0 * s2 / b + s7)),
-        )
+        ), s0
 
 EXPONENTIAL = Exponential()
 WEIBULL = Weibull()

@@ -10,8 +10,6 @@ trusted.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 import time
 from collections import Counter
@@ -21,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import SyntheticDesign, simulate
+from .data import SyntheticDesign, _csv_table, simulate
 from .estimator import fit_grid
 from .hypothesis import Restriction, wald_statistic
 from .model import validate_alpha
@@ -101,16 +99,10 @@ class ExperimentReport:
     test_failures: dict[str, int] = field(default_factory=dict)
 
     def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_format_cell(row[c], exact=True) for c in self.columns])
-        return buf.getvalue()
+        return _csv_table(self.columns, ([row[c] for c in self.columns] for row in self.rows))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(self.to_csv_string())
+        _csv_table(self.columns, ([row[c] for c in self.columns] for row in self.rows), path)
 
     def summary(self) -> str:
         lines = [
@@ -138,10 +130,8 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _format_cell(value, exact: bool = False) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}" if exact else f"{value:.6g}"
-    return str(value)
+def _format_cell(value) -> str:
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def _fit_sweep(spec: ExperimentSpec, replication: int):

@@ -22,7 +22,8 @@ from scipy import special
 
 from .estimator import FitResult
 from .hypothesis import (
-    LinearRestriction, Restriction, TestReport, _wald_form, chi2_quantile, chi2_sf, power_approx,
+    LinearRestriction, Restriction, TestReport, _wald_form, chi2_quantile, chi2_sf,
+    noncentral_chi2_sf, power_approx,
 )
 
 __all__ = [
@@ -214,8 +215,6 @@ def two_sample_contiguous(
     chi-square_r tail with noncentrality W^T SigmaTilde^{-1} W where
     W = sqrt(omega) M1^T delta1 + sqrt(1-omega) M2^T delta2 = M^T d for the
     stacked shift d = (sqrt(omega) delta1, sqrt(1-omega) delta2)."""
-    from .influence import noncentral_chi2_sf
-
     if not 0.0 < omega < 1.0:
         raise ValueError("omega must lie in (0, 1)")
     jac = restriction.jacobian(np.concatenate((np.asarray(theta10, dtype=float), np.asarray(theta20, dtype=float))))

@@ -306,6 +306,41 @@ class TestErrorPaths:
         assert code == 2
 
 
+class TestCsvFormat:
+    def test_every_command_writes_the_one_format(self, tmp_path):
+        # LF line ends only, a full header row, floats to 17 significant
+        # digits and lowercase booleans, whichever module wrote the file
+        commands = {
+            "fit": ["fit", "veteran", "--alpha-grid", "0:1:0.5"],
+            "test": ["test", "veteran", "--hypothesis", "shape=1", "--alpha", "0.5"],
+            "compare": ["compare", "veteran", "--arm-column", "arm",
+                        "--hypothesis", "shape1=shape2 dir=greater", "--alpha", "0.5"],
+            "kmplot": ["kmplot", "veteran"],
+            "influence": ["influence", "--theta", "2,5", "--hypothesis", "shape=5",
+                          "--alpha", "0.5", "--t-points", "20"],
+            "simulate": ["simulate", "--family", "exp", "--theta", "1",
+                         "--censoring-mean", "9", "--n", "30", "--replications", "5",
+                         "--alpha", "0", "--hypothesis", "mean=1"],
+        }
+        written = []
+        for name, argv in commands.items():
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+            written += sorted((tmp_path / name).iterdir())
+        assert len(written) == 7
+        for path in written:
+            data = path.read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n"), path.name
+            header, *rows = list(csv.reader(data.decode("utf-8").split("\n")[:-1]))
+            assert rows and all(len(row) == len(header) for row in rows), path.name
+            for cell in (cell for row in rows for cell in row):
+                assert cell not in ("True", "False"), path.name
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert cell == f"{value:.17g}", (path.name, cell)
+
+
 class TestDatasets:
     def test_veteran_structure(self, veteran):
         assert veteran["A"].n == 69

@@ -76,6 +76,7 @@ class TestIngest:
         sample = ingest_csv(path)
         out = tmp_path / "o.csv"
         write_csv(sample, out)
+        assert out.read_text(encoding="utf-8").startswith("time,status\n") and b"\r" not in out.read_bytes()
         again = ingest_csv(out)
         np.testing.assert_array_equal(sample.z, again.z)
         np.testing.assert_array_equal(sample.delta, again.delta)
@@ -91,10 +92,6 @@ class TestCensoredSample:
             CensoredSample.from_pairs([(-1.0, 1)])
         with pytest.raises(ValueError):
             CensoredSample.from_pairs([(1.0, 2)])
-
-    def test_observations_tuple(self, small_sample):
-        obs = small_sample.observations
-        assert obs[0].z == 1.0 and obs[0].delta == 1
 
     def test_identity_equality_and_hash(self):
         pairs = [(3.0, 1), (1.0, 0), (2.0, 1)]

@@ -162,7 +162,7 @@ class TestExactJacobian:
         eta = np.log([2.0, 5.0][: family.dim]) + np.array(log_offset[: family.dim])
         theta = np.exp(eta)
 
-        g, jac = (np.array(v) for v in eq._pass(theta)[1:])
+        g, jac = (np.array(v) for v in eq._pass(theta)[1:3])
         fd = central_jacobian(lambda th: np.array(eq._pass(th)[1]), theta, 1e-5 * theta)
         np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(jac).max())
 
@@ -202,7 +202,7 @@ class TestFusedPass:
 
         jvec, u, weights = parts(theta)
         terms = weights[:, None] * u
-        g, jac = (np.array(v) for v in _WeightedEquation(sample, family, alpha)._pass(theta)[1:])
+        g, jac = (np.array(v) for v in _WeightedEquation(sample, family, alpha)._pass(theta)[1:3])
         scale = max(np.abs(jvec).max(), np.abs(terms).sum(axis=0).max())
         np.testing.assert_allclose(g, jvec - terms.sum(axis=0), rtol=1e-12, atol=1e-12 * scale)
 
@@ -244,7 +244,7 @@ class TestSolver:
         sample = simulate(contaminated_design(1750529956), 100, replication=0)
         eq = _WeightedEquation(sample, WEIBULL, 0.5)
         eta0 = np.log(_initial_theta(sample, WEIBULL))
-        _, iters, ok = _newton(eq, eta0, 1e-8, 200)
+        _, iters, ok = _newton(eq, eq.point(eta0), 1e-8, 200)
         assert not ok
         assert iters < 50
         # the fit still finds the root through its fallback
@@ -255,7 +255,7 @@ class TestSolver:
         # that moves eta by 4 per step passes the drift bound at step 6
         eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0)
         step = lambda at: at._replace(eta=(at.eta[0] + 4.0,), norm=0.5 * at.norm)
-        end, iters, ok = _solve(eq, np.zeros(1), 1e-8, 200, step, stall=True)
+        end, iters, ok = _solve(eq, eq.point(np.zeros(1)), 1e-8, 200, step, stall=True)
         assert not ok
         assert iters == 6 and end.eta[0] > _MAX_LOG_DRIFT
 
@@ -264,20 +264,20 @@ class TestSolver:
         # boundary pseudo-root, not a root
         eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0)
         rise = lambda at: at._replace(eta=(at.eta[0] + 1.0,), value=at.value + 1e-6, norm=0.0)
-        end, iters, ok = _solve(eq, np.zeros(1), 1e-8, 200, rise)
+        end, iters, ok = _solve(eq, eq.point(np.zeros(1)), 1e-8, 200, rise)
         assert not ok and iters == 1 and end.norm == 0.0
         # the same step without the rise converges
         flat = lambda at: at._replace(eta=(at.eta[0] + 1.0,), norm=0.0)
-        assert _solve(eq, np.zeros(1), 1e-8, 200, flat)[2]
+        assert _solve(eq, eq.point(np.zeros(1)), 1e-8, 200, flat)[2]
 
     def test_stall_stop_only_where_asked(self, exp_sample):
         # |g| falling by 10 % per step, which is 0.59 over five steps
         eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0)
         crawl = lambda at: at._replace(eta=(at.eta[0] + 0.01,), norm=0.9 * at.norm)
-        _, iters, ok = _solve(eq, np.zeros(1), 1e-300, 100, crawl, stall=True)
+        _, iters, ok = _solve(eq, eq.point(np.zeros(1)), 1e-300, 100, crawl, stall=True)
         assert not ok and iters == _STALL_STEPS
         # without the stall stop (descent) the same crawl runs to max_iter
-        _, iters, ok = _solve(eq, np.zeros(1), 1e-300, 100, crawl)
+        _, iters, ok = _solve(eq, eq.point(np.zeros(1)), 1e-300, 100, crawl)
         assert not ok and iters == 100
 
     @pytest.mark.filterwarnings("error")
@@ -296,15 +296,17 @@ class TestSolver:
                 g = g_j = np.array(at.g)
                 jac = np.array(at.jac)
                 value = at.value
-                mass = eq.data_mass(eta)
+                mass = at.mass
             assert g.shape == g_j.shape == (p,) and jac.shape == (p, p)
             assert not np.isnan(value) and value > -np.inf
             if np.max(np.abs(eta)) == 800.0:  # some coordinate is 0 or inf
                 assert not np.all(np.isfinite(g)) and not np.all(np.isfinite(g_j))
                 assert not np.all(np.isfinite(jac))
-                # never counted as density mass (NaN, or 0.0 for an
-                # evaluation that raised)
-                assert not mass > 0.0
+                # never counted as density mass for alpha > 0 (0.0, or NaN
+                # for an evaluation that raised); at alpha = 0 the mass
+                # sum_i w_i f_i^0 is the total weight, which the solver
+                # never consults
+                assert not mass > 0.0 or (alpha == 0.0 and mass == pytest.approx(1.0))
             if np.min(eta) == -800.0:  # density not defined at theta = 0
                 assert value == np.inf
 
@@ -316,7 +318,7 @@ class TestSolver:
         sample = simulate(contaminated_design(502419184), 100, replication=0)
         eq = _WeightedEquation(sample, WEIBULL, 0.0)
         eta0 = np.log(_initial_theta(sample, WEIBULL))
-        _, iters, ok = _newton(eq, eta0, 1e-8, 200)
+        _, iters, ok = _newton(eq, eq.point(eta0), 1e-8, 200)
         assert not ok and iters <= 15
         result = fit(sample, WEIBULL, FitConfig(alpha=0.0))
         assert result.converged and result.message == "descent"
@@ -328,9 +330,10 @@ class TestSolver:
     def test_no_trajectory_evaluates_a_point_twice(self, monkeypatch):
         # replication 213 of the contaminated workload at alpha = 0 (see
         # test_descent_fallback_after_failed_newton) takes both trajectories;
-        # every family evaluation is recorded under the trajectory making it
+        # every family evaluation is recorded under the trajectory making it,
+        # the shared start's under the first entry
         sample = simulate(contaminated_design(502419184), 100, replication=0)
-        trajectories = []
+        trajectories = [[]]
 
         def recorded(solver):
             def run(*args):
@@ -350,9 +353,10 @@ class TestSolver:
         monkeypatch.setattr(type(WEIBULL), "_equation", equation)
         result = fit(sample, WEIBULL, FitConfig(alpha=0.0))
         assert result.converged and result.message == "descent"
-        assert len(trajectories) >= 2 and all(len(etas) > 1 for etas in trajectories)
-        for etas in trajectories:
-            assert len(set(etas)) == len(etas)
+        start, *runs = trajectories
+        assert len(start) == 1 and len(runs) == 2 and all(runs)
+        etas = [eta for etas in trajectories for eta in etas]
+        assert len(set(etas)) == len(etas)
 
 
 class TestFit:

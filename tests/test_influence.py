@@ -8,6 +8,7 @@ from robustsurv import (
     LinearTwoSampleRestriction,
     WEIBULL,
     contaminated_contiguous_power,
+    contiguous_power,
     if2_two_sample,
     if2_wald,
     if_curve,
@@ -217,6 +218,25 @@ class TestPif:
             fd = (up - down) / (2 * eps)
             got = pif(EXPONENTIAL, [theta0], alpha, restriction, d, t, sigma=sigma)
             assert got == pytest.approx(fd, abs=1e-5)
+
+    def test_singular_sigma_raises_as_the_power_does(self):
+        # cond(M^T Sigma M) = 1e13 is past the Wald core's 1e12: the
+        # contiguous power, its contaminated form (whose epsilon-derivative
+        # is the PIF), the PIF and the test's IF2 all refuse it alike
+        theta0 = (2.0, 5.0)
+        restriction = LinearRestriction.simple(theta0)
+        sigma, d, grid = np.diag([1.0, 1e-13]), np.ones(2), np.array([1.0, 3.0])
+        calls = (
+            lambda: contiguous_power(d, restriction, sigma, theta0),
+            lambda: contaminated_contiguous_power(
+                WEIBULL, theta0, 0.5, restriction, d, 0.1, 1.0, sigma=sigma
+            ),
+            lambda: pif(WEIBULL, theta0, 0.5, restriction, d, grid, sigma=sigma),
+            lambda: if2_wald(WEIBULL, theta0, 0.5, restriction, grid, sigma=sigma),
+        )
+        for call in calls:
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                call()
 
     def test_zero_direction_is_level_case(self):
         restriction = LinearRestriction.simple((1.0,))

@@ -274,12 +274,3 @@ class TestFamilyRegistry:
         with pytest.raises(ValueError, match="unknown family"):
             get_family("lognormal")
 
-    def test_means(self):
-        assert EXPONENTIAL.mean([3.0]) == 3.0
-        assert WEIBULL.mean((2.0, 5.0)) == pytest.approx(2.0 * 0.9181687423997607, rel=1e-12)
-
-    def test_cdf_sf(self):
-        x = np.array([0.5, 2.0])
-        np.testing.assert_allclose(
-            WEIBULL.cdf((2.0, 5.0), x) + np.exp(-((x / 2.0) ** 5.0)), 1.0, rtol=1e-14
-        )
