@@ -5,6 +5,12 @@ are plot-ready CSV files written into --out (plus a human-readable summary on
 stdout); the core never plots.  The bundled veteran trial is addressable as
 the input path "veteran".
 
+Each subcommand takes only the options it reads, and argparse refuses the
+rest: the inputs with --time-column/--status-column/--arm-column/--arm for
+fit, test, compare and kmplot; --family/--alpha/--alpha-grid for all but
+kmplot; --level for influence and simulate; --seed/--workers (defaults read
+per call from $ROBUSTSURV_SEED/$ROBUSTSURV_WORKERS) for simulate; --out for all.
+
 Hypothesis grammar (--hypothesis):
     one sample:   "scale=2,shape=5"      simple null on all parameters
                   "shape=1"              single-component null
@@ -34,7 +40,7 @@ from .data import (
     ingest_csv,
     ingest_csv_arms,
 )
-from .estimator import FitConfig, fit_grid
+from .estimator import fit_grid
 from .hypothesis import LinearRestriction, Restriction, wald_statistic
 from .influence import if_curve, if2_wald, pif, sigma_model
 from .kmpl import kmpl_fit
@@ -56,7 +62,6 @@ class ParsedHypothesis:
     restriction: Restriction
     two_sample: bool
     direction: str  # "two-sided" | "greater" | "less"
-    text: str
 
 
 def _param_index(family: ParametricFamily, name: str, position: int) -> int:
@@ -107,9 +112,7 @@ def hypothesis_parse(spec_text: str, family: ParametricFamily) -> ParsedHypothes
                 raise HypothesisParseError(
                     "one-sided alternatives need a rank-one restriction"
                 )
-            return ParsedHypothesis(
-                LinearTwoSampleRestriction.homogeneity(p), True, direction, spec_text
-            )
+            return ParsedHypothesis(LinearTwoSampleRestriction.homogeneity(p), True, direction)
         left, right = two_sample_comp.group(1), two_sample_comp.group(2)
         if left.lower() != right.lower():
             raise HypothesisParseError(
@@ -121,7 +124,7 @@ def hypothesis_parse(spec_text: str, family: ParametricFamily) -> ParsedHypothes
         )
         if direction == "less":
             restriction = restriction.negated()
-        return ParsedHypothesis(restriction, True, direction, spec_text)
+        return ParsedHypothesis(restriction, True, direction)
 
     if direction != "two-sided":
         raise HypothesisParseError("dir= applies to two-sample hypotheses only")
@@ -134,9 +137,7 @@ def hypothesis_parse(spec_text: str, family: ParametricFamily) -> ParsedHypothes
             raise HypothesisParseError(
                 f"theta= needs {p} value(s) for {family.family_id}, got {len(values)}"
             )
-        return ParsedHypothesis(
-            LinearRestriction.simple(np.array(values)), False, direction, spec_text
-        )
+        return ParsedHypothesis(LinearRestriction.simple(np.array(values)), False, direction)
 
     # one-sample: name=value clauses
     assignments: dict[int, float] = {}
@@ -162,15 +163,11 @@ def hypothesis_parse(spec_text: str, family: ParametricFamily) -> ParsedHypothes
         offset += len(clause) + 1
     if len(assignments) == p:
         theta0 = np.array([assignments[i] for i in range(p)])
-        return ParsedHypothesis(LinearRestriction.simple(theta0), False, direction, spec_text)
+        return ParsedHypothesis(LinearRestriction.simple(theta0), False, direction)
     if len(assignments) == 1:
         idx, value = next(iter(assignments.items()))
-        return ParsedHypothesis(
-            LinearRestriction.component(idx, value, p, name=family.param_names[idx]),
-            False,
-            direction,
-            spec_text,
-        )
+        restriction = LinearRestriction.component(idx, value, p, name=family.param_names[idx])
+        return ParsedHypothesis(restriction, False, direction)
     raise HypothesisParseError("restrict either one parameter or all of them")
 
 
@@ -250,8 +247,7 @@ def _alpha_values(args) -> tuple[float, ...]:
 def _cmd_fit(args) -> int:
     family = get_family(args.family)
     sample = _load_sample(args.inputs[0], args)
-    grid = _alpha_values(args)
-    results = fit_grid(sample, family, grid, FitConfig())
+    results = fit_grid(sample, family, _alpha_values(args))
     rows = [r.to_dict() for r in results]
     out = os.path.join(args.out, "fit.csv")
     _csv_table(list(rows[0]), [list(row.values()) for row in rows], out)
@@ -262,34 +258,42 @@ def _cmd_fit(args) -> int:
     return 0 if all(r.converged for r in results) else 1
 
 
+def _report_table(out_dir: str, parsed: ParsedHypothesis, name: str, columns: list, reports,
+                  banner: str = "", **fixed) -> int:
+    """Print each (alpha, report) of ``reports`` and write <name>.csv, one row
+    per alpha; report None (a fit that did not converge, exit code 1) gives a
+    failure row: NaN statistic and p-value, the converged rows' hypothesis
+    text and ``fixed``'s cells.  Columns not in ``columns`` follow in order of
+    first appearance in any row, so a failed first alpha drops none."""
+    one_sided = parsed.direction != "two-sided"
+    failed = {"hypothesis": parsed.restriction.description + " (one-sided)" * one_sided,
+              "statistic": float("nan"), "df": "" if one_sided else parsed.restriction.r,
+              "p_value": float("nan"), **fixed, "converged": False}
+    rows = []
+    for alpha, report in reports:
+        if report is None:
+            rows.append({"alpha_dpd": alpha, **failed})
+            continue
+        rows.append({**report.to_dict(), "converged": True})
+        print(banner + report.summary(), end="\n\n")
+    columns = list(dict.fromkeys(columns + [k for row in rows for k in row]))
+    out = os.path.join(out_dir, f"{name}.csv")
+    _csv_table(columns, [[row.get(k, "") for k in columns] for row in rows], out)
+    print(f"wrote {out}")
+    return 0 if all(row["converged"] for row in rows) else 1
+
+
 def _cmd_test(args) -> int:
     family = get_family(args.family)
     sample = _load_sample(args.inputs[0], args)
     parsed = hypothesis_parse(args.hypothesis, family)
     if parsed.two_sample:
         raise ValueError("two-sample hypotheses need the compare command")
-    grid = _alpha_values(args)
-    fits = fit_grid(sample, family, grid, FitConfig())
-    rows, ok = [], True
-    for fr in fits:
-        if not fr.converged:
-            ok = False
-            rows.append({"alpha_dpd": fr.alpha, "hypothesis": parsed.text,
-                         "statistic": float("nan"), "df": parsed.restriction.r,
-                         "p_value": float("nan"), "converged": False})
-            continue
-        report = wald_statistic(fr, parsed.restriction)
-        row = report.to_dict()
-        row["converged"] = True
-        rows.append(row)
-        print(report.summary())
-        print()
-    out = os.path.join(args.out, "test.csv")
+    fits = fit_grid(sample, family, _alpha_values(args))
+    reports = ((fr.alpha, wald_statistic(fr, parsed.restriction) if fr.converged else None)
+               for fr in fits)
     columns = ["alpha_dpd", "hypothesis", "statistic", "df", "p_value", "converged"]
-    columns += [k for k in rows[0] if k not in columns]
-    _csv_table(columns, [[row.get(k, "") for k in columns] for row in rows], out)
-    print(f"wrote {out}  (p-value vs alpha curve)")
-    return 0 if ok else 1
+    return _report_table(args.out, parsed, "test", columns, reports)
 
 
 def _cmd_compare(args) -> int:
@@ -299,32 +303,20 @@ def _cmd_compare(args) -> int:
     if not parsed.two_sample:
         raise ValueError("compare needs a two-sample hypothesis (e.g. shape1=shape2)")
     grid = _alpha_values(args)
-    rows, ok = [], True
-    for alpha in grid:
-        fit1 = fit_grid(sample1, family, (alpha,), FitConfig())[0]
-        fit2 = fit_grid(sample2, family, (alpha,), FitConfig())[0]
-        if not (fit1.converged and fit2.converged):
-            ok = False
-            rows.append({"alpha_dpd": alpha, "hypothesis": parsed.text,
-                         "statistic": float("nan"), "p_value": float("nan"),
-                         "one_sided": parsed.direction != "two-sided",
-                         "converged": False})
-            continue
-        wald = two_sample_wald if parsed.direction == "two-sided" else one_sided_wald
-        report = wald(fit1, fit2, parsed.restriction)
-        row = report.to_dict()
-        row["converged"] = True
-        rows.append(row)
-        print(f"arms {labels[0]} vs {labels[1]}")
-        print(report.summary())
-        print()
-    out = os.path.join(args.out, "compare.csv")
+    wald = two_sample_wald if parsed.direction == "two-sided" else one_sided_wald
+
+    def reports():
+        for alpha in grid:
+            fit1 = fit_grid(sample1, family, (alpha,))[0]
+            fit2 = fit_grid(sample2, family, (alpha,))[0]
+            converged = fit1.converged and fit2.converged
+            yield alpha, wald(fit1, fit2, parsed.restriction) if converged else None
+
     columns = ["alpha_dpd", "hypothesis", "statistic", "df", "one_sided", "p_value",
                "n1", "n2", "converged"]
-    columns += [k for k in rows[0] if k not in columns]
-    _csv_table(columns, [[row.get(k, "") for k in columns] for row in rows], out)
-    print(f"wrote {out}")
-    return 0 if ok else 1
+    return _report_table(args.out, parsed, "compare", columns, reports(),
+                         banner=f"arms {labels[0]} vs {labels[1]}\n",
+                         one_sided=parsed.direction != "two-sided", n1=sample1.n, n2=sample2.n)
 
 
 def _cmd_influence(args) -> int:
@@ -337,22 +329,22 @@ def _cmd_influence(args) -> int:
     parsed = hypothesis_parse(args.hypothesis, family) if args.hypothesis else None
     if parsed is not None and parsed.two_sample:
         raise ValueError("influence curves use one-sample hypotheses")
-    written = []
+    # all curves are computed before any file is written: a failure writes nothing
+    writers = []
     for alpha in alphas:
-        curve = if_curve(family, theta0, alpha, grid)
-        out = os.path.join(args.out, f"if_alpha{alpha:g}.csv")
-        curve.write_csv(out)
-        written.append(out)
+        writers.append((f"if_alpha{alpha:g}.csv", if_curve(family, theta0, alpha, grid).write_csv))
         if parsed is not None:
             sigma = sigma_model(family, theta0, alpha)
             if2 = if2_wald(family, theta0, alpha, parsed.restriction, grid, sigma=sigma)
             d = np.ones(family.dim)
             pifv = pif(family, theta0, alpha, parsed.restriction, d, grid,
                        level=args.level, sigma=sigma)
-            out2 = os.path.join(args.out, f"if2_pif_alpha{alpha:g}.csv")
-            _csv_table(["t", "if2", "pif"], zip(grid.tolist(), if2.tolist(), pifv.tolist()), out2)
-            written.append(out2)
-    for path in written:
+            rows = list(zip(grid.tolist(), if2.tolist(), pifv.tolist()))
+            writers.append((f"if2_pif_alpha{alpha:g}.csv",
+                            functools.partial(_csv_table, ["t", "if2", "pif"], rows)))
+    for name, write in writers:
+        path = os.path.join(args.out, name)
+        write(path)
         print(f"wrote {path}")
     return 0
 
@@ -381,7 +373,8 @@ def _cmd_simulate(args) -> int:
         censoring_mean=args.censoring_mean,
         contamination_fraction=args.contamination_fraction,
         contamination=contamination,
-        seed=args.seed,
+        # the environment is read per call, not when the parser was built
+        seed=int(os.environ.get("ROBUSTSURV_SEED", "0")) if args.seed is None else args.seed,
     )
     hypotheses = []
     for text in args.hypothesis or []:
@@ -397,7 +390,7 @@ def _cmd_simulate(args) -> int:
         hypotheses=tuple(hypotheses),
         level=args.level,
         kind=args.experiment,
-        workers=args.workers,
+        workers=int(os.environ.get("ROBUSTSURV_WORKERS", "1")) if args.workers is None else args.workers,
     )
     report = run_experiment(spec)
     out = os.path.join(args.out, f"simulate_{args.experiment}.csv")
@@ -414,41 +407,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, inputs=1):
-        if inputs:
-            p.add_argument("inputs", nargs="+" if inputs == "+" else 1,
-                           metavar="CSV", help="input CSV path(s); 'veteran' loads the bundled trial")
-        p.add_argument("--family", default="weibull", help="exp or weibull")
-        p.add_argument("--alpha", type=float, default=None, help="single divergence tuning value")
-        p.add_argument("--alpha-grid", default=None, metavar="A:B:STEP",
-                       help="ascending tuning grid, e.g. 0:1:0.1")
-        p.add_argument("--level", type=float, default=0.05, help="significance level")
+    def inputs(p, nargs=1):
+        p.add_argument("inputs", nargs=nargs, metavar="CSV",
+                       help="input CSV path(s); 'veteran' loads the bundled trial")
         p.add_argument("--time-column", default="time")
         p.add_argument("--status-column", default="status")
         p.add_argument("--arm-column", default=None)
         p.add_argument("--arm", default=None, help="arm value to select with --arm-column")
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (default: $ROBUSTSURV_SEED, else 0)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: $ROBUSTSURV_WORKERS, else 1)")
+
+    def tuning(p):
+        p.add_argument("--family", default="weibull", help="exp or weibull")
+        p.add_argument("--alpha", type=float, default=None, help="single divergence tuning value")
+        p.add_argument("--alpha-grid", default=None, metavar="A:B:STEP",
+                       help="ascending tuning grid, e.g. 0:1:0.1")
+
+    def level(p):
+        p.add_argument("--level", type=float, default=0.05, help="significance level")
+
+    def command(name, handler, summary, *groups):
+        p = sub.add_parser(name, help=summary)
+        for group in groups:
+            group(p)
         p.add_argument("--out", default=".", help="output directory")
+        p.set_defaults(handler=handler)
         return p
 
-    common(sub.add_parser("fit", help="estimate parameters over a tuning grid"))
-    test_p = common(sub.add_parser("test", help="one-sample Wald-type tests"))
+    command("fit", _cmd_fit, "estimate parameters over a tuning grid", inputs, tuning)
+    test_p = command("test", _cmd_test, "one-sample Wald-type tests", inputs, tuning)
     test_p.add_argument("--hypothesis", required=True)
-    compare_p = common(sub.add_parser("compare", help="two-sample comparison"), inputs="+")
+    compare_p = command("compare", _cmd_compare, "two-sample comparison",
+                        functools.partial(inputs, nargs="+"), tuning)
     compare_p.add_argument("--hypothesis", required=True)
-    common(sub.add_parser("kmplot", help="product-limit CDF and log-log hazard CSV"))
+    command("kmplot", _cmd_kmplot, "product-limit CDF and log-log hazard CSV", inputs)
 
-    infl = common(sub.add_parser("influence", help="influence-curve CSVs"), inputs=0)
+    infl = command("influence", _cmd_influence, "influence-curve CSVs", tuning, level)
     infl.add_argument("--theta", required=True, help="comma-separated parameter values")
     infl.add_argument("--hypothesis", default=None)
     infl.add_argument("--t-min", type=float, default=1e-2)
     infl.add_argument("--t-max", type=float, default=1e2)
     infl.add_argument("--t-points", type=int, default=200)
 
-    sim = common(sub.add_parser("simulate", help="Monte Carlo experiments"), inputs=0)
+    sim = command("simulate", _cmd_simulate, "Monte Carlo experiments", tuning, level)
+    sim.add_argument("--seed", type=int, default=None,
+                     help="random seed (default: $ROBUSTSURV_SEED, else 0)")
+    sim.add_argument("--workers", type=int, default=None,
+                     help="worker processes (default: $ROBUSTSURV_WORKERS, else 1)")
     sim.add_argument("--experiment", choices=("level_power", "mse", "variance_ratio"),
                      default="level_power")
     sim.add_argument("--theta", required=True, help="true parameter, comma separated")
@@ -463,16 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "fit": _cmd_fit,
-    "test": _cmd_test,
-    "compare": _cmd_compare,
-    "influence": _cmd_influence,
-    "kmplot": _cmd_kmplot,
-    "simulate": _cmd_simulate,
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built once per process; parsing leaves it unchanged."""
@@ -481,15 +474,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "out", None):
-        os.makedirs(args.out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     try:
-        # the environment is read per call, not when the parser was built
-        if args.seed is None:
-            args.seed = int(os.environ.get("ROBUSTSURV_SEED", "0"))
-        if args.workers is None:
-            args.workers = int(os.environ.get("ROBUSTSURV_WORKERS", "1"))
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ValueError, FileNotFoundError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

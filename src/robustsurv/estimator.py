@@ -513,20 +513,17 @@ def fit_grid(
     sample: CensoredSample,
     family: ParametricFamily,
     alpha_grid: Sequence[float],
-    config: FitConfig | None = None,
 ) -> list[FitResult]:
-    """Sequential fits over an ascending alpha grid, warm-starting each alpha
-    from the previous estimate; per-alpha failures do not abort the sweep."""
-    config = config or FitConfig()
+    """Sequential fits over an ascending alpha grid, the first from the
+    default start and each later alpha warm-started from the previous
+    estimate; per-alpha failures do not abort the sweep."""
     grid = [validate_alpha(a) for a in alpha_grid]
     if not grid:
         raise ValueError("alpha_grid must contain at least one value")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("alpha_grid must be ascending")
-    if config.start is not None:
-        family.validate(config.start)
     results: list[FitResult] = []
-    start = config.start
+    start = None
     for alpha in grid:
         try:
             result = fit(sample, family, FitConfig(alpha, start))

@@ -8,10 +8,10 @@ first-order one vanishes at the null), and the asymptotic contiguous power
 Sigma(psi; theta0), which depends on the censoring law; by default the
 censoring-free covariance (the no-censoring limit, available in closed form)
 is used, and callers holding a data-based estimate can pass it instead.
-(M^T Sigma M)^{-1} comes from the Wald tests' float helpers in
-``hypothesis``, so a covariance the tests refuse (cond above 1e12) raises
-LinAlgError here too; the noncentral chi-square series behind the PIF's
-coefficient ``kstar`` lives there as well.
+Lambda^{-1} is the sandwich's float inverse and M^T Sigma M is checked by
+the Wald tests' float helpers in ``hypothesis`` (home of the series behind
+the PIF's ``kstar`` too), so what those refuse (cond above 1e12) raises
+SingularSensitivityError or LinAlgError here as well.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .data import _csv_table
 from .hypothesis import _wald_form, _wald_inner, contiguous_power, noncentral_weights
 from .model import ParametricFamily, lambda_model, mdpde_psi
 from .twosample import _stacked_sigma
-from .varest import _small_solve, sigma_hat
+from .varest import _small_inverse, sigma_hat
 
 __all__ = [
     "IfCurve",
@@ -58,7 +58,8 @@ def if_estimator(family: ParametricFamily, theta0, alpha: float, t) -> np.ndarra
     """Estimator influence function Lambda^{-1} psi(t; theta0).
 
     Bounded over t for alpha > 0 and unbounded at alpha = 0.  Scalar t gives
-    shape (p,); an array gives (len(t), p).
+    shape (p,); an array gives (len(t), p).  Like the sandwich, it raises
+    SingularSensitivityError when cond(Lambda) is above 1e12.
 
     Sign convention: this is the estimating-function form (at alpha = 0 it
     equals theta0 - t for the exponential mean), whose sign is opposite to
@@ -66,9 +67,9 @@ def if_estimator(family: ParametricFamily, theta0, alpha: float, t) -> np.ndarra
     quadratic-form diagnostics built from it are sign-invariant, and the
     power influence function uses the same convention throughout.
     """
-    lam = lambda_model(family, theta0, alpha)
+    inverse, _ = _small_inverse(lambda_model(family, theta0, alpha).tolist())
     psi = mdpde_psi(family, theta0, alpha, t)
-    return np.linalg.solve(lam, np.atleast_2d(psi).T).T.reshape(np.shape(psi))
+    return (np.atleast_2d(psi) @ np.array(inverse).T).reshape(np.shape(psi))
 
 
 @dataclass(frozen=True)
@@ -103,21 +104,22 @@ def if_curve(family: ParametricFamily, theta0, alpha: float, t_grid) -> IfCurve:
     )
 
 
-def _null_inverse(family, theta0, alpha, restriction, sigma):
-    """(M, (M^T Sigma M)^{-1}, Sigma) at a null theta0; Sigma defaults to
-    sigma_model.  The r x r matrix and its inverse are formed on floats by
-    the Wald tests' helpers, so cond(M^T Sigma M) above 1e12 raises
-    LinAlgError as the tests and contiguous_power do."""
+def _null_sigma(family, theta0, alpha, restriction, sigma) -> np.ndarray:
+    """Sigma at a null theta0, checking the null; it defaults to sigma_model."""
     theta0 = np.asarray(theta0, dtype=float)
     if np.max(np.abs(restriction.m(theta0))) > 1e-8:
         raise ValueError("theta0 must satisfy the null restriction")
-    if sigma is None:
-        sigma = sigma_model(family, theta0, alpha)
-    jac = np.asarray(restriction.jacobian(theta0), dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
+    return np.asarray(sigma_model(family, theta0, alpha) if sigma is None else sigma, dtype=float)
+
+
+def _null_inverse(family, theta0, alpha, restriction, sigma):
+    """(M, (M^T Sigma M)^{-1}) at a null theta0 (see :func:`_null_sigma`),
+    on floats; cond(M^T Sigma M) above 1e12 raises LinAlgError as the tests
+    and contiguous_power do."""
+    sigma = _null_sigma(family, theta0, alpha, restriction, sigma)
+    jac = np.asarray(restriction.jacobian(np.asarray(theta0, dtype=float)), dtype=float)
     inner, _ = _wald_inner(jac.tolist(), sigma.tolist())
-    inverse = np.array([_small_solve(inner, unit) for unit in np.eye(len(inner)).tolist()]).T
-    return jac, inverse, sigma
+    return jac, np.array(_small_inverse(inner)[0])
 
 
 def if2_wald(
@@ -135,7 +137,7 @@ def if2_wald(
 
     a nonnegative quadratic form in the estimator IF (the first-order IF is
     identically zero at the null)."""
-    jac, inverse, _ = _null_inverse(family, theta0, alpha, restriction, sigma)
+    jac, inverse = _null_inverse(family, theta0, alpha, restriction, sigma)
     iv = np.atleast_2d(if_estimator(family, theta0, alpha, t))
     proj = iv @ jac
     values = 2.0 * np.einsum("ij,ij->i", proj, proj @ inverse)
@@ -176,7 +178,7 @@ def contaminated_contiguous_power(
     """Asymptotic power under the contiguous alternative d with an additional
     epsilon/sqrt(n) contamination at t (the series whose epsilon-derivative at
     zero is the PIF)."""
-    _, _, sigma = _null_inverse(family, theta0, alpha, restriction, sigma)
+    sigma = _null_sigma(family, theta0, alpha, restriction, sigma)
     shifted = np.asarray(d, dtype=float) + epsilon * if_estimator(family, theta0, alpha, t)
     return contiguous_power(shifted, restriction, sigma, theta0, level)
 
@@ -200,7 +202,7 @@ def pif(
     d = np.asarray(d, dtype=float)
     if not np.any(d):
         return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
-    jac, inverse, _ = _null_inverse(family, theta0, alpha, restriction, sigma)
+    jac, inverse = _null_inverse(family, theta0, alpha, restriction, sigma)
     s0 = (inverse @ (jac.T @ d)) @ jac.T  # row vector d^T M (M^T Sigma M)^{-1} M^T
     s = float(s0 @ d)
     iv = np.atleast_2d(if_estimator(family, theta0, alpha, t))

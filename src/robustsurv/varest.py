@@ -12,8 +12,9 @@ sample and shared by every fit, alpha and psi on it, with the (n, 1)
 coefficient columns delta gamma0, gamma and (1 - delta)/(n - i + 1) - gamma/n;
 each psi takes one suffix and one prefix accumulation, and U_hat is a linear
 combination of them.  The sandwich is p x p with p <= 2, assembled on Python
-floats by a Cramer solve and a closed-form condition number that the Newton
-step and the Wald test share.
+floats: Lambda^{-1} by :func:`_small_inverse` (shared with the influence
+functions), the closed-form condition number and the Cramer solve shared
+with the Newton step and the Wald test.
 
 All accumulations follow the canonical ordering (events precede censorings at
 ties); that ordering is the only point where the tie rule touches numerics.
@@ -43,7 +44,7 @@ __all__ = [
 
 
 class SingularSensitivityError(np.linalg.LinAlgError):
-    """Lambda is numerically singular at theta_hat (assumption failure)."""
+    """Lambda is numerically singular (assumption failure): cond above 1e12."""
 
 
 @dataclass(frozen=True)
@@ -124,20 +125,19 @@ def _gamma_tables(sample: CensoredSample) -> GammaTables:
     return GammaTables(sample.z, sample.delta, gamma0, gamma, event_gamma0, gamma[:, None], u_coef)
 
 
-def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray], np.ndarray], theta=None) -> np.ndarray:
+def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.ndarray], theta) -> np.ndarray:
     """Estimated transformation U_hat of each observation, one row per ordered
     observation and one column per psi component:
 
         U_hat = phi(Z) gamma0(Z) delta + gamma1(Z; phi)(1 - delta) - gamma2(Z; phi).
 
-    ``psi`` maps (x,) -> (len(x), p) when ``theta`` is None, or (x, theta) ->
-    (len(x), p) otherwise.  The population centering term of U vanishes at the
-    fitted parameter and is absent here, matching the plug-in estimator.  All
-    p columns are formed in one pass over the sample's shared gamma tables.
+    ``psi`` maps (x, theta) -> (len(x), p).  The population centering term of
+    U vanishes at the fitted parameter and is absent here, matching the
+    plug-in estimator.  All p columns are formed in one pass over the
+    sample's shared gamma tables.
     """
     tables = gamma_tables(sample)
-    values = psi(sample.z) if theta is None else psi(sample.z, theta)
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(psi(sample.z, theta), dtype=float)
     if values.shape[0] != sample.n:
         raise ValueError("psi must return one row per ordered observation")
     if not np.isfinite(values).all():
@@ -147,7 +147,7 @@ def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray], np.ndarray], theta
     return events + tables.u_coef * suffix - prefix / sample.n
 
 
-def c_hat(sample: CensoredSample, psi: Callable[[np.ndarray], np.ndarray], theta=None) -> np.ndarray:
+def c_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.ndarray], theta) -> np.ndarray:
     """Average outer product of the U_hat rows; symmetric PSD by construction."""
     u = u_hat(sample, psi, theta)
     return u.T @ u / sample.n
@@ -189,25 +189,37 @@ def _small_cond(mat) -> float:
     return s_max * (s_max / det) if 0.0 < det < math.inf else math.inf
 
 
+def _small_inverse(mat) -> tuple[list, float]:
+    """(inverse, 2-norm condition number) of a 1 x 1 or 2 x 2 matrix of
+    Python floats (by rows), the inverse by its adjugate.  Raises
+    :class:`SingularSensitivityError` when the matrix is not invertible:
+    cond above 1e12 or a non-finite inverse."""
+    cond = _small_cond(mat)
+    if cond <= 1e12:
+        if len(mat) == 1:
+            inverse = [[1.0 / mat[0][0]]]
+        else:
+            (a, b), (c, d) = mat
+            det = a * d - b * c
+            inverse = [[d / det, -b / det], [-c / det, a / det]]
+        if _finite(inverse):
+            return inverse, cond
+    raise SingularSensitivityError(f"sensitivity matrix is singular (cond={cond:.3g})")
+
+
 def sigma_hat(lambda_mat: np.ndarray, c_mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Sandwich Lambda^{-1} C Lambda^{-T} for p <= 2, symmetrized against
-    roundoff, on Python floats (Lambda^{-1} by Cramer solves of the unit
-    vectors).  Returns (sigma, 2-norm condition number of Lambda); raises
+    roundoff, on Python floats (Lambda^{-1} by :func:`_small_inverse`).
+    Returns (sigma, 2-norm condition number of Lambda); raises
     :class:`SingularSensitivityError` when Lambda is not invertible (cond
     above 1e12) and ValueError for matrices larger than 2 x 2."""
     lam = np.asarray(lambda_mat, dtype=float)
     c = np.asarray(c_mat, dtype=float)
     if lam.shape not in ((1, 1), (2, 2)) or c.shape != lam.shape:
         raise ValueError(f"sigma_hat takes p x p matrices with p <= 2, got {lam.shape} and {c.shape}")
-    lam, c = lam.tolist(), c.tolist()
-    cond = _small_cond(lam)
-    if not cond <= 1e12:
-        raise SingularSensitivityError(
-            f"sensitivity matrix is singular at theta_hat (cond={cond:.3g})"
-        )
-    columns = [_small_solve(lam, unit) for unit in np.eye(len(lam)).tolist()]
-    sigma = _small_congruence(list(zip(*columns)), c)
-    p = range(len(lam))
+    inverse, cond = _small_inverse(lam.tolist())
+    sigma = _small_congruence(inverse, c.tolist())
+    p = range(len(inverse))
     return np.array([[0.5 * (sigma[i][j] + sigma[j][i]) for j in p] for i in p]), cond
 
 

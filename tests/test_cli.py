@@ -1,10 +1,11 @@
+import argparse
 import csv
 
 import numpy as np
 import pytest
 
-from robustsurv import WEIBULL, EXPONENTIAL, datasets, if2_wald, pif, sigma_model
-from robustsurv.cli import HypothesisParseError, hypothesis_parse, main
+from robustsurv import WEIBULL, EXPONENTIAL, FitResult, cli, datasets, if2_wald, pif, sigma_model
+from robustsurv.cli import HypothesisParseError, build_parser, hypothesis_parse, main
 
 
 def read_csv_rows(path) -> list[dict]:
@@ -290,6 +291,17 @@ class TestErrorPaths:
         assert "error: alpha must be finite and nonnegative" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["--theta", "1e7,1", "--alpha", "0.5"],
+        ["--theta", "1e7,1", "--alpha", "0.5", "--hypothesis", "shape=1"],
+        # alpha 0 passes (cond 7e11) and alpha 1 does not (1.3e12): no partial output
+        ["--theta", "6e5,1", "--alpha-grid", "0:1:1"],
+    ], ids=["curve", "hypothesis", "second-alpha"])
+    def test_singular_sensitivity_writes_nothing(self, outdir, capsys, argv):
+        assert main(["influence", *argv, "--out", str(outdir)]) == 2
+        assert "error: sensitivity matrix is singular" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_overflowing_theta_writes_nothing(self, outdir, capsys):
         code = main([
             "influence", "--family", "weibull", "--theta", "1e-300,2",
@@ -304,6 +316,108 @@ class TestErrorPaths:
             "fit", "veteran", "--alpha-grid", "1:0:0.1", "--out", str(outdir)
         ])
         assert code == 2
+
+
+INPUTS = {"inputs", "time_column", "status_column", "arm_column", "arm"}
+TUNING = {"family", "alpha", "alpha_grid"}
+OPTIONS = {
+    "fit": INPUTS | TUNING | {"out"},
+    "test": INPUTS | TUNING | {"hypothesis", "out"},
+    "compare": INPUTS | TUNING | {"hypothesis", "out"},
+    "kmplot": INPUTS | {"out"},
+    "influence": TUNING | {"level", "theta", "hypothesis", "t_min", "t_max", "t_points", "out"},
+    "simulate": TUNING | {"level", "seed", "workers", "experiment", "theta", "censoring_mean",
+                          "contamination_fraction", "contamination", "hypothesis", "n",
+                          "replications", "out"},
+}
+SIMULATE = ["simulate", "--family", "exp", "--theta", "1", "--censoring-mean", "9",
+            "--n", "20", "--replications", "2", "--alpha", "0", "--hypothesis", "mean=1"]
+
+
+class TestOptionGroups:
+    def test_each_command_declares_only_what_it_reads(self):
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        declared = {
+            name: [a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            for name, p in commands.choices.items()
+        }
+        assert {name: set(dests) for name, dests in declared.items()} == OPTIONS
+        assert sum(map(len, declared.values())) == 60
+
+    @pytest.mark.parametrize("argv", [
+        ["kmplot", "veteran", "--alpha", "0"],
+        ["kmplot", "veteran", "--family", "exp"],
+        ["fit", "veteran", "--seed", "1"],
+        ["test", "veteran", "--hypothesis", "shape=1", "--level", "0.1"],
+        ["influence", "--theta", "2,5", "--workers", "2"],
+        ["simulate", *SIMULATE[1:], "--arm", "A"],
+    ], ids=["kmplot-alpha", "kmplot-family", "fit-seed", "test-level", "influence-workers",
+            "simulate-arm"])
+    def test_unread_option_is_refused(self, outdir, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(outdir)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("variable", ["ROBUSTSURV_SEED", "ROBUSTSURV_WORKERS"])
+    def test_environment_read_by_simulate_only(self, outdir, capsys, monkeypatch, variable):
+        monkeypatch.setenv(variable, "abc")
+        assert main(["kmplot", "veteran", "--out", str(outdir / "km")]) == 0
+        assert main(["fit", "veteran", "--alpha", "0", "--out", str(outdir / "fit")]) == 0
+        capsys.readouterr()
+        assert main(SIMULATE + ["--out", str(outdir / "sim")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list((outdir / "sim").iterdir()) == []
+
+
+class TestReportTable:
+    """test and compare share one table: a failed first alpha keeps every
+    column and the converged rows' hypothesis text."""
+
+    @pytest.fixture(autouse=True)
+    def fail_alpha_zero(self, monkeypatch):
+        real = cli.fit_grid
+
+        def patched(sample, family, grid):
+            return [FitResult.failed(family, sample.n, r.alpha, "no root") if r.alpha == 0.0 else r
+                    for r in real(sample, family, grid)]
+
+        monkeypatch.setattr(cli, "fit_grid", patched)
+
+    def check(self, path, columns, hypothesis):
+        header = path.read_text().splitlines()[0].split(",")
+        rows = read_csv_rows(path)
+        assert header == columns
+        assert [r["converged"] for r in rows] == ["false", "true", "true"]
+        assert rows[0]["statistic"] == rows[0]["p_value"] == "nan"
+        assert {r["hypothesis"] for r in rows} == {hypothesis}
+        diagnostics = columns[columns.index("converged") + 1:]
+        assert [[bool(r[k]) for k in diagnostics] for r in rows] == [
+            [False] * len(diagnostics), [True] * len(diagnostics), [True] * len(diagnostics)]
+        return rows
+
+    def test_test_table(self, outdir):
+        code = main(["test", "veteran", "--arm-column", "arm", "--arm", "B",
+                     "--hypothesis", "shape=1", "--alpha-grid", "0:1:0.5", "--out", str(outdir)])
+        assert code == 1
+        rows = self.check(outdir / "test.csv",
+                          ["alpha_dpd", "hypothesis", "statistic", "df", "p_value", "converged",
+                           "lambda_cond", "inner_cond", "residual_mass_flagged"], "shape = 1")
+        assert [r["df"] for r in rows] == ["1"] * 3
+
+    def test_compare_table(self, outdir):
+        code = main(["compare", "veteran", "--arm-column", "arm",
+                     "--hypothesis", "shape1=shape2 dir=greater", "--alpha-grid", "0:1:0.5",
+                     "--out", str(outdir)])
+        assert code == 1
+        rows = self.check(outdir / "compare.csv",
+                          ["alpha_dpd", "hypothesis", "statistic", "df", "one_sided", "p_value",
+                           "n1", "n2", "converged", "sigma_tilde_cond"],
+                          "shape1 = shape2 (one-sided)")
+        assert [(r["df"], r["one_sided"], r["n1"], r["n2"]) for r in rows] == [
+            ("", "true", "69", "68")] * 3
 
 
 class TestCsvFormat:

@@ -6,6 +6,7 @@ from robustsurv import (
     EXPONENTIAL,
     LinearRestriction,
     LinearTwoSampleRestriction,
+    SingularSensitivityError,
     WEIBULL,
     contaminated_contiguous_power,
     contiguous_power,
@@ -55,6 +56,16 @@ class TestEstimatorIF:
         assert np.isfinite(bounded).all()
         unbounded = np.linalg.norm(if_estimator(EXPONENTIAL, [1.0], 0.0, grid), axis=1)
         assert unbounded[-1] > 1e5
+
+    def test_singular_lambda_raises_like_the_sandwich(self):
+        # cond(Lambda) is about 2.6e14 at scale 1e7: above the sandwich's 1e12
+        theta0, grid = (1e7, 1.0), np.geomspace(1e-2, 1e2, 5)
+        with pytest.raises(SingularSensitivityError):
+            sigma_model(WEIBULL, theta0, 0.5)
+        with pytest.raises(SingularSensitivityError):
+            if_estimator(WEIBULL, theta0, 0.5, grid)
+        with pytest.raises(SingularSensitivityError):
+            if_curve(WEIBULL, theta0, 0.5, grid)
 
     def test_psi_scaling_leaves_if_invariant(self):
         # scaling psi by c scales Lambda by c; the IF solve cancels it

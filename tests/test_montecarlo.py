@@ -84,9 +84,9 @@ class TestLevelPower:
         calls = {"count": 0}
         real_fit_grid = montecarlo.fit_grid
 
-        def flaky(sample, family, grid, config=None):
+        def flaky(sample, family, grid):
             calls["count"] += 1
-            results = real_fit_grid(sample, family, grid, config)
+            results = real_fit_grid(sample, family, grid)
             if calls["count"] % 3 == 0:  # fail every third replication
                 import dataclasses
 

@@ -20,7 +20,7 @@ from robustsurv import (
     simulate,
     u_hat,
 )
-from robustsurv.varest import _small_cond, _small_solve
+from robustsurv.varest import _small_cond, _small_inverse, _small_solve
 
 E = np.e
 
@@ -268,6 +268,10 @@ class TestSmallMatrixHelper:
         expected = np.linalg.solve(mat, rhs)
         got = np.array(_small_solve(rows, rhs))
         np.testing.assert_allclose(got, expected, rtol=0, atol=rtol * np.abs(expected).max())
+        inverse, cond = _small_inverse(rows)
+        expected = np.linalg.inv(mat)
+        assert cond == _small_cond(rows)
+        np.testing.assert_allclose(inverse, expected, rtol=0, atol=rtol * np.abs(expected).max())
 
     @given(st.floats(1e-300, 1e300), st.sampled_from([1.0, -1.0]), st.floats(-1e3, 1e3))
     def test_one_by_one_matches_numpy(self, value, sign, rhs):
@@ -283,6 +287,14 @@ class TestSmallMatrixHelper:
     def test_singular_or_nonfinite(self, rows):
         assert _small_cond(rows) == np.inf
         assert _small_solve(rows, (1.0,) * len(rows)) is None
+        with pytest.raises(SingularSensitivityError):
+            _small_inverse(rows)
+
+    def test_overflowing_inverse_raises(self):
+        # well conditioned, but 1 / 1e-310 is not a double
+        assert _small_cond([[1e-310]]) == 1.0
+        with pytest.raises(SingularSensitivityError):
+            _small_inverse([[1e-310]])
 
     @pytest.mark.parametrize("kappa", [1e11, 1e13])
     @pytest.mark.parametrize("symmetric", [True, False])
