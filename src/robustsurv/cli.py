@@ -2,14 +2,20 @@
 
 Subcommands: fit, test, compare, influence, simulate, kmplot.  All outputs
 are plot-ready CSV files written into --out (plus a human-readable summary on
-stdout); the core never plots.  The bundled veteran trial is addressable as
-the input path "veteran".
+stdout); the core never plots.
+
+Input rule: every input is a CSV read under --time-column/--status-column.
+fit, test and kmplot read one file, or the arm that --arm-column and --arm
+name together; compare reads two files, or one whose --arm-column holds
+exactly two arms.  Anything else exits 2 and writes nothing.  "veteran" is
+only an alias for the bundled trial's path (columns time, status, arm).
 
 Each subcommand takes only the options it reads, and argparse refuses the
-rest: the inputs with --time-column/--status-column/--arm-column/--arm for
-fit, test, compare and kmplot; --family/--alpha/--alpha-grid for all but
-kmplot; --level for influence and simulate; --seed/--workers (defaults read
-per call from $ROBUSTSURV_SEED/$ROBUSTSURV_WORKERS) for simulate; --out for all.
+rest: the inputs with --time-column/--status-column/--arm-column for fit,
+test, compare and kmplot (and --arm but for compare); --family/--alpha/
+--alpha-grid for all but kmplot; --level, in (0, 1), for influence and
+simulate; --seed/--workers (defaults read per call from $ROBUSTSURV_SEED/
+$ROBUSTSURV_WORKERS) for simulate; --out for all.
 
 Hypothesis grammar (--hypothesis):
     one sample:   "scale=2,shape=5"      simple null on all parameters
@@ -41,7 +47,7 @@ from .data import (
     ingest_csv_arms,
 )
 from .estimator import fit_grid
-from .hypothesis import LinearRestriction, Restriction, wald_statistic
+from .hypothesis import LinearRestriction, Restriction, chi2_quantile, wald_statistic
 from .influence import if_curve, if2_wald, pif, sigma_model
 from .kmpl import kmpl_fit
 from .model import FamilySpec, ParametricFamily, get_family, validate_alpha
@@ -174,53 +180,40 @@ def hypothesis_parse(spec_text: str, family: ParametricFamily) -> ParsedHypothes
 # -- IO helpers -------------------------------------------------------------
 
 
-def _resolve_input(path: str) -> str:
-    if path == "veteran":
-        return datasets.veteran_csv_path()
-    if not os.path.exists(path):
+def _read(path: str, args, arm_column: str | None = None):
+    """``path``'s sample, or with ``arm_column`` its samples by arm."""
+    path = datasets.veteran_csv_path() if path == "veteran" else path
+    if not os.path.isfile(path):
         raise FileNotFoundError(f"input file not found: {path}")
-    return path
+    if arm_column is None:
+        return ingest_csv(path, args.time_column, args.status_column)
+    return ingest_csv_arms(path, arm_column, args.time_column, args.status_column)
 
 
-def _veteran_columns(path: str, args) -> tuple[str, str]:
-    if os.path.abspath(path) == os.path.abspath(datasets.veteran_csv_path()):
-        return "time_days", "status"
-    return args.time_column, args.status_column
-
-
-def _load_sample(path: str, args) -> CensoredSample:
-    path = _resolve_input(path)
-    time_col, status_col = _veteran_columns(path, args)
-    if args.arm_column and args.arm:
-        arms = ingest_csv_arms(path, args.arm_column, time_col, status_col)
-        if args.arm not in arms:
-            raise CsvFormatError(
-                f"{path}: arm {args.arm!r} not found (have {sorted(arms)})"
-            )
-        return arms[args.arm]
-    return ingest_csv(path, time_col, status_col)
+def _load_sample(args) -> CensoredSample:
+    """fit, test and kmplot's sample (module docstring's input rule)."""
+    if (args.arm_column is None) != (args.arm is None):
+        raise ValueError("--arm and --arm-column must be given together")
+    if args.arm_column is None:
+        return _read(args.inputs[0], args)
+    arms = _read(args.inputs[0], args, args.arm_column)
+    if args.arm not in arms:
+        raise CsvFormatError(f"{args.inputs[0]}: arm {args.arm!r} not found (have {list(arms)})")
+    return arms[args.arm]
 
 
 def _load_two_arms(args) -> tuple[CensoredSample, CensoredSample, tuple[str, str]]:
-    if len(args.inputs) > 2:
-        raise ValueError("compare takes at most two input files")
-    if len(args.inputs) == 2:
-        return (
-            _load_sample(args.inputs[0], args),
-            _load_sample(args.inputs[1], args),
-            (args.inputs[0], args.inputs[1]),
-        )
-    if not args.arm_column:
-        raise ValueError("compare needs two input files or --arm-column on one file")
-    path = _resolve_input(args.inputs[0])
-    time_col, status_col = _veteran_columns(path, args)
-    arms = ingest_csv_arms(path, args.arm_column, time_col, status_col)
-    labels = sorted(arms)
-    if len(labels) != 2:
-        raise ValueError(
-            f"{path}: --arm-column must yield exactly two arms, found {labels}"
-        )
-    return arms[labels[0]], arms[labels[1]], (labels[0], labels[1])
+    """compare's samples and labels (module docstring's input rule)."""
+    if len(args.inputs) == 2 and args.arm_column is None:
+        return _read(args.inputs[0], args), _read(args.inputs[1], args), tuple(args.inputs)
+    if len(args.inputs) != 1 or args.arm_column is None:
+        raise ValueError("compare takes two input files, or one file with --arm-column")
+    arms = _read(args.inputs[0], args, args.arm_column)
+    if len(arms) != 2:
+        raise ValueError(f"{args.inputs[0]}: --arm-column must yield exactly two arms, "
+                         f"found {list(arms)}")
+    (label1, sample1), (label2, sample2) = arms.items()
+    return sample1, sample2, (label1, label2)
 
 
 def _alpha_values(args) -> tuple[float, ...]:
@@ -246,7 +239,7 @@ def _alpha_values(args) -> tuple[float, ...]:
 
 def _cmd_fit(args) -> int:
     family = get_family(args.family)
-    sample = _load_sample(args.inputs[0], args)
+    sample = _load_sample(args)
     results = fit_grid(sample, family, _alpha_values(args))
     rows = [r.to_dict() for r in results]
     out = os.path.join(args.out, "fit.csv")
@@ -285,7 +278,7 @@ def _report_table(out_dir: str, parsed: ParsedHypothesis, name: str, columns: li
 
 def _cmd_test(args) -> int:
     family = get_family(args.family)
-    sample = _load_sample(args.inputs[0], args)
+    sample = _load_sample(args)
     parsed = hypothesis_parse(args.hypothesis, family)
     if parsed.two_sample:
         raise ValueError("two-sample hypotheses need the compare command")
@@ -323,6 +316,9 @@ def _cmd_influence(args) -> int:
     family = get_family(args.family)
     theta0 = np.array([float(v) for v in args.theta.split(",")])
     family.validate(theta0)
+    if args.t_points < 1:
+        raise ValueError("--t-points must be at least 1")
+    chi2_quantile(1, args.level)  # refuses a bad --level with or without --hypothesis
     grid = np.geomspace(args.t_min, args.t_max, args.t_points)
     explicit = args.alpha is not None or args.alpha_grid is not None
     alphas = _alpha_values(args) if explicit else (0.0, 0.5, 1.0)
@@ -350,7 +346,7 @@ def _cmd_influence(args) -> int:
 
 
 def _cmd_kmplot(args) -> int:
-    sample = _load_sample(args.inputs[0], args)
+    sample = _load_sample(args)
     km = kmpl_fit(sample)
     out = os.path.join(args.out, "kmplot.csv")
     km.write_csv(out)
@@ -409,11 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def inputs(p, nargs=1):
         p.add_argument("inputs", nargs=nargs, metavar="CSV",
-                       help="input CSV path(s); 'veteran' loads the bundled trial")
+                       help="input CSV path(s); 'veteran' is the bundled trial's path")
         p.add_argument("--time-column", default="time")
         p.add_argument("--status-column", default="status")
         p.add_argument("--arm-column", default=None)
-        p.add_argument("--arm", default=None, help="arm value to select with --arm-column")
+        if nargs == 1:  # compare splits one file by --arm-column instead
+            p.add_argument("--arm", default=None, help="arm value to select with --arm-column")
 
     def tuning(p):
         p.add_argument("--family", default="weibull", help="exp or weibull")
@@ -425,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--level", type=float, default=0.05, help="significance level")
 
     def command(name, handler, summary, *groups):
-        p = sub.add_parser(name, help=summary)
+        # no abbreviations: compare's "--arm" must not pass for --arm-column
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         for group in groups:
             group(p)
         p.add_argument("--out", default=".", help="output directory")

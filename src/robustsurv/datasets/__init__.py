@@ -2,15 +2,16 @@
 
 veteran.csv holds the Veterans' Administration lung cancer trial (137
 patients, two treatment regimens; arm A is the standard treatment, arm B the
-test treatment; 9 observations censored) with columns
-(time_days, status, arm).
+test treatment; 9 observations censored) with columns (time, status, arm):
+time is the survival time in days.  These are the CLI's default column
+names, so the file reads like any other input CSV.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from ..data import CensoredSample, ingest_csv_arms
+from ..data import CensoredSample, ingest_csv, ingest_csv_arms
 
 __all__ = ["veteran_csv_path", "load_veteran"]
 
@@ -22,11 +23,5 @@ def veteran_csv_path() -> str:
 
 def load_veteran() -> dict[str, CensoredSample]:
     """Samples keyed 'A', 'B' and 'combined'."""
-    arms = ingest_csv_arms(
-        veteran_csv_path(), arm_column="arm", time_column="time_days", status_column="status"
-    )
-    combined = CensoredSample.from_pairs(
-        [(float(z), int(d)) for sample in arms.values() for z, d in zip(sample.z, sample.delta)]
-    )
-    arms["combined"] = combined
-    return arms
+    path = veteran_csv_path()
+    return {**ingest_csv_arms(path, arm_column="arm"), "combined": ingest_csv(path)}

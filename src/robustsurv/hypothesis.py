@@ -64,7 +64,9 @@ def chi2_sf(df: int, x: float) -> float:
 
 
 def chi2_quantile(df: int, level: float) -> float:
-    """(1 - level) quantile of chi-square with df degrees of freedom."""
+    """(1 - level) quantile of chi-square_df; the one check that 0 < level < 1."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level!r}")
     return float(special.chdtri(df, level))
 
 

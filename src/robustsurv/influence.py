@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .data import _csv_table
-from .hypothesis import _wald_form, _wald_inner, contiguous_power, noncentral_weights
+from .hypothesis import _wald_form, _wald_inner, chi2_quantile, contiguous_power, noncentral_weights
 from .model import ParametricFamily, lambda_model, mdpde_psi
 from .twosample import _stacked_sigma
 from .varest import _small_inverse, sigma_hat
@@ -155,7 +155,7 @@ def kstar(s: float, p: int, level: float = 0.05) -> float:
 
     whose s -> 0 limit is the u = 0 difference.
     """
-    c = float(special.chdtri(p, level))
+    c = chi2_quantile(p, level)
     weights = noncentral_weights(s)
     dfs = p + 2.0 * np.arange(weights.size)
     tails = special.chdtrc(dfs, c)
@@ -200,8 +200,6 @@ def pif(
     d = 0 is the level case: the LIF, identically zero for bounded
     estimating functions (see :func:`lif`)."""
     d = np.asarray(d, dtype=float)
-    if not np.any(d):
-        return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
     jac, inverse = _null_inverse(family, theta0, alpha, restriction, sigma)
     s0 = (inverse @ (jac.T @ d)) @ jac.T  # row vector d^T M (M^T Sigma M)^{-1} M^T
     s = float(s0 @ d)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import SyntheticDesign, _csv_table, simulate
 from .estimator import fit_grid
-from .hypothesis import Restriction, wald_statistic
+from .hypothesis import Restriction, chi2_quantile, wald_statistic
 from .model import validate_alpha
 
 __all__ = [
@@ -61,8 +61,7 @@ class ExperimentSpec:
             raise ValueError(f"kind must be one of {_KINDS}")
         if self.replications < 1 or self.n < 1:
             raise ValueError("n and replications must be at least 1")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
+        chi2_quantile(1, self.level)  # the one check of a level: it lies in (0, 1)
         grid = tuple(validate_alpha(a) for a in self.alpha_grid)
         if not grid or any(b < a for a, b in zip(grid, grid[1:])):
             raise ValueError("alpha_grid must be nonempty and ascending")

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import shutil
 
 import numpy as np
 import pytest
@@ -311,6 +312,23 @@ class TestErrorPaths:
         assert "error: sensitivity matrix has non-finite entries" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize("hypothesis", [["--hypothesis", "shape=5"], []],
+                             ids=["hypothesis", "curves-only"])
+    @pytest.mark.parametrize("level", ["0", "1", "2", "-0.5", "nan"])
+    def test_level_outside_unit_interval_writes_nothing(self, outdir, capsys, level, hypothesis):
+        code = main(["influence", "--theta", "2,5", "--level", level, *hypothesis,
+                     "--out", str(outdir)])
+        assert code == 2
+        assert "error: level must lie in (0, 1)" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_t_points_below_one_writes_nothing(self, outdir, capsys, points):
+        code = main(["influence", "--theta", "2,5", "--t-points", points, "--out", str(outdir)])
+        assert code == 2
+        assert "error: --t-points must be at least 1" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_bad_grid(self, outdir, capsys):
         code = main([
             "fit", "veteran", "--alpha-grid", "1:0:0.1", "--out", str(outdir)
@@ -318,13 +336,134 @@ class TestErrorPaths:
         assert code == 2
 
 
-INPUTS = {"inputs", "time_column", "status_column", "arm_column", "arm"}
+def run(argv, outdir) -> int:
+    """main's exit code, whether main returns it or argparse exits with it."""
+    try:
+        return main(argv + ["--out", str(outdir)])
+    except SystemExit as exc:
+        return exc.code
+
+
+def written(outdir) -> list:
+    return sorted(p.name for p in outdir.iterdir()) if outdir.exists() else []
+
+
+@pytest.fixture()
+def seen(monkeypatch):
+    """The samples each command handed to fit_grid or kmpl_fit."""
+    samples = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def wrapper(sample, *rest):
+            samples.append(sample)
+            return real(sample, *rest)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    spy("fit_grid")
+    spy("kmpl_fit")
+    return samples
+
+
+ONE_SAMPLE = {
+    "fit": ["fit", "veteran", "--alpha", "0"],
+    "test": ["test", "veteran", "--hypothesis", "shape=1", "--alpha", "0"],
+    "kmplot": ["kmplot", "veteran"],
+}
+COMPARE = ["compare", "veteran", "--hypothesis", "shape1=shape2", "--alpha", "0"]
+TWO_FILES = ["compare", "veteran", "veteran", *COMPARE[2:]]
+
+
+class TestInputRule:
+    """One rule for every command's input: --arm-column and --arm take effect
+    together or the command exits 2 and writes nothing."""
+
+    @pytest.mark.parametrize("command", ONE_SAMPLE)
+    @pytest.mark.parametrize("arm_options,expected", [
+        ([], "combined"),
+        (["--arm-column", "arm", "--arm", "A"], "A"),
+        (["--arm-column", "arm", "--arm", "B"], "B"),
+    ], ids=["whole-file", "arm-A", "arm-B"])
+    def test_selects_exactly_that_sample(self, outdir, veteran, seen, command, arm_options,
+                                         expected):
+        assert run(ONE_SAMPLE[command] + arm_options, outdir) == 0
+        assert written(outdir) == [f"{command}.csv"]
+        (sample,) = seen
+        assert sample.n == {"A": 69, "B": 68, "combined": 137}[expected]
+        assert sample.z.tobytes() == veteran[expected].z.tobytes()
+        assert sample.delta.tobytes() == veteran[expected].delta.tobytes()
+
+    @pytest.mark.parametrize("command", ONE_SAMPLE)
+    @pytest.mark.parametrize("bad,message", [
+        (["--arm", "A"], "--arm and --arm-column must be given together"),
+        (["--arm-column", "arm"], "--arm and --arm-column must be given together"),
+        (["--arm-column", "arm", "--arm", "Z"], "arm 'Z' not found (have ['A', 'B'])"),
+        (["--arm-column", "nonexistent", "--arm", "A"], "missing column 'nonexistent'"),
+        (["--time-column", "nonexistent"], "missing column 'nonexistent'"),
+        (["--time-column", "time_days"], "missing column 'time_days'"),
+        (["--status-column", "nonexistent"], "missing column 'nonexistent'"),
+    ], ids=["arm-only", "arm-column-only", "unknown-arm", "unknown-arm-column",
+            "unknown-time-column", "old-time-column", "unknown-status-column"])
+    def test_refused_input_writes_nothing(self, outdir, capsys, command, bad, message):
+        assert run(ONE_SAMPLE[command] + bad, outdir) == 2
+        assert message in capsys.readouterr().err
+        assert written(outdir) == []
+
+    def test_compare_splits_one_file_by_arm(self, outdir, veteran, seen):
+        assert run(COMPARE + ["--arm-column", "arm"], outdir) == 0
+        sample1, sample2 = seen
+        assert (sample1.z.tobytes(), sample2.z.tobytes()) == (
+            veteran["A"].z.tobytes(), veteran["B"].z.tobytes())
+        rows = read_csv_rows(outdir / "compare.csv")
+        assert (rows[0]["n1"], rows[0]["n2"]) == ("69", "68")
+
+    @pytest.mark.parametrize("argv,message", [
+        (COMPARE, "compare takes two input files, or one file with --arm-column"),
+        (TWO_FILES + ["--arm-column", "arm"],
+         "compare takes two input files, or one file with --arm-column"),
+        (["compare", "veteran", *TWO_FILES[1:]],
+         "compare takes two input files, or one file with --arm-column"),
+        (COMPARE + ["--arm-column", "time"], "--arm-column must yield exactly two arms"),
+        (COMPARE + ["--arm-column", "arm", "--time-column", "nonexistent"],
+         "missing column 'nonexistent'"),
+        (COMPARE + ["--arm", "A"], "unrecognized arguments: --arm A"),
+        (COMPARE + ["--arm-column", "arm", "--arm", "Z"], "unrecognized arguments: --arm Z"),
+    ], ids=["one-file", "two-files-arm-column", "three-files", "many-arms",
+            "unknown-time-column", "arm", "arm-column-and-arm"])
+    def test_compare_refused_input_writes_nothing(self, outdir, capsys, argv, message):
+        assert run(argv, outdir) == 2
+        assert message in capsys.readouterr().err
+        assert written(outdir) == []
+
+    def test_copy_of_bundled_file_reads_like_the_alias(self, tmp_path):
+        copy = tmp_path / "trial.csv"
+        shutil.copyfile(datasets.veteran_csv_path(), copy)
+        commands = [
+            ["fit", "--alpha-grid", "0:1:0.5", "--arm-column", "arm", "--arm", "A"],
+            ["fit", "--alpha", "0.5"],
+            ["test", "--hypothesis", "shape=1", "--alpha", "0.5", "--arm-column", "arm",
+             "--arm", "B"],
+            ["compare", "--arm-column", "arm", "--hypothesis", "shape1=shape2 dir=greater",
+             "--alpha", "0.5"],
+            ["kmplot"],
+        ]
+        for k, (name, *options) in enumerate(commands):
+            alias, path = tmp_path / f"alias{k}", tmp_path / f"path{k}"
+            assert run([name, "veteran", *options], alias) == 0
+            assert run([name, str(copy), *options], path) == 0
+            assert written(alias) == written(path) == [f"{name}.csv"]
+            assert (alias / f"{name}.csv").read_bytes() == (path / f"{name}.csv").read_bytes()
+
+
+INPUTS = {"inputs", "time_column", "status_column", "arm_column"}
 TUNING = {"family", "alpha", "alpha_grid"}
 OPTIONS = {
-    "fit": INPUTS | TUNING | {"out"},
-    "test": INPUTS | TUNING | {"hypothesis", "out"},
+    "fit": INPUTS | TUNING | {"arm", "out"},
+    "test": INPUTS | TUNING | {"arm", "hypothesis", "out"},
     "compare": INPUTS | TUNING | {"hypothesis", "out"},
-    "kmplot": INPUTS | {"out"},
+    "kmplot": INPUTS | {"arm", "out"},
     "influence": TUNING | {"level", "theta", "hypothesis", "t_min", "t_max", "t_points", "out"},
     "simulate": TUNING | {"level", "seed", "workers", "experiment", "theta", "censoring_mean",
                           "contamination_fraction", "contamination", "hypothesis", "n",
@@ -343,7 +482,7 @@ class TestOptionGroups:
             for name, p in commands.choices.items()
         }
         assert {name: set(dests) for name, dests in declared.items()} == OPTIONS
-        assert sum(map(len, declared.values())) == 60
+        assert sum(map(len, declared.values())) == 59
 
     @pytest.mark.parametrize("argv", [
         ["kmplot", "veteran", "--alpha", "0"],

@@ -7,6 +7,7 @@ from robustsurv import (
     FitConfig,
     FunctionRestriction,
     LinearRestriction,
+    LinearTwoSampleRestriction,
     SyntheticDesign,
     WEIBULL,
     contiguous_power,
@@ -16,6 +17,8 @@ from robustsurv import (
     noncentral_chi2_sf,
     power_approx,
     simulate,
+    two_sample_contiguous,
+    two_sample_power_approx,
     wald_statistic,
 )
 from robustsurv import hypothesis as hypothesis_module
@@ -276,3 +279,19 @@ class TestContiguousPower:
             lambda x: stats.ncx2.pdf(x, 1, 5.0), q, np.inf, epsabs=1e-12, epsrel=1e-12
         )
         assert series == pytest.approx(quadrature, abs=1e-8)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 2.0, -0.1, float("nan")])
+def test_level_outside_unit_interval_is_refused(level):
+    # chi2_quantile is the one level check; every power function goes through it
+    one, hom = LinearRestriction.simple((1.0,)), LinearTwoSampleRestriction.homogeneity(1)
+    calls = (
+        lambda: chi2_quantile(1, level),
+        lambda: power_approx(np.array([1.4]), one, np.eye(1), 50, level),
+        lambda: contiguous_power(np.ones(1), one, np.eye(1), (1.0,), level),
+        lambda: two_sample_power_approx([1.0], [1.4], hom, np.eye(1), np.eye(1), 50, 50, level),
+        lambda: two_sample_contiguous([1.0], [0.0], hom, np.eye(1), 0.5, [1.0], [1.0], level),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+            call()

@@ -254,6 +254,20 @@ class TestPif:
         assert pif(EXPONENTIAL, [1.0], 0.5, restriction, np.zeros(1), 3.0) == 0.0
         assert lif(EXPONENTIAL, [1.0], 0.5, restriction, 3.0) == 0.0
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("d", [0.0, 1.0])
+    def test_level_outside_unit_interval_is_refused(self, level, d):
+        restriction = LinearRestriction.simple((1.0,))
+        calls = (
+            lambda: pif(EXPONENTIAL, [1.0], 0.5, restriction, np.full(1, d), 3.0, level),
+            lambda: contaminated_contiguous_power(
+                EXPONENTIAL, [1.0], 0.5, restriction, np.full(1, d), 0.1, 3.0, level),
+            lambda: kstar(d, 1, level),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+                call()
+
 
 class TestIf2TwoSample:
     HOM = LinearTwoSampleRestriction.homogeneity(1)
