@@ -12,13 +12,15 @@ Every CSV the package writes (samples, product-limit curves, influence
 curves, experiment reports and the command line's tables) goes through
 :func:`_csv_table`: a header row, floats (numpy floats too) to 17
 significant digits, so that they read back bit for bit, booleans as
-"true"/"false", and LF line ends on every platform.
+"true"/"false", and LF line ends on every platform.  It formats each row in
+one ``%`` operation, built per table for each combination of cell types.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -105,34 +107,29 @@ class CensoredSample:
 
 def _parse_rows(path, time_column: str, status_column: str, arm_column=None):
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise CsvFormatError(f"{path}: empty file (header row required)")
         for col in filter(None, (time_column, status_column, arm_column)):
-            if col not in reader.fieldnames:
-                raise CsvFormatError(
-                    f"{path}: missing column {col!r} (found {reader.fieldnames})"
-                )
+            if col not in header:
+                raise CsvFormatError(f"{path}: missing column {col!r} (found {header})")
+        index = {name: i for i, name in enumerate(header)}  # the last of repeated names wins
+        ti, si, ai = index[time_column], index[status_column], index[arm_column] if arm_column else None
         rows = []
-        for lineno, row in enumerate(reader, start=2):
-            raw_t = (row[time_column] or "").strip()
-            raw_s = (row[status_column] or "").strip()
+        for lineno, row in enumerate(filter(None, reader), start=2):  # blank lines: skipped, uncounted
+            row += [""] * (len(header) - len(row))  # a short row's missing cells are empty
+            raw_t, raw_s = row[ti].strip(), row[si].strip()
+            at = f"{path}:{lineno}: column"
             try:
                 t = float(raw_t)
             except ValueError:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: column {time_column!r}: cannot parse {raw_t!r} as a time"
-                ) from None
-            if not np.isfinite(t) or t < 0.0:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: column {time_column!r}: time must be a finite nonnegative number, got {raw_t!r}"
-                )
+                raise CsvFormatError(f"{at} {time_column!r}: cannot parse {raw_t!r} as a time") from None
+            if not math.isfinite(t) or t < 0.0:
+                raise CsvFormatError(f"{at} {time_column!r}: time must be a finite nonnegative number, got {raw_t!r}")
             if raw_s not in {"0", "1"}:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: column {status_column!r}: status must be 0 or 1, got {raw_s!r}"
-                )
-            arm = row[arm_column].strip() if arm_column else None
-            rows.append((t, int(raw_s), arm))
+                raise CsvFormatError(f"{at} {status_column!r}: status must be 0 or 1, got {raw_s!r}")
+            rows.append((t, int(raw_s), None if ai is None else row[ai].strip()))
         if not rows:
             raise CsvFormatError(f"{path}: no data rows")
         return rows
@@ -162,23 +159,34 @@ def ingest_csv_arms(
     return {arm: CensoredSample.from_pairs(pairs) for arm, pairs in sorted(by_arm.items())}
 
 
-def _cell(value):
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
+def _text(value) -> str:
+    """A cell that is not a number: true/false, None as empty, else str() quoted
+    as csv.writer quotes it (which characters force quotes varies by version)."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    return value
+    text = "" if value is None else str(value)
+    if any(c in text for c in ',"\r\n'):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text])
+        text = buf.getvalue()[:-1]
+    return text
 
 
 def _csv_table(header, rows, path=None) -> str:
     """The package's CSV text (module docstring) of a header and rows of
     cells, each row a sequence; None and "" give empty cells.  Written to
     ``path`` when one is given; returned either way."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([list(map(_cell, row)) for row in rows])
-    text = buf.getvalue()
+    formats, lines = {}, []  # per cell types: the row's %-format, its text cells' indices
+    for row in [header, *rows]:
+        types = tuple(map(type, row))
+        if types not in formats:  # floats (numpy floats too) as %.17g, integers as %d
+            specs = ["%.17g" if issubclass(k, (float, np.floating)) else "%d"
+                     if issubclass(k, (int, np.integer)) and k is not bool else "%s" for k in types]
+            formats[types] = ",".join(specs), [i for i, spec in enumerate(specs) if spec == "%s"]
+        fmt, text = formats[types]
+        cells = tuple(_text(v) if i in text else v for i, v in enumerate(row)) if text else tuple(row)
+        lines.append(fmt % cells if fmt != "%s" or cells[0] else '""')  # csv's "" for a lone empty field
+    text = "\n".join(lines) + "\n"
     if path is not None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)

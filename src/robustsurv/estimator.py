@@ -189,10 +189,9 @@ class FitResult:
                 f"note: defective product-limit tail mass {self.residual_mass:.3f} "
                 "reassigned to the largest observation"
             )
-        with np.printoptions(precision=6, suppress=False):
-            lines.append(f"lambda_hat:\n{self.lambda_hat}")
-            lines.append(f"c_hat:\n{self.c_hat}")
-            lines.append(f"sigma_hat:\n{self.sigma_hat}")
+        for name in ("lambda_hat", "c_hat", "sigma_hat"):
+            lines.append(f"{name}:")
+            lines.extend("  " + "  ".join(f"{v:12.6g}" for v in row) for row in getattr(self, name).tolist())
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -433,6 +432,12 @@ def _initial_theta(sample: CensoredSample, family: ParametricFamily) -> np.ndarr
     fit of log cumulative hazard against log time at the event times (the
     log-log diagnostic line), falling back to shape 1 when degenerate.
     """
+    start = sample._memo(f"initial_theta:{family.family_id}", lambda s: _hazard_start(s, family))
+    start.setflags(write=False)  # built once per sample and family, shared by every fit
+    return start
+
+
+def _hazard_start(sample: CensoredSample, family: ParametricFamily) -> np.ndarray:
     ttt_mean = max(float(sample.z.sum()) / max(sample.n_events, 1), 1e-12)
     if family.family_id == "exponential":
         return np.array([ttt_mean])

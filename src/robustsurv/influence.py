@@ -211,6 +211,7 @@ def pif(
 def lif(family: ParametricFamily, theta0, alpha: float, restriction, t, level: float = 0.05) -> float:
     """Level influence function; identically zero whenever the estimator IF is
     finite at t (all alpha for point contamination)."""
+    chi2_quantile(restriction.r, level)
     if_estimator(family, theta0, alpha, t)  # surfaces domain errors
     return 0.0
 

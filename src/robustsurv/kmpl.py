@@ -46,12 +46,12 @@ class KmplFit:
     def write_csv(self, path) -> None:
         """(time, cdf, jump) rows plus the log-log cumulative-hazard columns
         used for straight-line model diagnostics."""
+        with np.errstate(divide="ignore", invalid="ignore"):  # cells off the log's domain stay empty
+            logs = np.log([self.support, -np.log1p(-self.cdf_values)])
         _csv_table(
             ["time", "cdf", "jump", "log_time", "log_cumulative_hazard"],
-            (
-                [t, c, j, np.log(t) if t > 0 else "", np.log(-np.log1p(-c)) if 0.0 < c < 1.0 else ""]
-                for t, c, j in zip(self.support, self.cdf_values, self.jumps)
-            ),
+            ([t, c, j, lt if t > 0 else "", lh if 0.0 < c < 1.0 else ""]
+             for t, c, j, lt, lh in np.transpose([self.support, self.cdf_values, self.jumps, *logs]).tolist()),
             path,
         )
 

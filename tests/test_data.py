@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +17,7 @@ from robustsurv import (
     simulate,
     write_csv,
 )
+from robustsurv.data import _csv_table
 
 
 def write_rows(path, rows, header="time,status"):
@@ -71,6 +75,26 @@ class TestIngest:
         arms = ingest_csv_arms(path, arm_column="arm")
         assert arms["A"].n == 2 and arms["B"].n == 1
 
+    @pytest.mark.parametrize("header, row, message", [
+        ("time,status", "1,1\nabc,1", "column 'time': cannot parse 'abc' as a time"),
+        ("time,status", "1,1\n-2,1", "column 'time': time must be a finite nonnegative number, got '-2'"),
+        ("time,status", "1,1\ninf,1", "column 'time': time must be a finite nonnegative number, got 'inf'"),
+        ("time,status", "1,1\nnan,0", "column 'time': time must be a finite nonnegative number, got 'nan'"),
+        ("time,status", "1,1\n2, yes", "column 'status': status must be 0 or 1, got 'yes'"),
+        ("time,status", "1,1\n2", "column 'status': status must be 0 or 1, got ''"),
+        ("status,time", "1,1\n1", "column 'time': cannot parse '' as a time"),
+    ], ids=["unparsable", "negative", "infinite", "nan", "bad-status", "short-status", "short-time"])
+    def test_row_errors_word_for_word(self, tmp_path, header, row, message):
+        path = write_rows(tmp_path / "d.csv", [row], header=header)
+        with pytest.raises(CsvFormatError) as info:
+            ingest_csv(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
+    def test_short_row_arm_cell_is_empty(self, tmp_path):
+        path = write_rows(tmp_path / "d.csv", ["1,1,A", "2,0"], header="time,status,arm")
+        arms = ingest_csv_arms(path, arm_column="arm")
+        assert sorted(arms) == ["", "A"] and arms[""].n == 1
+
     def test_roundtrip_idempotent(self, tmp_path):
         path = write_rows(tmp_path / "d.csv", ["3,1", "1,0", "2,1", "2,0", "2,1"])
         sample = ingest_csv(path)
@@ -80,6 +104,50 @@ class TestIngest:
         again = ingest_csv(out)
         np.testing.assert_array_equal(sample.z, again.z)
         np.testing.assert_array_equal(sample.delta, again.delta)
+
+
+def _cell(value):
+    """One cell as the writer turned it before csv.writer quoted it."""
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return value
+
+
+def csv_writer_text(header, rows):
+    """Oracle: the package's CSV text by csv.writer and per-cell formatting."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([list(map(_cell, row)) for row in rows])
+    return buf.getvalue()
+
+
+TEXT = st.text(st.sampled_from('ab ,"\n\r%'), max_size=5)
+CELLS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-300, np.float64(-0.0)]),
+    st.integers(-(10**30), 10**30),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.just(""),
+    TEXT,
+)
+
+
+class TestCsvTable:
+    @given(st.lists(TEXT, max_size=4), st.lists(st.lists(CELLS, max_size=4), max_size=6))
+    def test_equals_csv_writer_per_cell(self, header, rows):
+        assert _csv_table(header, rows) == csv_writer_text(header, rows)
+
+    def test_rows_sharing_a_row_format(self):
+        rows = [[1.0, 2, "a,b", None], [np.float64(0.1), np.int64(-3), 'say "x"', True],
+                [1e-300, 0, "", np.bool_(False)], [float("nan")], [""], []]
+        assert _csv_table(["t", "n", "s", "x"], rows) == csv_writer_text(["t", "n", "s", "x"], rows)
 
 
 class TestCensoredSample:

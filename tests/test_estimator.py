@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -434,6 +435,57 @@ class TestFit:
                 sensitivity = (base.size + 1) * (fit1.theta_hat[0] - fit0.theta_hat[0])
                 influence = if_estimator(EXPONENTIAL, fit0.theta_hat, alpha, t)[0]
                 assert sensitivity == pytest.approx(-influence, rel=0.15, abs=0.02)
+
+
+    def test_second_cold_fit_reuses_the_start(self, weibull_design, monkeypatch):
+        sample = simulate(weibull_design, 60)
+        first = fit(sample, WEIBULL, FitConfig(alpha=0.5))
+        polyfit, calls = np.polyfit, []
+        monkeypatch.setattr(np, "polyfit", lambda *a, **k: calls.append(a) or polyfit(*a, **k))
+        second = fit(sample, WEIBULL, FitConfig(alpha=0.5))
+        assert calls == []
+        np.testing.assert_array_equal(second.theta_hat, first.theta_hat)
+        assert (second.n_iter, second.message) == (first.n_iter, first.message)
+        start = _initial_theta(sample, WEIBULL)
+        assert start is _initial_theta(sample, WEIBULL) and not start.flags.writeable
+
+
+class TestSummary:
+    """The three matrices print one line per row at 6 significant digits."""
+
+    @staticmethod
+    def matrices(result):
+        text = result.summary()
+        return text[text.index("lambda_hat:"):]
+
+    def test_one_by_one(self):
+        result = replace(FitResult.failed(EXPONENTIAL, 10, 0.0, ""), lambda_hat=np.array([[0.25]]),
+                         c_hat=np.array([[1e-7]]), sigma_hat=np.array([[12345.678]]))
+        assert self.matrices(result) == (
+            "lambda_hat:\n          0.25\nc_hat:\n         1e-07\nsigma_hat:\n       12345.7"
+        )
+
+    def test_two_by_two_with_negative_entries(self):
+        m = np.array([[1.5, -0.000123456789], [-0.000123456789, 2e10]])
+        result = replace(FitResult.failed(WEIBULL, 10, 0.0, ""), lambda_hat=m, c_hat=-m,
+                         sigma_hat=3.0 * m)
+        assert self.matrices(result) == "\n".join([
+            "lambda_hat:",
+            "           1.5  -0.000123457",
+            "  -0.000123457         2e+10",
+            "c_hat:",
+            "          -1.5   0.000123457",
+            "   0.000123457        -2e+10",
+            "sigma_hat:",
+            "           4.5   -0.00037037",
+            "   -0.00037037         6e+10",
+        ])
+
+    def test_failed_fit_prints_nan_matrices(self):
+        nan_rows = ["           nan           nan"] * 2
+        expected = [line for name in ("lambda_hat", "c_hat", "sigma_hat") for line in [f"{name}:", *nan_rows]]
+        result = FitResult.failed(WEIBULL, 10, 0.5, "descent: no root at tol 1e-08")
+        assert self.matrices(result) == "\n".join(expected)
 
 
 class TestFitGrid:

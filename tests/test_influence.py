@@ -263,6 +263,7 @@ class TestPif:
             lambda: contaminated_contiguous_power(
                 EXPONENTIAL, [1.0], 0.5, restriction, np.full(1, d), 0.1, 3.0, level),
             lambda: kstar(d, 1, level),
+            lambda: lif(EXPONENTIAL, [1.0], 0.5, restriction, 3.0, level),
         )
         for call in calls:
             with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
