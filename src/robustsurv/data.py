@@ -117,18 +117,17 @@ def _parse_rows(path, time_column: str, status_column: str, arm_column=None):
         index = {name: i for i, name in enumerate(header)}  # the last of repeated names wins
         ti, si, ai = index[time_column], index[status_column], index[arm_column] if arm_column else None
         rows = []
-        for lineno, row in enumerate(filter(None, reader), start=2):  # blank lines: skipped, uncounted
+        for row in filter(None, reader):  # blank lines: skipped; line_num is the file line where row ends
             row += [""] * (len(header) - len(row))  # a short row's missing cells are empty
             raw_t, raw_s = row[ti].strip(), row[si].strip()
-            at = f"{path}:{lineno}: column"
             try:
                 t = float(raw_t)
             except ValueError:
-                raise CsvFormatError(f"{at} {time_column!r}: cannot parse {raw_t!r} as a time") from None
+                raise CsvFormatError(f"{path}:{reader.line_num}: column {time_column!r}: cannot parse {raw_t!r} as a time") from None
             if not math.isfinite(t) or t < 0.0:
-                raise CsvFormatError(f"{at} {time_column!r}: time must be a finite nonnegative number, got {raw_t!r}")
+                raise CsvFormatError(f"{path}:{reader.line_num}: column {time_column!r}: time must be a finite nonnegative number, got {raw_t!r}")
             if raw_s not in {"0", "1"}:
-                raise CsvFormatError(f"{at} {status_column!r}: status must be 0 or 1, got {raw_s!r}")
+                raise CsvFormatError(f"{path}:{reader.line_num}: column {status_column!r}: status must be 0 or 1, got {raw_s!r}")
             rows.append((t, int(raw_s), None if ai is None else row[ai].strip()))
         if not rows:
             raise CsvFormatError(f"{path}: no data rows")

@@ -10,8 +10,8 @@ reserved for the divergence tuning parameter.
 Every Wald form in the package, here and in ``twosample`` and
 ``influence``, forms M^T Sigma M and checks its condition number (at most
 1e12) through :func:`_wald_inner`, on Python floats.  The chi-square tails
-live here too: central ones from scipy, and the noncentral tail of the
-contiguous power as a Poisson mixture of central ones.
+live here too: central ones by a recurrence (:func:`_chi2_tails`), and the
+noncentral tail of the contiguous power as a Poisson mixture of central ones.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .estimator import FitResult
 from .varest import _small_cond, _small_congruence, _small_solve
@@ -58,16 +57,52 @@ def _central_differences(func, x, step: float) -> np.ndarray:
     return np.stack(rows, axis=0)
 
 
+def _chi2_tails(df: int, q: float, count: int = 1) -> tuple[list, list]:
+    """(P(chi2_{df+2k} > q), P(chi2_{df+2k+2} > q) - P(chi2_{df+2k} > q)) for
+    k < count, as two lists, for an integer df >= 1.  With x = q/2 the tails
+    are Q(df/2 + k, x), taken up from Q(1/2, x) = erfc(sqrt x) or Q(1, x) =
+    e^-x by Q(a + 1, x) = Q(a, x) + x^a e^-x / Gamma(a + 1): positive steps,
+    formed in log space, so no digits cancel and e^-x may underflow."""
+    if not (df >= 1 and df == int(df)):
+        raise ValueError(f"df must be a positive integer, got {df!r}")
+    x = 0.5 * q
+    if not 0.0 < x < math.inf:  # q <= 0, inf or NaN: every tail is 1, 0 or NaN
+        tail = 1.0 if x <= 0.0 else math.exp(-x)
+        return [tail] * count, [0.0 * tail] * count
+    odd = df % 2
+    a, tail, log_x = (0.5 if odd else 1.0), (math.erfc(math.sqrt(x)) if odd else math.exp(-x)), math.log(x)
+    tails, steps = [], []
+    for k in range(-((int(df) - 1) // 2), count):  # k < 0: the steps up to Q(df/2, x)
+        step = math.exp(a * log_x - x - math.lgamma(a + 1.0))
+        if k >= 0:
+            tails.append(tail)
+            steps.append(step)
+        tail += step
+        a += 1.0
+    return tails, steps
+
+
 def chi2_sf(df: int, x: float) -> float:
-    """Upper tail of chi-square with df degrees of freedom."""
-    return float(special.chdtrc(df, x))
+    """Upper tail of chi-square with df degrees of freedom (a positive integer)."""
+    return _chi2_tails(df, x)[0][0]
 
 
 def chi2_quantile(df: int, level: float) -> float:
-    """(1 - level) quantile of chi-square_df; the one check that 0 < level < 1."""
+    """(1 - level) quantile of chi-square_df; the one check that 0 < level < 1.
+    Closed forms for df 1 and 2, else bisection on chi2_sf to adjacent floats."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
-    return float(special.chdtri(df, level))
+    if df == 1:
+        from statistics import NormalDist  # here, as it brings decimal and fractions in
+        return NormalDist().inv_cdf(0.5 * level) ** 2
+    if df == 2:
+        return -2.0 * math.log(level)
+    lo, hi = 0.0, 2.0 * df
+    while chi2_sf(df, hi) > level:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if chi2_sf(df, mid) > level else (lo, mid)
+    return mid
 
 
 def noncentral_weights(s: float) -> np.ndarray:
@@ -89,8 +124,7 @@ def noncentral_weights(s: float) -> np.ndarray:
 def noncentral_chi2_sf(q: float, df: int, ncp: float) -> float:
     """P(chi2_df(ncp) > q) by the Poisson mixture of central chi-square tails."""
     weights = noncentral_weights(ncp)
-    dfs = df + 2.0 * np.arange(weights.size)
-    return float(weights @ special.chdtrc(dfs, q))
+    return math.fsum(map(operator.mul, weights.tolist(), _chi2_tails(df, q, weights.size)[0]))
 
 
 class Restriction:
@@ -316,7 +350,7 @@ def power_approx(
         raise ValueError("degenerate variance in the power approximation")
     quantile = chi2_quantile(restriction.r, level)
     z = np.sqrt(n) / np.sqrt(var_star) * (quantile / n - wbar)
-    return float(1.0 - special.ndtr(z))
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def contiguous_power(

@@ -16,13 +16,16 @@ SingularSensitivityError or LinAlgError here as well.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .data import _csv_table
-from .hypothesis import _wald_form, _wald_inner, chi2_quantile, contiguous_power, noncentral_weights
+from .hypothesis import (
+    _chi2_tails, _wald_form, _wald_inner, chi2_quantile, contiguous_power, noncentral_weights,
+)
 from .model import ParametricFamily, lambda_model, mdpde_psi
 from .twosample import _stacked_sigma
 from .varest import _small_inverse, sigma_hat
@@ -153,14 +156,11 @@ def kstar(s: float, p: int, level: float = 0.05) -> float:
 
         K*_p(s) = sum_u pois_u(s/2) [P(chi2_{p+2u+2} > c) - P(chi2_{p+2u} > c)]
 
-    whose s -> 0 limit is the u = 0 difference.
+    whose s -> 0 limit is the u = 0 difference; each difference is a step of
+    the tails' recurrence, so no two nearly equal tails are subtracted.
     """
-    c = chi2_quantile(p, level)
-    weights = noncentral_weights(s)
-    dfs = p + 2.0 * np.arange(weights.size)
-    tails = special.chdtrc(dfs, c)
-    tails_next = special.chdtrc(dfs + 2.0, c)
-    return float(weights @ (tails_next - tails))
+    weights = noncentral_weights(s).tolist()
+    return math.fsum(map(operator.mul, weights, _chi2_tails(p, chi2_quantile(p, level), len(weights))[1]))
 
 
 def contaminated_contiguous_power(

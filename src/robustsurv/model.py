@@ -11,9 +11,9 @@ Both shipped families (exponential by mean, Weibull by scale/shape) evaluate
 these in closed form; the exponential ones are elementary, while the Weibull
 ones follow from the substitution w = (x/sigma)^b, which turns every
 integrand into w^c (log w)^m e^{-(1+alpha) w} and hence into gamma /
-digamma / trigamma expressions.  The same integrals give the derivative of
-jvec in theta.  The closed forms are the only evaluation path; the test
-suite checks them against adaptive quadrature.
+digamma / trigamma expressions, evaluated on Python floats.  The same
+integrals give the derivative of jvec in theta.  The closed forms are the
+only evaluation path; the tests check them against adaptive quadrature.
 
 The solver's fused pass gives the objective H, the estimating equation g =
 jvec - sum_i m_i u_i f_i^alpha and its exact Jacobian from one reduction,
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "FamilySpec",
@@ -60,6 +59,34 @@ def validate_alpha(alpha) -> float:
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"alpha must be finite and nonnegative, got {alpha!r}")
     return alpha
+
+
+def _digamma_trigamma(x: float) -> tuple[float, float]:
+    """(digamma(x), trigamma(x)) for a float x > 0: the recurrence up to
+    x >= 10, then the asymptotic series (Abramowitz & Stegun 6.3.18 and
+    6.4.12), whose first omitted terms are below 1e-15 relative there."""
+    digamma = trigamma = 0.0
+    while x < 10.0:
+        digamma -= 1.0 / x
+        trigamma += 1.0 / (x * x)
+        x += 1.0
+    r = 1.0 / (x * x)
+    digamma += math.log(x) - 0.5 / x - r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (
+        1 / 240 - r * (1 / 132 - r * 691 / 32760)))))
+    trigamma += (1.0 + 0.5 / x + r * (1 / 6 - r * (1 / 30 - r * (1 / 42 - r * (1 / 30 - r * (
+        5 / 66 - r * (691 / 2730 - r * 7 / 6))))))) / x
+    return digamma, trigamma
+
+
+def _gamma_digamma_trigamma(c: float) -> tuple[tuple, tuple, tuple]:
+    """Gamma, digamma and trigamma at c, c + 1 and c + 2 for a float c > 0.
+    Gamma is taken up from c (a rounded c + m would cost digamma(c + m)
+    times its rounding); digamma and trigamma down from c + 2, by steps
+    -1/x and +1/x^2 that share the sign of the sum, so no digits cancel."""
+    g0 = math.gamma(c)
+    p2, t2 = _digamma_trigamma(c + 2.0)
+    p1, t1 = p2 - 1.0 / (c + 1.0), t2 + (c + 1.0) ** -2
+    return (g0, g0 * c, g0 * c * (c + 1.0)), (p1 - 1.0 / c, p1, p2), (t1 + c ** -2, t1, t2)
 
 
 class ParametricFamily:
@@ -263,14 +290,14 @@ class Weibull(ParametricFamily):
                 f"f^(1+alpha) is not integrable for shape={b}, alpha={alpha}"
             )
 
-        # i0/i1/i2[m] = integral of w^c (log w)^k e^{-beta w} dw at
-        # c = kappa + m, for k = 0, 1, 2; trigamma is zeta(2, .), which is
-        # what polygamma(1, .) evaluates, without its wrapper's overhead; each
-        # special function is called once on all the c + 1
-        cs = (kappa, kappa + 1.0, kappa + 2.0) if jacobian else (kappa, kappa + 1.0)
-        c1 = np.array([c + 1.0 for c in cs])
-        i0 = [g * beta ** -c for g, c in zip(special.gamma(c1).tolist(), c1.tolist())]
-        d = (special.digamma(c1) - np.log(beta)).tolist()
+        # i0/i1/i2[m] = integral of w^(c - 1 + m) (log w)^k e^{-beta w} dw
+        # = Gamma(c + m) beta^-(c + m) (1, d_m, d_m^2 + trigamma(c + m)) for
+        # k = 0, 1, 2, with c = kappa + 1 and d_m = digamma(c + m) - log beta
+        c = kappa + 1.0
+        gammas, digammas, trigammas = _gamma_digamma_trigamma(c)
+        log_beta = math.log(beta)
+        i0 = [g * beta ** -(c + m) for m, g in enumerate(gammas)]
+        d = [p - log_beta for p in digammas]
         i1 = [g * dm for g, dm in zip(i0, d)]
 
         pref = (b / sigma) ** alpha
@@ -281,7 +308,7 @@ class Weibull(ParametricFamily):
         if not jacobian:
             return xi, jvec, None, None
 
-        i2 = [g * (dm * dm + z) for g, dm, z in zip(i0, d, special.zeta(2.0, c1).tolist())]
+        i2 = [g * (dm * dm + t) for g, dm, t in zip(i0, d, trigammas)]
         k_ss = pref * (b / sigma) ** 2 * (i0[2] - 2.0 * i0[1] + i0[0])
         k_sb = pref / sigma * (i0[1] - i0[0] - (i1[2] - 2.0 * i1[1] + i1[0]))
         k_bb = pref / b**2 * (

@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -180,6 +179,7 @@ def _collect(spec: ExperimentSpec, worker) -> list:
     task = partial(worker, spec)
     if spec.workers == 1:
         return [task(rep) for rep in range(spec.replications)]
+    from concurrent.futures import ProcessPoolExecutor  # here: one worker does not pay its import
     chunk = max(1, spec.replications // (spec.workers * 8))
     with ProcessPoolExecutor(max_workers=spec.workers) as pool:
         return list(pool.map(task, range(spec.replications), chunksize=chunk))

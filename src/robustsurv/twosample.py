@@ -15,10 +15,10 @@ standard normal null."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .estimator import FitResult
 from .hypothesis import (
@@ -172,7 +172,7 @@ def one_sided_wald(
     return replace(
         base,
         statistic=statistic,
-        p_value=float(1.0 - special.ndtr(statistic)),
+        p_value=0.5 * math.erfc(statistic / math.sqrt(2.0)),
         one_sided=True,
         description=base.description + " (one-sided)",
     )

@@ -90,6 +90,18 @@ class TestIngest:
             ingest_csv(path)
         assert str(info.value) == f"{path}:3: {message}"
 
+    @pytest.mark.parametrize("text, line", [
+        ("time,status\n1,1\n\n\nabc,1\n", 5),
+        ('time,status,note\n1,1,"two\nlines"\nabc,1,x\n', 4),
+    ], ids=["blank-lines", "quoted-newline"])
+    def test_row_error_names_the_file_line(self, tmp_path, text, line):
+        # blank lines and quoted newlines count as lines of the file
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CsvFormatError) as info:
+            ingest_csv(path)
+        assert str(info.value) == f"{path}:{line}: column 'time': cannot parse 'abc' as a time"
+
     def test_short_row_arm_cell_is_empty(self, tmp_path):
         path = write_rows(tmp_path / "d.csv", ["1,1,A", "2,0"], header="time,status,arm")
         arms = ingest_csv_arms(path, arm_column="arm")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from robustsurv import (
     FamilySpec,
@@ -15,6 +15,7 @@ from robustsurv import (
     fit_grid,
     lambda_model,
     noncentral_chi2_sf,
+    noncentral_weights,
     power_approx,
     simulate,
     two_sample_contiguous,
@@ -242,6 +243,15 @@ class TestPowerApprox:
                 np.array([1.0]), LinearRestriction.simple((1.0,)), np.eye(1), 50
             )
 
+    def test_tiny_power_is_not_rounded_to_zero(self):
+        # z = sqrt(n / var*) (q / n - wbar) is about 10 here, where 1 - Phi(z)
+        # would round to 0; wbar = delta^2 / 2 and var* = 2 delta^2 exactly
+        sigma, n, delta = np.array([[2.0]]), 50, 0.0384
+        got = power_approx(np.array([1.0 + delta]), LinearRestriction.simple((1.0,)), sigma, n, 0.05)
+        z = np.sqrt(n / (2.0 * delta**2)) * (chi2_quantile(1, 0.05) / n - delta**2 / 2.0)
+        assert z > 9.5
+        assert got == pytest.approx(stats.norm.sf(z), rel=1e-6, abs=0)
+
     def test_table_style_alternative_has_full_power(self, weibull_design):
         sample = simulate(weibull_design, 10_000, replication=3)
         fitted = fit(sample, WEIBULL, FitConfig(alpha=0.0))
@@ -279,6 +289,44 @@ class TestContiguousPower:
             lambda x: stats.ncx2.pdf(x, 1, 5.0), q, np.inf, epsabs=1e-12, epsrel=1e-12
         )
         assert series == pytest.approx(quadrature, abs=1e-8)
+
+
+class TestChiSquareAgainstScipy:
+    # the package computes its chi-square tails and quantiles without scipy;
+    # scipy.special is the oracle here
+    Q = np.concatenate(([0.0], np.logspace(-3, np.log10(300.0), 241)))
+
+    @pytest.mark.parametrize("df", range(1, 7))
+    def test_tail(self, df):
+        got = [chi2_sf(df, q) for q in self.Q]
+        np.testing.assert_allclose(got, special.chdtrc(df, self.Q), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("df", range(1, 7))
+    @pytest.mark.parametrize("ncp", [0.0, 0.3, 5.0, 60.0])
+    def test_noncentral_tail_is_the_mixture_of_central_tails(self, df, ncp):
+        weights = noncentral_weights(ncp)
+        dfs = df + 2.0 * np.arange(weights.size)
+        for q in (0.01, 1.0, chi2_quantile(df, 0.05), 25.0, 120.0):
+            assert noncentral_chi2_sf(q, df, ncp) == pytest.approx(
+                float(weights @ special.chdtrc(dfs, q)), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("df", range(1, 5))
+    def test_quantile(self, df):
+        levels = np.concatenate((np.logspace(-12, -1, 45), np.linspace(0.1, 0.99, 30)))
+        got = [chi2_quantile(df, level) for level in levels]
+        np.testing.assert_allclose(got, special.chdtri(df, levels), rtol=1e-13, atol=0)
+
+    def test_edge_values(self):
+        assert chi2_sf(1, 0.0) == chi2_sf(4, 0.0) == 1.0
+        assert chi2_sf(3, np.inf) == 0.0
+        assert np.isnan(chi2_sf(2, np.nan))
+        # e^-x underflows at q = 2000, the tail of a large df does not
+        assert chi2_sf(1999, 2000.0) == pytest.approx(special.chdtrc(1999, 2000.0), rel=1e-12)
+
+    @pytest.mark.parametrize("df", [0, -1, 1.5])
+    def test_df_must_be_a_positive_integer(self, df):
+        with pytest.raises(ValueError, match="positive integer"):
+            chi2_sf(df, 1.0)
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, 2.0, -0.1, float("nan")])

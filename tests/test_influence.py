@@ -185,6 +185,15 @@ class TestNoncentralSeries:
         raw = np.exp(-s / 2) * total
         assert kstar(s, p, level) == pytest.approx(raw, rel=1e-10)
 
+    @pytest.mark.parametrize("p, s", [(1, 50.0), (1, 300.0), (2, 300.0), (3, 50.0)])
+    def test_kstar_terms_are_densities(self, p, s):
+        # each difference of adjacent tails is 2 chi2_{p+2u+2} density at c;
+        # at large s the subtraction of nearly equal tails lost whole digits
+        level = 0.05
+        weights = noncentral_weights(s)
+        densities = stats.chi2.pdf(special.chdtri(p, level), p + 2.0 + 2.0 * np.arange(weights.size))
+        assert kstar(s, p, level) == pytest.approx(2.0 * float(weights @ densities), rel=1e-12, abs=0)
+
     def test_kstar_continuous_at_zero(self):
         p, level = 2, 0.05
         c = special.chdtri(p, level)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from robustsurv import EXPONENTIAL, WEIBULL, get_family, lambda_model, mdpde_psi
+from robustsurv.model import _digamma_trigamma, _gamma_digamma_trigamma
 
 from quadrature_oracle import (
     QuadratureError,
@@ -118,6 +120,32 @@ class TestWeightedIntegrals:
             EXPONENTIAL.weighted_integrals([-1.0], 0.5)
         with pytest.raises(ValueError):
             WEIBULL.weighted_integrals((1.0,), 0.5)
+
+
+class TestSpecialFunctionsAgainstScipy:
+    # the Weibull closed forms take gamma, digamma and trigamma without
+    # scipy; scipy.special is the oracle here.  The points carry 20 binary
+    # digits after the point, so x + 1 and x + 2 are exact and the oracle
+    # sees the very arguments the helper means.
+    X = np.round(np.logspace(-3, 3, 1201) * 2.0**20) / 2.0**20
+
+    def test_digamma_and_trigamma(self):
+        digamma, trigamma = np.array([_digamma_trigamma(float(x)) for x in self.X]).T
+        np.testing.assert_allclose(digamma, special.digamma(self.X), rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(trigamma, special.polygamma(1, self.X), rtol=1e-14, atol=0)
+
+    def test_shifted_triples(self):
+        # Gamma overflows beyond 171.6, so the triples stop below c + 2 = 171
+        xs = self.X[self.X < 169.0]
+        got = np.array([_gamma_digamma_trigamma(float(x)) for x in xs])  # (x, function, shift)
+        shifted = xs[:, None] + np.arange(3.0)
+        np.testing.assert_allclose(got[:, 0], special.gamma(shifted), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got[:, 1], special.digamma(shifted), rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(got[:, 2], special.polygamma(1, shifted), rtol=1e-14, atol=0)
+
+    def test_gamma_overflow_is_an_arithmetic_error(self):
+        with pytest.raises(OverflowError):
+            _gamma_digamma_trigamma(200.0)
 
 
 class TestMdpdePsi:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -9,22 +10,49 @@ from pathlib import Path
 import robustsurv
 
 
-def test_import_loads_no_optimizer_or_quadrature():
-    # the package evaluates its integrals in closed form and solves with its
-    # own Newton iterations, so importing it must not pay for scipy.optimize
-    # or any quadrature module
-    probe = (
-        "import sys, robustsurv; "
-        "print(sorted(m for m in sys.modules if m == 'scipy.optimize' "
-        "or m.startswith('scipy.optimize.') or 'quadrature' in m))"
-    )
+def _run_python(code, *args):
+    """Run code in a fresh interpreter that imports robustsurv from this tree."""
     src = str(Path(robustsurv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_import_loads_no_optimizer_or_quadrature():
+    # numpy is the one run-time dependency: the package evaluates its
+    # integrals and special functions in closed form and solves with its own
+    # Newton iterations, so importing it loads no scipy module, no quadrature
+    # module, and no process pool (a one-worker run never starts one)
+    done = _run_python(
+        "import sys, robustsurv.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.') "
+        "or 'quadrature' in m or m == 'concurrent.futures.process'))"
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # with scipy unimportable, every CLI command still exits 0
+    commands = [
+        ["fit", "veteran", "--arm-column", "arm", "--arm", "A", "--alpha-grid", "0:1:0.5"],
+        ["test", "veteran", "--hypothesis", "shape=1", "--alpha", "0.5"],
+        ["compare", "veteran", "--arm-column", "arm", "--hypothesis", "shape1=shape2 dir=greater",
+         "--alpha", "0.5"],
+        ["kmplot", "veteran"],
+        ["influence", "--theta", "2,5", "--hypothesis", "shape=5", "--alpha", "0.5", "--t-points", "20"],
+        ["simulate", "--family", "exp", "--theta", "1", "--censoring-mean", "9", "--n", "30",
+         "--replications", "5", "--alpha", "0", "--hypothesis", "mean=1"],
+    ]
+    argvs = [argv + ["--out", str(tmp_path / argv[0])] for argv in commands]
+    done = _run_python(
+        "import json, sys; sys.modules['scipy'] = None; from robustsurv.cli import main; "
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))",
+        json.dumps(argvs),
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(commands), done.stdout
 
 
 def test_package_surface_is_declared():

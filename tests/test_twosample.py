@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from robustsurv import (
     FamilySpec,
@@ -120,6 +123,14 @@ class TestOneSided:
         p1 = one_sided_wald(fit1, fit2, SHAPE_EQ).p_value
         assert two_sided.p_value == pytest.approx(2 * min(p1, 1 - p1), rel=1e-10)
 
+    def test_far_tail_p_value_is_not_rounded_to_zero(self, two_arms):
+        # 1 - Phi(z) rounds to 0 for z above 8.3; the upper tail does not
+        fit1, _ = two_arms
+        shifted = replace(fit1, theta_hat=fit1.theta_hat + [0.0, 5.5])
+        report = one_sided_wald(shifted, fit1, SHAPE_EQ)
+        assert report.statistic > 9.0
+        assert report.p_value == pytest.approx(stats.norm.sf(report.statistic), rel=1e-12, abs=0)
+
     def test_requires_rank_one(self, two_arms):
         fit1, fit2 = two_arms
         with pytest.raises(ValueError, match="rank-one"):
@@ -197,8 +208,6 @@ class TestContiguous:
         got = two_sample_contiguous(
             delta1, np.zeros(2), SHAPE_EQ, sigma_tilde, 0.25, (2.0, 5.0), (2.0, 5.0)
         )
-        from scipy import stats
-
         ncp = 0.25 * 1.0 / 1.3
         z = np.sqrt(chi2_quantile(1, 0.05))
         expected = stats.norm.sf(z - np.sqrt(ncp)) + stats.norm.cdf(-z - np.sqrt(ncp))
