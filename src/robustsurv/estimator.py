@@ -20,7 +20,16 @@ and J_eta = J_theta diag(theta) in the log coordinates eta.  The family's
 fused pass, the solver's only evaluation, gives the objective H, g, J and
 the data mass sum_i w_i f_i^alpha at a point at once; no trajectory makes it
 twice at one point, the start's pass serves both trajectories, and the
-p x p step algebra runs on Python floats.
+p x p step algebra runs on Python floats.  A solver point is formed on
+floats too (J_eta by scalar products, |g| = sqrt(g0^2 + g1^2)), and the
+pass fills the per-fit row buffer that the family's _prepare allocated for
+this fit's equation, so it allocates no row array.
+
+The default start is the log-log hazard line over the product-limit
+support, fitted by centred least squares in closed form (_hazard_start).
+At a root the sandwich takes lambda_model's Lambda and one evaluation of
+psi on the sample's sorted times, through varest.covariance_estimate;
+lambda_model checks theta_hat, and z[0] > 0 is the whole check of the points.
 
 Residual Newton runs first: it solves J_eta step = -g and accepts a step
 that lowers |g|.  When it gives no root, descent Newton on H runs from the
@@ -68,7 +77,7 @@ import numpy as np
 from . import varest
 from .data import CensoredSample
 from .kmpl import kmpl_fit
-from .model import ParametricFamily, lambda_model, mdpde_psi, validate_alpha
+from .model import ParametricFamily, _sample_psi, lambda_model, validate_alpha
 
 __all__ = ["FitConfig", "FitResult", "UnidentifiableSampleError", "mdpde_objective", "fit", "fit_grid"]
 
@@ -242,6 +251,7 @@ class _WeightedEquation:
         self.alpha = alpha
 
     def _pass(self, theta):
+        """The fused pass at a sequence of p parameter values."""
         return self.family._equation([float(v) for v in theta], self.alpha, self.prepared, self.weights)
 
     def objective(self, theta) -> float:
@@ -262,14 +272,19 @@ class _WeightedEquation:
         with J_eta = J_theta diag(theta), from the family's fused pass."""
         theta = np.exp(eta).tolist()
         try:
-            value, g, jac, mass = self._pass(theta)
+            value, g, jac, mass = self.family._equation(theta, self.alpha, self.prepared, self.weights)
         except (ArithmeticError, ValueError):
             nan = (math.nan,) * len(theta)
             return _Point(eta, math.inf, nan, (nan,) * len(theta), math.inf, math.nan)
-        jac = tuple(tuple(d * th for d, th in zip(row, theta)) for row in jac)
-        norm = math.sqrt(sum(v * v for v in g))
+        if len(theta) == 1:
+            ((g0,), ((d,),), (th,)) = g, jac, theta
+            jac, norm = ((d * th,),), math.sqrt(g0 * g0)
+        else:
+            ((g0, g1), ((d00, d01), (d10, d11)), (th0, th1)) = g, jac, theta
+            jac, norm = ((d00 * th0, d01 * th1), (d10 * th0, d11 * th1)), math.sqrt(g0 * g0 + g1 * g1)
         # H and |g|, inf where they are not finite or overflow
-        value, norm = (v if math.isfinite(v) else math.inf for v in (value, norm))
+        value = value if math.isfinite(value) else math.inf
+        norm = norm if math.isfinite(norm) else math.inf
         return _Point(eta, value, g, jac, norm, mass)
 
 
@@ -438,19 +453,28 @@ def _initial_theta(sample: CensoredSample, family: ParametricFamily) -> np.ndarr
 
 
 def _hazard_start(sample: CensoredSample, family: ParametricFamily) -> np.ndarray:
+    """The start of :func:`_initial_theta`.  The Weibull line y = intercept +
+    slope log t is fitted by centred least squares in closed form, slope =
+    sum dx (y - mean y) / sum dx^2 with dx = log t - mean log t, over the
+    product-limit support, whose times are already distinct."""
     ttt_mean = max(float(sample.z.sum()) / max(sample.n_events, 1), 1e-12)
     if family.family_id == "exponential":
         return np.array([ttt_mean])
     km = kmpl_fit(sample)
     mask = (km.cdf_values < 1.0 - 1e-9) & (km.support > 0.0)
     t = km.support[mask]
-    if t.size >= 2 and np.unique(t).size >= 2:
+    if t.size >= 2:
+        x = np.log(t)
         y = np.log(-np.log1p(-km.cdf_values[mask]))
-        slope, intercept = np.polyfit(np.log(t), y, 1)
-        if np.isfinite(slope) and slope > 0:
-            b0 = float(np.clip(slope, 0.05, 100.0))
+        x_mean, y_mean = float(x.mean()), float(y.mean())
+        dx = x - x_mean
+        sxx = float(dx @ dx)  # 0 only where distinct times share a rounded log
+        slope = float(dx @ (y - y_mean)) / sxx if sxx > 0.0 else math.nan
+        if math.isfinite(slope) and slope > 0:
+            b0 = min(max(slope, 0.05), 100.0)
+            intercept = y_mean - slope * x_mean
             sigma0 = float(np.exp(-intercept / slope))
-            if np.isfinite(sigma0) and sigma0 > 0:
+            if math.isfinite(sigma0) and sigma0 > 0:
                 return np.array([sigma0, b0])
     return np.array([ttt_mean, 1.0])
 
@@ -489,10 +513,9 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
             iters += more
     theta_hat = np.exp(end.eta)
     if ok:
+        # lambda_model validates theta_hat, which _sample_psi then takes as is
         lam = lambda_model(family, theta_hat, alpha)
-        cov = varest.covariance_estimate(
-            sample, lambda x, th: mdpde_psi(family, th, alpha, x), theta_hat, lam
-        )
+        cov = varest.covariance_estimate(sample, _sample_psi(family, alpha), theta_hat, lam)
     else:  # no sandwich away from a root, where Lambda need not even exist
         nan = np.full((family.dim, family.dim), np.nan)
         cov = varest.CovarianceEstimate(nan, nan.copy(), nan.copy(), np.inf)

@@ -11,11 +11,14 @@ Every Wald form in the package, here and in ``twosample`` and
 ``influence``, forms M^T Sigma M and checks its condition number (at most
 1e12) through :func:`_wald_inner`, on Python floats.  The chi-square tails
 live here too: central ones by a recurrence (:func:`_chi2_tails`), and the
-noncentral tail of the contiguous power as a Poisson mixture of central ones.
+noncentral tail of the contiguous power as a Poisson mixture of central ones,
+summed until the omitted Poisson mass is negligible against the sum so far
+(:func:`_poisson_mixture`, which influence.kstar shares).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -26,6 +29,12 @@ import numpy as np
 
 from .estimator import FitResult
 from .varest import _small_cond, _small_congruence, _small_solve
+
+# the Poisson mixtures stop once the omitted Poisson mass is below this
+# fraction of the sum so far (every omitted term is at most its weight), or
+# after _MIXTURE_TERMS terms
+_MIXTURE_RTOL = 1e-17
+_MIXTURE_TERMS = 100_000
 
 __all__ = [
     "Restriction",
@@ -57,34 +66,39 @@ def _central_differences(func, x, step: float) -> np.ndarray:
     return np.stack(rows, axis=0)
 
 
-def _chi2_tails(df: int, q: float, count: int = 1) -> tuple[list, list]:
-    """(P(chi2_{df+2k} > q), P(chi2_{df+2k+2} > q) - P(chi2_{df+2k} > q)) for
-    k < count, as two lists, for an integer df >= 1.  With x = q/2 the tails
-    are Q(df/2 + k, x), taken up from Q(1/2, x) = erfc(sqrt x) or Q(1, x) =
-    e^-x by Q(a + 1, x) = Q(a, x) + x^a e^-x / Gamma(a + 1): positive steps,
-    formed in log space, so no digits cancel and e^-x may underflow."""
+def _chi2_tails(df: int, q: float):
+    """Iterator of (P(chi2_{df+2k} > q), P(chi2_{df+2k+2} > q) - P(chi2_{df+2k}
+    > q)) for k = 0, 1, ... without end, for an integer df >= 1 (checked
+    here, at the call).  With x = q/2 the tails are Q(df/2 + k, x), taken up
+    from Q(1/2, x) = erfc(sqrt x) or Q(1, x) = e^-x by Q(a + 1, x) = Q(a, x)
+    + x^a e^-x / Gamma(a + 1): positive steps, formed in log space, so no
+    digits cancel and e^-x may underflow."""
     if not (df >= 1 and df == int(df)):
         raise ValueError(f"df must be a positive integer, got {df!r}")
     x = 0.5 * q
     if not 0.0 < x < math.inf:  # q <= 0, inf or NaN: every tail is 1, 0 or NaN
         tail = 1.0 if x <= 0.0 else math.exp(-x)
-        return [tail] * count, [0.0 * tail] * count
+        return itertools.repeat((tail, 0.0 * tail))
+    return _tail_recurrence(int(df), x)
+
+
+def _tail_recurrence(df: int, x: float):
+    """The generator behind :func:`_chi2_tails`, for 0 < x < inf."""
     odd = df % 2
     a, tail, log_x = (0.5 if odd else 1.0), (math.erfc(math.sqrt(x)) if odd else math.exp(-x)), math.log(x)
-    tails, steps = [], []
-    for k in range(-((int(df) - 1) // 2), count):  # k < 0: the steps up to Q(df/2, x)
+    k = -((df - 1) // 2)  # k < 0: the steps up to Q(df/2, x)
+    while True:
         step = math.exp(a * log_x - x - math.lgamma(a + 1.0))
         if k >= 0:
-            tails.append(tail)
-            steps.append(step)
+            yield tail, step
         tail += step
         a += 1.0
-    return tails, steps
+        k += 1
 
 
 def chi2_sf(df: int, x: float) -> float:
     """Upper tail of chi-square with df degrees of freedom (a positive integer)."""
-    return _chi2_tails(df, x)[0][0]
+    return next(_chi2_tails(df, x))[0]
 
 
 def chi2_quantile(df: int, level: float) -> float:
@@ -105,26 +119,43 @@ def chi2_quantile(df: int, level: float) -> float:
     return mid
 
 
-def noncentral_weights(s: float) -> np.ndarray:
-    """Poisson(s/2) mixture weights C_v, truncated when the omitted Poisson
-    tail falls below 1e-12 (or after 100 000 terms)."""
+def _poisson_mixture(s: float, terms) -> tuple[list, list]:
+    """Poisson(s/2) weights w_v and the terms t_v, each in [0, 1], that the
+    iterable ``terms`` yields, of the mixture sum_v w_v t_v: kept up to the
+    first v after which the omitted Poisson mass, which bounds the omitted
+    terms' sum, is below _MIXTURE_RTOL times the sum so far (or after
+    _MIXTURE_TERMS terms).  Once v + 2 > s/2 the weight ratios (s/2)/(k + 1)
+    fall below r = (s/2)/(v + 2) for every k > v, so the omitted mass is at
+    most w_{v+1} / (1 - r), bounded without forming 1 - sum w."""
     if s < 0.0:
         raise ValueError("noncentrality must be nonnegative")
     half = 0.5 * s
-    weights = [np.exp(-half)]
-    cumulative = weights[0]
-    v = 0
-    while cumulative < 1.0 - 1e-12 and v < 100_000:
-        v += 1
-        weights.append(weights[-1] * half / v)
-        cumulative += weights[-1]
-    return np.asarray(weights)
+    weights, kept = [], []
+    weight, total = math.exp(-half), 0.0
+    for v, term in enumerate(itertools.islice(terms, _MIXTURE_TERMS)):
+        weights.append(weight)
+        kept.append(term)
+        total += weight * term
+        weight = weight * half / (v + 1)
+        ratio = half / (v + 2)
+        # "not >" also stops on a NaN sum
+        if ratio < 1.0 and not weight > _MIXTURE_RTOL * (1.0 - ratio) * total:
+            break
+    return weights, kept
+
+
+def noncentral_weights(s: float) -> np.ndarray:
+    """Poisson(s/2) mixture weights C_v, truncated once the omitted Poisson
+    mass is below 1e-17 of the mass kept (or after 100 000 terms)."""
+    return np.asarray(_poisson_mixture(s, itertools.repeat(1.0))[0])
 
 
 def noncentral_chi2_sf(q: float, df: int, ncp: float) -> float:
-    """P(chi2_df(ncp) > q) by the Poisson mixture of central chi-square tails."""
-    weights = noncentral_weights(ncp)
-    return math.fsum(map(operator.mul, weights.tolist(), _chi2_tails(df, q, weights.size)[0]))
+    """P(chi2_df(ncp) > q) by the Poisson mixture of central chi-square
+    tails, truncated once the omitted Poisson mass is below 1e-17 of the
+    tail summed so far, so a small tail keeps its relative accuracy."""
+    weights, tails = _poisson_mixture(ncp, (tail for tail, _ in _chi2_tails(df, q)))
+    return math.fsum(map(operator.mul, weights, tails))
 
 
 class Restriction:

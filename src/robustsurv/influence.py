@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import _csv_table
 from .hypothesis import (
-    _chi2_tails, _wald_form, _wald_inner, chi2_quantile, contiguous_power, noncentral_weights,
+    _chi2_tails, _poisson_mixture, _wald_form, _wald_inner, chi2_quantile, contiguous_power,
 )
 from .model import ParametricFamily, lambda_model, mdpde_psi
 from .twosample import _stacked_sigma
@@ -159,8 +159,8 @@ def kstar(s: float, p: int, level: float = 0.05) -> float:
     whose s -> 0 limit is the u = 0 difference; each difference is a step of
     the tails' recurrence, so no two nearly equal tails are subtracted.
     """
-    weights = noncentral_weights(s).tolist()
-    return math.fsum(map(operator.mul, weights, _chi2_tails(p, chi2_quantile(p, level), len(weights))[1]))
+    weights, steps = _poisson_mixture(s, (step for _, step in _chi2_tails(p, chi2_quantile(p, level))))
+    return math.fsum(map(operator.mul, weights, steps))
 
 
 def contaminated_contiguous_power(

@@ -20,8 +20,10 @@ jvec - sum_i m_i u_i f_i^alpha and its exact Jacobian from one reduction,
 weighted by v_i = m_i f_i^alpha, of the rows 1, x, x^2 (exponential) or, with
 t = log(x / sigma) and w = e^{b t}, 1, w - 1, t (w - 1), t w, t^2 w,
 (w - 1)^2, t (w - 1)^2, (t (w - 1))^2 (Weibull): H = xi - (1 + alpha)/alpha
-sum_i v_i + 1/alpha, or -sum_i m_i log f_i at alpha = 0.  log f and u take
-one pass of their own.
+sum_i v_i + 1/alpha, or -sum_i m_i log f_i at alpha = 0.  The Weibull pass
+writes its rows with ``out=`` ufuncs into an (8, n) buffer that ``_prepare``
+allocates once per fit, row 0 held at 1.  log f and u take one pass of their
+own, which mdpde_psi and the fit's sandwich share (:func:`_psi`).
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ __all__ = [
     "mdpde_psi",
     "lambda_model",
 ]
+
+
+_X_DOMAIN = "evaluation points must be positive and finite"
 
 
 class WeightedIntegrals(NamedTuple):
@@ -119,7 +124,7 @@ class ParametricFamily:
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if not (np.isfinite(x).all() and (x > 0.0).all()):
-            raise ValueError("evaluation points must be positive and finite")
+            raise ValueError(_X_DOMAIN)
         return x
 
     # -- subclass surface -------------------------------------------------
@@ -155,6 +160,12 @@ class ParametricFamily:
         validated theta, where djvec = d jvec / d theta = integral of grad u
         f^(1+alpha) plus (1+alpha) kmat.  Without ``jacobian`` only xi and
         jvec are formed (kmat and djvec are None), skipping the trigamma terms."""
+        raise NotImplementedError
+
+    def _prepare(self, x: np.ndarray):
+        """Per-fit state of the fused pass at the validated points x.  It may
+        hold a buffer that every pass overwrites, so it belongs to one fit and
+        is never shared between fits or memoised on a sample."""
         raise NotImplementedError
 
     def _equation(self, theta, alpha: float, prepared, mass: np.ndarray):
@@ -323,10 +334,14 @@ class Weibull(ParametricFamily):
         return xi, jvec, kmat, ((h_ss + beta * k_ss, d_sb), (d_sb, h_bb + beta * k_bb))
 
     def _prepare(self, x):
-        return np.log(x), np.ones_like(x)
+        # log x, the pass buffer of the eight reduction rows (row 0 stays 1)
+        # and views of rows 1-7, which each pass overwrites
+        rows = np.empty((8,) + x.shape)
+        rows[0] = 1.0
+        return (np.log(x), rows, *rows[1:])
 
     def _equation(self, theta, alpha, prepared, mass):
-        logx, ones = prepared
+        logx, rows, wm1, twm1, tw, t2w, wm1_2, twm1_wm1, twm1_2 = prepared
         sigma, b = theta
         t = logx - math.log(sigma)
         w = np.exp(b * t)
@@ -339,10 +354,14 @@ class Weibull(ParametricFamily):
             v = mass * np.exp(alpha * ((b - 1.0) * t - w))
             pref = (b / sigma) ** alpha
             xi, (j_s, j_b), _, ((d_ss, d_sb), (_, d_bb)) = self._integrals(theta, alpha, True)
-        wm1, tw = w - 1.0, t * w
-        twm1 = t * wm1
-        rows = np.array((ones, wm1, twm1, tw, t * tw, wm1 * wm1, twm1 * wm1, twm1 * twm1))
-        s0, s1, s2, s3, s4, s5, s6, s7 = (pref * s for s in (rows @ v).tolist())
+        np.subtract(w, 1.0, out=wm1)
+        np.multiply(t, w, out=tw)
+        np.multiply(t, wm1, out=twm1)
+        np.multiply(t, tw, out=t2w)
+        np.multiply(wm1, wm1, out=wm1_2)
+        np.multiply(twm1, wm1, out=twm1_wm1)
+        np.multiply(twm1, twm1, out=twm1_2)
+        s0, s1, s2, s3, s4, s5, s6, s7 = [pref * s for s in (rows @ v).tolist()]
         if alpha == 0.0:
             # log f = log(b / sigma) + (b - 1) t - w, with sum_i m_i t_i = s3 - s2
             h = -(math.log(b / sigma) * s0 + (b - 1.0) * (s3 - s2) - s1 - s0)
@@ -409,15 +428,38 @@ def mdpde_psi(family: ParametricFamily, theta, alpha: float, x) -> np.ndarray:
     """Divergence estimating function jvec(theta) - u(x) f(x)^alpha.
 
     Bounded in x for alpha > 0; reduces to -u(x) at alpha = 0.  Scalar x
-    yields shape (p,), array x yields (len(x), p).  theta and x are validated
-    once; log f and u come from one pass over x and jvec from the closed forms
-    without the kmat terms.  A non-finite result (overflow at an extreme
-    theta) raises ValueError, as the closed forms do.
+    yields shape (p,), array x yields (len(x), p).  alpha, theta and x are
+    validated here, then :func:`_psi`, which the fit's sandwich shares,
+    evaluates.  A non-finite result (overflow at an extreme theta) raises
+    ValueError, as the closed forms do.
     """
     validate_alpha(alpha)
     scalar = np.ndim(x) == 0
     theta = family.validate(theta)
     x = family._check_x(np.atleast_1d(np.asarray(x, dtype=float)))
+    out = _psi(family, theta, alpha, x)
+    return out[0] if scalar else out
+
+
+def _sample_psi(family: ParametricFamily, alpha: float):
+    """psi(z, theta) = mdpde_psi(family, theta, alpha, z) for
+    :func:`varest.covariance_estimate`, at a validated theta and alpha.  z is
+    a CensoredSample's z, sorted, finite and nonnegative, so its first point
+    being positive is the whole check of mdpde_psi on the points (the same
+    ValueError)."""
+
+    def psi(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        if not z[0] > 0.0:
+            raise ValueError(_X_DOMAIN)
+        return _psi(family, theta, alpha, z)
+
+    return psi
+
+
+def _psi(family: ParametricFamily, theta: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
+    """The one evaluation of psi, at validated theta, alpha and x: log f and
+    u from one pass over x, jvec from the closed forms without the kmat
+    terms; ValueError where a value is not finite."""
     with np.errstate(all="ignore"):
         logf, u = family._pointwise(theta, x, 1)
         if alpha == 0.0:
@@ -427,7 +469,7 @@ def mdpde_psi(family: ParametricFamily, theta, alpha: float, x) -> np.ndarray:
             out = jvec - u * np.exp(alpha * logf)[:, None]
     if not np.isfinite(out).all():
         raise ValueError(f"mdpde_psi is not finite at theta={theta.tolist()}")
-    return out[0] if scalar else out
+    return out
 
 
 def lambda_model(family: ParametricFamily, theta, alpha: float) -> np.ndarray:

@@ -80,9 +80,10 @@ class GammaTables:
         events[j] and prefix[i] = sum_{j <= i} events[j] gamma(Z_j) (0-based
         i), accumulated down axis 0: every column gets the bits of its own pass."""
         events = values.reshape(self.n, -1) * self.event_gamma0
-        suffix = np.zeros_like(events)
-        suffix[:-1] = np.cumsum(events[::-1], axis=0)[::-1][1:]
-        return events, suffix, np.cumsum(events * self.gamma_column, axis=0)
+        suffix = np.empty_like(events)
+        suffix[-1] = 0.0
+        np.add.accumulate(events[:0:-1], axis=0, out=suffix[-2::-1])
+        return events, suffix, np.add.accumulate(events * self.gamma_column, axis=0)
 
     def gamma1(self, phi) -> np.ndarray:
         """gamma1_hat(Z_(i); phi) = sum_{j>i} delta_j phi(Z_j) gamma0(Z_j) / (n - i + 1),
@@ -142,9 +143,14 @@ def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.nda
         raise ValueError("psi must return one row per ordered observation")
     if not np.isfinite(values).all():
         raise ValueError("psi evaluated to non-finite values on the sample")
-    # gamma1 (1 - delta) - gamma2 = u_coef suffix - prefix / n
+    # gamma1 (1 - delta) - gamma2 = u_coef suffix - prefix / n, formed in
+    # place in the fresh suffix and prefix columns
     events, suffix, prefix = tables._sums(values)
-    return events + tables.u_coef * suffix - prefix / sample.n
+    suffix *= tables.u_coef
+    suffix += events
+    prefix /= sample.n
+    suffix -= prefix
+    return suffix
 
 
 def c_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.ndarray], theta) -> np.ndarray:

@@ -17,11 +17,14 @@ from robustsurv import (
     SyntheticDesign,
     UnidentifiableSampleError,
     WEIBULL,
+    covariance_estimate,
     fit,
     fit_grid,
     if_estimator,
     kmpl_fit,
+    lambda_model,
     mdpde_objective,
+    mdpde_psi,
     simulate,
 )
 from robustsurv import estimator
@@ -223,6 +226,23 @@ class TestFusedPass:
             - alpha * (u.T * weights) @ u
         )
         np.testing.assert_allclose(jac, expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("family", [EXPONENTIAL, WEIBULL], ids=["exp", "weibull"])
+    def test_reused_buffer_leaks_no_state(self, family, alpha):
+        # each pass overwrites the rows _prepare allocated for its equation:
+        # passes at theta1, theta2, theta1 repeat the bits of a fresh one,
+        # and no two equations on one sample share that buffer
+        sample = jacobian_sample(True)
+        theta1, theta2 = (np.array(v[: family.dim]) for v in ([2.0, 5.0], [3.5, 1.2]))
+        eq = _WeightedEquation(sample, family, alpha)
+        first, between, again = (eq._pass(th) for th in (theta1, theta2, theta1))
+        other = _WeightedEquation(sample, family, alpha)
+        assert first == again == other._pass(theta1) and between != first
+        mine, theirs = (
+            [p] if isinstance(p, np.ndarray) else list(p) for p in (eq.prepared, other.prepared)
+        )
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
 
 class TestSolver:
@@ -439,15 +459,83 @@ class TestFit:
 
     def test_second_cold_fit_reuses_the_start(self, weibull_design, monkeypatch):
         sample = simulate(weibull_design, 60)
+        hazard_start, calls = estimator._hazard_start, []
+        monkeypatch.setattr(estimator, "_hazard_start", lambda *a: calls.append(a) or hazard_start(*a))
         first = fit(sample, WEIBULL, FitConfig(alpha=0.5))
-        polyfit, calls = np.polyfit, []
-        monkeypatch.setattr(np, "polyfit", lambda *a, **k: calls.append(a) or polyfit(*a, **k))
+        assert calls == [(sample, WEIBULL)]
         second = fit(sample, WEIBULL, FitConfig(alpha=0.5))
-        assert calls == []
+        assert len(calls) == 1
         np.testing.assert_array_equal(second.theta_hat, first.theta_hat)
         assert (second.n_iter, second.message) == (first.n_iter, first.message)
         start = _initial_theta(sample, WEIBULL)
         assert start is _initial_theta(sample, WEIBULL) and not start.flags.writeable
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("family", [EXPONENTIAL, WEIBULL], ids=["exp", "weibull"])
+    def test_sandwich_matches_the_public_covariance(self, weibull_censored, family, alpha):
+        # fit evaluates psi once on the sample, without mdpde_psi's checks
+        result = fit(weibull_censored, family, FitConfig(alpha=alpha))
+        assert result.converged
+        theta = result.theta_hat
+        public = covariance_estimate(
+            weibull_censored, lambda x, th: mdpde_psi(family, th, alpha, x), theta,
+            lambda_model(family, theta, alpha),
+        )
+        for name in ("c_hat", "lambda_hat", "sigma_hat"):
+            np.testing.assert_allclose(getattr(result, name), getattr(public, name), rtol=1e-13, atol=0)
+        assert result.lambda_cond == pytest.approx(public.lambda_cond, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("family", [EXPONENTIAL, WEIBULL], ids=["exp", "weibull"])
+    def test_censored_time_zero_fails_the_sandwich(self, weibull_design, family, alpha):
+        # a censored 0 carries no product-limit weight, so the solve runs;
+        # psi at the root is then evaluated at every observation
+        base = simulate(weibull_design, 60)
+        sample = CensoredSample(np.append(base.z, 0.0), np.append(base.delta, 0))
+        with pytest.raises(ValueError, match="^evaluation points must be positive and finite$"):
+            fit(sample, family, FitConfig(alpha=alpha))
+
+
+def polyfit_start(sample):
+    """The default Weibull start with its line fitted by np.polyfit: the
+    oracle of TestHazardStart."""
+    ttt_mean = max(float(sample.z.sum()) / max(sample.n_events, 1), 1e-12)
+    km = kmpl_fit(sample)
+    mask = (km.cdf_values < 1.0 - 1e-9) & (km.support > 0.0)
+    t = km.support[mask]
+    if t.size >= 2 and np.unique(t).size >= 2:
+        y = np.log(-np.log1p(-km.cdf_values[mask]))
+        slope, intercept = np.polyfit(np.log(t), y, 1)
+        if np.isfinite(slope) and slope > 0:
+            b0 = float(np.clip(slope, 0.05, 100.0))
+            sigma0 = float(np.exp(-intercept / slope))
+            if np.isfinite(sigma0) and sigma0 > 0:
+                return np.array([sigma0, b0])
+    return np.array([ttt_mean, 1.0])
+
+
+class TestHazardStart:
+    """The closed-form least-squares line of the default Weibull start."""
+
+    @given(
+        observations=st.lists(st.tuples(st.integers(1, 400), st.floats(0.0, 1.0)), min_size=1, max_size=120),
+        censoring=st.floats(0.0, 0.9),
+        scale=st.sampled_from([0.05, 1.0, 1e3]),
+    )
+    @example(observations=[(1, 0.5), (2, 0.5)], censoring=0.0, scale=1.0)
+    @example(observations=[(3, 0.5)] * 5 + [(7, 0.1), (7, 0.9), (9, 0.95)], censoring=0.9, scale=0.05)
+    def test_matches_polyfit(self, observations, censoring, scale):
+        # integer times on a grid tie often; an observation is censored with
+        # probability ``censoring``
+        z = scale * np.array([t for t, _ in observations], dtype=float)
+        delta = np.array([u >= censoring for _, u in observations], dtype=np.int8)
+        sample = CensoredSample(z, delta)
+        np.testing.assert_allclose(
+            estimator._hazard_start(sample, WEIBULL), polyfit_start(sample), rtol=1e-12, atol=0
+        )
+
+    def test_exponential_start_is_the_total_time_on_test_mean(self, small_sample):
+        np.testing.assert_array_equal(estimator._hazard_start(small_sample, EXPONENTIAL), [3.0])
 
 
 class TestSummary:

@@ -304,11 +304,21 @@ class TestChiSquareAgainstScipy:
     @pytest.mark.parametrize("df", range(1, 7))
     @pytest.mark.parametrize("ncp", [0.0, 0.3, 5.0, 60.0])
     def test_noncentral_tail_is_the_mixture_of_central_tails(self, df, ncp):
-        weights = noncentral_weights(ncp)
+        # the oracle mixture runs to 400 terms, far past any truncation, so
+        # it also checks where the series stops on a small tail
+        weights = stats.poisson.pmf(np.arange(400), 0.5 * ncp)
+        kept = noncentral_weights(ncp)
+        np.testing.assert_allclose(kept, weights[:kept.size], rtol=1e-13, atol=0)
         dfs = df + 2.0 * np.arange(weights.size)
         for q in (0.01, 1.0, chi2_quantile(df, 0.05), 25.0, 120.0):
             assert noncentral_chi2_sf(q, df, ncp) == pytest.approx(
                 float(weights @ special.chdtrc(dfs, q)), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("q, df, ncp", [(100.0, 2, 10.0), (30.0, 1, 0.1)])
+    def test_small_noncentral_tail_keeps_its_relative_accuracy(self, q, df, ncp):
+        # tails of 7e-12 and 1.3e-7: the series must stop relative to the
+        # tail summed, not to the Poisson mass
+        assert noncentral_chi2_sf(q, df, ncp) == pytest.approx(stats.ncx2.sf(q, df, ncp), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("df", range(1, 5))
     def test_quantile(self, df):
