@@ -19,11 +19,13 @@ Hjort & Jones 1998, Biometrika 85:549, for the alpha-weighted information),
 and J_eta = J_theta diag(theta) in the log coordinates eta.  The family's
 fused pass, the solver's only evaluation, gives the objective H, g, J and
 the data mass sum_i w_i f_i^alpha at a point at once; no trajectory makes it
-twice at one point, the start's pass serves both trajectories, and the
-p x p step algebra runs on Python floats.  A solver point is formed on
-floats too (J_eta by scalar products, |g| = sqrt(g0^2 + g1^2)), and the
-pass fills the per-fit row buffer that the family's _prepare allocated for
-this fit's equation, so it allocates no row array.
+twice at one point, and the start's pass serves both trajectories.  Both
+trajectories run in one loop of straight-line float code for p <= 2
+(_trajectory), so an iteration costs its pass and a few dozen float
+operations.  A solver point is formed on floats too (J_eta by scalar
+products, |g| = sqrt(g0^2 + g1^2)), and the pass fills the per-fit row
+buffer that the family's _prepare allocated for this fit's equation, so it
+allocates no row array.
 
 The default start is the log-log hazard line over the product-limit
 support, fitted by centred least squares in closed form (_hazard_start).
@@ -35,10 +37,11 @@ Residual Newton runs first: it solves J_eta step = -g and accepts a step
 that lowers |g|.  When it gives no root, descent Newton on H runs from the
 same start: the eta-Hessian of H, (1 + alpha) times diag(theta) J_theta
 diag(theta) + diag(theta * g), has its eigenvalues replaced by their
-absolute values, so each step points downhill, and the step is backtracked
-to an Armijo decrease of H (Nocedal & Wright, Numerical Optimization, 2nd
-ed., section 3.4).  At a root the diagonal term vanishes and the step is
-Newton's.
+absolute values, in closed form for the 2 x 2 (|S| = (S^2 + |det S| I) /
+(|l1| + |l2|), no LAPACK call), so each step points downhill, and the step
+is backtracked to an Armijo decrease of H (Nocedal & Wright, Numerical
+Optimization, 2nd ed., section 3.4).  At a root the diagonal term vanishes
+and the step is Newton's.
 
 Three rules keep the trajectories on genuine roots:
 
@@ -299,116 +302,120 @@ def mdpde_objective(sample: CensoredSample, family: ParametricFamily, theta, alp
     return _WeightedEquation(sample, family, alpha).objective(theta)
 
 
-def _solve(
-    eq: _WeightedEquation, start: _Point, tol: float, max_iter: int, step,
-    stall: bool = False,
-):
-    """Iterate ``step(point)`` from ``start`` until the residual norm |g| is
-    within tol.
+def _trajectory(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int, descent: bool):
+    """Residual Newton, or with ``descent`` the descent on H, from ``start``
+    until the residual norm |g| is within tol: (last point, iterations,
+    converged), as straight-line float code for p <= 2 (p = 1 runs with a
+    second coordinate held at 0 and J padded by a unit diagonal, which leaves
+    its floats as they are).
 
-    ``step`` returns the accepted next :class:`_Point`, with its pass, or
-    None when it cannot move.  Returns (last point, iterations, converged).
-    A residual within tol counts as a root only if the objective there is no
-    higher than at the start (within _FLAT_REL): the absolute tolerance also
-    holds far out towards the parameter boundary, where g -> 0 as the scale
-    grows.  A non-finite residual at the start, a step that cannot move, and
-    a drift beyond _MAX_LOG_DRIFT from the start all end the trajectory as
-    not converged; with ``stall``, so does an accepted step that leaves |g|
-    above _STALL_RATIO times its value _STALL_STEPS accepted steps earlier.
+    Newton solves J_eta d = -g by Cramer's rule in the expression order of
+    varest._small_solve and accepts a step that lowers |g|.  The descent
+    takes d from :func:`_descent_direction` and accepts a step on an Armijo
+    decrease of H or, where H is flat to rounding (_FLAT_REL), on a lower
+    |g|; each trial point takes one fused pass, which gives both.  d is
+    shortened to _MAX_LOG_STEP in its longest coordinate and halved at most
+    _MAX_HALVINGS times.  A residual within tol counts as a root only if H
+    there is no higher than at the start (within _FLAT_REL): the absolute
+    tolerance also holds far out towards the parameter boundary, where g ->
+    0 as the scale grows.  A non-finite residual at the start, a step that
+    cannot move (no trial accepted, J not finite, a singular J or S, an
+    infinite H for the descent), a drift beyond _MAX_LOG_DRIFT from the
+    start, and for Newton a stall (|g| above _STALL_RATIO times its value
+    _STALL_STEPS accepted steps earlier) end the trajectory as not converged.
     """
-    at, eta0 = start, start.eta
-    if not all(math.isfinite(v) for v in at.g):
+    at, two, isfinite = start, len(start.eta) == 2, math.isfinite
+    if not all(isfinite(v) for v in at.g):
         return at, 0, False
     ceiling = at.value + _FLAT_REL * abs(at.value)
+    slope_scale = _ARMIJO * (1.0 + eq.alpha)
+    f0, f1 = start.eta if two else (start.eta[0], 0.0)
     norms = [at.norm]
     for iteration in range(max_iter):
         if at.norm <= tol:
             return at, iteration, at.value <= ceiling
-        moved = step(at)
-        if moved is None:
+        if two:
+            (e0, e1), (g0, g1), ((a, b), (c, d)) = at.eta, at.g, at.jac
+        else:
+            ((e0,), (g0,), ((a,),)), e1, g1, b, c, d = (at.eta, at.g, at.jac), 0.0, 0.0, 0.0, 0.0, 1.0
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
             return at, iteration + 1, False
-        at = moved
-        if max(abs(v - v0) for v, v0 in zip(at.eta, eta0)) > _MAX_LOG_DRIFT:
-            return at, iteration + 1, False
-        if stall:
-            norms.append(at.norm)
-            if (
-                at.norm > tol
-                and len(norms) > _STALL_STEPS
-                and at.norm > _STALL_RATIO * norms[-1 - _STALL_STEPS]
-            ):
+        if descent:
+            found = _descent_direction(at.eta, at.g, at.jac) if isfinite(at.value) else None
+            if found is None:
                 return at, iteration + 1, False
+            (x0, x1), (r0, r1) = found if two else ((found[0][0], 0.0), (found[1][0], 0.0))
+        else:
+            det, x0, x1 = a * d - b * c, d * -g0 - b * -g1, a * -g1 - c * -g0
+            if det == 0.0:
+                return at, iteration + 1, False
+            x0, x1 = x0 / det, x1 / det
+            if not (isfinite(x0) and isfinite(x1)):
+                return at, iteration + 1, False
+        big = max(abs(x0), abs(x1))
+        if big > _MAX_LOG_STEP:
+            x0, x1 = x0 * (_MAX_LOG_STEP / big), x1 * (_MAX_LOG_STEP / big)
+        lam, flat = 1.0, at.value + _FLAT_REL * abs(at.value)
+        slope = slope_scale * (r0 * x0 + r1 * x1) if descent else 0.0
+        for _ in range(_MAX_HALVINGS):
+            trial = eq.point((e0 + lam * x0, e1 + lam * x1) if two else (e0 + lam * x0,))
+            if (trial.value <= flat and (trial.value <= at.value + lam * slope or trial.norm < at.norm)
+                    if descent else trial.norm < at.norm):
+                break
+            lam *= 0.5
+        else:
+            return at, iteration + 1, False
+        at = trial
+        if abs(at.eta[0] - f0) > _MAX_LOG_DRIFT or (two and abs(at.eta[1] - f1) > _MAX_LOG_DRIFT):
+            return at, iteration + 1, False
+        norms.append(at.norm)
+        stalled = len(norms) > _STALL_STEPS and at.norm > _STALL_RATIO * norms[-1 - _STALL_STEPS]
+        if stalled and at.norm > tol and not descent:
+            return at, iteration + 1, False
     return at, max_iter, at.norm <= tol and at.value <= ceiling
 
 
-def _capped(step) -> tuple:
-    big = max(abs(v) for v in step)
-    return tuple(v * (_MAX_LOG_STEP / big) for v in step) if big > _MAX_LOG_STEP else tuple(step)
-
-
 def _newton(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int):
-    """Damped Newton from ``start`` on the log-space estimating equation.
-
-    A step is accepted once it lowers |g|; one that does not within
-    _MAX_HALVINGS halvings, a singular or non-finite Jacobian, or a stall
-    (|g| not halved in _STALL_STEPS accepted steps) ends the trajectory (see
-    _solve for the rest of the contract).
-    """
-
-    def step(at):
-        # -J^-1 g by varest's Cramer solve (the shipped p <= 2); None when J
-        # is not finite or singular
-        direction = varest._small_solve(at.jac, tuple(-v for v in at.g))
-        if direction is None:
-            return None
-        direction, lam = _capped(direction), 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = eq.point(tuple(v + lam * d for v, d in zip(at.eta, direction)))
-            if trial.norm < at.norm:
-                return trial
-            lam *= 0.5
-        return None
-
-    return _solve(eq, start, tol, max_iter, step, stall=True)
+    """Residual Newton from ``start`` (:func:`_trajectory`)."""
+    return _trajectory(eq, start, tol, max_iter, False)
 
 
 def _descent(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int):
-    """Descent Newton from ``start`` on the objective in log coordinates.
+    """Descent Newton on the objective from ``start`` (:func:`_trajectory`).
+    It has no stall stop: an Armijo descent lowers the objective, not
+    necessarily |g|."""
+    return _trajectory(eq, start, tol, max_iter, True)
 
-    The eta-Hessian over (1 + alpha), diag(theta) J_theta diag(theta) +
-    diag(theta * g), has its eigenvalues replaced by their absolute values,
-    so the step is downhill; it is accepted on an Armijo decrease of the
-    objective, or, where the objective is flat to rounding (_FLAT_REL), on a
-    lower |g|; each trial point takes one fused pass, which gives both.  An
-    infinite objective at the start means the descent cannot start.  It has no
-    stall stop: an Armijo descent lowers the objective, not necessarily |g|
-    (see _solve for the rest of the contract).
-    """
-    slope_scale = _ARMIJO * (1.0 + eq.alpha)
 
-    def step(at):
-        if not (math.isfinite(at.value) and varest._finite(at.jac)):
+def _descent_direction(eta, g, jac):
+    """(-|S|^-1 grad, grad) on floats for p <= 2, with theta = exp(eta),
+    grad = theta * g and S the symmetric part of diag(theta) J_eta plus
+    diag(grad), the eta-Hessian of H over (1 + alpha); None where S is
+    singular or the direction is not finite.  |S| takes S's eigenvalues l1,
+    l2 in absolute value, so the step is downhill: for S = k [[p, q], [q,
+    r]], k its largest entry in absolute value, D = |pr - q^2| and s =
+    (|l1| + |l2|) / k, whose square is p^2 + r^2 + 2 q^2 + 2 D, |S| = k
+    ([[p, q], [q, r]]^2 + D I) / s, whose inverse is the adjugate of the
+    bracket over k D s."""
+    theta = [math.exp(v) for v in eta]
+    grad = [t * v for t, v in zip(theta, g)]
+    if len(eta) == 1:
+        k = theta[0] * jac[0][0] + grad[0]
+        direction = (-grad[0] / abs(k),) if k != 0.0 else (math.nan,)
+    else:
+        (t0, t1), (g0, g1), ((j00, j01), (j10, j11)) = theta, grad, jac
+        p, q, r = t0 * j00 + g0, 0.5 * (t0 * j01 + t1 * j10), t1 * j11 + g1
+        k = max(abs(p), abs(q), abs(r))
+        if not 0.0 < k < math.inf:
             return None
-        theta = np.exp(at.eta)
-        grad = theta * at.g
-        hess = theta[:, None] * np.array(at.jac)
-        eigval, eigvec = np.linalg.eigh(0.5 * (hess + hess.T) + np.diag(grad))
-        eigval = np.abs(eigval)
-        if not eigval.min() > 0.0:
+        p, q, r = p / k, q / k, r / k
+        det = abs(p * r - q * q)
+        if det == 0.0:
             return None
-        direction = _capped((-eigvec @ ((eigvec.T @ grad) / eigval)).tolist())
-        slope = slope_scale * float(grad @ direction)
-        flat, t = at.value + _FLAT_REL * abs(at.value), 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = eq.point(tuple(v + t * d for v, d in zip(at.eta, direction)))
-            if trial.value <= flat and (
-                trial.value <= at.value + t * slope or trial.norm < at.norm
-            ):
-                return trial
-            t *= 0.5
-        return None
-
-    return _solve(eq, start, tol, max_iter, step)
+        m00, m01, m11 = p * p + q * q + det, q * (p + r), q * q + r * r + det
+        scale = -1.0 / (k * det * math.sqrt(p * p + r * r + 2.0 * q * q + 2.0 * det))
+        direction = ((m11 * g0 - m01 * g1) * scale, (m00 * g1 - m01 * g0) * scale)
+    return (direction, grad) if all(map(math.isfinite, direction)) else None
 
 
 def _root_from(eq: _WeightedEquation, eta0):
@@ -555,7 +562,7 @@ def fit_grid(
     for alpha in grid:
         try:
             result = fit(sample, family, FitConfig(alpha, start))
-        except (varest.SingularSensitivityError, ValueError, np.linalg.LinAlgError) as exc:
+        except (varest.SingularSensitivityError, ValueError) as exc:
             # per-alpha failure (unidentifiable sample, singular sandwich,
             # ...): record it, keep sweeping from the last good start
             results.append(FitResult.failed(family, sample.n, alpha, str(exc)))

@@ -126,17 +126,30 @@ def _poisson_mixture(s: float, terms) -> tuple[list, list]:
     terms' sum, is below _MIXTURE_RTOL times the sum so far (or after
     _MIXTURE_TERMS terms).  Once v + 2 > s/2 the weight ratios (s/2)/(k + 1)
     fall below r = (s/2)/(v + 2) for every k > v, so the omitted mass is at
-    most w_{v+1} / (1 - r), bounded without forming 1 - sum w."""
+    most w_{v+1} / (1 - r), bounded without forming 1 - sum w.  The weights
+    run up from w_0 = e^(-s/2) by w_{v+1} = w_v (s/2)/(v + 1); from s/2 =
+    700 on, where e^(-s/2) nears underflow, those up to the mode m = floor(s/2)
+    come down from w_m, formed in log space, by w_{v-1} = w_v v / (s/2)."""
     if s < 0.0:
         raise ValueError("noncentrality must be nonnegative")
     half = 0.5 * s
+    mode = min(int(half), _MIXTURE_TERMS) if 700.0 <= half < math.inf else 0
+    # log w_m = m log1p(d/m) - d - log(2 pi m)/2 - 1/(12 m) + 1/(360 m^3)
+    # with d = s/2 - m, by Stirling's series, whose next term is below 1e-17
+    # from m = 700 on; below s/2 = 700, w_0 = e^(-s/2) is a normal float
+    d = half - mode
+    head = [math.exp(mode * math.log1p(d / mode) - d - 0.5 * math.log(2.0 * math.pi * mode) - (
+        1.0 - 1.0 / (30.0 * mode * mode)) / (12.0 * mode)) if mode else math.exp(-half)]
+    for v in range(mode, 0, -1):
+        head.append(head[-1] * v / half)
+    head.reverse()
     weights, kept = [], []
-    weight, total = math.exp(-half), 0.0
+    weight, total = head[0], 0.0
     for v, term in enumerate(itertools.islice(terms, _MIXTURE_TERMS)):
         weights.append(weight)
         kept.append(term)
         total += weight * term
-        weight = weight * half / (v + 1)
+        weight = head[v + 1] if v < mode else weight * half / (v + 1)
         ratio = half / (v + 2)
         # "not >" also stops on a NaN sum
         if ratio < 1.0 and not weight > _MIXTURE_RTOL * (1.0 - ratio) * total:

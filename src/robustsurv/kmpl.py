@@ -84,16 +84,15 @@ def _kmpl_fit(sample: CensoredSample) -> KmplFit:
 
     residual = float(survival[-1])
     tail_point = float(z[-1])
-    if residual > 1e-12:
-        weight_points = np.unique(np.concatenate((support, [tail_point])))
-        weight_masses = np.zeros(weight_points.size)
-        weight_masses[np.searchsorted(weight_points, support)] = jumps
-        weight_masses[np.searchsorted(weight_points, tail_point)] += residual
+    if residual > 1e-12 and (support.size == 0 or tail_point > support[-1]):
+        # a censored largest time beyond every event time: its own weight point
+        weight_points, weight_masses = np.append(support, tail_point), np.append(jumps, residual)
     else:
+        # the tail mass at the last event time, which may be the largest time,
+        # or roundoff absorbed there so that the masses sum to 1
         residual = max(residual, 0.0)
-        weight_points = support
-        weight_masses = jumps.copy()
-        weight_masses[-1] += residual  # absorb roundoff so masses sum to 1
+        weight_points, weight_masses = support, jumps.copy()
+        weight_masses[-1] += residual
     for arr in (support, cdf_values, jumps, weight_points, weight_masses):
         arr.setflags(write=False)
     return KmplFit(

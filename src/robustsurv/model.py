@@ -11,9 +11,10 @@ Both shipped families (exponential by mean, Weibull by scale/shape) evaluate
 these in closed form; the exponential ones are elementary, while the Weibull
 ones follow from the substitution w = (x/sigma)^b, which turns every
 integrand into w^c (log w)^m e^{-(1+alpha) w} and hence into gamma /
-digamma / trigamma expressions, evaluated on Python floats.  The same
-integrals give the derivative of jvec in theta.  The closed forms are the
-only evaluation path; the tests check them against adaptive quadrature.
+digamma / trigamma expressions, evaluated on Python floats in straight-line
+code.  The same integrals give the derivative of jvec in theta.  The closed
+forms are the only evaluation path; the tests check them against adaptive
+quadrature.
 
 The solver's fused pass gives the objective H, the estimating equation g =
 jvec - sum_i m_i u_i f_i^alpha and its exact Jacobian from one reduction,
@@ -22,8 +23,10 @@ t = log(x / sigma) and w = e^{b t}, 1, w - 1, t (w - 1), t w, t^2 w,
 (w - 1)^2, t (w - 1)^2, (t (w - 1))^2 (Weibull): H = xi - (1 + alpha)/alpha
 sum_i v_i + 1/alpha, or -sum_i m_i log f_i at alpha = 0.  The Weibull pass
 writes its rows with ``out=`` ufuncs into an (8, n) buffer that ``_prepare``
-allocates once per fit, row 0 held at 1.  log f and u take one pass of their
-own, which mdpde_psi and the fit's sandwich share (:func:`_psi`).
+allocates once per fit, row 0 held at 1; rows 5-7 enter only times alpha, so
+at alpha = 0 they stay at the zeros that ``_prepare`` wrote, and the pass
+skips their three products.  log f and u take one pass of their own, which
+mdpde_psi and the fit's sandwich share (:func:`_psi`).
 """
 
 from __future__ import annotations
@@ -81,17 +84,6 @@ def _digamma_trigamma(x: float) -> tuple[float, float]:
     trigamma += (1.0 + 0.5 / x + r * (1 / 6 - r * (1 / 30 - r * (1 / 42 - r * (1 / 30 - r * (
         5 / 66 - r * (691 / 2730 - r * 7 / 6))))))) / x
     return digamma, trigamma
-
-
-def _gamma_digamma_trigamma(c: float) -> tuple[tuple, tuple, tuple]:
-    """Gamma, digamma and trigamma at c, c + 1 and c + 2 for a float c > 0.
-    Gamma is taken up from c (a rounded c + m would cost digamma(c + m)
-    times its rounding); digamma and trigamma down from c + 2, by steps
-    -1/x and +1/x^2 that share the sign of the sum, so no digits cancel."""
-    g0 = math.gamma(c)
-    p2, t2 = _digamma_trigamma(c + 2.0)
-    p1, t1 = p2 - 1.0 / (c + 1.0), t2 + (c + 1.0) ** -2
-    return (g0, g0 * c, g0 * c * (c + 1.0)), (p1 - 1.0 / c, p1, p2), (t1 + c ** -2, t1, t2)
 
 
 class ParametricFamily:
@@ -301,42 +293,51 @@ class Weibull(ParametricFamily):
                 f"f^(1+alpha) is not integrable for shape={b}, alpha={alpha}"
             )
 
-        # i0/i1/i2[m] = integral of w^(c - 1 + m) (log w)^k e^{-beta w} dw
-        # = Gamma(c + m) beta^-(c + m) (1, d_m, d_m^2 + trigamma(c + m)) for
-        # k = 0, 1, 2, with c = kappa + 1 and d_m = digamma(c + m) - log beta
+        # iKm = integral of w^(c - 1 + m) (log w)^k e^{-beta w} dw = Gamma(c +
+        # m) beta^-(c + m) (1, d_m, d_m^2 + trigamma(c + m)) for k = 0, 1, 2
+        # and m = 0, 1, 2, with c = kappa + 1 and d_m = digamma(c + m) - log
+        # beta, in straight-line float code.  Gamma is taken up from c (a
+        # rounded c + m would cost digamma(c + m) times its rounding);
+        # digamma and trigamma down from c + 2, by steps -1/x and +1/x^2 that
+        # share the sign of the sum, so no digits cancel.
         c = kappa + 1.0
-        gammas, digammas, trigammas = _gamma_digamma_trigamma(c)
+        c1 = c + 1.0
+        g0 = math.gamma(c)
+        g1 = g0 * c
+        p2, t2 = _digamma_trigamma(c + 2.0)
+        p1 = p2 - 1.0 / c1
         log_beta = math.log(beta)
-        i0 = [g * beta ** -(c + m) for m, g in enumerate(gammas)]
-        d = [p - log_beta for p in digammas]
-        i1 = [g * dm for g, dm in zip(i0, d)]
+        i00, i01, i02 = g0 * beta**-c, g1 * beta**-c1, g1 * c1 * beta ** -(c + 2.0)
+        d0, d1, d2 = p1 - 1.0 / c - log_beta, p1 - log_beta, p2 - log_beta
+        i10, i11, i12 = i00 * d0, i01 * d1, i02 * d2
+        t1 = t2 + c1**-2
+        t0 = t1 + c**-2  # formed here, like t1, so that a tiny c overflows on either path
 
-        pref = (b / sigma) ** alpha
-        xi = pref * i0[0]
-        j_scale = pref * (b / sigma) * (i0[1] - i0[0])
-        j_shape = pref / b * (i0[0] + i1[0] - i1[1])
-        jvec = (j_scale, j_shape)
+        r = b / sigma
+        pref = r**alpha
+        xi = pref * i00
+        i01_00 = i01 - i00
+        jvec = (pref * r * i01_00, pref / b * (i00 + i10 - i11))
         if not jacobian:
             return xi, jvec, None, None
 
-        i2 = [g * (dm * dm + t) for g, dm, t in zip(i0, d, trigammas)]
-        k_ss = pref * (b / sigma) ** 2 * (i0[2] - 2.0 * i0[1] + i0[0])
-        k_sb = pref / sigma * (i0[1] - i0[0] - (i1[2] - 2.0 * i1[1] + i1[0]))
-        k_bb = pref / b**2 * (
-            i0[0] + 2.0 * (i1[0] - i1[1]) + i2[0] - 2.0 * i2[1] + i2[2]
-        )
-        kmat = ((k_ss, k_sb), (k_sb, k_bb))
+        i20, i21, i22 = i00 * (d0 * d0 + t0), i01 * (d1 * d1 + t1), i02 * (d2 * d2 + t2)
+        k_ss = pref * r**2 * (i02 - 2.0 * i01 + i00)
+        pref_s = pref / sigma
+        k_sb = pref_s * (i01_00 - (i12 - 2.0 * i11 + i10))
+        pref_bb = pref / b**2
+        k_bb = pref_bb * (i00 + 2.0 * (i10 - i11) + i20 - 2.0 * i21 + i22)
         # integral of grad u f^(1+alpha)
-        h_ss = pref * (-(b / sigma**2) * (i0[1] - i0[0]) - (b / sigma) ** 2 * i0[1])
-        h_sb = pref / sigma * (i0[1] - i0[0] + i1[1])
-        h_bb = pref / b**2 * (-i0[0] - i2[1])
-        d_sb = h_sb + beta * k_sb
-        return xi, jvec, kmat, ((h_ss + beta * k_ss, d_sb), (d_sb, h_bb + beta * k_bb))
+        h_ss = pref * (-(b / sigma**2) * i01_00 - r**2 * i01)
+        d_sb = pref_s * (i01_00 + i11) + beta * k_sb
+        return xi, jvec, ((k_ss, k_sb), (k_sb, k_bb)), (
+            (h_ss + beta * k_ss, d_sb), (d_sb, pref_bb * (-i00 - i21) + beta * k_bb))
 
     def _prepare(self, x):
-        # log x, the pass buffer of the eight reduction rows (row 0 stays 1)
-        # and views of rows 1-7, which each pass overwrites
-        rows = np.empty((8,) + x.shape)
+        # log x, the pass buffer of the eight reduction rows (row 0 stays 1,
+        # and the alpha-only rows 5-7 stay 0 for an alpha = 0 equation) and
+        # views of rows 1-7, which each pass overwrites
+        rows = np.zeros((8,) + x.shape)
         rows[0] = 1.0
         return (np.log(x), rows, *rows[1:])
 
@@ -358,9 +359,10 @@ class Weibull(ParametricFamily):
         np.multiply(t, w, out=tw)
         np.multiply(t, wm1, out=twm1)
         np.multiply(t, tw, out=t2w)
-        np.multiply(wm1, wm1, out=wm1_2)
-        np.multiply(twm1, wm1, out=twm1_wm1)
-        np.multiply(twm1, twm1, out=twm1_2)
+        if alpha != 0.0:  # rows 5-7 enter only times alpha
+            np.multiply(wm1, wm1, out=wm1_2)
+            np.multiply(twm1, wm1, out=twm1_wm1)
+            np.multiply(twm1, twm1, out=twm1_2)
         s0, s1, s2, s3, s4, s5, s6, s7 = [pref * s for s in (rows @ v).tolist()]
         if alpha == 0.0:
             # log f = log(b / sigma) + (b - 1) t - w, with sum_i m_i t_i = s3 - s2

@@ -14,7 +14,7 @@ each psi takes one suffix and one prefix accumulation, and U_hat is a linear
 combination of them.  The sandwich is p x p with p <= 2, assembled on Python
 floats: Lambda^{-1} by :func:`_small_inverse` (shared with the influence
 functions), the closed-form condition number and the Cramer solve shared
-with the Newton step and the Wald test.
+with the Wald test (the solver's Newton step writes out the same solve).
 
 All accumulations follow the canonical ordering (events precede censorings at
 ties); that ordering is the only point where the tie rule touches numerics.

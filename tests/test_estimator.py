@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -31,9 +32,11 @@ from robustsurv import estimator
 from robustsurv.estimator import (
     _MAX_LOG_DRIFT,
     _STALL_STEPS,
+    _descent_direction,
     _initial_theta,
+    _descent,
     _newton,
-    _solve,
+    _Point,
     _WeightedEquation,
 )
 
@@ -41,6 +44,23 @@ from robustsurv.estimator import (
 def uncensored(z):
     z = np.asarray(z, dtype=float)
     return CensoredSample(z, np.ones(z.size, dtype=np.int8))
+
+
+class ScriptedEquation:
+    """A stand-in equation for the trajectories: at eta its residual is g =
+    (-step,), and J_eta is 1 for Newton and 1 + step for the descent, so
+    that every step of either moves eta by ``step``; |g| and the objective
+    are the given functions of eta."""
+
+    alpha = 0.0
+
+    def __init__(self, step, norm, value=lambda e: 0.0, descent=False):
+        self.step, self.norm, self.value = step, norm, value
+        self.jac = ((1.0 + step,),) if descent else ((1.0,),)
+
+    def point(self, eta):
+        (e,) = eta
+        return _Point((e,), self.value(e), (-self.step,), self.jac, self.norm(e), 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +264,35 @@ class TestFusedPass:
         )
         assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
+    @pytest.mark.parametrize("contaminated", [False, True])
+    @pytest.mark.parametrize("theta", [(2.0, 5.0), (3.5, 1.2), (0.4, 9.0)])
+    def test_alpha_zero_weibull_pass_matches_the_eight_row_oracle(self, contaminated, theta):
+        # at alpha = 0 the pass leaves the alpha-only rows 5-7 at zero; its
+        # (H, g, J, s0) must keep the bits of the reduction of all eight rows
+        sample = jacobian_sample(contaminated)
+        km = kmpl_fit(sample)
+        sigma, b = theta
+        t = np.log(km.weight_points) - math.log(sigma)
+        w = np.exp(b * t)
+        wm1, tw = w - 1.0, t * w
+        twm1 = t * wm1
+        rows = np.stack((np.ones_like(t), wm1, twm1, tw, t * tw, wm1 * wm1, twm1 * wm1, twm1 * twm1))
+        s0, s1, s2, s3, s4, s5, s6, s7 = (rows @ km.weight_masses).tolist()
+        r, bb = b / sigma, b * b
+        j_sb = 0.0 - (s1 + b * s3) / sigma - 0.0 * (s1 / sigma - r * s6)
+        expected = (
+            -(math.log(b / sigma) * s0 + (b - 1.0) * (s3 - s2) - s1 - s0),
+            (0.0 - r * s1, 0.0 - s0 / b + s2),
+            (
+                (0.0 + (r / sigma) * s1 + r * r * (s1 + s0 - 0.0 * s5), j_sb),
+                (j_sb, 0.0 + s0 / bb + s4 - 0.0 * (s0 / bb - 2.0 * s2 / b + s7)),
+            ),
+            s0,
+        )
+        eq = _WeightedEquation(sample, WEIBULL, 0.0)
+        assert repr(eq._pass(theta)) == repr(expected)
+        assert not eq.prepared[1][5:].any()
+
 
 class TestSolver:
     @pytest.mark.filterwarnings("error")
@@ -271,35 +320,34 @@ class TestSolver:
         # the fit still finds the root through its fallback
         assert fit(sample, WEIBULL, FitConfig(alpha=0.5)).converged
 
-    def test_drift_stop_ends_a_runaway_that_lowers_the_residual(self, exp_sample):
+    def test_drift_stop_ends_a_runaway_that_lowers_the_residual(self):
         # a trajectory that halves |g| at every step is not stalled, but one
         # that moves eta by 4 per step passes the drift bound at step 6
-        eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0)
-        step = lambda at: at._replace(eta=(at.eta[0] + 4.0,), norm=0.5 * at.norm)
-        end, iters, ok = _solve(eq, eq.point(np.zeros(1)), 1e-8, 200, step, stall=True)
+        eq = ScriptedEquation(4.0, lambda e: 0.5 ** (e / 4.0))
+        end, iters, ok = _newton(eq, eq.point((0.0,)), 1e-8, 200)
         assert not ok
         assert iters == 6 and end.eta[0] > _MAX_LOG_DRIFT
 
-    def test_root_above_its_start_is_not_converged(self, exp_sample):
+    def test_root_above_its_start_is_not_converged(self):
         # a step to |g| = 0 whose objective is above the start's is a
-        # boundary pseudo-root, not a root
-        eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0)
-        rise = lambda at: at._replace(eta=(at.eta[0] + 1.0,), value=at.value + 1e-6, norm=0.0)
-        end, iters, ok = _solve(eq, eq.point(np.zeros(1)), 1e-8, 200, rise)
-        assert not ok and iters == 1 and end.norm == 0.0
-        # the same step without the rise converges
-        flat = lambda at: at._replace(eta=(at.eta[0] + 1.0,), norm=0.0)
-        assert _solve(eq, eq.point(np.zeros(1)), 1e-8, 200, flat)[2]
+        # boundary pseudo-root, not a root; the same step without the rise
+        # converges
+        for rises, converged in ((1e-6, False), (0.0, True)):
+            eq = ScriptedEquation(1.0, lambda e: max(1.0 - 2.0 * e, 0.0), lambda e: rises * e)
+            end, iters, ok = _newton(eq, eq.point((0.0,)), 1e-8, 200)
+            assert ok is converged and iters == 1 and end.norm == 0.0
 
-    def test_stall_stop_only_where_asked(self, exp_sample):
-        # |g| falling by 10 % per step, which is 0.59 over five steps
-        eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0)
-        crawl = lambda at: at._replace(eta=(at.eta[0] + 0.01,), norm=0.9 * at.norm)
-        _, iters, ok = _solve(eq, eq.point(np.zeros(1)), 1e-300, 100, crawl, stall=True)
+    def test_stall_stop_only_where_asked(self):
+        # |g| falling by 10 % per step, which is 0.59 over five steps: Newton
+        # stops as stalled, while the descent, which has no stall stop, runs
+        # the same crawl to max_iter
+        crawl = lambda e: 0.9 ** round(e / 0.01)
+        eq = ScriptedEquation(0.01, crawl)
+        _, iters, ok = _newton(eq, eq.point((0.0,)), 1e-300, 100)
         assert not ok and iters == _STALL_STEPS
-        # without the stall stop (descent) the same crawl runs to max_iter
-        _, iters, ok = _solve(eq, eq.point(np.zeros(1)), 1e-300, 100, crawl)
-        assert not ok and iters == 100
+        eq = ScriptedEquation(0.01, crawl, descent=True)
+        end, iters, ok = _descent(eq, eq.point((0.0,)), 1e-300, 100)
+        assert not ok and iters == 100 and end.eta[0] == pytest.approx(1.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -378,6 +426,82 @@ class TestSolver:
         assert len(start) == 1 and len(runs) == 2 and all(runs)
         etas = [eta for etas in trajectories for eta in etas]
         assert len(set(etas)) == len(etas)
+
+
+class TestDescentDirection:
+    """The closed-form descent step -|S|^-1 grad against an np.linalg.eigh
+    oracle, S the symmetric part of diag(theta) J_eta plus diag(grad)."""
+
+    @staticmethod
+    def oracle(eta, g, jac):
+        theta = np.exp(eta)
+        grad = theta * np.array(g)
+        hess = theta[:, None] * np.array(jac)
+        eigval, eigvec = np.linalg.eigh(0.5 * (hess + hess.T) + np.diag(grad))
+        return -eigvec @ ((eigvec.T @ grad) / np.abs(eigval)), grad
+
+    @pytest.mark.parametrize(
+        "eta, g, jac",
+        [
+            # indefinite, eigenvalues of both signs
+            ((0.3, -1.2), (0.7, -2.0), ((1.5, 4.0), (2.5, -3.0))),
+            ((2.0, 0.5), (-1e-3, 3e-3), ((-0.8, 0.1), (0.3, 0.05))),
+            # negative definite
+            ((0.0, 0.0), (1.0, 1.0), ((-5.0, 1.0), (1.0, -2.0))),
+            # positive definite near a root (g small)
+            ((0.69, 1.6), (1e-9, -2e-9), ((0.9, 0.2), (0.25, 1.3))),
+            # near-singular: eigenvalue ratios 1e-3 and 1e-4
+            ((0.0, 0.0), (1.0, -0.5), ((1.0, 1.0), (1.0, 1.001))),
+            ((0.0, 0.0), (1.0, 2.0), ((1.0, 0.5), (0.5, 0.2501))),
+            # entries whose squares overflow or underflow
+            ((0.0, 0.0), (1e150, -3e150), ((2e160, 1e159), (1e159, -3e160))),
+            ((0.0, 0.0), (1e-160, 3e-160), ((2e-170, 1e-171), (1e-171, 5e-170))),
+            # p = 1, both signs of the curvature
+            ((0.4,), (0.3,), ((2.0,),)),
+            ((-1.0,), (2.5,), ((-7.0,),)),
+        ],
+    )
+    def test_matches_eigh(self, eta, g, jac):
+        direction, grad = _descent_direction(eta, g, jac)
+        expected, expected_grad = self.oracle(eta, g, jac)
+        np.testing.assert_allclose(grad, expected_grad, rtol=1e-15)
+        np.testing.assert_allclose(direction, expected, rtol=1e-12, atol=0)
+
+    @given(
+        eigenvalues=st.tuples(
+            st.floats(0.01, 100.0), st.floats(0.01, 100.0), st.booleans(), st.booleans()
+        ),
+        angle=st.floats(0.0, math.pi),
+        skew=st.floats(-10.0, 10.0),
+        g=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        eta=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    )
+    def test_matches_eigh_on_drawn_hessians(self, eigenvalues, angle, skew, g, eta):
+        # S = R diag(l1, l2) R^T with |l1|, |l2| in [0.01, 100], either sign;
+        # J_eta is whatever gives that S after the diag(theta) scaling and
+        # the diag(grad) shift, plus a skew part that the symmetrization drops
+        l1, l2, neg1, neg2 = eigenvalues
+        c, s = math.cos(angle), math.sin(angle)
+        rot = np.array([[c, -s], [s, c]])
+        target = rot @ np.diag([-l1 if neg1 else l1, -l2 if neg2 else l2]) @ rot.T
+        theta = np.exp(eta)
+        hess = target - np.diag(theta * np.array(g)) + np.array([[0.0, skew], [-skew, 0.0]])
+        jac = tuple(map(tuple, (hess / theta[:, None]).tolist()))
+        direction, _ = _descent_direction(eta, g, jac)
+        expected, _ = self.oracle(eta, g, jac)
+        np.testing.assert_allclose(direction, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize(
+        "eta, g, jac",
+        [
+            ((0.0, 0.0), (0.0, 0.0), ((1.0, 1.0), (1.0, 1.0))),  # singular S
+            ((0.0, 0.0), (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))),  # S = 0
+            ((0.0, 0.0), (1.0, 1.0), ((math.inf, 0.0), (0.0, 1.0))),
+            ((0.0,), (1.0,), ((-1.0,),)),  # p = 1, S = 0
+        ],
+    )
+    def test_no_step_where_s_is_singular_or_not_finite(self, eta, g, jac):
+        assert _descent_direction(eta, g, jac) is None
 
 
 class TestFit:

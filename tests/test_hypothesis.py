@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -319,6 +321,28 @@ class TestChiSquareAgainstScipy:
         # tails of 7e-12 and 1.3e-7: the series must stop relative to the
         # tail summed, not to the Poisson mass
         assert noncentral_chi2_sf(q, df, ncp) == pytest.approx(stats.ncx2.sf(q, df, ncp), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("ncp", [1400.0, 3000.0, 12345.6])
+    def test_large_noncentrality_does_not_underflow(self, ncp):
+        # e^(-ncp/2) underflows from ncp = 1490 on; the weights come down from
+        # the Poisson mode instead.  scipy's pmf is itself good to about 1e-11
+        # relative there (xlogy - gammaln - mu at k ~ ncp/2)
+        kept = noncentral_weights(ncp)
+        weights = stats.poisson.pmf(np.arange(kept.size), 0.5 * ncp)
+        np.testing.assert_allclose(kept, weights, rtol=2e-11, atol=1e-300)
+        assert math.fsum(kept) == pytest.approx(1.0, abs=1e-14)
+        assert noncentral_chi2_sf(5.0, 2, 3000.0) == pytest.approx(stats.ncx2.sf(5.0, 2, 3000.0), rel=1e-14)
+        for q in (0.9 * ncp, ncp, 1.1 * ncp):
+            assert noncentral_chi2_sf(q, 2, ncp) == pytest.approx(stats.ncx2.sf(q, 2, ncp), rel=1e-11)
+
+    def test_small_noncentrality_keeps_the_upward_recurrence(self):
+        # below s/2 = 700: w_0 = e^(-s/2), then w_{v+1} = w_v (s/2) / (v + 1),
+        # term by term
+        for ncp in (0.0, 0.066, 0.5, 1.99, 60.0, 1399.0):
+            expected = [math.exp(-0.5 * ncp)]
+            for v in range(noncentral_weights(ncp).size - 1):
+                expected.append(expected[-1] * (0.5 * ncp) / (v + 1))
+            assert noncentral_weights(ncp).tolist() == expected
 
     @pytest.mark.parametrize("df", range(1, 5))
     def test_quantile(self, df):

@@ -51,6 +51,28 @@ class TestKmplFit:
         np.testing.assert_allclose(fit.weight_points, [1.0, 5.0])
         np.testing.assert_allclose(fit.weight_masses, [1 / 3, 2 / 3])
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(1, 1), (5, 1), (5, 0)],  # censored tail tied to the last event
+            [(1, 1), (2, 0), (5, 1), (5, 0), (5, 0)],
+            [(1, 1), (2, 1), (3, 0)],  # censored tail beyond the last event
+            [(0.5, 0), (1, 1), (1, 1), (2.5, 0), (4, 1), (7, 0), (9, 0)],
+            [(1, 0), (2, 0)],  # no event at all
+        ],
+    )
+    def test_tail_weights_as_a_sorted_union(self, pairs):
+        # the tail-completed weights, bit for bit, as the sorted union of the
+        # support and the tail point with the tail mass added where it falls
+        fit = kmpl_fit(sample_of(pairs))
+        points = np.unique(np.concatenate((fit.support, [fit.tail_point])))
+        masses = np.zeros(points.size)
+        masses[np.searchsorted(points, fit.support)] = fit.jumps
+        masses[np.searchsorted(points, fit.tail_point)] += fit.residual_mass
+        assert fit.residual_mass > 1e-12
+        assert fit.weight_points.tolist() == points.tolist()
+        assert fit.weight_masses.tolist() == masses.tolist()
+
     @given(
         st.lists(
             st.tuples(st.integers(1, 8), st.integers(0, 1)), min_size=1, max_size=30

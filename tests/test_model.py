@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from robustsurv import EXPONENTIAL, WEIBULL, get_family, lambda_model, mdpde_psi
-from robustsurv.model import _digamma_trigamma, _gamma_digamma_trigamma
+from robustsurv.model import _digamma_trigamma
 
 from quadrature_oracle import (
     QuadratureError,
@@ -25,6 +29,55 @@ def exp_psi_paper(x, theta, alpha):
 
 def exp_lambda_paper(theta, alpha):
     return (1 + alpha**2) * (1 + alpha) ** -3 * theta ** -(alpha + 2)
+
+
+def reference_gamma_digamma_trigamma(c):
+    """Gamma, digamma and trigamma at c, c + 1 and c + 2 for a float c > 0,
+    as tuples: gamma up from c, digamma and trigamma down from c + 2."""
+    g0 = math.gamma(c)
+    p2, t2 = _digamma_trigamma(c + 2.0)
+    p1, t1 = p2 - 1.0 / (c + 1.0), t2 + (c + 1.0) ** -2
+    return (g0, g0 * c, g0 * c * (c + 1.0)), (p1 - 1.0 / c, p1, p2), (t1 + c ** -2, t1, t2)
+
+
+def reference_weibull_integrals(theta, alpha, jacobian):
+    """The Weibull closed forms written over lists of the three shifts m = 0,
+    1, 2: the form that Weibull._integrals writes out in straight-line code,
+    with the same float operations in the same order."""
+    sigma, b = theta
+    beta = 1.0 + alpha
+    kappa = alpha * (b - 1.0) / b
+    if kappa <= -1.0:
+        raise ValueError(f"f^(1+alpha) is not integrable for shape={b}, alpha={alpha}")
+    c = kappa + 1.0
+    gammas, digammas, trigammas = reference_gamma_digamma_trigamma(c)
+    log_beta = math.log(beta)
+    i0 = [g * beta ** -(c + m) for m, g in enumerate(gammas)]
+    d = [p - log_beta for p in digammas]
+    i1 = [g * dm for g, dm in zip(i0, d)]
+    pref = (b / sigma) ** alpha
+    xi = pref * i0[0]
+    jvec = (pref * (b / sigma) * (i0[1] - i0[0]), pref / b * (i0[0] + i1[0] - i1[1]))
+    if not jacobian:
+        return xi, jvec, None, None
+    i2 = [g * (dm * dm + t) for g, dm, t in zip(i0, d, trigammas)]
+    k_ss = pref * (b / sigma) ** 2 * (i0[2] - 2.0 * i0[1] + i0[0])
+    k_sb = pref / sigma * (i0[1] - i0[0] - (i1[2] - 2.0 * i1[1] + i1[0]))
+    k_bb = pref / b**2 * (i0[0] + 2.0 * (i1[0] - i1[1]) + i2[0] - 2.0 * i2[1] + i2[2])
+    h_ss = pref * (-(b / sigma**2) * (i0[1] - i0[0]) - (b / sigma) ** 2 * i0[1])
+    h_sb = pref / sigma * (i0[1] - i0[0] + i1[1])
+    h_bb = pref / b**2 * (-i0[0] - i2[1])
+    d_sb = h_sb + beta * k_sb
+    return xi, jvec, ((k_ss, k_sb), (k_sb, k_bb)), ((h_ss + beta * k_ss, d_sb), (d_sb, h_bb + beta * k_bb))
+
+
+def outcome(func, *args):
+    """repr of func's result, which spells every float exactly (signed zeros
+    and NaN included), or the type and message of what it raised."""
+    try:
+        return repr(func(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestScore:
@@ -137,15 +190,48 @@ class TestSpecialFunctionsAgainstScipy:
     def test_shifted_triples(self):
         # Gamma overflows beyond 171.6, so the triples stop below c + 2 = 171
         xs = self.X[self.X < 169.0]
-        got = np.array([_gamma_digamma_trigamma(float(x)) for x in xs])  # (x, function, shift)
+        got = np.array([reference_gamma_digamma_trigamma(float(x)) for x in xs])  # (x, function, shift)
         shifted = xs[:, None] + np.arange(3.0)
         np.testing.assert_allclose(got[:, 0], special.gamma(shifted), rtol=1e-14, atol=0)
         np.testing.assert_allclose(got[:, 1], special.digamma(shifted), rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(got[:, 2], special.polygamma(1, shifted), rtol=1e-14, atol=0)
 
-    def test_gamma_overflow_is_an_arithmetic_error(self):
+    @pytest.mark.parametrize("jacobian", [False, True])
+    def test_gamma_overflow_is_an_arithmetic_error(self, jacobian):
+        # c = 1 + alpha (b - 1) / b is about 200 here, where Gamma overflows
         with pytest.raises(OverflowError):
-            _gamma_digamma_trigamma(200.0)
+            WEIBULL._integrals((1.0, 1e6), 199.0, jacobian)
+
+
+class TestStraightLineIntegrals:
+    """Weibull._integrals against the list-based form it writes out
+    (reference_weibull_integrals, whose special functions the class above
+    checks against scipy): the same floats, bit for bit, and the same errors,
+    out to the integrability boundary b = alpha / (1 + alpha)."""
+
+    @settings(max_examples=400)
+    @given(
+        log_sigma=st.floats(-700.0, 700.0),
+        alpha=st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 400.0), st.sampled_from([0.0, 0.5, 1.0])),
+        log_shape=st.floats(-3.0, 8.0),
+        boundary=st.one_of(st.none(), st.floats(-1e-3, 1e-3)),
+        jacobian=st.booleans(),
+    )
+    @example(log_sigma=0.0, alpha=0.5, log_shape=0.0, boundary=0.0, jacobian=True)
+    @example(log_sigma=0.0, alpha=0.5, log_shape=0.0, boundary=-1e-16, jacobian=False)
+    @example(log_sigma=0.0, alpha=0.5, log_shape=0.0, boundary=1e-16, jacobian=True)
+    @example(log_sigma=-400.0, alpha=1.0, log_shape=0.0, boundary=1e-300, jacobian=False)
+    @example(log_sigma=0.0, alpha=199.0, log_shape=6.0, boundary=None, jacobian=True)
+    def test_same_bits_as_the_list_form(self, log_sigma, alpha, log_shape, boundary, jacobian):
+        # boundary, when drawn, puts the shape at alpha / (1 + alpha) times
+        # (1 + boundary), on either side of where f^(1+alpha) stops being
+        # integrable (c = kappa + 1 near 0, where c^-2 overflows)
+        shape = math.exp(log_shape) if boundary is None else alpha / (1.0 + alpha) * (1.0 + boundary)
+        theta = (math.exp(log_sigma), shape)
+        if shape > 0.0:
+            assert outcome(WEIBULL._integrals, theta, alpha, jacobian) == outcome(
+                reference_weibull_integrals, theta, alpha, jacobian
+            )
 
 
 class TestMdpdePsi:
