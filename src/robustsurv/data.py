@@ -62,14 +62,14 @@ class CensoredSample:
             raise ValueError("z and delta must be 1-D arrays of equal length")
         if z.size < 1:
             raise ValueError("a censored sample needs at least one observation")
-        if not np.all(np.isfinite(z)) or np.any(z < 0.0):
-            raise ValueError("observed times must be finite and nonnegative")
-        if not np.all((delta == 0) | (delta == 1)):
-            raise ValueError("event indicators must be 0 or 1")
-        # canonical order: ascending z, events before censorings at ties
+        # canonical order: ascending z, events before censorings at ties; a
+        # NaN sorts last, so the ends of the sorted z are the whole check
         order = np.lexsort((1 - delta, z))
-        z = np.ascontiguousarray(z[order])
-        delta = np.ascontiguousarray(delta[order])
+        z, delta = z[order], delta[order]
+        if not (z[0] >= 0.0 and z[-1] < math.inf):
+            raise ValueError("observed times must be finite and nonnegative")
+        if not (delta.view(np.uint8) <= 1).all():
+            raise ValueError("event indicators must be 0 or 1")
         z.setflags(write=False)
         delta.setflags(write=False)
         object.__setattr__(self, "z", z)
@@ -91,7 +91,7 @@ class CensoredSample:
 
     @property
     def n_events(self) -> int:
-        return int(self.delta.sum())
+        return int(np.count_nonzero(self.delta))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, int]]) -> "CensoredSample":
@@ -245,7 +245,7 @@ def simulate(design: SyntheticDesign, n: int, replication: int | None = None) ->
     fam, theta = design.lifetime.resolve()
     contaminated = rng.random(n) < design.contamination_fraction
     x = fam.sample(theta, rng, n)
-    n_bad = int(contaminated.sum())
+    n_bad = int(np.count_nonzero(contaminated))
     if n_bad:
         cfam, ctheta = design.contamination.resolve()
         x[contaminated] = cfam.sample(ctheta, rng, n_bad)

@@ -29,9 +29,10 @@ allocates no row array.
 
 The default start is the log-log hazard line over the product-limit
 support, fitted by centred least squares in closed form (_hazard_start).
-At a root the sandwich takes lambda_model's Lambda and one evaluation of
-psi on the sample's sorted times, through varest.covariance_estimate;
-lambda_model checks theta_hat, and z[0] > 0 is the whole check of the points.
+At a root one closed-form call gives the sandwich's Lambda (kmat) and
+psi's jvec, and psi is evaluated once on the sample's sorted times, through
+varest.covariance_estimate, inside the solve's quiet floating-point state;
+z[0] > 0 is the whole check of the points.
 
 Residual Newton runs first: it solves J_eta step = -g and accepts a step
 that lowers |g|.  When it gives no root, descent Newton on H runs from the
@@ -79,8 +80,8 @@ import numpy as np
 
 from . import varest
 from .data import CensoredSample
-from .kmpl import kmpl_fit
-from .model import ParametricFamily, _sample_psi, lambda_model, validate_alpha
+from .kmpl import RESIDUAL_MASS_FLAG, kmpl_fit
+from .model import _X_DOMAIN, ParametricFamily, _sample_psi, lambda_model, validate_alpha
 
 __all__ = ["FitConfig", "FitResult", "UnidentifiableSampleError", "mdpde_objective", "fit", "fit_grid"]
 
@@ -196,7 +197,7 @@ class FitResult:
         for name, value, se in zip(self.family.param_names, self.theta_hat, self.se):
             lines.append(f"  {name:<8s} {value:.6g}  (se {se:.4g})")
         lines.append(f"lambda cond: {self.lambda_cond:.4g}")
-        if self.residual_mass > 0.05:
+        if self.residual_mass > RESIDUAL_MASS_FLAG:
             lines.append(
                 f"note: defective product-limit tail mass {self.residual_mass:.3f} "
                 "reassigned to the largest observation"
@@ -246,8 +247,10 @@ class _WeightedEquation:
 
     def __init__(self, sample: CensoredSample, family: ParametricFamily, alpha: float):
         km = kmpl_fit(sample)
+        if not km.weight_points[0] > 0.0:  # sorted, finite: the whole check
+            raise ValueError(_X_DOMAIN)
         self.weights = km.weight_masses
-        self.prepared = family._prepare(family._check_x(km.weight_points))
+        self.prepared = family._prepare(km.weight_points)
         self.residual_mass = km.residual_mass
         self.event_times = km.support.size
         self.family = family
@@ -310,7 +313,7 @@ def _trajectory(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int,
     its floats as they are).
 
     Newton solves J_eta d = -g by Cramer's rule in the expression order of
-    varest._small_solve and accepts a step that lowers |g|.  The descent
+    hypothesis._wald_form and accepts a step that lowers |g|.  The descent
     takes d from :func:`_descent_direction` and accepts a step on an Armijo
     decrease of H or, where H is flat to rounding (_FLAT_REL), on a lower
     |g|; each trial point takes one fused pass, which gives both.  d is
@@ -441,9 +444,9 @@ def _start_eta(family: ParametricFamily, theta, alpha: float) -> tuple:
     """log of the validated start made feasible: a Weibull shape is raised to
     at least 1.5 alpha / (1 + alpha), since f^(1+alpha) is integrable only
     above alpha / (1 + alpha)."""
-    theta = family.validate(theta)
+    theta = family.validate(theta).tolist()
     if family.family_id == "weibull":
-        theta = np.array([theta[0], max(theta[1], 1.5 * alpha / (1.0 + alpha))])
+        theta[1] = max(theta[1], 1.5 * alpha / (1.0 + alpha))
     return tuple(np.log(theta).tolist())
 
 
@@ -463,27 +466,27 @@ def _hazard_start(sample: CensoredSample, family: ParametricFamily) -> np.ndarra
     """The start of :func:`_initial_theta`.  The Weibull line y = intercept +
     slope log t is fitted by centred least squares in closed form, slope =
     sum dx (y - mean y) / sum dx^2 with dx = log t - mean log t, over the
-    product-limit support, whose times are already distinct."""
+    product-limit support's run of positive times with a CDF below 1 - 1e-9
+    (the support rises and the CDF does not fall), whose times are distinct."""
+    if family.family_id != "exponential":
+        km = kmpl_fit(sample)
+        support, cdf = km.support, km.cdf_values
+        run = slice(1 if support.size and support[0] == 0.0 else 0, int(np.searchsorted(cdf, 1.0 - 1e-9)))
+        x = np.log(support[run])
+        if x.size >= 2:
+            y = np.log(-np.log1p(-cdf[run]))
+            x_mean, y_mean = float(x.sum()) / x.size, float(y.sum()) / y.size  # np.mean's bits
+            dx = x - x_mean
+            sxx = float(dx @ dx)  # 0 only where distinct times share a rounded log
+            slope = float(dx @ (y - y_mean)) / sxx if sxx > 0.0 else math.nan
+            if math.isfinite(slope) and slope > 0:
+                b0 = min(max(slope, 0.05), 100.0)
+                intercept = y_mean - slope * x_mean
+                sigma0 = float(np.exp(-intercept / slope))
+                if math.isfinite(sigma0) and sigma0 > 0:
+                    return np.array([sigma0, b0])
     ttt_mean = max(float(sample.z.sum()) / max(sample.n_events, 1), 1e-12)
-    if family.family_id == "exponential":
-        return np.array([ttt_mean])
-    km = kmpl_fit(sample)
-    mask = (km.cdf_values < 1.0 - 1e-9) & (km.support > 0.0)
-    t = km.support[mask]
-    if t.size >= 2:
-        x = np.log(t)
-        y = np.log(-np.log1p(-km.cdf_values[mask]))
-        x_mean, y_mean = float(x.mean()), float(y.mean())
-        dx = x - x_mean
-        sxx = float(dx @ dx)  # 0 only where distinct times share a rounded log
-        slope = float(dx @ (y - y_mean)) / sxx if sxx > 0.0 else math.nan
-        if math.isfinite(slope) and slope > 0:
-            b0 = min(max(slope, 0.05), 100.0)
-            intercept = y_mean - slope * x_mean
-            sigma0 = float(np.exp(-intercept / slope))
-            if math.isfinite(sigma0) and sigma0 > 0:
-                return np.array([sigma0, b0])
-    return np.array([ttt_mean, 1.0])
+    return np.array([ttt_mean] if family.family_id == "exponential" else [ttt_mean, 1.0])
 
 
 def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | None = None) -> FitResult:
@@ -511,19 +514,18 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
         )
     explicit = config.start is not None
     eta0 = _start_eta(family, config.start if explicit else _initial_theta(sample, family), alpha)
-    # trial points may overflow; the solver treats those as rejected steps
+    # trial points may overflow (rejected steps); psi is checked where formed
     with np.errstate(all="ignore"):
         end, iters, ok, tag = _root_from(eq, eta0)
         if not ok and explicit:
             eta0 = _start_eta(family, _initial_theta(sample, family), alpha)
             end, more, ok, tag = _root_from(eq, eta0)
             iters += more
-    theta_hat = np.exp(end.eta)
-    if ok:
-        # lambda_model validates theta_hat, which _sample_psi then takes as is
-        lam = lambda_model(family, theta_hat, alpha)
-        cov = varest.covariance_estimate(sample, _sample_psi(family, alpha), theta_hat, lam)
-    else:  # no sandwich away from a root, where Lambda need not even exist
+        theta_hat = np.exp(end.eta)
+        if ok:  # a converged theta_hat is finite and positive
+            lam, psi = _sample_psi(family, theta_hat, alpha)
+            cov = varest.covariance_estimate(sample, psi, theta_hat, lam)
+    if not ok:  # no sandwich away from a root, where Lambda need not even exist
         nan = np.full((family.dim, family.dim), np.nan)
         cov = varest.CovarianceEstimate(nan, nan.copy(), nan.copy(), np.inf)
     return FitResult(

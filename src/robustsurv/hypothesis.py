@@ -28,7 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .estimator import FitResult
-from .varest import _small_cond, _small_congruence, _small_solve
+from .kmpl import RESIDUAL_MASS_FLAG
+from .varest import _small_cond, _small_congruence
 
 # the Poisson mixtures stop once the omitted Poisson mass is below this
 # fraction of the sum so far (every omitted term is at most its weight), or
@@ -119,56 +120,64 @@ def chi2_quantile(df: int, level: float) -> float:
     return mid
 
 
-def _poisson_mixture(s: float, terms) -> tuple[list, list]:
-    """Poisson(s/2) weights w_v and the terms t_v, each in [0, 1], that the
-    iterable ``terms`` yields, of the mixture sum_v w_v t_v: kept up to the
-    first v after which the omitted Poisson mass, which bounds the omitted
-    terms' sum, is below _MIXTURE_RTOL times the sum so far (or after
-    _MIXTURE_TERMS terms).  Once v + 2 > s/2 the weight ratios (s/2)/(k + 1)
-    fall below r = (s/2)/(v + 2) for every k > v, so the omitted mass is at
-    most w_{v+1} / (1 - r), bounded without forming 1 - sum w.  The weights
-    run up from w_0 = e^(-s/2) by w_{v+1} = w_v (s/2)/(v + 1); from s/2 =
-    700 on, where e^(-s/2) nears underflow, those up to the mode m = floor(s/2)
-    come down from w_m, formed in log space, by w_{v-1} = w_v v / (s/2)."""
+def _poisson_mixture(s: float, terms) -> tuple[int, list, list]:
+    """(v0, the weights w_v and terms t_v from v = v0) of the mixture sum_v
+    w_v t_v of Poisson(s/2) weights and the terms in [0, 1] that ``terms``
+    yields, kept up to the first v after which the omitted Poisson mass,
+    which bounds the omitted terms' sum, is below _MIXTURE_RTOL times the
+    sum so far (or after _MIXTURE_TERMS terms).  Once v + 2 > s/2 the weight
+    ratios (s/2)/(k + 1) fall below r = (s/2)/(v + 2) for every k > v, so the
+    omitted mass is at most w_{v+1} / (1 - r), bounded without forming 1 -
+    sum w.  The weights run up from w_0 = e^(-s/2) by w_{v+1} = w_v (s/2)/(v
+    + 1); from s/2 = 700 on, where e^(-s/2) nears underflow, those up to the
+    mode m = floor(s/2) come down from w_m, formed in log space, by w_{v-1} =
+    w_v v / (s/2).  v0 is 0 up to s/2 = _MIXTURE_TERMS and m - 10 sqrt(s/2)
+    above: the terms below it (a Poisson mass below 1e-22) are drawn and
+    dropped, and the cap counts from v0."""
     if s < 0.0:
         raise ValueError("noncentrality must be nonnegative")
     half = 0.5 * s
-    mode = min(int(half), _MIXTURE_TERMS) if 700.0 <= half < math.inf else 0
+    mode = int(half) if 700.0 <= half < math.inf else 0
+    first = max(mode - math.ceil(10.0 * math.sqrt(half)), 0) if _MIXTURE_TERMS < half < math.inf else 0
     # log w_m = m log1p(d/m) - d - log(2 pi m)/2 - 1/(12 m) + 1/(360 m^3)
     # with d = s/2 - m, by Stirling's series, whose next term is below 1e-17
     # from m = 700 on; below s/2 = 700, w_0 = e^(-s/2) is a normal float
     d = half - mode
     head = [math.exp(mode * math.log1p(d / mode) - d - 0.5 * math.log(2.0 * math.pi * mode) - (
         1.0 - 1.0 / (30.0 * mode * mode)) / (12.0 * mode)) if mode else math.exp(-half)]
-    for v in range(mode, 0, -1):
+    for v in range(mode, first, -1):
         head.append(head[-1] * v / half)
-    head.reverse()
+    head.reverse()  # w_first .. w_mode
+    terms = iter(terms)
+    next(itertools.islice(terms, first, first), None)  # drawn and dropped
     weights, kept = [], []
     weight, total = head[0], 0.0
-    for v, term in enumerate(itertools.islice(terms, _MIXTURE_TERMS)):
+    for v, term in enumerate(itertools.islice(terms, _MIXTURE_TERMS), first):
         weights.append(weight)
         kept.append(term)
         total += weight * term
-        weight = head[v + 1] if v < mode else weight * half / (v + 1)
+        weight = head[v + 1 - first] if v < mode else weight * half / (v + 1)
         ratio = half / (v + 2)
         # "not >" also stops on a NaN sum
         if ratio < 1.0 and not weight > _MIXTURE_RTOL * (1.0 - ratio) * total:
             break
-    return weights, kept
+    return first, weights, kept
 
 
 def noncentral_weights(s: float) -> np.ndarray:
-    """Poisson(s/2) mixture weights C_v, truncated once the omitted Poisson
-    mass is below 1e-17 of the mass kept (or after 100 000 terms)."""
-    return np.asarray(_poisson_mixture(s, itertools.repeat(1.0))[0])
+    """Poisson(s/2) mixture weights C_v from v = 0, truncated once the omitted
+    Poisson mass is below 1e-17 of the mass kept (or after 100 000 terms)."""
+    first, weights, _ = _poisson_mixture(s, itertools.repeat(1.0))
+    return np.concatenate((np.zeros(first), weights))
 
 
 def noncentral_chi2_sf(q: float, df: int, ncp: float) -> float:
     """P(chi2_df(ncp) > q) by the Poisson mixture of central chi-square
     tails, truncated once the omitted Poisson mass is below 1e-17 of the
-    tail summed so far, so a small tail keeps its relative accuracy."""
-    weights, tails = _poisson_mixture(ncp, (tail for tail, _ in _chi2_tails(df, q)))
-    return math.fsum(map(operator.mul, weights, tails))
+    tail summed so far, so a small tail keeps its relative accuracy; clamped
+    to [0, 1], which the sum's rounding may leave."""
+    _, weights, tails = _poisson_mixture(ncp, (tail for tail, _ in _chi2_tails(df, q)))
+    return min(max(math.fsum(map(operator.mul, weights, tails)), 0.0), 1.0)
 
 
 class Restriction:
@@ -197,6 +206,10 @@ class Restriction:
             raise ValueError("restriction jacobian is rank-deficient at theta")
         return m, jac
 
+    def _wald_inputs(self, theta: np.ndarray) -> tuple[list, list]:
+        """validate_at's (m, M) on Python floats, M by rows."""
+        return tuple(a.tolist() for a in self.validate_at(theta))
+
     def _checked_rank(self, theta: np.ndarray, jac: np.ndarray) -> int:
         """Rank of jac after checking it against finite differences of m."""
         fd = _central_differences(self.m, theta, 1e-6)
@@ -211,7 +224,9 @@ class LinearRestriction(Restriction):
 
     The Jacobian is A itself, exactly, so validate_at skips the
     finite-difference check; A and target are read-only copies of the
-    caller's arrays, which lets A's rank be taken once.
+    caller's arrays, which lets A's rank be taken once and their floats be
+    kept for the Wald tests: m(theta_hat) summed on them as sum() sums has
+    m()'s bits for the 0 and +-1 entries of every constructor here.
     """
 
     matrix: np.ndarray  # (p, r)
@@ -225,6 +240,8 @@ class LinearRestriction(Restriction):
         target.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "target", target)
+        regular = matrix.ndim == 2 and target.shape == matrix.shape[1:]
+        object.__setattr__(self, "_floats", (matrix.tolist(), matrix.T.tolist(), target.tolist()) if regular else None)
 
     @property
     def r(self) -> int:
@@ -242,6 +259,14 @@ class LinearRestriction(Restriction):
     @cached_property
     def _rank(self) -> int:
         return int(np.linalg.matrix_rank(self.matrix, tol=1e-10))
+
+    def _wald_inputs(self, theta):
+        floats = self._floats  # (A by rows, A by columns, target) or None
+        if floats is None or theta.shape != (len(floats[0]),) or self._rank < len(floats[1]):
+            return super()._wald_inputs(theta)  # where validate_at raises
+        rows, columns, target = floats
+        theta = theta.tolist()
+        return [sum(map(operator.mul, col, theta)) - t for col, t in zip(columns, target)], rows
 
     @classmethod
     def simple(cls, theta0) -> "LinearRestriction":
@@ -330,13 +355,18 @@ def _wald_inner(jac, sigma) -> tuple[list, float]:
 
 def _wald_form(m, jac, sigma) -> tuple[float, list, float]:
     """(m^T (M^T Sigma M)^{-1} m, M^T Sigma M, its condition number) on Python
-    floats, m, M and Sigma as lists (by rows), by varest's Cramer solve; NaN
-    where the solve overflows.  :func:`_wald_inner` forms and checks the
-    r x r matrix.  Shared by the one- and two-sample Wald tests, the power
-    approximations and the two-sample IF2."""
+    floats, m, M and Sigma as lists (by rows), by Cramer's rule; NaN where the
+    solve overflows.  :func:`_wald_inner` forms and checks the r x r matrix
+    (cond <= 1e12: finite, nonzero determinant).  Shared by the one- and
+    two-sample Wald tests, the power approximations and the two-sample IF2."""
     inner, cond = _wald_inner(jac, sigma)
-    solved = _small_solve(inner, m)
-    return (sum(map(operator.mul, m, solved)) if solved is not None else math.nan), inner, cond
+    if len(m) == 1:
+        x = (m[0] / inner[0][0],)
+    else:
+        (a, b), (c, d) = inner
+        det = a * d - b * c
+        x = ((d * m[0] - b * m[1]) / det, (a * m[1] - c * m[0]) / det)
+    return (sum(map(operator.mul, m, x)) if all(map(math.isfinite, x)) else math.nan), inner, cond
 
 
 def wald_statistic(fit: FitResult, restriction: Restriction) -> TestReport:
@@ -346,13 +376,12 @@ def wald_statistic(fit: FitResult, restriction: Restriction) -> TestReport:
     on floats (:func:`_wald_form`); cond above 1e12 raises LinAlgError."""
     if not fit.converged:
         raise ValueError("Wald test requires a converged fit")
-    m, jac = (a.tolist() for a in restriction.validate_at(fit.theta_hat))
-    form, _, inner_cond = _wald_form(m, jac, fit.sigma_hat.tolist())
+    form, _, inner_cond = _wald_form(*restriction._wald_inputs(fit.theta_hat), fit.sigma_hat.tolist())
     statistic = fit.n * form
     diagnostics = {
         "lambda_cond": fit.lambda_cond,
         "inner_cond": inner_cond,
-        "residual_mass_flagged": fit.residual_mass > 0.05,
+        "residual_mass_flagged": fit.residual_mass > RESIDUAL_MASS_FLAG,
     }
     return TestReport(
         statistic=statistic,

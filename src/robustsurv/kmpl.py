@@ -71,22 +71,24 @@ def _kmpl_fit(sample: CensoredSample) -> KmplFit:
     z, delta = sample.z, sample.delta
     n = sample.n
     at_risk = n - np.arange(n)
-    factors = 1.0 - delta / at_risk
-    survival = np.cumprod(factors)
-    prev_survival = np.concatenate(([1.0], survival[:-1]))
-    raw_jumps = np.where(delta == 1, prev_survival * delta / at_risk, 0.0)
-
+    survival = np.multiply.accumulate(1.0 - delta / at_risk)
     event_mask = delta == 1
-    support, inverse = np.unique(z[event_mask], return_inverse=True)
+    # the jump at the i-th time, an event, is S(i-1) / (n - i + 1)
+    raw_jumps = np.concatenate(([1.0], survival[:-1]))[event_mask] / at_risk[event_mask]
+    # tied event times are runs in the sorted z; each event's jump goes to its run
+    event_z = z[event_mask]
+    first = np.ones(event_z.size, dtype=bool)
+    np.not_equal(event_z[1:], event_z[:-1], out=first[1:])
+    support = event_z[first]
     jumps = np.zeros(support.size)
-    np.add.at(jumps, inverse, raw_jumps[event_mask])
-    cdf_values = np.cumsum(jumps)
+    np.add.at(jumps, np.add.accumulate(first, dtype=np.intp) - 1, raw_jumps)
+    cdf_values = np.add.accumulate(jumps)
 
     residual = float(survival[-1])
     tail_point = float(z[-1])
     if residual > 1e-12 and (support.size == 0 or tail_point > support[-1]):
         # a censored largest time beyond every event time: its own weight point
-        weight_points, weight_masses = np.append(support, tail_point), np.append(jumps, residual)
+        weight_points, weight_masses = np.concatenate((support, [tail_point])), np.concatenate((jumps, [residual]))
     else:
         # the tail mass at the last event time, which may be the largest time,
         # or roundoff absorbed there so that the masses sum to 1

@@ -109,7 +109,7 @@ class ParametricFamily:
             raise ValueError(
                 f"{self.family_id} expects {self.dim} parameter(s), got {theta.shape[0]}"
             )
-        if not all(math.isfinite(v) and v > 0.0 for v in theta.tolist()):
+        if not all(0.0 < v < math.inf for v in theta.tolist()):  # positive and finite
             raise ValueError(f"invalid {self.family_id} parameter {theta!r}")
         return theta
 
@@ -142,9 +142,9 @@ class ParametricFamily:
     # solver counts those as rejected trial points, and _float_integrals
     # turns them into ValueError.
     def _pointwise(self, theta, x: np.ndarray, order: int):
-        """(log f, u) at x from one pass, for theta and x already validated;
-        u (shape (..., p)) is None at order 0.  The public log f, score and
-        mdpde_psi, and the solver's objective, call this directly."""
+        """(log f, u) at x from one pass, for theta and x already validated,
+        u of shape (..., p): log f alone at order 0, u alone at order 1 (the
+        other None), both at order 2.  log f, score and psi call this."""
         raise NotImplementedError
 
     def _integrals(self, theta, alpha: float, jacobian: bool):
@@ -214,7 +214,7 @@ class Exponential(ParametricFamily):
 
     def _pointwise(self, theta, x, order):
         (m,) = theta
-        logf = -np.log(m) - x / m
+        logf = -np.log(m) - x / m if order != 1 else None
         u = ((x - m) / m**2)[..., None] if order >= 1 else None
         return logf, u
 
@@ -276,7 +276,7 @@ class Weibull(ParametricFamily):
         sigma, b = theta
         logx = np.log(x / sigma)
         w = np.exp(b * logx)
-        logf = np.log(b / sigma) + (b - 1.0) * logx - w
+        logf = np.log(b / sigma) + (b - 1.0) * logx - w if order != 1 else None
         if order == 0:
             return logf, None
         u = np.empty(logx.shape + (2,))
@@ -439,36 +439,41 @@ def mdpde_psi(family: ParametricFamily, theta, alpha: float, x) -> np.ndarray:
     scalar = np.ndim(x) == 0
     theta = family.validate(theta)
     x = family._check_x(np.atleast_1d(np.asarray(x, dtype=float)))
-    out = _psi(family, theta, alpha, x)
+    jvec = family._float_integrals(theta, alpha, False)[1] if alpha else None
+    with np.errstate(all="ignore"):
+        out = _psi(family, theta, alpha, x, jvec)
     return out[0] if scalar else out
 
 
-def _sample_psi(family: ParametricFamily, alpha: float):
-    """psi(z, theta) = mdpde_psi(family, theta, alpha, z) for
-    :func:`varest.covariance_estimate`, at a validated theta and alpha.  z is
-    a CensoredSample's z, sorted, finite and nonnegative, so its first point
-    being positive is the whole check of mdpde_psi on the points (the same
-    ValueError)."""
+def _sample_psi(family: ParametricFamily, theta: np.ndarray, alpha: float):
+    """(Lambda, psi) of a fit's sandwich at its converged theta, a validated
+    array, from one closed-form call: psi(z, theta) = mdpde_psi(family,
+    theta, alpha, z) with that call's jvec.  z is a CensoredSample's sorted,
+    finite, nonnegative z, so z[0] > 0 is the whole check of the points (the
+    same ValueError), and _psi checks the values (``psi.checked``)."""
+    lam, jvec = _lambda_jvec(family, theta, alpha)
 
     def psi(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
         if not z[0] > 0.0:
             raise ValueError(_X_DOMAIN)
-        return _psi(family, theta, alpha, z)
+        return _psi(family, theta, alpha, z, jvec)
 
-    return psi
+    psi.checked = True
+    return lam, psi
 
 
-def _psi(family: ParametricFamily, theta: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
-    """The one evaluation of psi, at validated theta, alpha and x: log f and
-    u from one pass over x, jvec from the closed forms without the kmat
-    terms; ValueError where a value is not finite."""
-    with np.errstate(all="ignore"):
-        logf, u = family._pointwise(theta, x, 1)
-        if alpha == 0.0:
-            out = -u
-        else:
-            jvec = np.array(family._float_integrals(theta, alpha, False)[1])
-            out = jvec - u * np.exp(alpha * logf)[:, None]
+def _psi(family: ParametricFamily, theta: np.ndarray, alpha: float, x: np.ndarray, jvec) -> np.ndarray:
+    """The one evaluation of psi, at validated theta, alpha and x and with
+    the closed-form jvec there: u, and log f where alpha > 0, from one pass
+    over x, psi formed in place in their arrays; ValueError where a value is
+    not finite.  The caller sets a quiet floating-point state."""
+    logf, out = family._pointwise(theta, x, 2 if alpha else 1)
+    if alpha == 0.0:
+        np.negative(out, out=out)
+    else:
+        logf *= alpha
+        out *= np.exp(logf, out=logf)[:, None]
+        np.subtract(jvec, out, out=out)
     if not np.isfinite(out).all():
         raise ValueError(f"mdpde_psi is not finite at theta={theta.tolist()}")
     return out
@@ -482,12 +487,16 @@ def lambda_model(family: ParametricFamily, theta, alpha: float) -> np.ndarray:
     two pieces of psi cancel and (1+alpha) kmat - alpha kmat remains.  An
     overflow in the closed forms or a non-finite matrix raises ValueError.
     """
+    return _lambda_jvec(family, family.validate(theta), validate_alpha(alpha))[0]
+
+
+def _lambda_jvec(family: ParametricFamily, theta: np.ndarray, alpha: float) -> tuple[np.ndarray, tuple]:
+    """(kmat as an array, jvec) at a validated theta and alpha from one
+    closed-form call; ValueError where kmat overflows or is not finite."""
     try:
-        lam = family.weighted_integrals(theta, alpha).kmat
-    except ValueError as exc:
-        if not isinstance(exc.__cause__, ArithmeticError):
-            raise
+        _, jvec, lam, _ = family._integrals(theta.tolist(), alpha, True)
+    except ArithmeticError:
         lam = None
-    if lam is None or not all(math.isfinite(v) for v in lam.ravel().tolist()):
+    if lam is None or not all(math.isfinite(v) for row in lam for v in row):
         raise ValueError("sensitivity matrix has non-finite entries")
-    return lam
+    return np.array(lam), jvec

@@ -10,6 +10,7 @@ trusted.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from collections import Counter
@@ -144,18 +145,18 @@ def _failure_reason(exc: Exception) -> str:
     return re.sub(r"\s*\(.*\)$", "", f"{type(exc).__name__}: {exc}")
 
 
-def _level_power_rep(spec: ExperimentSpec, replication: int) -> tuple[np.ndarray, Counter]:
-    """p-value per (alpha, hypothesis), NaN marking a failed fit or test, and
-    the failed tests counted by reason."""
+def _level_power_rep(spec: ExperimentSpec, replication: int) -> tuple[list, Counter]:
+    """p-value per (alpha, hypothesis) as lists of floats, NaN marking a
+    failed fit or test, and the failed tests counted by reason."""
     _, fits = _fit_sweep(spec, replication)
-    out = np.full((len(spec.alpha_grid), len(spec.hypotheses)), np.nan)
+    out = [[math.nan] * len(spec.hypotheses) for _ in fits]
     failures: Counter = Counter()
-    for i, fr in enumerate(fits):
+    for row, fr in zip(out, fits):
         if not fr.converged:
             continue
         for j, (_, restriction) in enumerate(spec.hypotheses):
             try:
-                out[i, j] = wald_statistic(fr, restriction).p_value
+                row[j] = wald_statistic(fr, restriction).p_value
             except (np.linalg.LinAlgError, ValueError) as exc:
                 failures[_failure_reason(exc)] += 1
     return out, failures
@@ -185,14 +186,10 @@ def _collect(spec: ExperimentSpec, worker) -> list:
         return list(pool.map(task, range(spec.replications), chunksize=chunk))
 
 
-def _failures(per_rep_valid: np.ndarray, spec: ExperimentSpec) -> tuple[dict, bool]:
-    failed = {
-        float(a): int(spec.replications - per_rep_valid[:, i].sum())
-        for i, a in enumerate(spec.alpha_grid)
-    }
-    invalid = any(
-        k > FAILURE_FRACTION_LIMIT * spec.replications for k in failed.values()
-    )
+def _failures(valid: list, spec: ExperimentSpec) -> tuple[dict, bool]:
+    """Failed replications per alpha from the valid ones per alpha."""
+    failed = {float(a): spec.replications - k for a, k in zip(spec.alpha_grid, valid)}
+    invalid = any(k > FAILURE_FRACTION_LIMIT * spec.replications for k in failed.values())
     return failed, invalid
 
 
@@ -202,18 +199,25 @@ def run_level_power(spec: ExperimentSpec) -> ExperimentReport:
         raise ValueError("spec.kind must be 'level_power'")
     start = time.perf_counter()
     per_rep = _collect(spec, _level_power_rep)
-    pvals = np.stack([out for out, _ in per_rep])  # (reps, n_alpha, n_hyp)
     test_failures: Counter = Counter()
     for _, failures in per_rep:
         test_failures.update(failures)
+    # per cell, the finite p-values and the rejections among them, counted in
+    # ints: count / k and math.sqrt give the bits of np.mean and np.sqrt
+    cells = [[[0, 0] for _ in spec.hypotheses] for _ in spec.alpha_grid]
+    converged = [0] * len(spec.alpha_grid)
+    for out, _ in per_rep:
+        for i, row in enumerate(out):
+            converged[i] += any(map(math.isfinite, row))
+            for cell, p in zip(cells[i], row):
+                if math.isfinite(p):
+                    cell[0] += 1
+                    cell[1] += p < spec.level
     rows = []
-    for i, alpha in enumerate(spec.alpha_grid):
-        for j, (name, _) in enumerate(spec.hypotheses):
-            col = pvals[:, i, j]
-            valid = np.isfinite(col)
-            k = int(valid.sum())
-            rate = float(np.mean(col[valid] < spec.level)) if k else float("nan")
-            se = float(np.sqrt(rate * (1.0 - rate) / k)) if k else float("nan")
+    for alpha, row in zip(spec.alpha_grid, cells):
+        for (name, _), (k, rejected) in zip(spec.hypotheses, row):
+            rate = rejected / k if k else math.nan
+            se = math.sqrt(rate * (1.0 - rate) / k) if k else math.nan
             rows.append(
                 {
                     "alpha": float(alpha),
@@ -224,8 +228,7 @@ def run_level_power(spec: ExperimentSpec) -> ExperimentReport:
                     "failed": spec.replications - k,
                 }
             )
-    conv = np.isfinite(pvals).any(axis=2)
-    failed, invalid = _failures(conv, spec)
+    failed, invalid = _failures(converged, spec)
     return ExperimentReport(
         kind=spec.kind,
         seed=spec.design.seed,
@@ -268,7 +271,7 @@ def _estimation_report(spec: ExperimentSpec, with_ratio: bool) -> ExperimentRepo
                 row["mean_variance_estimate"] = mean_var
                 row["ratio"] = mean_var / mse if k and mse > 0 else float("nan")
             rows.append(row)
-    failed, invalid = _failures(np.isfinite(stacked[:, :, 0]), spec)
+    failed, invalid = _failures(np.isfinite(stacked[:, :, 0]).sum(axis=0).tolist(), spec)
     columns = ["alpha", "parameter", "mean_estimate", "empirical_mse"]
     if with_ratio:
         columns += ["mean_variance_estimate", "ratio"]

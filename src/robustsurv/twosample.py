@@ -126,13 +126,13 @@ def _stacked_sigma(weight1: float, sigma1, sigma2) -> list:
     return [row + [0.0] * len(rows2) for row in rows1] + [[0.0] * len(rows1) + row for row in rows2]
 
 
-def _wald(fit1: FitResult, fit2: FitResult, restriction: Restriction) -> tuple[TwoSampleReport, np.ndarray]:
-    """The two-sided report and m at the stacked estimate."""
+def _wald(fit1: FitResult, fit2: FitResult, restriction: Restriction) -> tuple[TwoSampleReport, list]:
+    """The two-sided report and m at the stacked estimate, as floats."""
     _check_fits(fit1, fit2)
     n1, n2 = fit1.n, fit2.n
-    m, jac = restriction.validate_at(np.concatenate((fit1.theta_hat, fit2.theta_hat)))
+    m, jac = restriction._wald_inputs(np.concatenate((fit1.theta_hat, fit2.theta_hat)))
     sigma = _stacked_sigma(n2 / (n1 + n2), fit1.sigma_hat, fit2.sigma_hat)
-    form, sigma_tilde, cond = _wald_form(m.tolist(), jac.tolist(), sigma)
+    form, sigma_tilde, cond = _wald_form(m, jac, sigma)
     statistic = n1 * n2 / (n1 + n2) * form
     report = TwoSampleReport(
         statistic=statistic,

@@ -13,8 +13,9 @@ coefficient columns delta gamma0, gamma and (1 - delta)/(n - i + 1) - gamma/n;
 each psi takes one suffix and one prefix accumulation, and U_hat is a linear
 combination of them.  The sandwich is p x p with p <= 2, assembled on Python
 floats: Lambda^{-1} by :func:`_small_inverse` (shared with the influence
-functions), the closed-form condition number and the Cramer solve shared
-with the Wald test (the solver's Newton step writes out the same solve).
+functions) and Lambda^{-1} C Lambda^{-T} by the straight-line congruence
+that the Wald forms share.  u_hat checks the shape of every psi's values
+and their finiteness unless psi says (``checked``) that it checked them.
 
 All accumulations follow the canonical ordering (events precede censorings at
 ties); that ordering is the only point where the tie rule touches numerics.
@@ -114,13 +115,14 @@ def gamma_tables(sample: CensoredSample) -> GammaTables:
 def _gamma_tables(sample: CensoredSample) -> GammaTables:
     n = sample.n
     censored = (sample.delta == 0).astype(float)
-    j = np.arange(1, n + 1, dtype=float)
-    inc0 = np.where(j < n, censored / np.maximum(n - j, 1.0), 0.0)
-    incg = np.where(j < n, n * censored / np.maximum(n - j, 1.0) ** 2, 0.0)
-    gamma0 = np.exp(np.concatenate(([0.0], np.cumsum(inc0[:-1]))))
-    gamma = np.concatenate(([0.0], np.cumsum(incg[:-1])))
+    at_risk = n - np.arange(n, dtype=float)  # n - j + 1 at the j-th observation
+    head, later = censored[:-1], at_risk[1:]  # the sums' terms at j = 1 .. n - 1
+    gamma0, gamma = np.zeros(n), np.zeros(n)
+    np.add.accumulate(head / later, out=gamma0[1:])
+    np.exp(gamma0, out=gamma0)
+    np.add.accumulate(n * head / later**2, out=gamma[1:])
     event_gamma0 = ((1.0 - censored) * gamma0)[:, None]
-    u_coef = (censored / (n - j + 1.0) - gamma / n)[:, None]
+    u_coef = (censored / at_risk - gamma / n)[:, None]
     for arr in (gamma0, gamma, event_gamma0, u_coef):
         arr.setflags(write=False)
     return GammaTables(sample.z, sample.delta, gamma0, gamma, event_gamma0, gamma[:, None], u_coef)
@@ -141,7 +143,7 @@ def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.nda
     values = np.asarray(psi(sample.z, theta), dtype=float)
     if values.shape[0] != sample.n:
         raise ValueError("psi must return one row per ordered observation")
-    if not np.isfinite(values).all():
+    if not getattr(psi, "checked", False) and not np.isfinite(values).all():
         raise ValueError("psi evaluated to non-finite values on the sample")
     # gamma1 (1 - delta) - gamma2 = u_coef suffix - prefix / n, formed in
     # place in the fresh suffix and prefix columns
@@ -159,28 +161,21 @@ def c_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.nda
     return u.T @ u / sample.n
 
 
-def _finite(rows) -> bool:
-    return all(math.isfinite(v) for row in rows for v in row)
-
-
-def _small_solve(mat, rhs):
-    """x with mat x = rhs on Python floats (mat by rows, p <= 2), by Cramer's
-    rule; None when mat is not finite or singular or x is not finite."""
-    if len(rhs) == 1:
-        det, x = mat[0][0], (rhs[0],)
-    else:
-        (a, b), (c, d) = mat
-        det, x = a * d - b * c, (d * rhs[0] - b * rhs[1], a * rhs[1] - c * rhs[0])
-    if not (_finite(mat) and det != 0.0):
-        return None
-    x = tuple([v / det for v in x])
-    return x if all(map(math.isfinite, x)) else None
-
-
 def _small_congruence(a, b) -> list:
-    """a b a^T on Python floats, matrices as lists of rows, as (a b) a^T."""
-    left = [[sum(map(operator.mul, row, col)) for col in zip(*b)] for row in a]
-    return [[sum(map(operator.mul, row, other)) for other in a] for row in left]
+    """a b a^T on Python floats, matrices as lists of rows, as (a b) a^T, each
+    entry summed from 0 as sum() sums (0.0 + -0.0 is 0.0); straight-line for
+    a 2 x 2 b and an a of one or two rows."""
+    if len(b) != 2 or len(a) not in (1, 2):
+        left = [[sum(map(operator.mul, row, col)) for col in zip(*b)] for row in a]
+        return [[sum(map(operator.mul, row, other)) for other in a] for row in left]
+    (b00, b01), (b10, b11) = b
+    (x0, x1), *second = a
+    l0, l1 = x0 * b00 + x1 * b10, x0 * b01 + x1 * b11
+    if not second:
+        return [[0.0 + l0 * x0 + l1 * x1]]
+    ((y0, y1),) = second
+    k0, k1 = y0 * b00 + y1 * b10, y0 * b01 + y1 * b11
+    return [[0.0 + l0 * x0 + l1 * x1, 0.0 + l0 * y0 + l1 * y1], [0.0 + k0 * x0 + k1 * x1, 0.0 + k0 * y0 + k1 * y1]]
 
 
 def _small_cond(mat) -> float:
@@ -208,7 +203,7 @@ def _small_inverse(mat) -> tuple[list, float]:
             (a, b), (c, d) = mat
             det = a * d - b * c
             inverse = [[d / det, -b / det], [-c / det, a / det]]
-        if _finite(inverse):
+        if all(math.isfinite(v) for row in inverse for v in row):
             return inverse, cond
     raise SingularSensitivityError(f"sensitivity matrix is singular (cond={cond:.3g})")
 

@@ -173,6 +173,19 @@ class TestCensoredSample:
         with pytest.raises(ValueError):
             CensoredSample.from_pairs([(1.0, 2)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_rejects_a_bad_time_wherever_it_sorts(self, bad, where):
+        z = np.array([3.0, 1.0, 2.0, 5.0, 4.0])
+        z[where] = bad
+        with pytest.raises(ValueError, match="^observed times must be finite and nonnegative$"):
+            CensoredSample(z, np.array([1, 0, 1, 1, 0]))
+
+    @pytest.mark.parametrize("bad", [-1, 2, 127])
+    def test_rejects_an_indicator_other_than_0_or_1(self, bad):
+        with pytest.raises(ValueError, match="^event indicators must be 0 or 1$"):
+            CensoredSample(np.array([3.0, 1.0, 2.0]), np.array([1, bad, 0]))
+
     def test_identity_equality_and_hash(self):
         pairs = [(3.0, 1), (1.0, 0), (2.0, 1)]
         a, b = CensoredSample.from_pairs(pairs), CensoredSample.from_pairs(pairs)

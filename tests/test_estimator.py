@@ -648,6 +648,7 @@ class TestHazardStart:
     )
     @example(observations=[(1, 0.5), (2, 0.5)], censoring=0.0, scale=1.0)
     @example(observations=[(3, 0.5)] * 5 + [(7, 0.1), (7, 0.9), (9, 0.95)], censoring=0.9, scale=0.05)
+    @example(observations=[(0, 0.5), (0, 0.5), (2, 0.5), (5, 0.5), (9, 0.5)], censoring=0.0, scale=1.0)
     def test_matches_polyfit(self, observations, censoring, scale):
         # integer times on a grid tie often; an observation is censored with
         # probability ``censoring``

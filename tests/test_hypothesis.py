@@ -1,7 +1,11 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from robustsurv import (
@@ -25,7 +29,10 @@ from robustsurv import (
     wald_statistic,
 )
 from robustsurv import hypothesis as hypothesis_module
+from robustsurv import two_sample_wald
 from robustsurv.hypothesis import chi2_quantile, chi2_sf
+from robustsurv.twosample import _stacked_sigma
+from small_algebra_oracle import reference_wald_form
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +172,93 @@ class TestWaldStatistic:
         row = report.to_dict()
         assert row["df"] == 2 and 0.0 <= row["p_value"] <= 1.0
         assert "lambda_cond" in row and "statistic" in report.summary().lower()
+
+
+def covariance(a, b, c):
+    """The symmetric positive semi-definite L L^T with L = [[a, 0], [b, c]]."""
+    return np.array([[a * a, a * b], [a * b, b * b + c * c]])
+
+
+positive = st.floats(0.05, 50.0)
+factor = st.tuples(st.floats(0.01, 10.0), st.floats(-10.0, 10.0), st.floats(0.0, 10.0))
+ONE_SAMPLE_NULLS = (
+    LinearRestriction.simple((2.0, 5.0)),
+    LinearRestriction(np.array([[1.0, 1.0], [1.0, -1.0]]), (7.0, -3.0)),
+    LinearRestriction.component(0, 2.0, 2),
+    LinearRestriction.component(1, 5.0, 2),
+    FunctionRestriction(r=1, m_func=lambda th: np.array([th[0] * th[1] - 10.0])),
+    FunctionRestriction(
+        r=2,
+        m_func=lambda th: np.array([th[0] * th[1] - 10.0, th[0] - th[1]]),
+        jacobian_func=lambda th: np.array([[th[1], 1.0], [th[0], -1.0]]),
+    ),
+)
+TWO_SAMPLE_NULLS = (
+    LinearTwoSampleRestriction.homogeneity(2),
+    LinearTwoSampleRestriction.component_equal(1, 2),
+    FunctionRestriction(
+        r=1,
+        m_func=lambda th: [th[1] / th[3] - 1.0],
+        jacobian_func=lambda th: [[0.0], [1.0 / th[3]], [0.0], [-th[1] / th[3] ** 2]],
+    ),
+)
+
+
+def same_outcome(got, expected):
+    """Both calls raise the same error, or return the same bits (repr)."""
+    try:
+        want = expected()
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            got()
+        return
+    assert repr(got()) == repr(want)
+
+
+class TestFloatWaldForms:
+    """The Wald tests on floats (m and M kept by linear restrictions,
+    straight-line M^T Sigma M and Cramer solve) give the bits of validate_at's
+    arrays through the list-form algebra of small_algebra_oracle."""
+
+    @given(st.tuples(positive, positive), factor, st.integers(5, 500))
+    def test_one_sample_bits(self, weibull_fit, theta, lower, n):
+        fr = replace(weibull_fit, theta_hat=np.array(theta), sigma_hat=covariance(*lower), n=n)
+        for restriction in ONE_SAMPLE_NULLS:
+            def got():
+                report = wald_statistic(fr, restriction)
+                return report.statistic, report.p_value, report.diagnostics["inner_cond"]
+
+            def expected():
+                m, jac = (a.tolist() for a in restriction.validate_at(fr.theta_hat))
+                form, _, cond = reference_wald_form(m, jac, fr.sigma_hat.tolist())
+                return fr.n * form, chi2_sf(restriction.r, fr.n * form), cond
+
+            same_outcome(got, expected)
+
+    @given(st.tuples(positive, positive, positive, positive), factor, factor, st.integers(5, 300), st.integers(5, 300))
+    def test_two_sample_bits(self, weibull_fit, theta, lower1, lower2, n1, n2):
+        fit1 = replace(weibull_fit, theta_hat=np.array(theta[:2]), sigma_hat=covariance(*lower1), n=n1)
+        fit2 = replace(weibull_fit, theta_hat=np.array(theta[2:]), sigma_hat=covariance(*lower2), n=n2)
+        for restriction in TWO_SAMPLE_NULLS:
+            def got():
+                report = two_sample_wald(fit1, fit2, restriction)
+                return report.statistic, report.p_value, report.sigma_tilde.tolist(), report.diagnostics
+
+            def expected():
+                m, jac = (a.tolist() for a in restriction.validate_at(np.array(theta)))
+                sigma = _stacked_sigma(n2 / (n1 + n2), fit1.sigma_hat, fit2.sigma_hat)
+                form, inner, cond = reference_wald_form(m, jac, sigma)
+                statistic = n1 * n2 / (n1 + n2) * form
+                return statistic, chi2_sf(restriction.r, statistic), inner, {"sigma_tilde_cond": cond}
+
+            same_outcome(got, expected)
+
+    def test_wrong_size_theta_raises_as_validate_at(self, weibull_fit):
+        restriction = LinearRestriction.simple((2.0, 5.0, 1.0))
+        with pytest.raises(ValueError) as caught:
+            restriction.validate_at(weibull_fit.theta_hat)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(caught.value))}$"):
+            wald_statistic(weibull_fit, restriction)
 
 
 def contaminated_sample(seed, k):
@@ -334,6 +428,28 @@ class TestChiSquareAgainstScipy:
         assert noncentral_chi2_sf(5.0, 2, 3000.0) == pytest.approx(stats.ncx2.sf(5.0, 2, 3000.0), rel=1e-14)
         for q in (0.9 * ncp, ncp, 1.1 * ncp):
             assert noncentral_chi2_sf(q, 2, ncp) == pytest.approx(stats.ncx2.sf(q, 2, ncp), rel=1e-11)
+
+    @pytest.mark.parametrize("ncp", [2.0e5 + 10.0, 2.5e5])
+    def test_noncentrality_past_the_term_cap(self, ncp):
+        # above s/2 = 1e5 the weights start 10 sqrt(s/2) below the mode and
+        # the 100 000-term cap counts from there (counted from v = 0, the sum
+        # stopped short of the mode and gave 0).  scipy's pmf is itself good
+        # to about 1e-9 relative at k ~ 1e5
+        kept = noncentral_weights(ncp)
+        first = int(np.flatnonzero(kept)[0])
+        assert first == int(0.5 * ncp) - math.ceil(10.0 * math.sqrt(0.5 * ncp))
+        weights = stats.poisson.pmf(np.arange(kept.size), 0.5 * ncp)
+        assert weights[:first].sum() < 1e-20
+        np.testing.assert_allclose(kept[first:], weights[first:], rtol=2e-9, atol=1e-300)
+        assert math.fsum(kept) == pytest.approx(1.0, abs=1e-14)
+        for q in (0.99 * ncp, ncp, 1.01 * ncp):
+            assert noncentral_chi2_sf(q, 2, ncp) == pytest.approx(stats.ncx2.sf(q, 2, ncp), rel=1e-9)
+        assert noncentral_chi2_sf(10.0, 2, ncp) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("q, df, ncp", [(1.0, 2, 200.0), (5.0, 2, 1300.0), (5.0, 2, 3000.0), (10.0, 2, 1.9e5)])
+    def test_noncentral_tail_is_a_probability(self, q, df, ncp):
+        # the kept weights' rounding summed these past 1 (by up to 1.3e-15)
+        assert noncentral_chi2_sf(q, df, ncp) == 1.0 == pytest.approx(stats.ncx2.sf(q, df, ncp), abs=1e-15)
 
     def test_small_noncentrality_keeps_the_upward_recurrence(self):
         # below s/2 = 700: w_0 = e^(-s/2), then w_{v+1} = w_v (s/2) / (v + 1),

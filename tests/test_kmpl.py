@@ -107,6 +107,46 @@ class TestKmplFit:
         )
 
 
+def unique_oracle(sample):
+    """Support, jumps and CDF with the support and each event's place in it
+    from np.unique(..., return_inverse=True) and the jumps by np.add.at: the
+    oracle of the fit, which finds the runs of tied event times in the
+    sorted z instead."""
+    z, delta, n = sample.z, sample.delta, sample.n
+    at_risk = n - np.arange(n)
+    survival = np.cumprod(1.0 - delta / at_risk)
+    prev = np.concatenate(([1.0], survival[:-1]))
+    raw = np.where(delta == 1, prev * delta / at_risk, 0.0)
+    events = delta == 1
+    support, inverse = np.unique(z[events], return_inverse=True)
+    jumps = np.zeros(support.size)
+    np.add.at(jumps, inverse, raw[events])
+    return support, jumps, np.cumsum(jumps)
+
+
+class TestRunsOfTies:
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 1)), min_size=1, max_size=60),
+        st.sampled_from([1.0, 0.1, 7.3]),
+    )
+    def test_matches_the_unique_oracle(self, pairs, scale):
+        # integer-grid times tie often, events with events and with censorings
+        sample = sample_of([(scale * z, d) for z, d in pairs])
+        fit = kmpl_fit(sample)
+        support, jumps, cdf = unique_oracle(sample)
+        assert fit.support.tolist() == support.tolist()
+        assert fit.jumps.tolist() == jumps.tolist()
+        assert fit.cdf_values.tolist() == cdf.tolist()
+
+    def test_veteran_matches_the_unique_oracle(self, veteran):
+        for sample in veteran.values():  # arms A and B and the combined trial
+            fit = kmpl_fit(sample)
+            support, jumps, cdf = unique_oracle(sample)
+            assert fit.support.tolist() == support.tolist()
+            assert fit.jumps.tolist() == jumps.tolist()
+            assert fit.cdf_values.tolist() == cdf.tolist()
+
+
 class TestKmIntegral:
     """Expectations under the tail-completed product-limit weights, formed
     from the fit's weight points and masses."""

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from robustsurv import (
     ExperimentSpec,
@@ -136,6 +140,64 @@ class TestLevelPower:
     def test_run_experiment_dispatch(self):
         report = run_experiment(small_spec())
         assert report.kind == "level_power"
+
+
+def numpy_tally(pvals, spec):
+    """Rows and failed fits per alpha of a (replications, alpha, hypothesis)
+    p-value table by np.isfinite, np.mean over the booleans and np.sqrt: the
+    oracle of run_level_power's tally in ints and floats."""
+    rows = []
+    for i, alpha in enumerate(spec.alpha_grid):
+        for j, (name, _) in enumerate(spec.hypotheses):
+            col = pvals[:, i, j]
+            valid = np.isfinite(col)
+            k = int(valid.sum())
+            rate = float(np.mean(col[valid] < spec.level)) if k else float("nan")
+            se = float(np.sqrt(rate * (1.0 - rate) / k)) if k else float("nan")
+            rows.append((float(alpha), name, rate, se, k, spec.replications - k))
+    converged = np.isfinite(pvals).any(axis=2)
+    failed = {float(a): int(spec.replications - converged[:, i].sum()) for i, a in enumerate(spec.alpha_grid)}
+    return rows, failed
+
+
+class TestTally:
+    @given(
+        st.integers(1, 50),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_numpy_tally(self, replications, n_alpha, n_hyp, seed):
+        # p-values drawn uniform, some exactly at the level, with NaN cells
+        # (failed tests) and NaN rows (failed fits)
+        rng = np.random.default_rng(seed)
+        pvals = rng.uniform(0.0, 0.2, (replications, n_alpha, n_hyp))
+        pvals[rng.random(pvals.shape) < 0.1] = 0.05
+        pvals[rng.random(pvals.shape) < 0.15] = np.nan
+        pvals[rng.random(pvals.shape[:2]) < 0.2] = np.nan
+        spec = small_spec(
+            replications=replications,
+            alpha_grid=tuple(0.25 * a for a in range(n_alpha)),
+            hypotheses=tuple((f"H{j}", LinearRestriction.simple((1.0,))) for j in range(n_hyp)),
+        )
+        per_rep = [(table.tolist(), Counter()) for table in pvals]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_collect", lambda spec, worker: per_rep)
+            report = run_level_power(spec)
+        rows, failed = numpy_tally(pvals, spec)
+        got = [tuple(row[c] for c in report.columns) for row in report.rows]
+        assert len(got) == len(rows)
+        for mine, theirs in zip(got, rows):
+            assert [type(v) for v in mine] == [type(v) for v in theirs]
+            assert repr(mine) == repr(theirs)
+        assert report.failed_by_alpha == failed
+        assert report.invalid == any(k > 0.02 * replications for k in failed.values())
+
+    def test_replication_tables_are_lists_of_floats(self):
+        out, failures = montecarlo._level_power_rep(small_spec(), 0)
+        assert isinstance(out, list) and all(isinstance(row, list) for row in out)
+        assert all(isinstance(p, float) and 0.0 <= p <= 1.0 for row in out for p in row)
+        assert failures == Counter()
 
 
 class TestMse:

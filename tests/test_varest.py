@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from robustsurv import (
@@ -20,7 +20,9 @@ from robustsurv import (
     simulate,
     u_hat,
 )
-from robustsurv.varest import _small_cond, _small_inverse, _small_solve
+from robustsurv.hypothesis import _wald_form
+from robustsurv.varest import _small_cond, _small_congruence, _small_inverse
+from small_algebra_oracle import reference_congruence, reference_sigma
 
 E = np.e
 
@@ -245,11 +247,17 @@ def conditioned(kappa, angles, symmetric, scale, sign):
     return scale * left @ np.diag([1.0, sign / kappa]) @ right.T
 
 
+def cramer_form(rows, rhs) -> float:
+    """rhs^T rows^-1 rhs by the Wald form's Cramer solve: M = I leaves
+    M^T rows M = rows."""
+    return _wald_form(list(rhs), np.eye(len(rows)).tolist(), rows)[0]
+
+
 class TestSmallMatrixHelper:
-    """varest's Cramer solve and condition number against numpy.  Both are
-    backward stable, so on a matrix rounded to doubles they agree to about
-    eps * cond relative and no closer: the bound is 1e-9 up to cond ~5e5 and
-    8 eps cond beyond."""
+    """The Wald form's Cramer solve and varest's condition number and
+    inverse against numpy.  Both are backward stable, so on a matrix rounded
+    to doubles they agree to about eps * cond relative and no closer: the
+    bound is 1e-9 up to cond ~5e5 and 8 eps cond beyond."""
 
     @given(
         st.floats(0.0, 10.0),
@@ -266,8 +274,8 @@ class TestSmallMatrixHelper:
         rtol = max(1e-9, 8 * np.finfo(float).eps * expected_cond)
         assert _small_cond(rows) == pytest.approx(expected_cond, rel=rtol)
         expected = np.linalg.solve(mat, rhs)
-        got = np.array(_small_solve(rows, rhs))
-        np.testing.assert_allclose(got, expected, rtol=0, atol=rtol * np.abs(expected).max())
+        atol = rtol * np.abs(expected).max() * np.abs(rhs).sum()
+        assert cramer_form(rows, rhs) == pytest.approx(float(np.dot(rhs, expected)), rel=0, abs=atol)
         inverse, cond = _small_inverse(rows)
         expected = np.linalg.inv(mat)
         assert cond == _small_cond(rows)
@@ -277,7 +285,7 @@ class TestSmallMatrixHelper:
     def test_one_by_one_matches_numpy(self, value, sign, rhs):
         rows = [[sign * value]]
         assert _small_cond(rows) == np.linalg.cond(np.array(rows)) == 1.0
-        assert _small_solve(rows, (rhs,))[0] == np.linalg.solve(np.array(rows), [rhs])[0]
+        assert cramer_form(rows, (rhs,)) == rhs * np.linalg.solve(np.array(rows), [rhs])[0]
 
     @pytest.mark.parametrize(
         "rows",
@@ -286,7 +294,8 @@ class TestSmallMatrixHelper:
     )
     def test_singular_or_nonfinite(self, rows):
         assert _small_cond(rows) == np.inf
-        assert _small_solve(rows, (1.0,) * len(rows)) is None
+        with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+            cramer_form(rows, (1.0,) * len(rows))
         with pytest.raises(SingularSensitivityError):
             _small_inverse(rows)
 
@@ -301,6 +310,45 @@ class TestSmallMatrixHelper:
     def test_same_side_of_the_singularity_bound(self, kappa, symmetric):
         mat = conditioned(kappa, (0.3, 1.1), symmetric, 3.0, 1.0)
         assert (_small_cond(mat.tolist()) > 1e12) == (np.linalg.cond(mat) > 1e12)
+
+
+# entries over many scales, with exact zeros of both signs
+entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1e6, 1e6, allow_subnormal=False),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-150, 150)),
+)
+
+
+def square(p):
+    return st.lists(st.lists(entries, min_size=p, max_size=p), min_size=p, max_size=p)
+
+
+class TestStraightLineSandwich:
+    """Sigma_hat and the p = 2 congruence, straight-line on floats, give the
+    bits of the list form (small_algebra_oracle), signed zeros included."""
+
+    @given(st.sampled_from([1, 2]).flatmap(lambda p: st.tuples(square(p), square(p))))
+    def test_sigma_hat_bits(self, mats):
+        lam, c = mats
+        try:
+            expected, expected_cond = reference_sigma(lam, c)
+        except SingularSensitivityError:
+            with pytest.raises(SingularSensitivityError):
+                sigma_hat(np.array(lam), np.array(c))
+            return
+        sigma, cond = sigma_hat(np.array(lam), np.array(c))
+        assert sigma.tobytes() == np.array(expected).tobytes()
+        assert cond == expected_cond
+
+    @given(st.integers(1, 2).flatmap(lambda r: st.tuples(
+        st.lists(st.lists(entries, min_size=2, max_size=2), min_size=r, max_size=r), square(2))))
+    # entries where both products of a sum are -0.0, which sum() makes 0.0
+    @example(mats=([[-0.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]))
+    @example(mats=([[1.0, 2.0], [-0.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]))
+    def test_congruence_bits(self, mats):
+        a, b = mats
+        assert repr(_small_congruence(a, b)) == repr(reference_congruence(a, b))
 
 
 class TestSandwichBounds:
