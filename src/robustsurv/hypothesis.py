@@ -131,14 +131,16 @@ def _poisson_mixture(s: float, terms) -> tuple[int, list, list]:
     sum w.  The weights run up from w_0 = e^(-s/2) by w_{v+1} = w_v (s/2)/(v
     + 1); from s/2 = 700 on, where e^(-s/2) nears underflow, those up to the
     mode m = floor(s/2) come down from w_m, formed in log space, by w_{v-1} =
-    w_v v / (s/2).  v0 is 0 up to s/2 = _MIXTURE_TERMS and m - 10 sqrt(s/2)
-    above: the terms below it (a Poisson mass below 1e-22) are drawn and
-    dropped, and the cap counts from v0."""
-    if s < 0.0:
-        raise ValueError("noncentrality must be nonnegative")
+    w_v v / (s/2).  From s/2 = 700 on the sum stops before m + 9 sqrt(s/2),
+    so v0 is 0 while m + 10 sqrt(s/2) is within the cap and m - 10 sqrt(s/2)
+    beyond: the terms below v0 (a Poisson mass below 1e-22) are drawn and
+    dropped, and the cap counts from v0.  Its 20 sqrt(s/2) terms fit the cap
+    up to s = 5e7; a larger s (or NaN) raises ValueError."""
+    if not 0.0 <= s <= 2.0 * (0.05 * _MIXTURE_TERMS) ** 2:
+        raise ValueError(f"noncentrality must lie in [0, 5e7], got {s!r}")
     half = 0.5 * s
-    mode = int(half) if 700.0 <= half < math.inf else 0
-    first = max(mode - math.ceil(10.0 * math.sqrt(half)), 0) if _MIXTURE_TERMS < half < math.inf else 0
+    mode, reach = (int(half) if half >= 700.0 else 0), math.ceil(10.0 * math.sqrt(half))
+    first = mode - reach if mode + reach > _MIXTURE_TERMS else 0
     # log w_m = m log1p(d/m) - d - log(2 pi m)/2 - 1/(12 m) + 1/(360 m^3)
     # with d = s/2 - m, by Stirling's series, whose next term is below 1e-17
     # from m = 700 on; below s/2 = 700, w_0 = e^(-s/2) is a normal float
@@ -166,7 +168,7 @@ def _poisson_mixture(s: float, terms) -> tuple[int, list, list]:
 
 def noncentral_weights(s: float) -> np.ndarray:
     """Poisson(s/2) mixture weights C_v from v = 0, truncated once the omitted
-    Poisson mass is below 1e-17 of the mass kept (or after 100 000 terms)."""
+    Poisson mass is below 1e-17 of the mass kept; 0 <= s <= 5e7."""
     first, weights, _ = _poisson_mixture(s, itertools.repeat(1.0))
     return np.concatenate((np.zeros(first), weights))
 
@@ -206,10 +208,6 @@ class Restriction:
             raise ValueError("restriction jacobian is rank-deficient at theta")
         return m, jac
 
-    def _wald_inputs(self, theta: np.ndarray) -> tuple[list, list]:
-        """validate_at's (m, M) on Python floats, M by rows."""
-        return tuple(a.tolist() for a in self.validate_at(theta))
-
     def _checked_rank(self, theta: np.ndarray, jac: np.ndarray) -> int:
         """Rank of jac after checking it against finite differences of m."""
         fd = _central_differences(self.m, theta, 1e-6)
@@ -224,9 +222,7 @@ class LinearRestriction(Restriction):
 
     The Jacobian is A itself, exactly, so validate_at skips the
     finite-difference check; A and target are read-only copies of the
-    caller's arrays, which lets A's rank be taken once and their floats be
-    kept for the Wald tests: m(theta_hat) summed on them as sum() sums has
-    m()'s bits for the 0 and +-1 entries of every constructor here.
+    caller's arrays, which lets A's rank be taken once.
     """
 
     matrix: np.ndarray  # (p, r)
@@ -240,8 +236,6 @@ class LinearRestriction(Restriction):
         target.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "target", target)
-        regular = matrix.ndim == 2 and target.shape == matrix.shape[1:]
-        object.__setattr__(self, "_floats", (matrix.tolist(), matrix.T.tolist(), target.tolist()) if regular else None)
 
     @property
     def r(self) -> int:
@@ -259,14 +253,6 @@ class LinearRestriction(Restriction):
     @cached_property
     def _rank(self) -> int:
         return int(np.linalg.matrix_rank(self.matrix, tol=1e-10))
-
-    def _wald_inputs(self, theta):
-        floats = self._floats  # (A by rows, A by columns, target) or None
-        if floats is None or theta.shape != (len(floats[0]),) or self._rank < len(floats[1]):
-            return super()._wald_inputs(theta)  # where validate_at raises
-        rows, columns, target = floats
-        theta = theta.tolist()
-        return [sum(map(operator.mul, col, theta)) - t for col, t in zip(columns, target)], rows
 
     @classmethod
     def simple(cls, theta0) -> "LinearRestriction":
@@ -376,7 +362,8 @@ def wald_statistic(fit: FitResult, restriction: Restriction) -> TestReport:
     on floats (:func:`_wald_form`); cond above 1e12 raises LinAlgError."""
     if not fit.converged:
         raise ValueError("Wald test requires a converged fit")
-    form, _, inner_cond = _wald_form(*restriction._wald_inputs(fit.theta_hat), fit.sigma_hat.tolist())
+    m, jac = (a.tolist() for a in restriction.validate_at(fit.theta_hat))
+    form, _, inner_cond = _wald_form(m, jac, fit.sigma_hat.tolist())
     statistic = fit.n * form
     diagnostics = {
         "lambda_cond": fit.lambda_cond,

@@ -450,7 +450,7 @@ def _sample_psi(family: ParametricFamily, theta: np.ndarray, alpha: float):
     array, from one closed-form call: psi(z, theta) = mdpde_psi(family,
     theta, alpha, z) with that call's jvec.  z is a CensoredSample's sorted,
     finite, nonnegative z, so z[0] > 0 is the whole check of the points (the
-    same ValueError), and _psi checks the values (``psi.checked``)."""
+    same ValueError), and _psi checks the values."""
     lam, jvec = _lambda_jvec(family, theta, alpha)
 
     def psi(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -458,7 +458,6 @@ def _sample_psi(family: ParametricFamily, theta: np.ndarray, alpha: float):
             raise ValueError(_X_DOMAIN)
         return _psi(family, theta, alpha, z, jvec)
 
-    psi.checked = True
     return lam, psi
 
 

@@ -130,7 +130,7 @@ def _wald(fit1: FitResult, fit2: FitResult, restriction: Restriction) -> tuple[T
     """The two-sided report and m at the stacked estimate, as floats."""
     _check_fits(fit1, fit2)
     n1, n2 = fit1.n, fit2.n
-    m, jac = restriction._wald_inputs(np.concatenate((fit1.theta_hat, fit2.theta_hat)))
+    m, jac = (a.tolist() for a in restriction.validate_at(np.concatenate((fit1.theta_hat, fit2.theta_hat))))
     sigma = _stacked_sigma(n2 / (n1 + n2), fit1.sigma_hat, fit2.sigma_hat)
     form, sigma_tilde, cond = _wald_form(m, jac, sigma)
     statistic = n1 * n2 / (n1 + n2) * form

@@ -14,8 +14,8 @@ each psi takes one suffix and one prefix accumulation, and U_hat is a linear
 combination of them.  The sandwich is p x p with p <= 2, assembled on Python
 floats: Lambda^{-1} by :func:`_small_inverse` (shared with the influence
 functions) and Lambda^{-1} C Lambda^{-T} by the straight-line congruence
-that the Wald forms share.  u_hat checks the shape of every psi's values
-and their finiteness unless psi says (``checked``) that it checked them.
+that the Wald forms share.  u_hat checks the shape of psi's values and,
+unless the call says (``_finite_psi``) that they are finite, their finiteness.
 
 All accumulations follow the canonical ordering (events precede censorings at
 ties); that ordering is the only point where the tie rule touches numerics.
@@ -128,7 +128,8 @@ def _gamma_tables(sample: CensoredSample) -> GammaTables:
     return GammaTables(sample.z, sample.delta, gamma0, gamma, event_gamma0, gamma[:, None], u_coef)
 
 
-def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.ndarray], theta) -> np.ndarray:
+def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.ndarray], theta, *,
+          _finite_psi: bool = False) -> np.ndarray:
     """Estimated transformation U_hat of each observation, one row per ordered
     observation and one column per psi component:
 
@@ -137,13 +138,14 @@ def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.nda
     ``psi`` maps (x, theta) -> (len(x), p).  The population centering term of
     U vanishes at the fitted parameter and is absent here, matching the
     plug-in estimator.  All p columns are formed in one pass over the
-    sample's shared gamma tables.
+    sample's shared gamma tables.  ``_finite_psi`` is for fit alone, whose
+    psi raises on a non-finite value itself.
     """
     tables = gamma_tables(sample)
     values = np.asarray(psi(sample.z, theta), dtype=float)
     if values.shape[0] != sample.n:
         raise ValueError("psi must return one row per ordered observation")
-    if not getattr(psi, "checked", False) and not np.isfinite(values).all():
+    if not (_finite_psi or np.isfinite(values).all()):
         raise ValueError("psi evaluated to non-finite values on the sample")
     # gamma1 (1 - delta) - gamma2 = u_coef suffix - prefix / n, formed in
     # place in the fresh suffix and prefix columns
@@ -155,9 +157,10 @@ def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.nda
     return suffix
 
 
-def c_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.ndarray], theta) -> np.ndarray:
+def c_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.ndarray], theta, *,
+          _finite_psi: bool = False) -> np.ndarray:
     """Average outer product of the U_hat rows; symmetric PSD by construction."""
-    u = u_hat(sample, psi, theta)
+    u = u_hat(sample, psi, theta, _finite_psi=_finite_psi)
     return u.T @ u / sample.n
 
 
@@ -237,8 +240,10 @@ def covariance_estimate(
     psi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     theta,
     lambda_mat: np.ndarray,
+    *,
+    _finite_psi: bool = False,
 ) -> CovarianceEstimate:
     """Bundle (C_hat, Lambda, Sigma_hat, cond) for a fitted parameter."""
-    c_mat = c_hat(sample, psi, theta)
+    c_mat = c_hat(sample, psi, theta, _finite_psi=_finite_psi)
     sigma, cond = sigma_hat(lambda_mat, c_mat)
     return CovarianceEstimate(c_hat=c_mat, lambda_hat=np.asarray(lambda_mat, dtype=float), sigma_hat=sigma, lambda_cond=cond)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -30,7 +31,7 @@ from robustsurv import (
 )
 from robustsurv import hypothesis as hypothesis_module
 from robustsurv import two_sample_wald
-from robustsurv.hypothesis import chi2_quantile, chi2_sf
+from robustsurv.hypothesis import _poisson_mixture, chi2_quantile, chi2_sf
 from robustsurv.twosample import _stacked_sigma
 from small_algebra_oracle import reference_wald_form
 
@@ -184,6 +185,7 @@ factor = st.tuples(st.floats(0.01, 10.0), st.floats(-10.0, 10.0), st.floats(0.0,
 ONE_SAMPLE_NULLS = (
     LinearRestriction.simple((2.0, 5.0)),
     LinearRestriction(np.array([[1.0, 1.0], [1.0, -1.0]]), (7.0, -3.0)),
+    LinearRestriction(np.array([[0.3, 2.1], [1.7, -0.9]]), (1.1, -0.4)),
     LinearRestriction.component(0, 2.0, 2),
     LinearRestriction.component(1, 5.0, 2),
     FunctionRestriction(r=1, m_func=lambda th: np.array([th[0] * th[1] - 10.0])),
@@ -216,9 +218,9 @@ def same_outcome(got, expected):
 
 
 class TestFloatWaldForms:
-    """The Wald tests on floats (m and M kept by linear restrictions,
-    straight-line M^T Sigma M and Cramer solve) give the bits of validate_at's
-    arrays through the list-form algebra of small_algebra_oracle."""
+    """The Wald tests on floats (straight-line M^T Sigma M and Cramer solve)
+    give the bits of validate_at's arrays through the list-form algebra of
+    small_algebra_oracle."""
 
     @given(st.tuples(positive, positive), factor, st.integers(5, 500))
     def test_one_sample_bits(self, weibull_fit, theta, lower, n):
@@ -429,12 +431,13 @@ class TestChiSquareAgainstScipy:
         for q in (0.9 * ncp, ncp, 1.1 * ncp):
             assert noncentral_chi2_sf(q, 2, ncp) == pytest.approx(stats.ncx2.sf(q, 2, ncp), rel=1e-11)
 
-    @pytest.mark.parametrize("ncp", [2.0e5 + 10.0, 2.5e5])
+    @pytest.mark.parametrize("ncp", [1.95e5, 1.98e5, 2.0e5, 2.0e5 + 10.0, 2.5e5])
     def test_noncentrality_past_the_term_cap(self, ncp):
-        # above s/2 = 1e5 the weights start 10 sqrt(s/2) below the mode and
-        # the 100 000-term cap counts from there (counted from v = 0, the sum
-        # stopped short of the mode and gave 0).  scipy's pmf is itself good
-        # to about 1e-9 relative at k ~ 1e5
+        # once the mode plus 10 sqrt(s/2) passes the 100 000-term cap, the
+        # weights start 10 sqrt(s/2) below the mode and the cap counts from
+        # there (counted from v = 0, the sum stopped short: at s/2 = 99 000 it
+        # kept 0.9992 of the mass, at 1e5 half, at 1.25e5 none).  scipy's pmf
+        # is itself good to about 1e-9 relative at k ~ 1e5
         kept = noncentral_weights(ncp)
         first = int(np.flatnonzero(kept)[0])
         assert first == int(0.5 * ncp) - math.ceil(10.0 * math.sqrt(0.5 * ncp))
@@ -445,6 +448,20 @@ class TestChiSquareAgainstScipy:
         for q in (0.99 * ncp, ncp, 1.01 * ncp):
             assert noncentral_chi2_sf(q, 2, ncp) == pytest.approx(stats.ncx2.sf(q, 2, ncp), rel=1e-9)
         assert noncentral_chi2_sf(10.0, 2, ncp) == pytest.approx(1.0, abs=1e-14)
+
+    def test_noncentrality_within_the_window_the_cap_holds(self):
+        # the cap holds the 20 sqrt(s/2) terms from 10 sqrt(s/2) below the
+        # mode up to s = 5e7: there the kept weights still sum to 1 short of
+        # the cap, and beyond it (or at inf or NaN) the mixture raises rather
+        # than cut the sum short
+        first, weights, _ = _poisson_mixture(5e7, itertools.repeat(1.0))
+        assert first == 25_000_000 - 50_000 and len(weights) < 100_000
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
+        for ncp in (math.nextafter(5e7, math.inf), 1e9, math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match=r"noncentrality must lie in \[0, 5e7\]"):
+                noncentral_chi2_sf(10.0, 2, ncp)
+            with pytest.raises(ValueError, match=r"noncentrality must lie in \[0, 5e7\]"):
+                noncentral_weights(ncp)
 
     @pytest.mark.parametrize("q, df, ncp", [(1.0, 2, 200.0), (5.0, 2, 1300.0), (5.0, 2, 3000.0), (10.0, 2, 1.9e5)])
     def test_noncentral_tail_is_a_probability(self, q, df, ncp):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -12,6 +14,7 @@ from robustsurv import (
     SyntheticDesign,
     WEIBULL,
     c_hat,
+    covariance_estimate,
     fit,
     gamma_tables,
     lambda_model,
@@ -20,6 +23,7 @@ from robustsurv import (
     simulate,
     u_hat,
 )
+from robustsurv.estimator import _newton, _Point
 from robustsurv.hypothesis import _wald_form
 from robustsurv.varest import _small_cond, _small_congruence, _small_inverse
 from small_algebra_oracle import reference_congruence, reference_sigma
@@ -113,8 +117,11 @@ class TestUHat:
             np.testing.assert_array_equal(both[:, col], alone[:, 0])
 
     def test_nonfinite_psi_raises(self, small_sample):
-        with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
-            u_hat(small_sample, lambda x, th: np.log(x - 1.0)[:, None], np.array([1.0]))
+        # in every public entry; only fit's own call skips the check
+        theta, lam = np.array([1.0]), np.eye(1)
+        for entry in (u_hat, c_hat, lambda *args: covariance_estimate(*args, lam)):
+            with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
+                entry(small_sample, lambda x, th: np.log(x - 1.0)[:, None], theta)
 
 
 class TestCHat:
@@ -253,6 +260,21 @@ def cramer_form(rows, rhs) -> float:
     return _wald_form(list(rhs), np.eye(len(rows)).tolist(), rows)[0]
 
 
+class NewtonProbe:
+    """A stand-in equation with residual g and Jacobian jac at the first point
+    asked for and a root at every later one; it records the points."""
+
+    alpha = 0.0
+
+    def __init__(self, g, jac):
+        self.g, self.jac, self.tried = g, jac, []
+
+    def point(self, eta):
+        self.tried.append(eta)
+        g = self.g if len(self.tried) == 1 else [0.0] * len(eta)
+        return _Point(eta, 0.0, g, self.jac, math.hypot(*g), 1.0)
+
+
 class TestSmallMatrixHelper:
     """The Wald form's Cramer solve and varest's condition number and
     inverse against numpy.  Both are backward stable, so on a matrix rounded
@@ -280,6 +302,28 @@ class TestSmallMatrixHelper:
         expected = np.linalg.inv(mat)
         assert cond == _small_cond(rows)
         np.testing.assert_allclose(inverse, expected, rtol=0, atol=rtol * np.abs(expected).max())
+        # rhs = e_i gives (mat^-1)_ii: the solve's components one at a time
+        diagonal = [cramer_form(rows, e) for e in ((1.0, 0.0), (0.0, 1.0))]
+        np.testing.assert_allclose(diagonal, np.diag(expected), rtol=0, atol=rtol * np.abs(expected).max())
+
+    @given(
+        st.floats(0.0, 10.0),
+        st.tuples(st.floats(0.0, 6.3), st.floats(0.0, 6.3)),
+        st.booleans(),
+        st.integers(-40, 40),
+        st.sampled_from([1.0, -1.0]),
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda b: max(map(abs, b)) > 1e-3),
+    )
+    def test_newton_step_matches_numpy(self, log_kappa, angles, symmetric, exponent, sign, step):
+        # the solver's Newton step writes out the same Cramer solve: its
+        # first trial point from eta = 0 is J^-1 (-g), component by component
+        mat = conditioned(10.0**log_kappa, angles, symmetric, 2.0**exponent, sign)
+        rtol = max(1e-9, 8 * np.finfo(float).eps * np.linalg.cond(mat))
+        g = (-(mat @ np.array(step))).tolist()
+        probe = NewtonProbe(g, mat.tolist())
+        _newton(probe, probe.point((0.0, 0.0)), 0.0, 1)
+        expected = np.linalg.solve(mat, -np.array(g))
+        np.testing.assert_allclose(probe.tried[1], expected, rtol=0, atol=rtol * np.abs(expected).max())
 
     @given(st.floats(1e-300, 1e300), st.sampled_from([1.0, -1.0]), st.floats(-1e3, 1e3))
     def test_one_by_one_matches_numpy(self, value, sign, rhs):
