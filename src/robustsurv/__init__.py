@@ -17,7 +17,7 @@ from .data import (
     simulate,
     write_csv,
 )
-from .estimator import FitConfig, FitResult, UnidentifiableSampleError, fit, fit_grid, mdpde_objective
+from .estimator import FitConfig, FitResult, UnidentifiableSampleError, fit, fit_grid
 from .hypothesis import (
     FunctionRestriction,
     LinearRestriction,
@@ -25,7 +25,6 @@ from .hypothesis import (
     TestReport,
     contiguous_power,
     noncentral_chi2_sf,
-    noncentral_weights,
     power_approx,
     wald_statistic,
 )

@@ -9,8 +9,13 @@ the weighted divergence objective.  alpha = 0 is the product-limit-weighted
 likelihood (the approximate MLE), not the censored-data MLE; the two coincide
 on uncensored data.
 
-Solver: one start and at most two trajectories from it, in log-parameter
-space (positivity for free), on the exact Jacobian
+At alpha = 0 the root is exact (_profile_root, tag "profile", no start):
+the exponential mean in closed form, the Weibull shape as the unique root
+of a decreasing 1-D profile equation (Farnum & Booth 1997, IEEE Trans.
+Reliab. 46:523) and then its scale in closed form.
+
+Solver for alpha > 0: one start and at most two trajectories from it, in
+log-parameter space (positivity for free), on the exact Jacobian
 
     J_theta = d jvec / d theta - sum_i w_i (grad u_i + alpha u_i u_i^T) f_i^alpha,
 
@@ -64,11 +69,11 @@ _STALL_STEPS): Newton converges q-quadratically near a regular root, so the
 descent takes over sooner, while an Armijo descent need not lower |g|
 steadily.
 
-FitResult.message names the trajectory of the estimate, "newton" or
-"descent".  A converged end where the density has vanished on every
-observation is no root: Newton's hands over to the descent, and the
-descent's is tagged "descent-degenerate".  ": no root at tol 1e-08" is
-appended when no trajectory converged.
+FitResult.message names the path of the estimate, "profile" at alpha = 0,
+else the trajectory, "newton" or "descent".  A converged end where the
+density has vanished on every observation is no root: Newton's hands over
+to the descent, and the descent's is tagged "descent-degenerate".  ": no
+root at tol 1e-08" is appended when no trajectory converged.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ from .data import CensoredSample
 from .kmpl import RESIDUAL_MASS_FLAG, kmpl_fit
 from .model import _X_DOMAIN, ParametricFamily, _sample_psi, lambda_model, validate_alpha
 
-__all__ = ["FitConfig", "FitResult", "UnidentifiableSampleError", "mdpde_objective", "fit", "fit_grid"]
+__all__ = ["FitConfig", "FitResult", "UnidentifiableSampleError", "fit", "fit_grid"]
 
 # a Newton trajectory farther than this from its own start in some log
 # coordinate (a factor e^20) is a boundary runaway; no accepted root on the
@@ -123,9 +128,8 @@ class UnidentifiableSampleError(ValueError):
 class FitConfig:
     """Divergence tuning constant and optional solver start of one fit (a
     warm-started alpha sweep passes each estimate on as the next start; when
-    it gives no root, the fit retries from the default start).  The residual
-    tolerance 1e-8 and the cap of 200 iterations per trajectory are fixed
-    (see the module docstring)."""
+    it gives no root, the fit retries from the default start; alpha = 0 needs
+    none).  The tolerance 1e-8 and the 200 iterations are fixed."""
 
     alpha: float = 0.0
     start: Sequence[float] | None = None
@@ -143,7 +147,8 @@ class FitResult:
     of the estimate (see the module docstring) or why the fit failed.
     n_iter counts the iterations of every trajectory the fit ran: for
     "descent" that includes the failed first Newton trajectory from the same
-    start, and after an explicit-start fallback both starts' trajectories.
+    start, and after an explicit-start fallback both starts' trajectories;
+    for "profile" (alpha = 0), the Weibull profile's (0 for the exponential).
     """
 
     family: ParametricFamily
@@ -295,17 +300,6 @@ class _WeightedEquation:
         return _Point(eta, value, g, jac, norm, mass)
 
 
-def mdpde_objective(sample: CensoredSample, family: ParametricFamily, theta, alpha: float) -> float:
-    """Product-limit-weighted divergence objective.
-
-    For alpha > 0 this is xi_alpha(theta) - (1+alpha)/alpha * E_hat[f^alpha]
-    plus the theta-free constant 1/alpha, which makes the map continuous in
-    alpha; at alpha = 0 it is the weighted negative log-likelihood.
-    """
-    theta = family.validate(theta)
-    return _WeightedEquation(sample, family, alpha).objective(theta)
-
-
 def _trajectory(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int, descent: bool):
     """Residual Newton, or with ``descent`` the descent on H, from ``start``
     until the residual norm |g| is within tol: (last point, iterations,
@@ -379,18 +373,6 @@ def _trajectory(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int,
     return at, max_iter, at.norm <= tol and at.value <= ceiling
 
 
-def _newton(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int):
-    """Residual Newton from ``start`` (:func:`_trajectory`)."""
-    return _trajectory(eq, start, tol, max_iter, False)
-
-
-def _descent(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int):
-    """Descent Newton on the objective from ``start`` (:func:`_trajectory`).
-    It has no stall stop: an Armijo descent lowers the objective, not
-    necessarily |g|."""
-    return _trajectory(eq, start, tol, max_iter, True)
-
-
 def _descent_direction(eta, g, jac):
     """(-|S|^-1 grad, grad) on floats for p <= 2, with theta = exp(eta),
     grad = theta * g and S the symmetric part of diag(theta) J_eta plus
@@ -425,20 +407,53 @@ def _descent_direction(eta, g, jac):
 def _root_from(eq: _WeightedEquation, eta0):
     """Residual Newton from eta0, then the descent from the same evaluated
     start when Newton gives no root: (end point, iterations of both,
-    converged, path tag).  A converged end where the density has collapsed
-    on every observation (alpha > 0, data mass below 1e-8 of the start's) is
-    a boundary runaway."""
-    start = eq.point(eta0)
-    reference_mass = start.mass if eq.alpha > 0.0 else 0.0
-    iters = 0
-    for tag, solver in (("newton", _newton), ("descent", _descent)):
-        end, n, ok = solver(eq, start, _TOL_GRADIENT, _MAX_ITER)
+    converged, path tag), for alpha > 0.  A converged end where the density
+    has collapsed on every observation (data mass below 1e-8 of the start's)
+    is a boundary runaway."""
+    start, iters = eq.point(eta0), 0
+    for tag, descent in (("newton", False), ("descent", True)):
+        end, n, ok = _trajectory(eq, start, _TOL_GRADIENT, _MAX_ITER, descent)
         iters += n
-        if ok and reference_mass > 0.0 and end.mass < 1e-8 * reference_mass:
+        if ok and end.mass < 1e-8 * start.mass:
             ok, tag = False, f"{tag}-degenerate"
         if ok:
             break
     return end, iters, ok, tag
+
+
+def _profile_root(eq: _WeightedEquation):
+    """(Fused point at the alpha = 0 root, iterations): the mean sum w z /
+    sum w, or Newton in y = log b on h(b) = 1/b + sum w L / sum w - sum w
+    e^(bL) L / sum w e^(bL), L = log z - max log z (e^(bL) <= 1 in any time
+    unit), from pi / (sqrt 6 sd_w(L)), steps at most _MAX_LOG_STEP, bisecting
+    the bracket of h's sign where a step leaves it, until the step is within
+    4e-16 max(1, |y|) or the bracket is two adjacent floats; sigma^b = sum w
+    z^b / sum w."""
+    mass = eq.weights
+    if eq.family.family_id == "exponential":
+        total, first = (eq.prepared[:2] @ mass).tolist()
+        return eq.point((math.log(first / total),)), 0
+    top = float(eq.prepared[0][-1])  # the points are sorted
+    shifted = eq.prepared[0] - top
+    rows = np.stack((mass, mass * shifted, mass * shifted * shifted))
+    w0, w1, w2 = rows.sum(axis=1).tolist()
+    mean0, var = w1 / w0, w2 / w0 - (w1 / w0) ** 2
+    y = math.log(math.pi / math.sqrt(6.0 * var)) if var > 0.0 else 0.0
+    lo, hi, tilt = -math.inf, math.inf, np.empty_like(shifted)
+    for iteration in range(1, _MAX_ITER + 1):
+        b = math.exp(y)
+        s0, s1, s2 = (rows @ np.exp(np.multiply(shifted, b, out=tilt), out=tilt)).tolist()
+        mean = s1 / s0
+        h = 1.0 / b + mean0 - mean
+        step = h / (1.0 / b + b * (s2 / s0 - mean * mean))  # -dh/dy = 1/b + b Var
+        lo, hi = (y, hi) if h > 0.0 else (lo, y)
+        ahead = y + max(-_MAX_LOG_STEP, min(step, _MAX_LOG_STEP))
+        if not lo < ahead < hi:  # a Newton step leaves the bracket only where lo and hi are finite
+            ahead = 0.5 * (lo + hi)
+        if not (abs(step) > 4e-16 * max(1.0, abs(y)) and lo < ahead < hi):
+            break
+        y = ahead
+    return eq.point((top + math.log(s0 / w0) / b, y)), iteration
 
 
 def _start_eta(family: ParametricFamily, theta, alpha: float) -> tuple:
@@ -493,16 +508,18 @@ def _hazard_start(sample: CensoredSample, family: ParametricFamily) -> np.ndarra
 def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | None = None) -> FitResult:
     """Fit the divergence estimator at config.alpha and attach the sandwich.
 
-    Residual Newton, then descent Newton when Newton gives no root, run from
-    one start (module docstring) under three rules: a Weibull start shape is
-    raised to 1.5 alpha / (1 + alpha) when below it; a root may not lie above
-    its start's objective; and an explicit config.start without a root is
-    retried once from the default start.  FitResult.message is "newton",
-    "descent" or "descent-degenerate", with ": no root at tol 1e-08" when
-    nothing converged; the fit then returns converged=False, the last
-    trajectory's end and NaN matrices rather than raising.  An unidentifiable
-    sample raises :class:`UnidentifiableSampleError` before any solve; a
-    converged estimate whose sensitivity matrix is singular raises
+    At alpha = 0 the root is exact ("profile"; a start is only validated).
+    Otherwise residual Newton, then descent Newton when Newton gives no
+    root, run from one start (module docstring) under three rules: a Weibull
+    start shape is raised to 1.5 alpha / (1 + alpha) when below it; a root
+    may not lie above its start's objective; and an explicit config.start
+    without a root is retried once from the default start.
+    FitResult.message is "profile", "newton", "descent" or
+    "descent-degenerate", with ": no root at tol 1e-08" when nothing
+    converged; the fit then returns converged=False, the last point and NaN
+    matrices rather than raising.  An unidentifiable sample raises
+    :class:`UnidentifiableSampleError` before any solve; a converged
+    estimate whose sensitivity matrix is singular raises
     :class:`varest.SingularSensitivityError`.
     """
     config = config or FitConfig()
@@ -514,14 +531,19 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
             f"time(s); the sample has {eq.event_times}"
         )
     explicit = config.start is not None
-    eta0 = _start_eta(family, config.start if explicit else _initial_theta(sample, family), alpha)
+    if explicit and alpha == 0.0:
+        family.validate(config.start)  # unused by the unique root, but checked as for alpha > 0
     # trial points may overflow (rejected steps); psi is checked where formed
     with np.errstate(all="ignore"):
-        end, iters, ok, tag = _root_from(eq, eta0)
-        if not ok and explicit:
-            eta0 = _start_eta(family, _initial_theta(sample, family), alpha)
-            end, more, ok, tag = _root_from(eq, eta0)
-            iters += more
+        if alpha == 0.0:
+            (end, iters), tag = _profile_root(eq), "profile"
+            ok = end.norm <= _TOL_GRADIENT
+        else:
+            eta0 = _start_eta(family, config.start if explicit else _initial_theta(sample, family), alpha)
+            end, iters, ok, tag = _root_from(eq, eta0)
+            if not ok and explicit:
+                end, more, ok, tag = _root_from(eq, _start_eta(family, _initial_theta(sample, family), alpha))
+                iters += more
         theta_hat = np.exp(end.eta)
         if ok:  # a converged theta_hat is finite and positive
             lam, psi = _sample_psi(family, theta_hat, alpha)

@@ -33,7 +33,7 @@ from .varest import _small_cond, _small_congruence
 
 # the Poisson mixtures stop once the omitted Poisson mass is below this
 # fraction of the sum so far (every omitted term is at most its weight), or
-# after _MIXTURE_TERMS terms
+# after _MIXTURE_TERMS terms or the window's 20 sqrt(s/2), if more
 _MIXTURE_RTOL = 1e-17
 _MIXTURE_TERMS = 100_000
 
@@ -47,7 +47,6 @@ __all__ = [
     "contiguous_power",
     "chi2_sf",
     "chi2_quantile",
-    "noncentral_weights",
     "noncentral_chi2_sf",
 ]
 
@@ -67,12 +66,13 @@ def _central_differences(func, x, step: float) -> np.ndarray:
     return np.stack(rows, axis=0)
 
 
-def _chi2_tails(df: int, q: float):
+def _chi2_tails(df: int, q: float, first: int = 0):
     """Iterator of (P(chi2_{df+2k} > q), P(chi2_{df+2k+2} > q) - P(chi2_{df+2k}
-    > q)) for k = 0, 1, ... without end, for an integer df >= 1 (checked
-    here, at the call).  With x = q/2 the tails are Q(df/2 + k, x), taken up
-    from Q(1/2, x) = erfc(sqrt x) or Q(1, x) = e^-x by Q(a + 1, x) = Q(a, x)
-    + x^a e^-x / Gamma(a + 1): positive steps, formed in log space, so no
+    > q)) for k = first, first + 1, ... without end, for an integer df >= 1
+    (checked here, at the call).  With x = q/2 the tails are Q(df/2 + k, x),
+    taken up from Q(1/2, x) = erfc(sqrt x) or Q(1, x) = e^-x, or for first >
+    0 from Q(df/2 + first, x) (:func:`_upper_gamma`), by Q(a + 1, x) = Q(a,
+    x) + x^a e^-x / Gamma(a + 1): positive steps, formed in log space, so no
     digits cancel and e^-x may underflow."""
     if not (df >= 1 and df == int(df)):
         raise ValueError(f"df must be a positive integer, got {df!r}")
@@ -80,21 +80,46 @@ def _chi2_tails(df: int, q: float):
     if not 0.0 < x < math.inf:  # q <= 0, inf or NaN: every tail is 1, 0 or NaN
         tail = 1.0 if x <= 0.0 else math.exp(-x)
         return itertools.repeat((tail, 0.0 * tail))
-    return _tail_recurrence(int(df), x)
+    return _tail_recurrence(int(df), x, first)
 
 
-def _tail_recurrence(df: int, x: float):
-    """The generator behind :func:`_chi2_tails`, for 0 < x < inf."""
-    odd = df % 2
-    a, tail, log_x = (0.5 if odd else 1.0), (math.erfc(math.sqrt(x)) if odd else math.exp(-x)), math.log(x)
-    k = -((df - 1) // 2)  # k < 0: the steps up to Q(df/2, x)
+def _tail_recurrence(df: int, x: float, first: int):
+    """The generator behind :func:`_chi2_tails`, for 0 < x < inf; for first
+    > 0 (so a > 9e4) the steps take :func:`_log_poisson`'s form."""
+    if first:
+        a, tail, k = 0.5 * df + first, _upper_gamma(0.5 * df + first, x), 0
+    else:  # k < 0: the steps up to Q(df/2, x)
+        (a, tail), k = ((0.5, math.erfc(math.sqrt(x))) if df % 2 else (1.0, math.exp(-x))), -((df - 1) // 2)
+    log_x = math.log(x)
     while True:
-        step = math.exp(a * log_x - x - math.lgamma(a + 1.0))
+        step = math.exp(_log_poisson(a, x) if first else a * log_x - x - math.lgamma(a + 1.0))
         if k >= 0:
             yield tail, step
         tail += step
         a += 1.0
         k += 1
+
+
+def _log_poisson(a: float, x: float) -> float:
+    """log(x^a e^-x / Gamma(a + 1)) for a >= 700 by Stirling's series (next
+    term below 1e-17), with d = x - a, so no two large logs cancel."""
+    d = x - a
+    return a * math.log1p(d / a) - d - 0.5 * math.log(2.0 * math.pi * a) - (1.0 - 1.0 / (30.0 * a * a)) / (12.0 * a)
+
+
+def _upper_gamma(a: float, x: float) -> float:
+    """Regularized Q(a, x) for a >= 700 (Numerical Recipes, 3rd ed., 6.2):
+    x^a e^-x / Gamma(a + 1) times 1 + x/(a + 1) + x^2/((a + 1)(a + 2)) + ...
+    (P = 1 - Q) below x = a + 1, else times a/x + a(a - 1)/x^2 + ... (Q by
+    the recurrence down from a), falling terms summed to 1e-17: O(sqrt(a))."""
+    front, below = math.exp(_log_poisson(a, x)), x < a + 1.0
+    term = total = 1.0 if below else a / x
+    k = 1.0
+    while term > 1e-17 * total:
+        term *= x / (a + k) if below else (a - k) / x
+        total += term
+        k += 1.0
+    return 1.0 - front * total if below else front * total
 
 
 def chi2_sf(df: int, x: float) -> float:
@@ -122,39 +147,30 @@ def chi2_quantile(df: int, level: float) -> float:
 
 def _poisson_mixture(s: float, terms) -> tuple[int, list, list]:
     """(v0, the weights w_v and terms t_v from v = v0) of the mixture sum_v
-    w_v t_v of Poisson(s/2) weights and the terms in [0, 1] that ``terms``
-    yields, kept up to the first v after which the omitted Poisson mass,
-    which bounds the omitted terms' sum, is below _MIXTURE_RTOL times the
-    sum so far (or after _MIXTURE_TERMS terms).  Once v + 2 > s/2 the weight
-    ratios (s/2)/(k + 1) fall below r = (s/2)/(v + 2) for every k > v, so the
-    omitted mass is at most w_{v+1} / (1 - r), bounded without forming 1 -
-    sum w.  The weights run up from w_0 = e^(-s/2) by w_{v+1} = w_v (s/2)/(v
-    + 1); from s/2 = 700 on, where e^(-s/2) nears underflow, those up to the
-    mode m = floor(s/2) come down from w_m, formed in log space, by w_{v-1} =
-    w_v v / (s/2).  From s/2 = 700 on the sum stops before m + 9 sqrt(s/2),
-    so v0 is 0 while m + 10 sqrt(s/2) is within the cap and m - 10 sqrt(s/2)
-    beyond: the terms below v0 (a Poisson mass below 1e-22) are drawn and
-    dropped, and the cap counts from v0.  Its 20 sqrt(s/2) terms fit the cap
-    up to s = 5e7; a larger s (or NaN) raises ValueError."""
-    if not 0.0 <= s <= 2.0 * (0.05 * _MIXTURE_TERMS) ** 2:
-        raise ValueError(f"noncentrality must lie in [0, 5e7], got {s!r}")
+    w_v t_v of Poisson(s/2) weights and the terms in [0, 1] that
+    ``terms(v0)`` yields, kept up to the first v after which the omitted
+    Poisson mass, which bounds the omitted terms' sum, is below _MIXTURE_RTOL
+    times the sum so far.  Once v + 2 > s/2 the weight ratios (s/2)/(k + 1)
+    fall below r = (s/2)/(v + 2) for every k > v, so the omitted mass is at
+    most w_{v+1} / (1 - r).  The weights run up from w_0 = e^(-s/2) by
+    w_{v+1} = w_v (s/2)/(v + 1); from s/2 = 700 on, those up to the mode m =
+    floor(s/2) come down from w_m (:func:`_log_poisson`) by w_{v-1} = w_v v
+    / (s/2), and the sum stops before m + 9 sqrt(s/2), so v0 is 0 while m +
+    10 sqrt(s/2) is within _MIXTURE_TERMS and m - 10 sqrt(s/2) beyond (a
+    Poisson mass below 1e-22 lies below it): O(sqrt(s)) work for every
+    finite s >= 0; any other s raises ValueError."""
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"noncentrality must be finite and nonnegative, got {s!r}")
     half = 0.5 * s
     mode, reach = (int(half) if half >= 700.0 else 0), math.ceil(10.0 * math.sqrt(half))
     first = mode - reach if mode + reach > _MIXTURE_TERMS else 0
-    # log w_m = m log1p(d/m) - d - log(2 pi m)/2 - 1/(12 m) + 1/(360 m^3)
-    # with d = s/2 - m, by Stirling's series, whose next term is below 1e-17
-    # from m = 700 on; below s/2 = 700, w_0 = e^(-s/2) is a normal float
-    d = half - mode
-    head = [math.exp(mode * math.log1p(d / mode) - d - 0.5 * math.log(2.0 * math.pi * mode) - (
-        1.0 - 1.0 / (30.0 * mode * mode)) / (12.0 * mode)) if mode else math.exp(-half)]
+    head = [math.exp(_log_poisson(mode, half)) if mode else math.exp(-half)]
     for v in range(mode, first, -1):
         head.append(head[-1] * v / half)
     head.reverse()  # w_first .. w_mode
-    terms = iter(terms)
-    next(itertools.islice(terms, first, first), None)  # drawn and dropped
     weights, kept = [], []
     weight, total = head[0], 0.0
-    for v, term in enumerate(itertools.islice(terms, _MIXTURE_TERMS), first):
+    for v, term in enumerate(itertools.islice(terms(first), max(_MIXTURE_TERMS, 2 * reach)), first):
         weights.append(weight)
         kept.append(term)
         total += weight * term
@@ -166,19 +182,12 @@ def _poisson_mixture(s: float, terms) -> tuple[int, list, list]:
     return first, weights, kept
 
 
-def noncentral_weights(s: float) -> np.ndarray:
-    """Poisson(s/2) mixture weights C_v from v = 0, truncated once the omitted
-    Poisson mass is below 1e-17 of the mass kept; 0 <= s <= 5e7."""
-    first, weights, _ = _poisson_mixture(s, itertools.repeat(1.0))
-    return np.concatenate((np.zeros(first), weights))
-
-
 def noncentral_chi2_sf(q: float, df: int, ncp: float) -> float:
     """P(chi2_df(ncp) > q) by the Poisson mixture of central chi-square
     tails, truncated once the omitted Poisson mass is below 1e-17 of the
     tail summed so far, so a small tail keeps its relative accuracy; clamped
     to [0, 1], which the sum's rounding may leave."""
-    _, weights, tails = _poisson_mixture(ncp, (tail for tail, _ in _chi2_tails(df, q)))
+    _, weights, tails = _poisson_mixture(ncp, lambda first: (tail for tail, _ in _chi2_tails(df, q, first)))
     return min(max(math.fsum(map(operator.mul, weights, tails)), 0.0), 1.0)
 
 

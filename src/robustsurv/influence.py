@@ -159,7 +159,7 @@ def kstar(s: float, p: int, level: float = 0.05) -> float:
     whose s -> 0 limit is the u = 0 difference; each difference is a step of
     the tails' recurrence, so no two nearly equal tails are subtracted.
     """
-    _, weights, steps = _poisson_mixture(s, (step for _, step in _chi2_tails(p, chi2_quantile(p, level))))
+    _, weights, steps = _poisson_mixture(s, lambda v0: (step for _, step in _chi2_tails(p, chi2_quantile(p, level), v0)))
     return math.fsum(map(operator.mul, weights, steps))
 
 

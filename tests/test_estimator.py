@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy import optimize
+from scipy import optimize, special
 
 from robustsurv import (
     CensoredSample,
@@ -24,7 +24,6 @@ from robustsurv import (
     if_estimator,
     kmpl_fit,
     lambda_model,
-    mdpde_objective,
     mdpde_psi,
     simulate,
 )
@@ -34,9 +33,9 @@ from robustsurv.estimator import (
     _STALL_STEPS,
     _descent_direction,
     _initial_theta,
-    _descent,
-    _newton,
     _Point,
+    _start_eta,
+    _trajectory,
     _WeightedEquation,
 )
 
@@ -77,15 +76,15 @@ def weibull_censored(weibull_design):
 class TestObjective:
     def test_alpha_zero_is_weighted_negative_loglik(self, exp_sample):
         theta = [1.7]
-        got = mdpde_objective(exp_sample, EXPONENTIAL, theta, 0.0)
+        got = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0).objective(theta)
         expected = -np.mean(EXPONENTIAL.logpdf(theta, exp_sample.z))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_continuous_in_alpha(self, exp_sample):
         theta = [2.1]
-        limit = mdpde_objective(exp_sample, EXPONENTIAL, theta, 0.0)
+        limit = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0).objective(theta)
         gaps = [
-            abs(mdpde_objective(exp_sample, EXPONENTIAL, theta, a) - limit)
+            abs(_WeightedEquation(exp_sample, EXPONENTIAL, a).objective(theta) - limit)
             for a in (1e-3, 1e-4, 1e-5)
         ]
         assert gaps[0] < 5e-3
@@ -95,11 +94,12 @@ class TestObjective:
 
     def test_local_minimum_property(self, exp_sample):
         result = fit(exp_sample, EXPONENTIAL, FitConfig(alpha=0.5))
-        base = mdpde_objective(exp_sample, EXPONENTIAL, result.theta_hat, 0.5)
+        eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.5)
+        base = eq.objective(result.theta_hat)
         rng = np.random.default_rng(0)
         for _ in range(50):
             perturbed = result.theta_hat * np.exp(rng.normal(0, 0.3))
-            assert mdpde_objective(exp_sample, EXPONENTIAL, perturbed, 0.5) >= base
+            assert eq.objective(perturbed) >= base
 
     def test_gradient_matches_estimating_equation(self, weibull_censored):
         # grad objective = (1+alpha) * estimating equation
@@ -148,13 +148,15 @@ def central_jacobian(func, x, steps):
 
 
 def objective_minimum(sample, alpha, scale_range, shape_range):
-    """Oracle: Weibull minimiser of mdpde_objective, from the best point of a
-    120 x 80 grid, log-spaced over the given ranges, polished by Nelder-Mead."""
+    """Oracle: Weibull minimiser of the divergence objective, from the best
+    point of a 120 x 80 grid, log-spaced over the given ranges, polished by
+    Nelder-Mead."""
+    eq = _WeightedEquation(sample, WEIBULL, alpha)
 
     def objective(eta):
         try:
             with np.errstate(all="ignore"):
-                return mdpde_objective(sample, WEIBULL, np.exp(eta), alpha)
+                return eq.objective(np.exp(eta))
         except ValueError:  # f^(1+alpha) not integrable
             return np.inf
 
@@ -314,7 +316,7 @@ class TestSolver:
         sample = simulate(contaminated_design(1750529956), 100, replication=0)
         eq = _WeightedEquation(sample, WEIBULL, 0.5)
         eta0 = np.log(_initial_theta(sample, WEIBULL))
-        _, iters, ok = _newton(eq, eq.point(eta0), 1e-8, 200)
+        _, iters, ok = _trajectory(eq, eq.point(eta0), 1e-8, 200, False)
         assert not ok
         assert iters < 50
         # the fit still finds the root through its fallback
@@ -324,7 +326,7 @@ class TestSolver:
         # a trajectory that halves |g| at every step is not stalled, but one
         # that moves eta by 4 per step passes the drift bound at step 6
         eq = ScriptedEquation(4.0, lambda e: 0.5 ** (e / 4.0))
-        end, iters, ok = _newton(eq, eq.point((0.0,)), 1e-8, 200)
+        end, iters, ok = _trajectory(eq, eq.point((0.0,)), 1e-8, 200, False)
         assert not ok
         assert iters == 6 and end.eta[0] > _MAX_LOG_DRIFT
 
@@ -334,7 +336,7 @@ class TestSolver:
         # converges
         for rises, converged in ((1e-6, False), (0.0, True)):
             eq = ScriptedEquation(1.0, lambda e: max(1.0 - 2.0 * e, 0.0), lambda e: rises * e)
-            end, iters, ok = _newton(eq, eq.point((0.0,)), 1e-8, 200)
+            end, iters, ok = _trajectory(eq, eq.point((0.0,)), 1e-8, 200, False)
             assert ok is converged and iters == 1 and end.norm == 0.0
 
     def test_stall_stop_only_where_asked(self):
@@ -343,10 +345,10 @@ class TestSolver:
         # the same crawl to max_iter
         crawl = lambda e: 0.9 ** round(e / 0.01)
         eq = ScriptedEquation(0.01, crawl)
-        _, iters, ok = _newton(eq, eq.point((0.0,)), 1e-300, 100)
+        _, iters, ok = _trajectory(eq, eq.point((0.0,)), 1e-300, 100, False)
         assert not ok and iters == _STALL_STEPS
         eq = ScriptedEquation(0.01, crawl, descent=True)
-        end, iters, ok = _descent(eq, eq.point((0.0,)), 1e-300, 100)
+        end, iters, ok = _trajectory(eq, eq.point((0.0,)), 1e-300, 100, True)
         assert not ok and iters == 100 and end.eta[0] == pytest.approx(1.0)
 
     @pytest.mark.filterwarnings("error")
@@ -380,28 +382,27 @@ class TestSolver:
                 assert value == np.inf
 
     def test_descent_fallback_after_failed_newton(self):
-        # replication 213 of the same workload at alpha = 0: residual Newton
-        # from the default start crawls towards scale 2e6 (without the stall
-        # stop it runs its 200 iterations; the stall stop ends it at 9);
-        # descent on the objective from the same start finds the minimiser
-        sample = simulate(contaminated_design(502419184), 100, replication=0)
-        eq = _WeightedEquation(sample, WEIBULL, 0.0)
-        eta0 = np.log(_initial_theta(sample, WEIBULL))
-        _, iters, ok = _newton(eq, eq.point(eta0), 1e-8, 200)
+        # the cold alpha = 0.5 fit of this contaminated sample: residual
+        # Newton from the default start runs off towards scale -> inf (without
+        # the stall stop it drifts to scale 1.7e9 in 24 iterations; the stall
+        # stop ends it at 8, scale 1.1e3 and shape 0.41); descent on the
+        # objective from the same start finds the minimiser
+        sample = simulate(contaminated_design(2102126363), 100, replication=0)
+        eq = _WeightedEquation(sample, WEIBULL, 0.5)
+        eta0 = _start_eta(WEIBULL, _initial_theta(sample, WEIBULL), 0.5)
+        _, iters, ok = _trajectory(eq, eq.point(eta0), 1e-8, 200, False)
         assert not ok and iters <= 15
-        result = fit(sample, WEIBULL, FitConfig(alpha=0.0))
+        result = fit(sample, WEIBULL, FitConfig(alpha=0.5))
         assert result.converged and result.message == "descent"
-        np.testing.assert_allclose(result.theta_hat, [2.29417, 1.63180], atol=1e-5)
-        oracle = objective_minimum(sample, 0.0, (1e-2, 1e3), (0.05, 20.0))
+        np.testing.assert_allclose(result.theta_hat, [1.90054, 5.09563], atol=1e-5)
+        oracle = objective_minimum(sample, 0.5, (1e-2, 1e3), (0.35, 20.0))
         np.testing.assert_allclose(result.theta_hat, oracle, rtol=1e-6)
 
-
     def test_no_trajectory_evaluates_a_point_twice(self, monkeypatch):
-        # replication 213 of the contaminated workload at alpha = 0 (see
-        # test_descent_fallback_after_failed_newton) takes both trajectories;
-        # every family evaluation is recorded under the trajectory making it,
-        # the shared start's under the first entry
-        sample = simulate(contaminated_design(502419184), 100, replication=0)
+        # the cold alpha = 0.5 fit of test_descent_fallback_after_failed_newton
+        # takes both trajectories; every family evaluation is recorded under
+        # the trajectory making it, the shared start's under the first entry
+        sample = simulate(contaminated_design(2102126363), 100, replication=0)
         trajectories = [[]]
 
         def recorded(solver):
@@ -411,8 +412,7 @@ class TestSolver:
 
             return run
 
-        for name in ("_newton", "_descent"):
-            monkeypatch.setattr(estimator, name, recorded(getattr(estimator, name)))
+        monkeypatch.setattr(estimator, "_trajectory", recorded(estimator._trajectory))
         fused = type(WEIBULL)._equation
 
         def equation(self, theta, *args):
@@ -420,7 +420,7 @@ class TestSolver:
             return fused(self, theta, *args)
 
         monkeypatch.setattr(type(WEIBULL), "_equation", equation)
-        result = fit(sample, WEIBULL, FitConfig(alpha=0.0))
+        result = fit(sample, WEIBULL, FitConfig(alpha=0.5))
         assert result.converged and result.message == "descent"
         start, *runs = trajectories
         assert len(start) == 1 and len(runs) == 2 and all(runs)
@@ -502,6 +502,92 @@ class TestDescentDirection:
     )
     def test_no_step_where_s_is_singular_or_not_finite(self, eta, g, jac):
         assert _descent_direction(eta, g, jac) is None
+
+
+def profile_oracle(sample):
+    """Oracle of the alpha = 0 Weibull fit: scipy's brentq root of h(b) = 1/b
+    + sum w log z / sum w - sum w z^b log z / sum w z^b over the product-limit
+    weights, then sigma^b = sum w z^b / sum w."""
+    km = kmpl_fit(sample)
+    mass, logz = km.weight_masses, np.log(km.weight_points)
+
+    def h(b):
+        return 1.0 / b + mass @ logz / mass.sum() - special.softmax(b * logz + np.log(mass)) @ logz
+
+    hi = 1.0
+    while h(hi) > 0.0:
+        hi *= 2.0
+    b = optimize.brentq(h, 1e-3, hi, xtol=1e-300, rtol=8.9e-16, maxiter=500)
+    return np.array([math.exp((special.logsumexp(b * logz, b=mass) - math.log(mass.sum())) / b), b])
+
+
+class TestProfile:
+    """alpha = 0: the exponential mean in closed form and the Weibull shape as
+    the root of its profile equation, then the scale in closed form."""
+
+    @pytest.mark.parametrize("arm", ["A", "B"])
+    def test_veteran_arms_match_brentq(self, veteran, arm):
+        result = fit(veteran[arm], WEIBULL, FitConfig(alpha=0.0))
+        assert result.converged and result.message == "profile"
+        np.testing.assert_allclose(result.theta_hat, profile_oracle(veteran[arm]), rtol=1e-13, atol=0)
+
+    def test_contaminated_samples_match_brentq(self):
+        # criterion 2's contaminated design: no fit needs more than 10
+        # profile iterations
+        for k in range(200):
+            sample = simulate(contaminated_design(2024), 100, replication=k)
+            result = fit(sample, WEIBULL, FitConfig(alpha=0.0))
+            assert result.converged and result.message == "profile" and result.n_iter <= 10
+            np.testing.assert_allclose(result.theta_hat, profile_oracle(sample), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("start", [None, (1e12,), (1e-12,)])
+    def test_exponential_closed_form(self, weibull_design, start):
+        # the product-limit-weighted mean, in no iteration, whatever the start
+        sample = simulate(weibull_design, 100)
+        km = kmpl_fit(sample)
+        result = fit(sample, EXPONENTIAL, FitConfig(alpha=0.0, start=start))
+        assert result.converged and result.message == "profile" and result.n_iter == 0
+        mean = km.weight_masses @ km.weight_points / km.weight_masses.sum()
+        assert mean == pytest.approx(1.83, abs=0.005)
+        assert result.theta_hat[0] == pytest.approx(mean, rel=1e-15)
+
+    @pytest.mark.parametrize("family, start", [(EXPONENTIAL, (-1.0,)), (EXPONENTIAL, (1.0, 2.0)), (WEIBULL, (2.0, 0.0))])
+    def test_malformed_start_rejected_as_for_alpha_above_zero(self, weibull_censored, family, start):
+        for alpha in (0.0, 0.5):
+            with pytest.raises(ValueError, match="parameter"):
+                fit(weibull_censored, family, FitConfig(alpha=alpha, start=start))
+
+    def test_explicit_weibull_start_far_from_the_data(self, weibull_design):
+        sample = simulate(weibull_design, 100)
+        result = fit(sample, WEIBULL, FitConfig(alpha=0.0, start=(1e12, 1.0)))
+        assert result.converged and result.message == "profile"
+        np.testing.assert_array_equal(result.theta_hat, fit(sample, WEIBULL).theta_hat)
+        np.testing.assert_allclose(result.theta_hat, profile_oracle(sample), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("family", [EXPONENTIAL, WEIBULL], ids=["exp", "weibull"])
+    def test_certificate_judges_the_root(self, weibull_censored, family, monkeypatch):
+        # the root is exact, yet converged still comes from |g| at one fused
+        # pass there (the exponential's is 0): a tolerance that no |g| meets
+        # reports no root
+        monkeypatch.setattr(estimator, "_TOL_GRADIENT", -1.0)
+        result = fit(weibull_censored, family)
+        assert not result.converged and result.message == "profile: no root at tol -1"
+        assert 0.0 <= result.eqn_residual < 1e-12 and np.isnan(result.sigma_hat).all()
+
+    @given(
+        family=st.sampled_from([EXPONENTIAL, WEIBULL]),
+        contaminated=st.booleans(),
+        log_c=st.floats(math.log(1e-4), math.log(1e4)),
+    )
+    @example(family=WEIBULL, contaminated=True, log_c=math.log(1e-4))
+    @example(family=WEIBULL, contaminated=False, log_c=math.log(1e4))
+    def test_unit_equivariance(self, family, contaminated, log_c):
+        # z -> c z: the scale follows c, the shape stays, and so does converged
+        sample, c = jacobian_sample(contaminated), math.exp(log_c)
+        base = fit(sample, family)
+        scaled = fit(CensoredSample(sample.z * c, sample.delta), family)
+        assert scaled.converged == base.converged
+        np.testing.assert_allclose(scaled.theta_hat, base.theta_hat * [c, 1.0][: family.dim], rtol=1e-12, atol=0)
 
 
 class TestFit:

@@ -22,7 +22,6 @@ from robustsurv import (
     fit_grid,
     lambda_model,
     noncentral_chi2_sf,
-    noncentral_weights,
     power_approx,
     simulate,
     two_sample_contiguous,
@@ -31,9 +30,16 @@ from robustsurv import (
 )
 from robustsurv import hypothesis as hypothesis_module
 from robustsurv import two_sample_wald
-from robustsurv.hypothesis import _poisson_mixture, chi2_quantile, chi2_sf
+from robustsurv.hypothesis import _chi2_tails, _poisson_mixture, _upper_gamma, chi2_quantile, chi2_sf
 from robustsurv.twosample import _stacked_sigma
 from small_algebra_oracle import reference_wald_form
+
+
+def mixture_weights(s):
+    """The Poisson(s/2) weights that the noncentral series keeps, as an
+    array from v = 0 with zeros below the first kept term."""
+    first, weights, _ = _poisson_mixture(s, lambda first: itertools.repeat(1.0))
+    return np.concatenate((np.zeros(first), weights))
 
 
 @pytest.fixture(scope="module")
@@ -405,7 +411,7 @@ class TestChiSquareAgainstScipy:
         # the oracle mixture runs to 400 terms, far past any truncation, so
         # it also checks where the series stops on a small tail
         weights = stats.poisson.pmf(np.arange(400), 0.5 * ncp)
-        kept = noncentral_weights(ncp)
+        kept = mixture_weights(ncp)
         np.testing.assert_allclose(kept, weights[:kept.size], rtol=1e-13, atol=0)
         dfs = df + 2.0 * np.arange(weights.size)
         for q in (0.01, 1.0, chi2_quantile(df, 0.05), 25.0, 120.0):
@@ -423,7 +429,7 @@ class TestChiSquareAgainstScipy:
         # e^(-ncp/2) underflows from ncp = 1490 on; the weights come down from
         # the Poisson mode instead.  scipy's pmf is itself good to about 1e-11
         # relative there (xlogy - gammaln - mu at k ~ ncp/2)
-        kept = noncentral_weights(ncp)
+        kept = mixture_weights(ncp)
         weights = stats.poisson.pmf(np.arange(kept.size), 0.5 * ncp)
         np.testing.assert_allclose(kept, weights, rtol=2e-11, atol=1e-300)
         assert math.fsum(kept) == pytest.approx(1.0, abs=1e-14)
@@ -438,7 +444,7 @@ class TestChiSquareAgainstScipy:
         # there (counted from v = 0, the sum stopped short: at s/2 = 99 000 it
         # kept 0.9992 of the mass, at 1e5 half, at 1.25e5 none).  scipy's pmf
         # is itself good to about 1e-9 relative at k ~ 1e5
-        kept = noncentral_weights(ncp)
+        kept = mixture_weights(ncp)
         first = int(np.flatnonzero(kept)[0])
         assert first == int(0.5 * ncp) - math.ceil(10.0 * math.sqrt(0.5 * ncp))
         weights = stats.poisson.pmf(np.arange(kept.size), 0.5 * ncp)
@@ -450,18 +456,47 @@ class TestChiSquareAgainstScipy:
         assert noncentral_chi2_sf(10.0, 2, ncp) == pytest.approx(1.0, abs=1e-14)
 
     def test_noncentrality_within_the_window_the_cap_holds(self):
-        # the cap holds the 20 sqrt(s/2) terms from 10 sqrt(s/2) below the
-        # mode up to s = 5e7: there the kept weights still sum to 1 short of
-        # the cap, and beyond it (or at inf or NaN) the mixture raises rather
-        # than cut the sum short
-        first, weights, _ = _poisson_mixture(5e7, itertools.repeat(1.0))
-        assert first == 25_000_000 - 50_000 and len(weights) < 100_000
-        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
-        for ncp in (math.nextafter(5e7, math.inf), 1e9, math.inf, math.nan, -1.0):
-            with pytest.raises(ValueError, match=r"noncentrality must lie in \[0, 5e7\]"):
+        # the cap grows with the 20 sqrt(s/2) terms from 10 sqrt(s/2) below
+        # the mode, so past s = 5e7 the kept weights still sum to 1; only an
+        # infinite, NaN or negative noncentrality raises
+        for ncp in (5e7, math.nextafter(5e7, math.inf), 1e9):
+            starts = []
+            first, weights, _ = _poisson_mixture(ncp, lambda first: starts.append(first) or itertools.repeat(1.0))
+            half = 0.5 * ncp
+            assert starts == [first] == [int(half) - math.ceil(10.0 * math.sqrt(half))]
+            assert len(weights) < 20.0 * math.sqrt(half)
+            assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
+        for ncp in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="noncentrality must be finite and nonnegative"):
                 noncentral_chi2_sf(10.0, 2, ncp)
-            with pytest.raises(ValueError, match=r"noncentrality must lie in \[0, 5e7\]"):
-                noncentral_weights(ncp)
+
+    @pytest.mark.parametrize("ncp, df", [(2e5, 1), (2e6, 5), (5e7, 2), (1e8, 1), (1e9, 2)])
+    def test_noncentral_tail_far_past_the_term_cap(self, ncp, df):
+        # past the window switch the tails start at Q(df/2 + v0, q/2) from
+        # one incomplete gamma; q at the mean and 2 SD either side of it
+        sd = math.sqrt(2.0 * (df + 2.0 * ncp))
+        for q in (df + ncp - 2.0 * sd, df + ncp, df + ncp + 2.0 * sd):
+            assert noncentral_chi2_sf(q, df, ncp) == pytest.approx(stats.ncx2.sf(q, df, ncp), rel=1e-11, abs=0)
+        assert noncentral_chi2_sf(3.84, df, ncp) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("df", [1, 2, 7])
+    @pytest.mark.parametrize("first", [96_000, 1_234_567, 500_000_000])
+    def test_tails_start_at_their_first_term(self, df, first):
+        # Q(df/2 + k, q/2) for k = first, first + 1, ... against scipy, over
+        # q/2 from far below to past a = df/2 + first, where Q underflows
+        a = 0.5 * df + first
+        for ratio in (1e-3, 0.99, 1.0, 1.0 + 1.0 / math.sqrt(a), 1.01):
+            x = ratio * a
+            tails = [tail for tail, _ in itertools.islice(_chi2_tails(df, 2.0 * x, first), 4)]
+            expected = special.gammaincc(a + np.arange(4), x)
+            np.testing.assert_allclose(tails, expected, rtol=1e-11, atol=1e-300)
+
+    @pytest.mark.parametrize("a", [700.0, 700.5, 9.7e4, 3e6 + 0.5, 5e8])
+    def test_upper_gamma(self, a):
+        # both branches (P's series below x = a + 1, the sum down from a above);
+        # k SD from a, Q's relative condition in x is about k^2 eps
+        for x in (1e-6 * a, 0.5 * a, 2.0 * a, a + 1.0, *(a + k * math.sqrt(a) for k in (-20, -3, -1, 0, 1, 3, 20))):
+            assert _upper_gamma(a, x) == pytest.approx(special.gammaincc(a, x), rel=1e-11, abs=1e-300)
 
     @pytest.mark.parametrize("q, df, ncp", [(1.0, 2, 200.0), (5.0, 2, 1300.0), (5.0, 2, 3000.0), (10.0, 2, 1.9e5)])
     def test_noncentral_tail_is_a_probability(self, q, df, ncp):
@@ -473,9 +508,9 @@ class TestChiSquareAgainstScipy:
         # term by term
         for ncp in (0.0, 0.066, 0.5, 1.99, 60.0, 1399.0):
             expected = [math.exp(-0.5 * ncp)]
-            for v in range(noncentral_weights(ncp).size - 1):
+            for v in range(mixture_weights(ncp).size - 1):
                 expected.append(expected[-1] * (0.5 * ncp) / (v + 1))
-            assert noncentral_weights(ncp).tolist() == expected
+            assert mixture_weights(ncp).tolist() == expected
 
     @pytest.mark.parametrize("df", range(1, 5))
     def test_quantile(self, df):

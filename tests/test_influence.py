@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -19,10 +21,10 @@ from robustsurv import (
     lif,
     mdpde_psi,
     noncentral_chi2_sf,
-    noncentral_weights,
     pif,
     sigma_model,
 )
+from robustsurv.hypothesis import _poisson_mixture
 
 
 def exp_if_paper(t, theta0, alpha):
@@ -147,14 +149,22 @@ class TestIf2Wald:
             if2_wald(EXPONENTIAL, [2.0], 0.5, LinearRestriction.simple((1.0,)), 1.0)
 
 
+def poisson_weights(s):
+    """The Poisson(s/2) weights that the noncentral series keeps, from v = 0
+    (below the mixture's window switch)."""
+    first, weights, _ = _poisson_mixture(s, lambda first: itertools.repeat(1.0))
+    assert first == 0
+    return np.array(weights)
+
+
 class TestNoncentralSeries:
     def test_degenerate_weights(self):
-        weights = noncentral_weights(0.0)
+        weights = poisson_weights(0.0)
         assert weights[0] == 1.0 and weights.sum() == 1.0
 
     @pytest.mark.parametrize("s", [0.5, 5.0, 50.0])
     def test_weights_normalize(self, s):
-        assert noncentral_weights(s).sum() == pytest.approx(1.0, abs=1e-12)
+        assert poisson_weights(s).sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("df,ncp", [(1, 5.0), (2, 0.7), (4, 12.0)])
     def test_series_matches_quadrature(self, df, ncp):
@@ -167,7 +177,7 @@ class TestNoncentralSeries:
 
     def test_negative_ncp_rejected(self):
         with pytest.raises(ValueError):
-            noncentral_weights(-1.0)
+            poisson_weights(-1.0)
 
     @pytest.mark.parametrize("s", [0.3, 2.0, 9.0])
     def test_kstar_equals_printed_series(self, s):
@@ -190,7 +200,7 @@ class TestNoncentralSeries:
         # each difference of adjacent tails is 2 chi2_{p+2u+2} density at c;
         # at large s the subtraction of nearly equal tails lost whole digits
         level = 0.05
-        weights = noncentral_weights(s)
+        weights = poisson_weights(s)
         densities = stats.chi2.pdf(special.chdtri(p, level), p + 2.0 + 2.0 * np.arange(weights.size))
         assert kstar(s, p, level) == pytest.approx(2.0 * float(weights @ densities), rel=1e-12, abs=0)
 

@@ -23,7 +23,7 @@ from robustsurv import (
     simulate,
     u_hat,
 )
-from robustsurv.estimator import _newton, _Point
+from robustsurv.estimator import _Point, _trajectory
 from robustsurv.hypothesis import _wald_form
 from robustsurv.varest import _small_cond, _small_congruence, _small_inverse
 from small_algebra_oracle import reference_congruence, reference_sigma
@@ -321,7 +321,7 @@ class TestSmallMatrixHelper:
         rtol = max(1e-9, 8 * np.finfo(float).eps * np.linalg.cond(mat))
         g = (-(mat @ np.array(step))).tolist()
         probe = NewtonProbe(g, mat.tolist())
-        _newton(probe, probe.point((0.0, 0.0)), 0.0, 1)
+        _trajectory(probe, probe.point((0.0, 0.0)), 0.0, 1, False)
         expected = np.linalg.solve(mat, -np.array(g))
         np.testing.assert_allclose(probe.tried[1], expected, rtol=0, atol=rtol * np.abs(expected).max())
 
