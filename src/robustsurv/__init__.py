@@ -36,7 +36,6 @@ from .influence import (
     if_curve,
     if_estimator,
     kstar,
-    lif,
     pif,
     sigma_model,
 )
@@ -71,11 +70,9 @@ from .twosample import (
 )
 from .varest import (
     CovarianceEstimate,
-    GammaTables,
     SingularSensitivityError,
     c_hat,
     covariance_estimate,
-    gamma_tables,
     sigma_hat,
     u_hat,
 )

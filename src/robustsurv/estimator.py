@@ -37,8 +37,8 @@ support, fitted by centred least squares in closed form (_hazard_start).
 At a root one closed-form call gives the sandwich's Lambda (kmat) and
 psi's jvec, and psi is evaluated once on the sample's sorted times, through
 varest.covariance_estimate, inside the solve's quiet floating-point state;
-z[0] > 0 is the whole check of the points, and psi checks its own values,
-which the explicit _finite_psi=True tells covariance_estimate.
+z[0] > 0 is the whole check of the points, and u_hat checks psi's values
+there, the one finiteness check on the path.
 
 Residual Newton runs first: it solves J_eta step = -g and accepts a step
 that lowers |g|.  When it gives no root, descent Newton on H runs from the
@@ -547,7 +547,7 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
         theta_hat = np.exp(end.eta)
         if ok:  # a converged theta_hat is finite and positive
             lam, psi = _sample_psi(family, theta_hat, alpha)
-            cov = varest.covariance_estimate(sample, psi, theta_hat, lam, _finite_psi=True)
+            cov = varest.covariance_estimate(sample, psi, theta_hat, lam)
     if not ok:  # no sandwich away from a root, where Lambda need not even exist
         nan = np.full((family.dim, family.dim), np.nan)
         cov = varest.CovarianceEstimate(nan, nan.copy(), nan.copy(), np.inf)

@@ -85,7 +85,7 @@ def _chi2_tails(df: int, q: float, first: int = 0):
 
 def _tail_recurrence(df: int, x: float, first: int):
     """The generator behind :func:`_chi2_tails`, for 0 < x < inf; for first
-    > 0 (so a > 9e4) the steps take :func:`_log_poisson`'s form."""
+    > 0 (so a > 700) the steps take :func:`_log_poisson`'s form."""
     if first:
         a, tail, k = 0.5 * df + first, _upper_gamma(0.5 * df + first, x), 0
     else:  # k < 0: the steps up to Q(df/2, x)
@@ -155,15 +155,17 @@ def _poisson_mixture(s: float, terms) -> tuple[int, list, list]:
     most w_{v+1} / (1 - r).  The weights run up from w_0 = e^(-s/2) by
     w_{v+1} = w_v (s/2)/(v + 1); from s/2 = 700 on, those up to the mode m =
     floor(s/2) come down from w_m (:func:`_log_poisson`) by w_{v-1} = w_v v
-    / (s/2), and the sum stops before m + 9 sqrt(s/2), so v0 is 0 while m +
-    10 sqrt(s/2) is within _MIXTURE_TERMS and m - 10 sqrt(s/2) beyond (a
-    Poisson mass below 1e-22 lies below it): O(sqrt(s)) work for every
-    finite s >= 0; any other s raises ValueError."""
+    / (s/2), and the sum stops before m + 9 sqrt(s/2).  v0 is m - 10
+    sqrt(s/2) (a Poisson mass below 1e-22 lies below it) wherever that is at
+    least 700, where the first term's :func:`_upper_gamma` and the Stirling
+    steps hold, so no tail is taken up through the terms below v0; else v0
+    is 0: O(sqrt(s)) work for every finite s >= 0; any other s raises
+    ValueError."""
     if not 0.0 <= s < math.inf:
         raise ValueError(f"noncentrality must be finite and nonnegative, got {s!r}")
     half = 0.5 * s
     mode, reach = (int(half) if half >= 700.0 else 0), math.ceil(10.0 * math.sqrt(half))
-    first = mode - reach if mode + reach > _MIXTURE_TERMS else 0
+    first = mode - reach if mode - reach >= 700 else 0
     head = [math.exp(_log_poisson(mode, half)) if mode else math.exp(-half)]
     for v in range(mode, first, -1):
         head.append(head[-1] * v / half)

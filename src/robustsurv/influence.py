@@ -39,7 +39,6 @@ __all__ = [
     "kstar",
     "contaminated_contiguous_power",
     "pif",
-    "lif",
     "if2_two_sample",
 ]
 
@@ -198,7 +197,7 @@ def pif(
     S0 = d^T M (M^T Sigma M)^{-1} M^T.
 
     d = 0 is the level case: the LIF, identically zero for bounded
-    estimating functions (see :func:`lif`)."""
+    estimating functions."""
     d = np.asarray(d, dtype=float)
     jac, inverse = _null_inverse(family, theta0, alpha, restriction, sigma)
     s0 = (inverse @ (jac.T @ d)) @ jac.T  # row vector d^T M (M^T Sigma M)^{-1} M^T
@@ -206,14 +205,6 @@ def pif(
     iv = np.atleast_2d(if_estimator(family, theta0, alpha, t))
     values = kstar(s, restriction.r, level) * (iv @ s0)
     return float(values[0]) if np.ndim(t) == 0 else values
-
-
-def lif(family: ParametricFamily, theta0, alpha: float, restriction, t, level: float = 0.05) -> float:
-    """Level influence function; identically zero whenever the estimator IF is
-    finite at t (all alpha for point contamination)."""
-    chi2_quantile(restriction.r, level)
-    if_estimator(family, theta0, alpha, t)  # surfaces domain errors
-    return 0.0
 
 
 def if2_two_sample(

@@ -433,7 +433,7 @@ def mdpde_psi(family: ParametricFamily, theta, alpha: float, x) -> np.ndarray:
     yields shape (p,), array x yields (len(x), p).  alpha, theta and x are
     validated here, then :func:`_psi`, which the fit's sandwich shares,
     evaluates.  A non-finite result (overflow at an extreme theta) raises
-    ValueError, as the closed forms do.
+    ValueError, as the closed forms do; the check is this function's own.
     """
     validate_alpha(alpha)
     scalar = np.ndim(x) == 0
@@ -442,6 +442,8 @@ def mdpde_psi(family: ParametricFamily, theta, alpha: float, x) -> np.ndarray:
     jvec = family._float_integrals(theta, alpha, False)[1] if alpha else None
     with np.errstate(all="ignore"):
         out = _psi(family, theta, alpha, x, jvec)
+    if not np.isfinite(out).all():
+        raise ValueError(f"mdpde_psi is not finite at theta={theta.tolist()}")
     return out[0] if scalar else out
 
 
@@ -450,7 +452,7 @@ def _sample_psi(family: ParametricFamily, theta: np.ndarray, alpha: float):
     array, from one closed-form call: psi(z, theta) = mdpde_psi(family,
     theta, alpha, z) with that call's jvec.  z is a CensoredSample's sorted,
     finite, nonnegative z, so z[0] > 0 is the whole check of the points (the
-    same ValueError), and _psi checks the values."""
+    same ValueError); varest.u_hat checks the values."""
     lam, jvec = _lambda_jvec(family, theta, alpha)
 
     def psi(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -464,8 +466,10 @@ def _sample_psi(family: ParametricFamily, theta: np.ndarray, alpha: float):
 def _psi(family: ParametricFamily, theta: np.ndarray, alpha: float, x: np.ndarray, jvec) -> np.ndarray:
     """The one evaluation of psi, at validated theta, alpha and x and with
     the closed-form jvec there: u, and log f where alpha > 0, from one pass
-    over x, psi formed in place in their arrays; ValueError where a value is
-    not finite.  The caller sets a quiet floating-point state."""
+    over x, psi formed in place in their arrays.  The values are not
+    checked here: each caller checks them once (mdpde_psi itself, the fit's
+    sandwich in varest.u_hat).  The caller sets a quiet floating-point
+    state."""
     logf, out = family._pointwise(theta, x, 2 if alpha else 1)
     if alpha == 0.0:
         np.negative(out, out=out)
@@ -473,8 +477,6 @@ def _psi(family: ParametricFamily, theta: np.ndarray, alpha: float, x: np.ndarra
         logf *= alpha
         out *= np.exp(logf, out=logf)[:, None]
         np.subtract(jvec, out, out=out)
-    if not np.isfinite(out).all():
-        raise ValueError(f"mdpde_psi is not finite at theta={theta.tolist()}")
     return out
 
 

@@ -2,20 +2,31 @@
 
 The asymptotic covariance of sqrt(n)(theta_hat - theta0) is
 Lambda^{-1} C Lambda^{-1}.  C depends on the unknown censoring law only
-through the distribution of (Z, delta), so it can be estimated by plugging
-the empirical sub-distribution functions into the gamma functionals.  At the
-ordered observations those plug-ins collapse to explicit order-statistic sums
-(gamma0/gamma below, prefix/suffix accumulations for the phi-weighted ones),
-which makes the whole estimate O(n log n): one sort plus linear passes.
-gamma0 and gamma depend on the sample alone, so they are built once per
-sample and shared by every fit, alpha and psi on it, with the (n, 1)
-coefficient columns delta gamma0, gamma and (1 - delta)/(n - i + 1) - gamma/n;
-each psi takes one suffix and one prefix accumulation, and U_hat is a linear
-combination of them.  The sandwich is p x p with p <= 2, assembled on Python
-floats: Lambda^{-1} by :func:`_small_inverse` (shared with the influence
-functions) and Lambda^{-1} C Lambda^{-T} by the straight-line congruence
-that the Wald forms share.  u_hat checks the shape of psi's values and,
-unless the call says (``_finite_psi``) that they are finite, their finiteness.
+through the distribution of (Z, delta), so it is estimated by the average
+outer product of Stute's (1995, Ann. Statist. 23:422) transformation
+
+    U_hat = phi(Z) gamma0(Z) delta + gamma1(Z; phi)(1 - delta) - gamma2(Z; phi),
+
+with the empirical sub-distribution functions plugged into the gamma
+functionals.  At the ordered observations (1-based i, j) those plug-ins are
+
+    gamma0(Z_(i)) = exp(sum_{j<i} (1 - delta_j)/(n - j)),
+    gamma(Z_(i)) = sum_{j<i} n (1 - delta_j)/(n - j)^2,
+    gamma1(Z_(i)) = sum_{j>i} delta_j phi(Z_j) gamma0(Z_j) / (n - i + 1),
+    gamma2(Z_(i)) = (1/n) sum_j delta_j phi(Z_j) gamma0(Z_j) gamma(Z_(min(i,j))),
+
+empty sums being 0.  With events = delta phi gamma0, gamma1 is a suffix sum
+over later events and gamma2 a prefix sum of events gamma plus gamma times
+that suffix, so U_hat = events + coef suffix - prefix/n with the coefficient
+coef = (1 - delta)/(n - i + 1) - gamma/n.  The whole estimate is O(n log n):
+one sort plus linear passes.  delta gamma0, gamma and coef depend on the
+sample alone, so they are built once per sample as read-only (n, 1) columns
+and shared by every fit, alpha and psi on it; each psi takes one suffix and
+one prefix accumulation.  The sandwich is p x p with p <= 2, assembled on
+Python floats: Lambda^{-1} by :func:`_small_inverse` (shared with the
+influence functions) and Lambda^{-1} C Lambda^{-T} by the straight-line
+congruence that the Wald forms share.  u_hat checks the shape and the
+finiteness of psi's values on every call.
 
 All accumulations follow the canonical ordering (events precede censorings at
 ties); that ordering is the only point where the tie rule touches numerics.
@@ -33,10 +44,8 @@ import numpy as np
 from .data import CensoredSample
 
 __all__ = [
-    "GammaTables",
     "CovarianceEstimate",
     "SingularSensitivityError",
-    "gamma_tables",
     "u_hat",
     "c_hat",
     "sigma_hat",
@@ -48,71 +57,14 @@ class SingularSensitivityError(np.linalg.LinAlgError):
     """Lambda is numerically singular (assumption failure): cond above 1e12."""
 
 
-@dataclass(frozen=True)
-class GammaTables:
-    """gamma-hat quantities evaluated at the ordered observations.
-
-    gamma0 and gamma are plain read-only arrays, the others the read-only
-    (n, 1) columns of the module docstring; the phi-weighted gamma1/gamma2
-    are computed on demand from phi evaluated at the ordered observations,
-    one column per psi component when phi is (n, p).
-    """
-
-    z: np.ndarray
-    delta: np.ndarray
-    gamma0: np.ndarray
-    gamma: np.ndarray
-    event_gamma0: np.ndarray
-    gamma_column: np.ndarray  # gamma[:, None]
-    u_coef: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.z.size)
-
-    def _phi_values(self, phi) -> np.ndarray:
-        values = phi(self.z) if callable(phi) else np.asarray(phi, dtype=float)
-        if values.ndim not in (1, 2) or values.shape[0] != self.z.size:
-            raise ValueError("phi values must align with the ordered sample")
-        return values
-
-    def _sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(n, p) columns events = delta phi gamma0, suffix[i] = sum_{j > i}
-        events[j] and prefix[i] = sum_{j <= i} events[j] gamma(Z_j) (0-based
-        i), accumulated down axis 0: every column gets the bits of its own pass."""
-        events = values.reshape(self.n, -1) * self.event_gamma0
-        suffix = np.empty_like(events)
-        suffix[-1] = 0.0
-        np.add.accumulate(events[:0:-1], axis=0, out=suffix[-2::-1])
-        return events, suffix, np.add.accumulate(events * self.gamma_column, axis=0)
-
-    def gamma1(self, phi) -> np.ndarray:
-        """gamma1_hat(Z_(i); phi) = sum_{j>i} delta_j phi(Z_j) gamma0(Z_j) / (n - i + 1),
-        a suffix sum over later events scaled by the number at risk."""
-        values = self._phi_values(phi)
-        return (self._sums(values)[1] / (self.n - np.arange(self.n))[:, None]).reshape(values.shape)
-
-    def gamma2(self, phi) -> np.ndarray:
-        """gamma2_hat(Z_(i); phi) = (1/n) sum_j delta_j phi(Z_j) gamma0(Z_j) gamma(Z_(min(i,j))),
-        evaluated as a prefix sum over j <= i plus gamma(Z_(i)) times a suffix sum."""
-        values = self._phi_values(phi)
-        _, suffix, prefix = self._sums(values)
-        return ((prefix + self.gamma_column * suffix) / self.n).reshape(values.shape)
+def _columns(sample: CensoredSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only (n, 1) columns (delta gamma0, gamma, coef) of the module
+    docstring; denominators never vanish because j runs to i - 1 <= n - 1.
+    Built on the first call for a sample, shared afterwards."""
+    return sample._memo("u_columns", _build_columns)
 
 
-def gamma_tables(sample: CensoredSample) -> GammaTables:
-    """Exact order-statistic forms of the gamma-hat plug-ins.
-
-    gamma0(Z_(i)) = exp(sum_{j<i} I(delta_j=0)/(n-j)) and
-    gamma(Z_(i)) = sum_{j<i} n I(delta_j=0)/(n-j)^2, with empty sums at i=1;
-    denominators never vanish because j runs to i-1 <= n-1.  They and the
-    coefficient columns depend on the sample alone: built on the first call
-    for a sample, shared read-only afterwards.
-    """
-    return sample._memo("gamma_tables", _gamma_tables)
-
-
-def _gamma_tables(sample: CensoredSample) -> GammaTables:
+def _build_columns(sample: CensoredSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = sample.n
     censored = (sample.delta == 0).astype(float)
     at_risk = n - np.arange(n, dtype=float)  # n - j + 1 at the j-th observation
@@ -121,46 +73,45 @@ def _gamma_tables(sample: CensoredSample) -> GammaTables:
     np.add.accumulate(head / later, out=gamma0[1:])
     np.exp(gamma0, out=gamma0)
     np.add.accumulate(n * head / later**2, out=gamma[1:])
-    event_gamma0 = ((1.0 - censored) * gamma0)[:, None]
-    u_coef = (censored / at_risk - gamma / n)[:, None]
-    for arr in (gamma0, gamma, event_gamma0, u_coef):
-        arr.setflags(write=False)
-    return GammaTables(sample.z, sample.delta, gamma0, gamma, event_gamma0, gamma[:, None], u_coef)
+    columns = ((1.0 - censored) * gamma0)[:, None], gamma[:, None], (censored / at_risk - gamma / n)[:, None]
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
 
-def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.ndarray], theta, *,
-          _finite_psi: bool = False) -> np.ndarray:
-    """Estimated transformation U_hat of each observation, one row per ordered
-    observation and one column per psi component:
+def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.ndarray], theta) -> np.ndarray:
+    """Estimated transformation U_hat of each observation (module docstring),
+    one row per ordered observation and one column per psi component.
 
-        U_hat = phi(Z) gamma0(Z) delta + gamma1(Z; phi)(1 - delta) - gamma2(Z; phi).
-
-    ``psi`` maps (x, theta) -> (len(x), p).  The population centering term of
-    U vanishes at the fitted parameter and is absent here, matching the
-    plug-in estimator.  All p columns are formed in one pass over the
-    sample's shared gamma tables.  ``_finite_psi`` is for fit alone, whose
-    psi raises on a non-finite value itself.
+    ``psi`` maps (x, theta) -> (len(x), p) or (len(x),); ValueError unless its
+    values align with the sample and are finite.  The population centering
+    term of U vanishes at the fitted parameter and is absent here, matching
+    the plug-in estimator.  All p columns are formed in one pass over the
+    sample's shared columns, each accumulated down axis 0 with the bits of a
+    pass over that column alone.
     """
-    tables = gamma_tables(sample)
+    event_gamma0, gamma, coef = _columns(sample)
     values = np.asarray(psi(sample.z, theta), dtype=float)
     if values.shape[0] != sample.n:
         raise ValueError("psi must return one row per ordered observation")
-    if not (_finite_psi or np.isfinite(values).all()):
+    if not np.isfinite(values).all():
         raise ValueError("psi evaluated to non-finite values on the sample")
-    # gamma1 (1 - delta) - gamma2 = u_coef suffix - prefix / n, formed in
-    # place in the fresh suffix and prefix columns
-    events, suffix, prefix = tables._sums(values)
-    suffix *= tables.u_coef
+    events = values.reshape(sample.n, -1) * event_gamma0
+    suffix = np.empty_like(events)  # suffix[i] = sum_{j > i} events[j], 0-based
+    suffix[-1] = 0.0
+    np.add.accumulate(events[:0:-1], axis=0, out=suffix[-2::-1])
+    prefix = np.add.accumulate(events * gamma, axis=0)
+    # U = events + coef suffix - prefix / n, formed in place in suffix
+    suffix *= coef
     suffix += events
     prefix /= sample.n
     suffix -= prefix
     return suffix
 
 
-def c_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.ndarray], theta, *,
-          _finite_psi: bool = False) -> np.ndarray:
+def c_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.ndarray], theta) -> np.ndarray:
     """Average outer product of the U_hat rows; symmetric PSD by construction."""
-    u = u_hat(sample, psi, theta, _finite_psi=_finite_psi)
+    u = u_hat(sample, psi, theta)
     return u.T @ u / sample.n
 
 
@@ -240,10 +191,8 @@ def covariance_estimate(
     psi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     theta,
     lambda_mat: np.ndarray,
-    *,
-    _finite_psi: bool = False,
 ) -> CovarianceEstimate:
     """Bundle (C_hat, Lambda, Sigma_hat, cond) for a fitted parameter."""
-    c_mat = c_hat(sample, psi, theta, _finite_psi=_finite_psi)
+    c_mat = c_hat(sample, psi, theta)
     sigma, cond = sigma_hat(lambda_mat, c_mat)
     return CovarianceEstimate(c_hat=c_mat, lambda_hat=np.asarray(lambda_mat, dtype=float), sigma_hat=sigma, lambda_cond=cond)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import re
 from dataclasses import replace
 
@@ -428,9 +429,13 @@ class TestChiSquareAgainstScipy:
     def test_large_noncentrality_does_not_underflow(self, ncp):
         # e^(-ncp/2) underflows from ncp = 1490 on; the weights come down from
         # the Poisson mode instead.  scipy's pmf is itself good to about 1e-11
-        # relative there (xlogy - gammaln - mu at k ~ ncp/2)
-        kept = mixture_weights(ncp)
-        weights = stats.poisson.pmf(np.arange(kept.size), 0.5 * ncp)
+        # relative there (xlogy - gammaln - mu at k ~ ncp/2).  From s/2 = 1020
+        # on the weights start 10 sqrt(s/2) below the mode (v0 = 1112 at
+        # 3000, 5386 at 12345.6), and the mass below v0 is under 1e-20
+        first, kept, _ = _poisson_mixture(ncp, lambda first: itertools.repeat(1.0))
+        assert first == (0 if ncp < 2040.0 else int(0.5 * ncp) - math.ceil(10.0 * math.sqrt(0.5 * ncp)))
+        assert stats.poisson.cdf(first - 1, 0.5 * ncp) < 1e-20
+        weights = stats.poisson.pmf(np.arange(first, first + len(kept)), 0.5 * ncp)
         np.testing.assert_allclose(kept, weights, rtol=2e-11, atol=1e-300)
         assert math.fsum(kept) == pytest.approx(1.0, abs=1e-14)
         assert noncentral_chi2_sf(5.0, 2, 3000.0) == pytest.approx(stats.ncx2.sf(5.0, 2, 3000.0), rel=1e-14)
@@ -500,8 +505,22 @@ class TestChiSquareAgainstScipy:
 
     @pytest.mark.parametrize("q, df, ncp", [(1.0, 2, 200.0), (5.0, 2, 1300.0), (5.0, 2, 3000.0), (10.0, 2, 1.9e5)])
     def test_noncentral_tail_is_a_probability(self, q, df, ncp):
-        # the kept weights' rounding summed these past 1 (by up to 1.3e-15)
-        assert noncentral_chi2_sf(q, df, ncp) == 1.0 == pytest.approx(stats.ncx2.sf(q, df, ncp), abs=1e-15)
+        # the kept weights' rounding sums 200, 1300 and 1.9e5 past 1 (by up to
+        # 2e-15), which the clamp turns into 1; at 3000 the window from v0 =
+        # 1112 sums to 1 - 1.1e-16, which the clamp leaves as it is
+        _, weights, tails = _poisson_mixture(ncp, lambda first: (tail for tail, _ in _chi2_tails(df, q, first)))
+        raw = math.fsum(map(operator.mul, weights, tails))
+        assert (raw > 1.0) == (ncp != 3000.0)
+        assert noncentral_chi2_sf(q, df, ncp) == min(raw, 1.0) == pytest.approx(stats.ncx2.sf(q, df, ncp), abs=1e-15)
+
+    def test_noncentral_tail_from_the_window_start(self):
+        # from s/2 = 1020 on the tails start at v0 = m - 10 sqrt(s/2) from one
+        # incomplete gamma: taken up from Q(df/2, q/2) through ~1e5 rounded
+        # steps instead, they would lose up to 8e-11 absolute here
+        for ncp in np.geomspace(2e3, 1.9e5, 13):
+            for df in (1, 2):
+                for q in (0.97 * ncp + 3.0, ncp, 1.03 * ncp + 10.0):
+                    assert noncentral_chi2_sf(q, df, ncp) == pytest.approx(stats.ncx2.sf(q, df, ncp), rel=0, abs=1e-12)
 
     def test_small_noncentrality_keeps_the_upward_recurrence(self):
         # below s/2 = 700: w_0 = e^(-s/2), then w_{v+1} = w_v (s/2) / (v + 1),

@@ -18,7 +18,6 @@ from robustsurv import (
     if_estimator,
     kstar,
     lambda_model,
-    lif,
     mdpde_psi,
     noncentral_chi2_sf,
     pif,
@@ -270,8 +269,8 @@ class TestPif:
 
     def test_zero_direction_is_level_case(self):
         restriction = LinearRestriction.simple((1.0,))
+        # the LIF is the PIF at d = 0, identically zero
         assert pif(EXPONENTIAL, [1.0], 0.5, restriction, np.zeros(1), 3.0) == 0.0
-        assert lif(EXPONENTIAL, [1.0], 0.5, restriction, 3.0) == 0.0
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("d", [0.0, 1.0])
@@ -282,7 +281,6 @@ class TestPif:
             lambda: contaminated_contiguous_power(
                 EXPONENTIAL, [1.0], 0.5, restriction, np.full(1, d), 0.1, 3.0, level),
             lambda: kstar(d, 1, level),
-            lambda: lif(EXPONENTIAL, [1.0], 0.5, restriction, 3.0, level),
         )
         for call in calls:
             with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -69,3 +70,25 @@ def test_package_surface_is_declared():
         module = importlib.import_module(f"robustsurv.{node.module}")
         undeclared = [a.name for a in node.names if a.name not in module.__all__]
         assert not undeclared, f"robustsurv re-exports {undeclared} outside {node.module}.__all__"
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    # no public function that only the tests use: each function in the
+    # robustsurv namespace is named in code (an ast.Name or ast.Attribute; a
+    # string or docstring does not count) in a package module other than
+    # __init__, in a demo or in the benchmark
+    package = Path(robustsurv.__file__).resolve().parent
+    root = package.parents[1]
+    assert (root / "demos").is_dir() and (root / "bench").is_dir()
+    files = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    files += [*(root / "demos").glob("*.py"), *(root / "bench").rglob("*.py")]
+    named = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    functions = {name for name, obj in vars(robustsurv).items() if inspect.isfunction(obj)}
+    assert functions
+    assert sorted(functions - named) == []

@@ -16,16 +16,17 @@ from robustsurv import (
     c_hat,
     covariance_estimate,
     fit,
-    gamma_tables,
+    fit_grid,
     lambda_model,
     mdpde_psi,
     sigma_hat,
     simulate,
     u_hat,
 )
+from robustsurv import model as model_module
 from robustsurv.estimator import _Point, _trajectory
 from robustsurv.hypothesis import _wald_form
-from robustsurv.varest import _small_cond, _small_congruence, _small_inverse
+from robustsurv.varest import _columns, _small_cond, _small_congruence, _small_inverse
 from small_algebra_oracle import reference_congruence, reference_sigma
 
 E = np.e
@@ -36,25 +37,22 @@ def psi_for(family, alpha):
 
 
 class TestGammaTables:
+    """The per-sample columns delta gamma0, gamma and (1 - delta)/(n - i + 1)
+    - gamma/n that u_hat combines with each psi."""
+
     def test_no_censoring_collapses(self):
         sample = CensoredSample.from_pairs([(1, 1), (2, 1), (5, 1)])
-        tables = gamma_tables(sample)
-        np.testing.assert_array_equal(tables.gamma0, 1.0)
-        np.testing.assert_array_equal(tables.gamma, 0.0)
-        np.testing.assert_array_equal(tables.gamma2(np.ones(3)), 0.0)
+        event_gamma0, gamma, coef = _columns(sample)
+        np.testing.assert_array_equal(event_gamma0, 1.0)
+        np.testing.assert_array_equal(gamma, 0.0)
+        np.testing.assert_array_equal(coef, 0.0)
 
     def test_hand_example(self, small_sample):
-        tables = gamma_tables(small_sample)
-        np.testing.assert_allclose(tables.gamma0, [1.0, 1.0, E])
-        np.testing.assert_allclose(tables.gamma, [0.0, 0.0, 3.0])
-        gamma1 = tables.gamma1(np.ones(3))
-        assert gamma1[1] == pytest.approx(E / 2)
-        # by the same accumulation: gamma1 at the first point averages both
-        # later events... only index 3 is an event after index 1
-        assert gamma1[0] == pytest.approx(E / 3)
-        assert gamma1[2] == 0.0
-        gamma2 = tables.gamma2(np.ones(3))
-        np.testing.assert_allclose(gamma2, [0.0, 0.0, E])
+        # delta = (1, 0, 1), gamma0 = (1, 1, e) and gamma = (0, 0, 3)
+        event_gamma0, gamma, coef = _columns(small_sample)
+        np.testing.assert_allclose(event_gamma0[:, 0], [1.0, 0.0, E])
+        np.testing.assert_allclose(gamma[:, 0], [0.0, 0.0, 3.0])
+        np.testing.assert_allclose(coef[:, 0], [0.0, 0.5, -1.0])
 
     @given(
         st.lists(
@@ -64,23 +62,22 @@ class TestGammaTables:
         )
     )
     def test_monotone_invariants(self, pairs):
-        tables = gamma_tables(CensoredSample.from_pairs(pairs))
-        assert np.all(tables.gamma0 >= 1.0)
-        assert np.all(np.diff(tables.gamma0) >= 0)
-        assert np.all(tables.gamma >= 0.0)
-        assert np.all(np.diff(tables.gamma) >= 0)
+        sample = CensoredSample.from_pairs(pairs)
+        event_gamma0, gamma, _ = _columns(sample)
+        events = sample.delta == 1
+        gamma0 = event_gamma0[events, 0]  # gamma0 at the events
+        assert np.all(gamma0 >= 1.0)
+        assert np.all(np.diff(gamma0) >= 0)
+        assert np.all(event_gamma0[~events] == 0.0)
+        assert np.all(gamma >= 0.0)
+        assert np.all(np.diff(gamma[:, 0]) >= 0)
 
     def test_one_read_only_table_per_sample(self, small_sample):
-        tables = gamma_tables(small_sample)
-        assert gamma_tables(small_sample) is tables
-        for arr in (tables.z, tables.delta, tables.gamma0, tables.gamma):
-            assert not arr.flags.writeable
-
-    def test_phi_callable_or_array(self, small_sample):
-        tables = gamma_tables(small_sample)
-        via_callable = tables.gamma1(lambda z: np.ones_like(z))
-        via_array = tables.gamma1(np.ones(3))
-        np.testing.assert_array_equal(via_callable, via_array)
+        columns = _columns(small_sample)
+        assert _columns(small_sample) is columns
+        for column in columns:
+            assert column.shape == (small_sample.n, 1)
+            assert not column.flags.writeable
 
 
 class TestUHat:
@@ -117,11 +114,33 @@ class TestUHat:
             np.testing.assert_array_equal(both[:, col], alone[:, 0])
 
     def test_nonfinite_psi_raises(self, small_sample):
-        # in every public entry; only fit's own call skips the check
+        # every entry checks psi's values, in u_hat
         theta, lam = np.array([1.0]), np.eye(1)
         for entry in (u_hat, c_hat, lambda *args: covariance_estimate(*args, lam)):
             with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
                 entry(small_sample, lambda x, th: np.log(x - 1.0)[:, None], theta)
+
+
+    def test_fit_checks_psi_once_in_u_hat(self, monkeypatch, veteran):
+        # model._psi returns what it computes, overflow included, so u_hat's
+        # check is the one on fit's path: a non-finite psi at the root raises
+        # there, and fit_grid records it as a failed alpha
+        real = model_module._psi
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(real(WEIBULL, np.array([1e-300, 2.0]), 0.5, np.array([1.0]), (0.0, 0.0))).all()
+
+        def overflowing(*args):
+            out = real(*args)
+            out[0] = np.inf
+            return out
+
+        monkeypatch.setattr(model_module, "_psi", overflowing)
+        sample = veteran["A"]
+        with pytest.raises(ValueError, match="psi evaluated to non-finite values on the sample"):
+            fit(sample, WEIBULL, FitConfig(alpha=0.5))
+        for result in fit_grid(sample, WEIBULL, [0.0, 0.5]):
+            assert not result.converged
+            assert result.message == "psi evaluated to non-finite values on the sample"
 
 
 class TestCHat:
@@ -154,13 +173,13 @@ class TestCHat:
 
 
 def direct_plug_in(z, delta, phi):
-    """O(n^2) double sums written from the varest docstrings, 1-based as printed.
+    """O(n^2) double sums written from the varest docstring, 1-based as printed.
 
     The observations are put in canonical order (ascending time, events before
     censorings at ties) by this function's own sort key, so the tie rule is
-    checked rather than inherited from CensoredSample.  Returns (gamma0, gamma,
-    gamma1, gamma2, U_hat, C_hat), the phi-weighted ones with one column per
-    psi component.
+    checked rather than inherited from CensoredSample.  Returns the columns
+    (delta gamma0, gamma, (1 - delta)/(n - i + 1) - gamma/n), U_hat from the
+    phi-weighted gamma1 and gamma2 (one column per psi component) and C_hat.
     """
     order = sorted(range(z.size), key=lambda k: (z[k], -delta[k]))
     d = delta[order].astype(float)
@@ -179,7 +198,8 @@ def direct_plug_in(z, delta, phi):
             gamma2[i - 1] += event_term * gamma[min(i, j) - 1] / n
     u = phi * (gamma0 * d)[:, None] + gamma1 * (1 - d)[:, None] - gamma2
     c = sum(np.outer(row, row) for row in u) / n
-    return gamma0, gamma, gamma1, gamma2, u, c
+    coef = [(1 - d[i - 1]) / (n - i + 1) - gamma[i - 1] / n for i in range(1, n + 1)]
+    return d * gamma0, gamma, np.array(coef), u, c
 
 
 class TestDirectDefinition:
@@ -198,18 +218,13 @@ class TestDirectDefinition:
         z, delta = sample.z[shuffle], sample.delta[shuffle]
         expected = direct_plug_in(z, delta, psi(z, theta))
 
-        tables = gamma_tables(sample)
-        phi = psi(sample.z, theta)
         got = (
-            tables.gamma0,
-            tables.gamma,
-            np.column_stack([tables.gamma1(col) for col in phi.T]),
-            np.column_stack([tables.gamma2(col) for col in phi.T]),
+            *(column[:, 0] for column in _columns(sample)),
             u_hat(sample, psi, theta),
             c_hat(sample, psi, theta),
         )
         for name, value, reference in zip(
-            ("gamma0", "gamma", "gamma1", "gamma2", "u_hat", "c_hat"), got, expected
+            ("delta gamma0", "gamma", "coef", "u_hat", "c_hat"), got, expected
         ):
             np.testing.assert_allclose(value, reference, rtol=1e-10, err_msg=name)
 
