@@ -9,12 +9,7 @@ scaled-down run sweeps sample sizes at three tuning constants.
 
 import os
 
-from robustsurv import (
-    ExperimentSpec,
-    FamilySpec,
-    SyntheticDesign,
-    run_variance_ratio,
-)
+from robustsurv import ExperimentSpec, FamilySpec, SyntheticDesign, run_experiment
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 
@@ -33,7 +28,7 @@ def main():
             alpha_grid=(0.0, 0.5, 1.0),
             kind="variance_ratio",
         )
-        report = run_variance_ratio(spec)
+        report = run_experiment(spec)
         print(f"\nn = {n}")
         for row in report.rows:
             print(f"  alpha={row['alpha']:3.1f} {row['parameter']:>5s}: "

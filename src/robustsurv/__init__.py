@@ -52,14 +52,7 @@ from .model import (
     lambda_model,
     mdpde_psi,
 )
-from .montecarlo import (
-    ExperimentReport,
-    ExperimentSpec,
-    run_experiment,
-    run_level_power,
-    run_mse,
-    run_variance_ratio,
-)
+from .montecarlo import ExperimentReport, ExperimentSpec, run_experiment, run_level_power
 from .twosample import (
     LinearTwoSampleRestriction,
     TwoSampleReport,

@@ -319,6 +319,9 @@ def _cmd_influence(args) -> int:
     if args.t_points < 1:
         raise ValueError("--t-points must be at least 1")
     chi2_quantile(1, args.level)  # refuses a bad --level with or without --hypothesis
+    for option, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{option} must be positive and finite, got {value!r}")
     grid = np.geomspace(args.t_min, args.t_max, args.t_points)
     explicit = args.alpha is not None or args.alpha_grid is not None
     alphas = _alpha_values(args) if explicit else (0.0, 0.5, 1.0)

@@ -35,10 +35,10 @@ allocates no row array.
 The default start is the log-log hazard line over the product-limit
 support, fitted by centred least squares in closed form (_hazard_start).
 At a root one closed-form call gives the sandwich's Lambda (kmat) and
-psi's jvec, and psi is evaluated once on the sample's sorted times, through
+psi's jvec, and psi is evaluated once at the sample's event times, through
 varest.covariance_estimate, inside the solve's quiet floating-point state;
-z[0] > 0 is the whole check of the points, and u_hat checks psi's values
-there, the one finiteness check on the path.
+the check of the weight points covers those times, and u_hat checks psi's
+values there, the one finiteness check on the path.
 
 Residual Newton runs first: it solves J_eta step = -g and accepts a step
 that lowers |g|.  When it gives no root, descent Newton on H runs from the

@@ -26,7 +26,7 @@ from .data import _csv_table
 from .hypothesis import (
     _chi2_tails, _poisson_mixture, _wald_form, _wald_inner, chi2_quantile, contiguous_power,
 )
-from .model import ParametricFamily, lambda_model, mdpde_psi
+from .model import ParametricFamily, _closed_forms, lambda_model, mdpde_psi, validate_alpha
 from .twosample import _stacked_sigma
 from .varest import _small_inverse, sigma_hat
 
@@ -50,10 +50,10 @@ def sigma_model(family: ParametricFamily, theta, alpha: float) -> np.ndarray:
     reduces to kmat(2 alpha) - jvec(alpha) jvec(alpha)^T; the sandwich is
     varest's :func:`~robustsurv.varest.sigma_hat`.
     """
-    lam = lambda_model(family, theta, alpha)
-    jvec = family.weighted_integrals(theta, alpha).jvec
-    c0 = family.weighted_integrals(theta, 2.0 * alpha).kmat - np.outer(jvec, jvec)
-    return sigma_hat(lam, c0)[0]
+    theta, alpha = family.validate(theta), validate_alpha(alpha)
+    _, jvec, lam = _closed_forms(family, theta, alpha)
+    c0 = np.array(_closed_forms(family, theta, 2.0 * alpha)[2]) - np.outer(jvec, jvec)
+    return sigma_hat(np.array(lam), c0)[0]
 
 
 def if_estimator(family: ParametricFamily, theta0, alpha: float, t) -> np.ndarray:
@@ -81,10 +81,6 @@ class IfCurve:
     t: np.ndarray
     values: np.ndarray  # (len(t), k)
     columns: tuple[str, ...]
-    kind: str
-    family_id: str
-    theta0: tuple[float, ...]
-    alpha: float
 
     def write_csv(self, path) -> None:
         values = np.atleast_2d(self.values.T).T.tolist()
@@ -99,10 +95,6 @@ def if_curve(family: ParametricFamily, theta0, alpha: float, t_grid) -> IfCurve:
         t=t_grid,
         values=np.atleast_2d(values.T).T,
         columns=tuple(f"if_{name}" for name in family.param_names),
-        kind="estimator",
-        family_id=family.family_id,
-        theta0=tuple(np.atleast_1d(np.asarray(theta0, dtype=float))),
-        alpha=alpha,
     )
 
 

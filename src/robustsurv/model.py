@@ -14,7 +14,11 @@ integrand into w^c (log w)^m e^{-(1+alpha) w} and hence into gamma /
 digamma / trigamma expressions, evaluated on Python floats in straight-line
 code.  The same integrals give the derivative of jvec in theta.  The closed
 forms are the only evaluation path; the tests check them against adaptive
-quadrature.
+quadrature.  Outside the solver, every result built on them (the public
+weighted_integrals, lambda_model and mdpde_psi, the fit's Lambda and psi,
+influence.sigma_model) takes them from one checked call,
+:func:`_closed_forms`, which raises one ValueError where they overflow or are
+not finite.
 
 The solver's fused pass gives the objective H, the estimating equation g =
 jvec - sum_i m_i u_i f_i^alpha and its exact Jacobian from one reduction,
@@ -131,7 +135,7 @@ class ParametricFamily:
         raise NotImplementedError
 
     def weighted_integrals(self, theta, alpha: float) -> WeightedIntegrals:
-        """Closed-form (xi, jvec, kmat)."""
+        """Closed-form (xi, jvec, kmat); ValueError where they are not finite."""
         raise NotImplementedError
 
     # The closed forms below take theta as a sequence of p scalars and do
@@ -139,19 +143,18 @@ class ParametricFamily:
     # public integrals pass Python floats (theta.tolist()), whose arithmetic
     # costs a fraction of numpy scalars' but raises ArithmeticError
     # (OverflowError, ZeroDivisionError) where numpy returns inf or NaN; the
-    # solver counts those as rejected trial points, and _float_integrals
-    # turns them into ValueError.
+    # solver counts those as rejected trial points, and _closed_forms turns
+    # them into ValueError.
     def _pointwise(self, theta, x: np.ndarray, order: int):
         """(log f, u) at x from one pass, for theta and x already validated,
         u of shape (..., p): log f alone at order 0, u alone at order 1 (the
         other None), both at order 2.  log f, score and psi call this."""
         raise NotImplementedError
 
-    def _integrals(self, theta, alpha: float, jacobian: bool):
+    def _integrals(self, theta, alpha: float):
         """(xi, jvec, kmat, djvec), matrices as tuples of rows, for an already
         validated theta, where djvec = d jvec / d theta = integral of grad u
-        f^(1+alpha) plus (1+alpha) kmat.  Without ``jacobian`` only xi and
-        jvec are formed (kmat and djvec are None), skipping the trigamma terms."""
+        f^(1+alpha) plus (1+alpha) kmat."""
         raise NotImplementedError
 
     def _prepare(self, x: np.ndarray):
@@ -166,18 +169,6 @@ class ParametricFamily:
         J by rows and s0 = sum_i m_i f_i^alpha, as Python floats for a
         Python-float theta."""
         raise NotImplementedError
-
-    def _float_integrals(self, theta: np.ndarray, alpha: float, jacobian: bool):
-        """_integrals on the floats of a validated theta; an ArithmeticError
-        there is raised as a ValueError chained to it."""
-        try:
-            return self._integrals(theta.tolist(), alpha, jacobian)
-        except ArithmeticError as exc:
-            raise ValueError(f"weighted integrals overflow at theta={theta.tolist()}") from exc
-
-    def _validated_integrals(self, theta, alpha: float) -> WeightedIntegrals:
-        xi, jvec, kmat, _ = self._float_integrals(self.validate(theta), validate_alpha(alpha), True)
-        return WeightedIntegrals(xi, np.array(jvec), np.array(kmat))
 
     def _checked(self, theta, x, order: int) -> np.ndarray:
         """log f (order 0) or u (order 1), for logpdf and score; ValueError, as
@@ -210,7 +201,8 @@ class Exponential(ParametricFamily):
         return rng.exponential(m, size)
 
     def weighted_integrals(self, theta, alpha):
-        return self._validated_integrals(theta, alpha)
+        xi, jvec, kmat = _closed_forms(self, self.validate(theta), validate_alpha(alpha))
+        return WeightedIntegrals(xi, np.array(jvec), np.array(kmat))
 
     def _pointwise(self, theta, x, order):
         (m,) = theta
@@ -218,13 +210,11 @@ class Exponential(ParametricFamily):
         u = ((x - m) / m**2)[..., None] if order >= 1 else None
         return logf, u
 
-    def _integrals(self, theta, alpha, jacobian):
+    def _integrals(self, theta, alpha):
         (m,) = theta
         beta = 1.0 + alpha
         xi = m**-alpha / beta
         jvec = (-alpha * m ** -(alpha + 1.0) / beta**2,)
-        if not jacobian:
-            return xi, jvec, None, None
         k = (1.0 + alpha**2) * beta**-3 * m ** -(alpha + 2.0)
         # integral of grad u f^(1+alpha), grad u = (m - 2x) / m^3
         h = (alpha - 1.0) * m ** -(alpha + 2.0) / beta**2
@@ -242,7 +232,7 @@ class Exponential(ParametricFamily):
             # f^alpha = m^-alpha e^(-alpha x / m)
             v = mass * np.exp((-alpha / m) * rows[1])
             pref = m**-alpha
-            xi, (j,), _, ((dj,),) = self._integrals(theta, alpha, True)
+            xi, (j,), _, ((dj,),) = self._integrals(theta, alpha)
         s0, s1, s2 = (pref * s for s in (rows @ v).tolist())
         if alpha == 0.0:
             h = math.log(m) * s0 + s1 / m  # -log f = log m + x / m
@@ -270,7 +260,8 @@ class Weibull(ParametricFamily):
         return sigma * rng.weibull(b, size)
 
     def weighted_integrals(self, theta, alpha):
-        return self._validated_integrals(theta, alpha)
+        xi, jvec, kmat = _closed_forms(self, self.validate(theta), validate_alpha(alpha))
+        return WeightedIntegrals(xi, np.array(jvec), np.array(kmat))
 
     def _pointwise(self, theta, x, order):
         sigma, b = theta
@@ -284,7 +275,7 @@ class Weibull(ParametricFamily):
         u[..., 1] = 1.0 / b + logx * (1.0 - w)
         return logf, u
 
-    def _integrals(self, theta, alpha, jacobian):
+    def _integrals(self, theta, alpha):
         sigma, b = theta
         beta = 1.0 + alpha
         kappa = alpha * (b - 1.0) / b
@@ -318,9 +309,6 @@ class Weibull(ParametricFamily):
         xi = pref * i00
         i01_00 = i01 - i00
         jvec = (pref * r * i01_00, pref / b * (i00 + i10 - i11))
-        if not jacobian:
-            return xi, jvec, None, None
-
         i20, i21, i22 = i00 * (d0 * d0 + t0), i01 * (d1 * d1 + t1), i02 * (d2 * d2 + t2)
         k_ss = pref * r**2 * (i02 - 2.0 * i01 + i00)
         pref_s = pref / sigma
@@ -354,7 +342,7 @@ class Weibull(ParametricFamily):
             # f^alpha = (b / sigma)^alpha e^(alpha ((b - 1) t - w))
             v = mass * np.exp(alpha * ((b - 1.0) * t - w))
             pref = (b / sigma) ** alpha
-            xi, (j_s, j_b), _, ((d_ss, d_sb), (_, d_bb)) = self._integrals(theta, alpha, True)
+            xi, (j_s, j_b), _, ((d_ss, d_sb), (_, d_bb)) = self._integrals(theta, alpha)
         np.subtract(w, 1.0, out=wm1)
         np.multiply(t, w, out=tw)
         np.multiply(t, wm1, out=twm1)
@@ -426,20 +414,36 @@ class FamilySpec:
 # -- module-level operations ----------------------------------------------
 
 
+def _closed_forms(family: ParametricFamily, theta: np.ndarray, alpha: float) -> tuple:
+    """(xi, jvec, kmat), as floats and tuples of rows, at a validated theta
+    array and alpha from one closed-form call: the one path from the
+    integrals to the public results.  An ArithmeticError there, or a
+    non-finite xi, jvec or kmat, raises one ValueError."""
+    try:
+        xi, jvec, kmat, _ = family._integrals(theta.tolist(), alpha)
+        finite = all(map(math.isfinite, (xi, *jvec, *(v for row in kmat for v in row))))
+    except ArithmeticError:
+        finite = False
+    if not finite:
+        raise ValueError(f"weighted integrals are not finite at theta={theta.tolist()}")
+    return xi, jvec, kmat
+
+
 def mdpde_psi(family: ParametricFamily, theta, alpha: float, x) -> np.ndarray:
     """Divergence estimating function jvec(theta) - u(x) f(x)^alpha.
 
     Bounded in x for alpha > 0; reduces to -u(x) at alpha = 0.  Scalar x
     yields shape (p,), array x yields (len(x), p).  alpha, theta and x are
     validated here, then :func:`_psi`, which the fit's sandwich shares,
-    evaluates.  A non-finite result (overflow at an extreme theta) raises
-    ValueError, as the closed forms do; the check is this function's own.
+    evaluates.  The closed forms raise ValueError where they are not finite
+    (alpha > 0; jvec vanishes at alpha = 0), and so does a non-finite
+    result (overflow at an extreme theta); that check is this function's own.
     """
-    validate_alpha(alpha)
+    alpha = validate_alpha(alpha)
     scalar = np.ndim(x) == 0
     theta = family.validate(theta)
     x = family._check_x(np.atleast_1d(np.asarray(x, dtype=float)))
-    jvec = family._float_integrals(theta, alpha, False)[1] if alpha else None
+    jvec = _closed_forms(family, theta, alpha)[1] if alpha else None
     with np.errstate(all="ignore"):
         out = _psi(family, theta, alpha, x, jvec)
     if not np.isfinite(out).all():
@@ -449,18 +453,12 @@ def mdpde_psi(family: ParametricFamily, theta, alpha: float, x) -> np.ndarray:
 
 def _sample_psi(family: ParametricFamily, theta: np.ndarray, alpha: float):
     """(Lambda, psi) of a fit's sandwich at its converged theta, a validated
-    array, from one closed-form call: psi(z, theta) = mdpde_psi(family,
-    theta, alpha, z) with that call's jvec.  z is a CensoredSample's sorted,
-    finite, nonnegative z, so z[0] > 0 is the whole check of the points (the
-    same ValueError); varest.u_hat checks the values."""
-    lam, jvec = _lambda_jvec(family, theta, alpha)
-
-    def psi(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        if not z[0] > 0.0:
-            raise ValueError(_X_DOMAIN)
-        return _psi(family, theta, alpha, z, jvec)
-
-    return lam, psi
+    array, from one closed-form call: psi(x, theta) = mdpde_psi(family,
+    theta, alpha, x) with that call's jvec.  varest.u_hat evaluates it at
+    the sample's event times only, which the fit's check of its weight
+    points already found positive, and checks its values."""
+    _, jvec, lam = _closed_forms(family, theta, alpha)
+    return np.array(lam), lambda x, theta: _psi(family, theta, alpha, x, jvec)
 
 
 def _psi(family: ParametricFamily, theta: np.ndarray, alpha: float, x: np.ndarray, jvec) -> np.ndarray:
@@ -485,19 +483,7 @@ def lambda_model(family: ParametricFamily, theta, alpha: float) -> np.ndarray:
 
     Differentiating psi_alpha under the model integral collapses to the
     alpha-weighted information matrix kmat(theta): the grad-u terms from the
-    two pieces of psi cancel and (1+alpha) kmat - alpha kmat remains.  An
-    overflow in the closed forms or a non-finite matrix raises ValueError.
+    two pieces of psi cancel and (1+alpha) kmat - alpha kmat remains.  The
+    closed forms raise ValueError where they are not finite.
     """
-    return _lambda_jvec(family, family.validate(theta), validate_alpha(alpha))[0]
-
-
-def _lambda_jvec(family: ParametricFamily, theta: np.ndarray, alpha: float) -> tuple[np.ndarray, tuple]:
-    """(kmat as an array, jvec) at a validated theta and alpha from one
-    closed-form call; ValueError where kmat overflows or is not finite."""
-    try:
-        _, jvec, lam, _ = family._integrals(theta.tolist(), alpha, True)
-    except ArithmeticError:
-        lam = None
-    if lam is None or not all(math.isfinite(v) for row in lam for v in row):
-        raise ValueError("sensitivity matrix has non-finite entries")
-    return np.array(lam), jvec
+    return np.array(_closed_forms(family, family.validate(theta), validate_alpha(alpha))[2])

@@ -1,11 +1,13 @@
 """Simulation harness: level/power tables, MSE sweeps, variance-ratio curves.
 
-Every replication derives its random stream from (design seed, replication
-index) alone, so reports are byte-identical no matter how replications are
-scheduled across workers.  Replications whose fit fails to converge are
-excluded from the affected rates but always counted and reported; a run with
-more than 2% failures at some alpha is flagged invalid rather than silently
-trusted.
+:func:`run_experiment` runs the experiment that ``ExperimentSpec.kind``
+names (a level/power run is :func:`run_level_power`), and every report is
+assembled in one place.  Every replication derives its random stream from
+(design seed, replication index) alone, so reports are byte-identical no
+matter how replications are scheduled across workers.  Replications whose
+fit fails to converge are excluded from the affected rates but always
+counted and reported; a run with more than 2% failures at some alpha is
+flagged invalid rather than silently trusted.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -28,8 +30,6 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentReport",
     "run_level_power",
-    "run_mse",
-    "run_variance_ratio",
     "run_experiment",
 ]
 
@@ -95,7 +95,7 @@ class ExperimentReport:
     invalid: bool
     wall_seconds: float
     design_label: str
-    test_failures: dict[str, int] = field(default_factory=dict)
+    test_failures: dict[str, int]
 
     def to_csv_string(self) -> str:
         return _csv_table(self.columns, ([row[c] for c in self.columns] for row in self.rows))
@@ -186,13 +186,6 @@ def _collect(spec: ExperimentSpec, worker) -> list:
         return list(pool.map(task, range(spec.replications), chunksize=chunk))
 
 
-def _failures(valid: list, spec: ExperimentSpec) -> tuple[dict, bool]:
-    """Failed replications per alpha from the valid ones per alpha."""
-    failed = {float(a): spec.replications - k for a, k in zip(spec.alpha_grid, valid)}
-    invalid = any(k > FAILURE_FRACTION_LIMIT * spec.replications for k in failed.values())
-    return failed, invalid
-
-
 def run_level_power(spec: ExperimentSpec) -> ExperimentReport:
     """Rejection proportion of every hypothesis at every alpha."""
     if spec.kind != "level_power":
@@ -228,25 +221,16 @@ def run_level_power(spec: ExperimentSpec) -> ExperimentReport:
                     "failed": spec.replications - k,
                 }
             )
-    failed, invalid = _failures(converged, spec)
-    return ExperimentReport(
-        kind=spec.kind,
-        seed=spec.design.seed,
-        level=spec.level,
-        n=spec.n,
-        replications=spec.replications,
-        columns=("alpha", "hypothesis", "rejection_rate", "std_error", "valid", "failed"),
-        rows=rows,
-        failed_by_alpha=failed,
-        invalid=invalid,
-        wall_seconds=time.perf_counter() - start,
-        design_label=_design_label(spec.design),
-        test_failures=dict(test_failures),
-    )
+    columns = ("alpha", "hypothesis", "rejection_rate", "std_error", "valid", "failed")
+    return _report(spec, start, columns, rows, converged, dict(test_failures))
 
 
-def _estimation_report(spec: ExperimentSpec, with_ratio: bool) -> ExperimentReport:
+def _estimation_report(spec: ExperimentSpec) -> ExperimentReport:
+    """Mean estimate and empirical MSE against the design truth per alpha and
+    parameter; a variance_ratio spec adds the mean variance estimate and its
+    ratio to the MSE (the consistency ratio)."""
     start = time.perf_counter()
+    with_ratio = spec.kind == "variance_ratio"
     stacked = np.stack(_collect(spec, _estimate_rep))  # (reps, n_alpha, 2p)
     family, theta0 = spec.design.lifetime.resolve()
     p = family.dim
@@ -271,47 +255,38 @@ def _estimation_report(spec: ExperimentSpec, with_ratio: bool) -> ExperimentRepo
                 row["mean_variance_estimate"] = mean_var
                 row["ratio"] = mean_var / mse if k and mse > 0 else float("nan")
             rows.append(row)
-    failed, invalid = _failures(np.isfinite(stacked[:, :, 0]).sum(axis=0).tolist(), spec)
     columns = ["alpha", "parameter", "mean_estimate", "empirical_mse"]
     if with_ratio:
         columns += ["mean_variance_estimate", "ratio"]
     columns += ["valid", "failed"]
+    converged = np.isfinite(stacked[:, :, 0]).sum(axis=0).tolist()
+    return _report(spec, start, tuple(columns), rows, converged, {})
+
+
+def _report(spec: ExperimentSpec, start: float, columns, rows, converged: list, test_failures: dict) -> ExperimentReport:
+    """The report of a run begun at perf_counter ``start``, ``converged``
+    counting per alpha the replications whose fit converged."""
+    failed = {float(a): spec.replications - k for a, k in zip(spec.alpha_grid, converged)}
     return ExperimentReport(
         kind=spec.kind,
         seed=spec.design.seed,
         level=spec.level,
         n=spec.n,
         replications=spec.replications,
-        columns=tuple(columns),
+        columns=columns,
         rows=rows,
         failed_by_alpha=failed,
-        invalid=invalid,
+        invalid=any(k > FAILURE_FRACTION_LIMIT * spec.replications for k in failed.values()),
         wall_seconds=time.perf_counter() - start,
         design_label=_design_label(spec.design),
+        test_failures=test_failures,
     )
 
 
-def run_mse(spec: ExperimentSpec) -> ExperimentReport:
-    """Empirical MSE of the estimates against the design truth, per alpha."""
-    if spec.kind != "mse":
-        raise ValueError("spec.kind must be 'mse'")
-    return _estimation_report(spec, with_ratio=False)
-
-
-def run_variance_ratio(spec: ExperimentSpec) -> ExperimentReport:
-    """Mean variance estimate over empirical MSE (the consistency ratio), per
-    alpha and parameter."""
-    if spec.kind != "variance_ratio":
-        raise ValueError("spec.kind must be 'variance_ratio'")
-    return _estimation_report(spec, with_ratio=True)
-
-
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    return {
-        "level_power": run_level_power,
-        "mse": run_mse,
-        "variance_ratio": run_variance_ratio,
-    }[spec.kind](spec)
+    """The report of the experiment that spec.kind names: level/power, mse
+    or variance_ratio."""
+    return run_level_power(spec) if spec.kind == "level_power" else _estimation_report(spec)
 
 
 def _design_label(design: SyntheticDesign) -> str:

@@ -75,29 +75,19 @@ class LinearTwoSampleRestriction(LinearRestriction):
 
 @dataclass(frozen=True, kw_only=True)
 class TwoSampleReport(TestReport):
-    """A TestReport with the arms' sizes and estimates and the r x r SigmaTilde;
-    a one-sided test's p_value is the standard normal upper tail."""
+    """A TestReport with the arms' sizes and the r x r SigmaTilde; a
+    one-sided test's p_value is the standard normal upper tail."""
 
     one_sided: bool
     n1: int
     n2: int
-    theta1: np.ndarray
-    theta2: np.ndarray
     sigma_tilde: np.ndarray
 
     def to_dict(self) -> dict:
-        out = {
-            "hypothesis": self.description,
-            "alpha_dpd": self.alpha_dpd,
-            "statistic": self.statistic,
-            "df": "" if self.one_sided else self.df,
-            "one_sided": self.one_sided,
-            "p_value": self.p_value,
-            "n1": self.n1,
-            "n2": self.n2,
-        }
-        out.update(self.diagnostics)
-        return out
+        """TestReport's entries, with no df for a one-sided test, and the
+        direction and arm sizes."""
+        return {**super().to_dict(), "df": "" if self.one_sided else self.df,
+                "one_sided": self.one_sided, "n1": self.n1, "n2": self.n2}
 
     def summary(self) -> str:
         kind = "one-sided" if self.one_sided else f"df {self.df}"
@@ -143,8 +133,6 @@ def _wald(fit1: FitResult, fit2: FitResult, restriction: Restriction) -> tuple[T
         description=restriction.description or f"m(theta1, theta2) = 0 (r={restriction.r})",
         n1=n1,
         n2=n2,
-        theta1=fit1.theta_hat,
-        theta2=fit2.theta_hat,
         sigma_tilde=np.array(sigma_tilde),
         diagnostics={"sigma_tilde_cond": cond},
     )

@@ -22,11 +22,13 @@ coef = (1 - delta)/(n - i + 1) - gamma/n.  The whole estimate is O(n log n):
 one sort plus linear passes.  delta gamma0, gamma and coef depend on the
 sample alone, so they are built once per sample as read-only (n, 1) columns
 and shared by every fit, alpha and psi on it; each psi takes one suffix and
-one prefix accumulation.  The sandwich is p x p with p <= 2, assembled on
-Python floats: Lambda^{-1} by :func:`_small_inverse` (shared with the
-influence functions) and Lambda^{-1} C Lambda^{-T} by the straight-line
-congruence that the Wald forms share.  u_hat checks the shape and the
-finiteness of psi's values on every call.
+one prefix accumulation.  U_hat reads psi only through events, so psi is
+evaluated at the event times alone, and a censored time outside the
+family's support (such as 0) never reaches it.  The sandwich is p x p with
+p <= 2, assembled on Python floats: Lambda^{-1} by :func:`_small_inverse`
+(shared with the influence functions) and Lambda^{-1} C Lambda^{-T} by the
+straight-line congruence that the Wald forms share.  u_hat checks the shape
+and the finiteness of psi's values on every call.
 
 All accumulations follow the canonical ordering (events precede censorings at
 ties); that ordering is the only point where the tie rule touches numerics.
@@ -83,20 +85,25 @@ def u_hat(sample: CensoredSample, psi: Callable[[np.ndarray, np.ndarray], np.nda
     """Estimated transformation U_hat of each observation (module docstring),
     one row per ordered observation and one column per psi component.
 
-    ``psi`` maps (x, theta) -> (len(x), p) or (len(x),); ValueError unless its
-    values align with the sample and are finite.  The population centering
-    term of U vanishes at the fitted parameter and is absent here, matching
-    the plug-in estimator.  All p columns are formed in one pass over the
-    sample's shared columns, each accumulated down axis 0 with the bits of a
-    pass over that column alone.
+    ``psi`` maps (x, theta) -> (len(x), p) or (len(x),) and is evaluated at
+    the event times only (module docstring), the censored rows of events
+    being 0; ValueError unless its values align with those times and are
+    finite.  The population centering term of U vanishes at the fitted
+    parameter and is absent here, matching the plug-in estimator.  All p
+    columns are formed in one pass over the sample's shared columns, each
+    accumulated down axis 0 with the bits of a pass over that column alone.
     """
     event_gamma0, gamma, coef = _columns(sample)
-    values = np.asarray(psi(sample.z, theta), dtype=float)
-    if values.shape[0] != sample.n:
-        raise ValueError("psi must return one row per ordered observation")
+    (rows,) = sample.delta.nonzero()
+    values = np.asarray(psi(sample.z[rows], theta), dtype=float)
+    values = values[:, None] if values.ndim == 1 else values
+    if values.shape[0] != rows.size:
+        raise ValueError("psi must return one row per event time")
     if not np.isfinite(values).all():
         raise ValueError("psi evaluated to non-finite values on the sample")
-    events = values.reshape(sample.n, -1) * event_gamma0
+    events = np.zeros((sample.n, values.shape[1]))
+    events[rows] = values
+    events *= event_gamma0
     suffix = np.empty_like(events)  # suffix[i] = sum_{j > i} events[j], 0-based
     suffix[-1] = 0.0
     np.add.accumulate(events[:0:-1], axis=0, out=suffix[-2::-1])

@@ -33,8 +33,8 @@ from robustsurv import (
     noncentral_chi2_sf,
     one_sided_wald,
     pif,
+    run_experiment,
     run_level_power,
-    run_variance_ratio,
     sigma_model,
     simulate,
     two_sample_wald,
@@ -148,7 +148,7 @@ def test_criterion_3_variance_ratio():
         alpha_grid=(0.0, 0.5, 1.0),
         kind="variance_ratio",
     )
-    report = run_variance_ratio(spec)
+    report = run_experiment(spec)
     checks = []
     for row in report.rows:
         label = f"a={row['alpha']:g} {row['parameter']}: R={row['ratio']:.3f}"

@@ -309,7 +309,7 @@ class TestErrorPaths:
             "--hypothesis", "shape=2", "--out", str(outdir),
         ])
         assert code == 2
-        assert "error: sensitivity matrix has non-finite entries" in capsys.readouterr().err
+        assert "error: weighted integrals are not finite at theta=[1e-300, 2.0]" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
     @pytest.mark.parametrize("hypothesis", [["--hypothesis", "shape=5"], []],
@@ -320,6 +320,17 @@ class TestErrorPaths:
                      "--out", str(outdir)])
         assert code == 2
         assert "error: level must lie in (0, 1)" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("option,value", [
+        ("--t-min", "-1"), ("--t-min", "0"), ("--t-min", "nan"), ("--t-max", "inf"), ("--t-max", "nan"),
+    ])
+    def test_t_range_outside_the_positive_reals_writes_nothing(self, outdir, capsys, option, value):
+        # refused before numpy builds the grid, so no RuntimeWarning precedes it
+        code = main(["influence", "--theta", "2,5", option, value, "--out", str(outdir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {option} must be positive and finite, got {float(value)!r}\n"
         assert list(outdir.iterdir()) == []
 
     @pytest.mark.parametrize("points", ["0", "-3"])

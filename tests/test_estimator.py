@@ -697,13 +697,21 @@ class TestFit:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     @pytest.mark.parametrize("family", [EXPONENTIAL, WEIBULL], ids=["exp", "weibull"])
-    def test_censored_time_zero_fails_the_sandwich(self, weibull_design, family, alpha):
-        # a censored 0 carries no product-limit weight, so the solve runs;
-        # psi at the root is then evaluated at every observation
+    def test_censored_time_zero_is_fitted(self, weibull_design, family, alpha):
+        # a censored 0 carries no product-limit weight, so the solve runs as
+        # without it, and the sandwich evaluates psi at the event times only
         base = simulate(weibull_design, 60)
         sample = CensoredSample(np.append(base.z, 0.0), np.append(base.delta, 0))
-        with pytest.raises(ValueError, match="^evaluation points must be positive and finite$"):
-            fit(sample, family, FitConfig(alpha=alpha))
+        result = fit(sample, family, FitConfig(alpha=alpha))
+        assert result.converged and result.n == 61
+        np.testing.assert_array_equal(result.theta_hat, fit(base, family, FitConfig(alpha=alpha)).theta_hat)
+        theta = result.theta_hat
+        public = covariance_estimate(
+            sample, lambda x, th: mdpde_psi(family, th, alpha, x), theta,
+            lambda_model(family, theta, alpha),
+        )
+        for name in ("c_hat", "lambda_hat", "sigma_hat"):
+            np.testing.assert_array_equal(getattr(result, name), getattr(public, name))
 
 
 def polyfit_start(sample):

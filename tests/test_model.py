@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from robustsurv import EXPONENTIAL, WEIBULL, get_family, lambda_model, mdpde_psi
+from robustsurv import EXPONENTIAL, WEIBULL, get_family, lambda_model, mdpde_psi, sigma_model
 from robustsurv.model import _digamma_trigamma
 
 from quadrature_oracle import (
@@ -40,7 +40,7 @@ def reference_gamma_digamma_trigamma(c):
     return (g0, g0 * c, g0 * c * (c + 1.0)), (p1 - 1.0 / c, p1, p2), (t1 + c ** -2, t1, t2)
 
 
-def reference_weibull_integrals(theta, alpha, jacobian):
+def reference_weibull_integrals(theta, alpha):
     """The Weibull closed forms written over lists of the three shifts m = 0,
     1, 2: the form that Weibull._integrals writes out in straight-line code,
     with the same float operations in the same order."""
@@ -58,8 +58,6 @@ def reference_weibull_integrals(theta, alpha, jacobian):
     pref = (b / sigma) ** alpha
     xi = pref * i0[0]
     jvec = (pref * (b / sigma) * (i0[1] - i0[0]), pref / b * (i0[0] + i1[0] - i1[1]))
-    if not jacobian:
-        return xi, jvec, None, None
     i2 = [g * (dm * dm + t) for g, dm, t in zip(i0, d, trigammas)]
     k_ss = pref * (b / sigma) ** 2 * (i0[2] - 2.0 * i0[1] + i0[0])
     k_sb = pref / sigma * (i0[1] - i0[0] - (i1[2] - 2.0 * i1[1] + i1[0]))
@@ -196,11 +194,10 @@ class TestSpecialFunctionsAgainstScipy:
         np.testing.assert_allclose(got[:, 1], special.digamma(shifted), rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(got[:, 2], special.polygamma(1, shifted), rtol=1e-14, atol=0)
 
-    @pytest.mark.parametrize("jacobian", [False, True])
-    def test_gamma_overflow_is_an_arithmetic_error(self, jacobian):
+    def test_gamma_overflow_is_an_arithmetic_error(self):
         # c = 1 + alpha (b - 1) / b is about 200 here, where Gamma overflows
         with pytest.raises(OverflowError):
-            WEIBULL._integrals((1.0, 1e6), 199.0, jacobian)
+            WEIBULL._integrals((1.0, 1e6), 199.0)
 
 
 class TestStraightLineIntegrals:
@@ -215,22 +212,21 @@ class TestStraightLineIntegrals:
         alpha=st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 400.0), st.sampled_from([0.0, 0.5, 1.0])),
         log_shape=st.floats(-3.0, 8.0),
         boundary=st.one_of(st.none(), st.floats(-1e-3, 1e-3)),
-        jacobian=st.booleans(),
     )
-    @example(log_sigma=0.0, alpha=0.5, log_shape=0.0, boundary=0.0, jacobian=True)
-    @example(log_sigma=0.0, alpha=0.5, log_shape=0.0, boundary=-1e-16, jacobian=False)
-    @example(log_sigma=0.0, alpha=0.5, log_shape=0.0, boundary=1e-16, jacobian=True)
-    @example(log_sigma=-400.0, alpha=1.0, log_shape=0.0, boundary=1e-300, jacobian=False)
-    @example(log_sigma=0.0, alpha=199.0, log_shape=6.0, boundary=None, jacobian=True)
-    def test_same_bits_as_the_list_form(self, log_sigma, alpha, log_shape, boundary, jacobian):
+    @example(log_sigma=0.0, alpha=0.5, log_shape=0.0, boundary=0.0)
+    @example(log_sigma=0.0, alpha=0.5, log_shape=0.0, boundary=-1e-16)
+    @example(log_sigma=0.0, alpha=0.5, log_shape=0.0, boundary=1e-16)
+    @example(log_sigma=-400.0, alpha=1.0, log_shape=0.0, boundary=1e-300)
+    @example(log_sigma=0.0, alpha=199.0, log_shape=6.0, boundary=None)
+    def test_same_bits_as_the_list_form(self, log_sigma, alpha, log_shape, boundary):
         # boundary, when drawn, puts the shape at alpha / (1 + alpha) times
         # (1 + boundary), on either side of where f^(1+alpha) stops being
         # integrable (c = kappa + 1 near 0, where c^-2 overflows)
         shape = math.exp(log_shape) if boundary is None else alpha / (1.0 + alpha) * (1.0 + boundary)
         theta = (math.exp(log_sigma), shape)
         if shape > 0.0:
-            assert outcome(WEIBULL._integrals, theta, alpha, jacobian) == outcome(
-                reference_weibull_integrals, theta, alpha, jacobian
+            assert outcome(WEIBULL._integrals, theta, alpha) == outcome(
+                reference_weibull_integrals, theta, alpha
             )
 
 
@@ -327,11 +323,24 @@ class TestLambdaModel:
 
     def test_overflow_is_a_value_error(self):
         # the closed forms run on Python floats, which raise OverflowError
-        # where numpy returned inf; the public surface keeps raising ValueError
-        with pytest.raises(ValueError, match="sensitivity matrix has non-finite entries"):
-            lambda_model(WEIBULL, (1e-300, 2.0), 0.5)
-        with pytest.raises(ValueError, match="overflow"):
-            WEIBULL.weighted_integrals((1e-300, 2.0), 0.5)
+        # where numpy returned inf; every result built on them raises one
+        # ValueError from the one checked call between them
+        theta = (1e-300, 2.0)
+        for call in (
+            lambda: WEIBULL.weighted_integrals(theta, 0.5),
+            lambda: lambda_model(WEIBULL, theta, 0.5),
+            lambda: mdpde_psi(WEIBULL, theta, 0.5, 1.0),
+            lambda: sigma_model(WEIBULL, theta, 0.5),
+        ):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == "weighted integrals are not finite at theta=[1e-300, 2.0]"
+
+    def test_an_infinite_kmat_raises(self):
+        # kmat's entries overflow in a product while xi and jvec stay finite:
+        # weighted_integrals raises rather than return an infinite kmat
+        with pytest.raises(ValueError, match="^weighted integrals are not finite"):
+            WEIBULL.weighted_integrals((1e-152, 1.0), 0.5)
 
     @pytest.mark.parametrize("theta,alpha", [((2.0, 5.0), 0.5), ((1.5, 1.2), 0.0), ((3.0, 2.0), 1.0)])
     def test_weibull_matches_fd_of_model_average(self, theta, alpha):

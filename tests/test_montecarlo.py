@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from robustsurv import (
     SyntheticDesign,
     run_experiment,
     run_level_power,
-    run_mse,
-    run_variance_ratio,
     simulate,
 )
 from robustsurv import montecarlo
@@ -140,6 +139,9 @@ class TestLevelPower:
     def test_run_experiment_dispatch(self):
         report = run_experiment(small_spec())
         assert report.kind == "level_power"
+        assert report.to_csv_string() == run_level_power(small_spec()).to_csv_string()
+        with pytest.raises(ValueError, match="spec.kind must be 'level_power'"):
+            run_level_power(small_spec(kind="mse", hypotheses=()))
 
 
 def numpy_tally(pvals, spec):
@@ -203,7 +205,7 @@ class TestTally:
 class TestMse:
     def test_single_replication_is_squared_error(self):
         spec = small_spec(kind="mse", replications=1, hypotheses=())
-        report = run_mse(spec)
+        report = run_experiment(spec)
         from robustsurv import EXPONENTIAL, FitConfig, fit
 
         sample = simulate(spec.design, spec.n, replication=0)
@@ -212,14 +214,14 @@ class TestMse:
         assert row["empirical_mse"] == pytest.approx((theta_hat - 1.0) ** 2, rel=1e-12)
 
     def test_efficiency_and_robustness_orderings(self):
-        pure = run_mse(
+        pure = run_experiment(
             small_spec(kind="mse", design=exp_design(seed=5), n=100,
                        replications=400, alpha_grid=(0.0, 1.0), hypotheses=())
         )
         mse = {row["alpha"]: row["empirical_mse"] for row in pure.rows}
         assert mse[0.0] < mse[1.0]  # pure-data efficiency ordering
 
-        contaminated = run_mse(
+        contaminated = run_experiment(
             small_spec(kind="mse", design=exp_design(seed=6, eps=0.1), n=100,
                        replications=400, alpha_grid=(0.0, 0.5), hypotheses=())
         )
@@ -230,11 +232,23 @@ class TestMse:
 class TestVarianceRatio:
     def test_columns_and_ratio_definition(self):
         spec = small_spec(kind="variance_ratio", replications=60, n=80, hypotheses=())
-        report = run_variance_ratio(spec)
+        report = run_experiment(spec)
         for row in report.rows:
             assert row["ratio"] == pytest.approx(
                 row["mean_variance_estimate"] / row["empirical_mse"], rel=1e-12
             )
+
+    def test_mse_report_is_the_ratio_report_without_its_ratio_columns(self):
+        spec = small_spec(kind="variance_ratio", replications=30, n=60, hypotheses=(),
+                          alpha_grid=(0.0, 0.5, 1.0))
+        ratio = run_experiment(spec)
+        mse = run_experiment(replace(spec, kind="mse"))
+        assert ratio.columns == mse.columns[:4] + ("mean_variance_estimate", "ratio") + mse.columns[4:]
+        drop = ("mean_variance_estimate", "ratio")
+        stripped = [{c: v for c, v in row.items() if c not in drop} for row in ratio.rows]
+        assert repr(stripped) == repr(mse.rows)
+        assert (mse.failed_by_alpha, mse.invalid, mse.test_failures) == (
+            ratio.failed_by_alpha, ratio.invalid, ratio.test_failures)
 
     def test_small_sample_brackets(self):
         # scale-parameter calibration is tight already at n=50; the shape
@@ -248,7 +262,7 @@ class TestVarianceRatio:
             alpha_grid=(0.0, 0.5),
             kind="variance_ratio",
         )
-        report = run_variance_ratio(spec)
+        report = run_experiment(spec)
         for row in report.rows:
             lo, hi = (0.7, 1.4) if row["parameter"] == "scale" else (0.55, 1.6)
             assert lo <= row["ratio"] <= hi, row

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -92,3 +93,25 @@ def test_every_exported_function_has_a_caller_outside_the_tests():
     functions = {name for name, obj in vars(robustsurv).items() if inspect.isfunction(obj)}
     assert functions
     assert sorted(functions - named) == []
+
+
+def test_every_field_of_an_exported_dataclass_is_read():
+    # no report field that nothing reads: each field of each dataclass in the
+    # robustsurv namespace is loaded as an attribute (ast.Attribute in a Load
+    # context, by name) in a package module other than __init__, a demo, the
+    # benchmark or a test
+    package = Path(robustsurv.__file__).resolve().parent
+    root = package.parents[1]
+    files = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    for folder in ("demos", "bench", "tests"):
+        assert (root / folder).is_dir()
+        files += (root / folder).rglob("*.py")
+    read = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    classes = [obj for obj in vars(robustsurv).values() if inspect.isclass(obj) and dataclasses.is_dataclass(obj)]
+    assert classes
+    unread = [f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls) if f.name not in read]
+    assert sorted(unread) == []
