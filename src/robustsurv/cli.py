@@ -48,7 +48,8 @@ from .data import (
 )
 from .estimator import fit_grid
 from .hypothesis import LinearRestriction, Restriction, chi2_quantile, wald_statistic
-from .influence import if_curve, if2_wald, pif, sigma_model
+# if2_wald and pif stay attributes here for bench/tracing.py
+from .influence import _if2_values, _null_inverse, _pif_values, if2_wald, if_curve, pif, sigma_model  # noqa: F401
 from .kmpl import kmpl_fit
 from .model import FamilySpec, ParametricFamily, get_family, validate_alpha
 from .montecarlo import ExperimentSpec, run_experiment
@@ -328,16 +329,16 @@ def _cmd_influence(args) -> int:
     parsed = hypothesis_parse(args.hypothesis, family) if args.hypothesis else None
     if parsed is not None and parsed.two_sample:
         raise ValueError("influence curves use one-sample hypotheses")
-    # all curves are computed before any file is written: a failure writes nothing
+    # all curves are computed before any file is written: a failure writes
+    # nothing; each alpha's IF table serves its IF2 and PIF columns too
     writers = []
     for alpha in alphas:
-        writers.append((f"if_alpha{alpha:g}.csv", if_curve(family, theta0, alpha, grid).write_csv))
+        curve = if_curve(family, theta0, alpha, grid)
+        writers.append((f"if_alpha{alpha:g}.csv", curve.write_csv))
         if parsed is not None:
-            sigma = sigma_model(family, theta0, alpha)
-            if2 = if2_wald(family, theta0, alpha, parsed.restriction, grid, sigma=sigma)
-            d = np.ones(family.dim)
-            pifv = pif(family, theta0, alpha, parsed.restriction, d, grid,
-                       level=args.level, sigma=sigma)
+            null = _null_inverse(family, theta0, alpha, parsed.restriction, sigma_model(family, theta0, alpha))
+            if2 = _if2_values(*null, curve.values)
+            pifv = _pif_values(*null, curve.values, np.ones(family.dim), parsed.restriction.r, args.level)
             rows = list(zip(grid.tolist(), if2.tolist(), pifv.tolist()))
             writers.append((f"if2_pif_alpha{alpha:g}.csv",
                             functools.partial(_csv_table, ["t", "if2", "pif"], rows)))

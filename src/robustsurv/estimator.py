@@ -9,13 +9,16 @@ the weighted divergence objective.  alpha = 0 is the product-limit-weighted
 likelihood (the approximate MLE), not the censored-data MLE; the two coincide
 on uncensored data.
 
-At alpha = 0 the root is exact (_profile_root, tag "profile", no start):
-the exponential mean in closed form, the Weibull shape as the unique root
-of a decreasing 1-D profile equation (Farnum & Booth 1997, IEEE Trans.
-Reliab. 46:523) and then its scale in closed form.
+Every one-parameter equation takes one bracketed 1-D solve
+(_bracketed_newton, tag "profile"): at alpha = 0 the Weibull shape solves a
+decreasing profile equation (Farnum & Booth 1997, IEEE Trans. Reliab.
+46:523), and its scale and the exponential mean follow in closed form; at
+alpha > 0 the exponential mean solves k = theta^(1+alpha) g in y = log theta,
+which reads the data only through r = z / theta, so the estimate follows any
+change of time unit, as its certificate (_certified) does.
 
-Solver for alpha > 0: one start and at most two trajectories from it, in
-log-parameter space (positivity for free), on the exact Jacobian
+Weibull solver at alpha > 0: one start and at most two trajectories from it,
+in log-parameter space (positivity for free), on the exact Jacobian
 
     J_theta = d jvec / d theta - sum_i w_i (grad u_i + alpha u_i u_i^T) f_i^alpha,
 
@@ -25,15 +28,15 @@ and J_eta = J_theta diag(theta) in the log coordinates eta.  The family's
 fused pass, the solver's only evaluation, gives the objective H, g, J and
 the data mass sum_i w_i f_i^alpha at a point at once; no trajectory makes it
 twice at one point, and the start's pass serves both trajectories.  Both
-trajectories run in one loop of straight-line float code for p <= 2
-(_trajectory), so an iteration costs its pass and a few dozen float
-operations.  A solver point is formed on floats too (J_eta by scalar
-products, |g| = sqrt(g0^2 + g1^2)), and the pass fills the per-fit row
-buffer that the family's _prepare allocated for this fit's equation, so it
-allocates no row array.
+trajectories run in one loop of straight-line float code (_trajectory), so
+an iteration costs its pass and a few dozen float operations.  A solver
+point is formed on floats too (J_eta by scalar products, |g| = sqrt(g0^2 +
+g1^2)), and the pass fills the per-fit row buffer that the family's
+_prepare allocated for this fit's equation, so it allocates no row array.
 
-The default start is the log-log hazard line over the product-limit
-support, fitted by centred least squares in closed form (_hazard_start).
+The default start (_hazard_start) is the exponential's total-time-on-test
+mean, or the Weibull's log-log hazard line over the product-limit support,
+fitted by centred least squares in closed form.
 At a root one closed-form call gives the sandwich's Lambda (kmat) and
 psi's jvec, and psi is evaluated once at the sample's event times, through
 varest.covariance_estimate, inside the solve's quiet floating-point state;
@@ -69,11 +72,11 @@ _STALL_STEPS): Newton converges q-quadratically near a regular root, so the
 descent takes over sooner, while an Armijo descent need not lower |g|
 steadily.
 
-FitResult.message names the path of the estimate, "profile" at alpha = 0,
-else the trajectory, "newton" or "descent".  A converged end where the
-density has vanished on every observation is no root: Newton's hands over
-to the descent, and the descent's is tagged "descent-degenerate".  ": no
-root at tol 1e-08" is appended when no trajectory converged.
+FitResult.message names the path of the estimate, "profile" for a 1-D root
+(the exponential's only tag), else "newton" or "descent".  A converged end
+where the density has vanished on every observation is no root: Newton's
+hands over to the descent, and the descent's is tagged "descent-degenerate".
+": no root at tol 1e-08" is appended when nothing converged.
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ __all__ = ["FitConfig", "FitResult", "UnidentifiableSampleError", "fit", "fit_gr
 # coordinate (a factor e^20) is a boundary runaway; no accepted root on the
 # acceptance designs lies anywhere near that far from its start
 _MAX_LOG_DRIFT = 20.0
-# every trajectory stops as converged once the residual norm |g| is within
-# _TOL_GRADIENT, and as not converged after _MAX_ITER iterations
+# a trajectory converges once |g| is within _TOL_GRADIENT (a 1-D root once
+# g is, relative to its terms), and stops as not converged after _MAX_ITER
 _TOL_GRADIENT = 1e-8
 _MAX_ITER = 200
 # Newton converges q-quadratically near a regular root (Nocedal & Wright,
@@ -128,8 +131,8 @@ class UnidentifiableSampleError(ValueError):
 class FitConfig:
     """Divergence tuning constant and optional solver start of one fit (a
     warm-started alpha sweep passes each estimate on as the next start; when
-    it gives no root, the fit retries from the default start; alpha = 0 needs
-    none).  The tolerance 1e-8 and the 200 iterations are fixed."""
+    it gives the Weibull no root, the fit retries from the default start;
+    alpha = 0 needs none).  The tolerance 1e-8 and the 200 iterations are fixed."""
 
     alpha: float = 0.0
     start: Sequence[float] | None = None
@@ -148,7 +151,7 @@ class FitResult:
     n_iter counts the iterations of every trajectory the fit ran: for
     "descent" that includes the failed first Newton trajectory from the same
     start, and after an explicit-start fallback both starts' trajectories;
-    for "profile" (alpha = 0), the Weibull profile's (0 for the exponential).
+    for "profile", the 1-D solve's passes (0 for the closed-form mean).
     """
 
     family: ParametricFamily
@@ -232,10 +235,10 @@ class FitResult:
 
 class _Point(NamedTuple):
     """A solver point eta with the objective H (inf where it is not finite),
-    g, J_eta (by rows), |g| and the data mass s0 = sum_i w_i f_i^alpha there,
-    as floats.  A genuine root keeps s0 well away from zero, while a boundary
-    runaway, where the density collapses on every observation and makes the
-    equation trivially zero, does not."""
+    g, J_eta (by rows; None for a 1-D root), |g| and the data mass s0 =
+    sum_i w_i f_i^alpha there, as floats.  A genuine root keeps s0 well away
+    from zero, while a boundary runaway, where the density collapses on every
+    observation and makes the equation trivially zero, does not."""
     eta: tuple
     value: float
     g: tuple
@@ -255,24 +258,12 @@ class _WeightedEquation:
         km = kmpl_fit(sample)
         if not km.weight_points[0] > 0.0:  # sorted, finite: the whole check
             raise ValueError(_X_DOMAIN)
-        self.weights = km.weight_masses
+        self.points, self.weights = km.weight_points, km.weight_masses
         self.prepared = family._prepare(km.weight_points)
         self.residual_mass = km.residual_mass
         self.event_times = km.support.size
         self.family = family
         self.alpha = alpha
-
-    def _pass(self, theta):
-        """The fused pass at a sequence of p parameter values."""
-        return self.family._equation([float(v) for v in theta], self.alpha, self.prepared, self.weights)
-
-    def objective(self, theta) -> float:
-        """H(theta) from the fused pass; inf where it is not finite."""
-        try:
-            value = self._pass(theta)[0]
-        except ArithmeticError:
-            return math.inf
-        return value if math.isfinite(value) else math.inf
 
     # the solver evaluates on Python floats, so a wild trial point whose
     # closed forms overflow or divide by zero raises ArithmeticError, and one
@@ -288,10 +279,8 @@ class _WeightedEquation:
         except (ArithmeticError, ValueError):
             nan = (math.nan,) * len(theta)
             return _Point(eta, math.inf, nan, (nan,) * len(theta), math.inf, math.nan)
-        if len(theta) == 1:
-            ((g0,), ((d,),), (th,)) = g, jac, theta
-            jac, norm = ((d * th,),), math.sqrt(g0 * g0)
-        else:
+        norm = abs(g[0])  # the exponential's pass, for a 1-D root, forms no J
+        if jac is not None:
             ((g0, g1), ((d00, d01), (d10, d11)), (th0, th1)) = g, jac, theta
             jac, norm = ((d00 * th0, d01 * th1), (d10 * th0, d11 * th1)), math.sqrt(g0 * g0 + g1 * g1)
         # H and |g|, inf where they are not finite or overflow
@@ -303,9 +292,7 @@ class _WeightedEquation:
 def _trajectory(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int, descent: bool):
     """Residual Newton, or with ``descent`` the descent on H, from ``start``
     until the residual norm |g| is within tol: (last point, iterations,
-    converged), as straight-line float code for p <= 2 (p = 1 runs with a
-    second coordinate held at 0 and J padded by a unit diagonal, which leaves
-    its floats as they are).
+    converged), as straight-line float code for p = 2.
 
     Newton solves J_eta d = -g by Cramer's rule in the expression order of
     hypothesis._wald_form and accepts a step that lowers |g|.  The descent
@@ -322,27 +309,24 @@ def _trajectory(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int,
     start, and for Newton a stall (|g| above _STALL_RATIO times its value
     _STALL_STEPS accepted steps earlier) end the trajectory as not converged.
     """
-    at, two, isfinite = start, len(start.eta) == 2, math.isfinite
+    at, isfinite = start, math.isfinite
     if not all(isfinite(v) for v in at.g):
         return at, 0, False
     ceiling = at.value + _FLAT_REL * abs(at.value)
     slope_scale = _ARMIJO * (1.0 + eq.alpha)
-    f0, f1 = start.eta if two else (start.eta[0], 0.0)
+    f0, f1 = start.eta
     norms = [at.norm]
     for iteration in range(max_iter):
         if at.norm <= tol:
             return at, iteration, at.value <= ceiling
-        if two:
-            (e0, e1), (g0, g1), ((a, b), (c, d)) = at.eta, at.g, at.jac
-        else:
-            ((e0,), (g0,), ((a,),)), e1, g1, b, c, d = (at.eta, at.g, at.jac), 0.0, 0.0, 0.0, 0.0, 1.0
+        (e0, e1), (g0, g1), ((a, b), (c, d)) = at.eta, at.g, at.jac
         if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
             return at, iteration + 1, False
         if descent:
             found = _descent_direction(at.eta, at.g, at.jac) if isfinite(at.value) else None
             if found is None:
                 return at, iteration + 1, False
-            (x0, x1), (r0, r1) = found if two else ((found[0][0], 0.0), (found[1][0], 0.0))
+            (x0, x1), (r0, r1) = found
         else:
             det, x0, x1 = a * d - b * c, d * -g0 - b * -g1, a * -g1 - c * -g0
             if det == 0.0:
@@ -356,7 +340,7 @@ def _trajectory(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int,
         lam, flat = 1.0, at.value + _FLAT_REL * abs(at.value)
         slope = slope_scale * (r0 * x0 + r1 * x1) if descent else 0.0
         for _ in range(_MAX_HALVINGS):
-            trial = eq.point((e0 + lam * x0, e1 + lam * x1) if two else (e0 + lam * x0,))
+            trial = eq.point((e0 + lam * x0, e1 + lam * x1))
             if (trial.value <= flat and (trial.value <= at.value + lam * slope or trial.norm < at.norm)
                     if descent else trial.norm < at.norm):
                 break
@@ -364,7 +348,7 @@ def _trajectory(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int,
         else:
             return at, iteration + 1, False
         at = trial
-        if abs(at.eta[0] - f0) > _MAX_LOG_DRIFT or (two and abs(at.eta[1] - f1) > _MAX_LOG_DRIFT):
+        if abs(at.eta[0] - f0) > _MAX_LOG_DRIFT or abs(at.eta[1] - f1) > _MAX_LOG_DRIFT:
             return at, iteration + 1, False
         norms.append(at.norm)
         stalled = len(norms) > _STALL_STEPS and at.norm > _STALL_RATIO * norms[-1 - _STALL_STEPS]
@@ -374,7 +358,7 @@ def _trajectory(eq: _WeightedEquation, start: _Point, tol: float, max_iter: int,
 
 
 def _descent_direction(eta, g, jac):
-    """(-|S|^-1 grad, grad) on floats for p <= 2, with theta = exp(eta),
+    """(-|S|^-1 grad, grad) on floats for p = 2, with theta = exp(eta),
     grad = theta * g and S the symmetric part of diag(theta) J_eta plus
     diag(grad), the eta-Hessian of H over (1 + alpha); None where S is
     singular or the direction is not finite.  |S| takes S's eigenvalues l1,
@@ -385,31 +369,27 @@ def _descent_direction(eta, g, jac):
     bracket over k D s."""
     theta = [math.exp(v) for v in eta]
     grad = [t * v for t, v in zip(theta, g)]
-    if len(eta) == 1:
-        k = theta[0] * jac[0][0] + grad[0]
-        direction = (-grad[0] / abs(k),) if k != 0.0 else (math.nan,)
-    else:
-        (t0, t1), (g0, g1), ((j00, j01), (j10, j11)) = theta, grad, jac
-        p, q, r = t0 * j00 + g0, 0.5 * (t0 * j01 + t1 * j10), t1 * j11 + g1
-        k = max(abs(p), abs(q), abs(r))
-        if not 0.0 < k < math.inf:
-            return None
-        p, q, r = p / k, q / k, r / k
-        det = abs(p * r - q * q)
-        if det == 0.0:
-            return None
-        m00, m01, m11 = p * p + q * q + det, q * (p + r), q * q + r * r + det
-        scale = -1.0 / (k * det * math.sqrt(p * p + r * r + 2.0 * q * q + 2.0 * det))
-        direction = ((m11 * g0 - m01 * g1) * scale, (m00 * g1 - m01 * g0) * scale)
+    (t0, t1), (g0, g1), ((j00, j01), (j10, j11)) = theta, grad, jac
+    p, q, r = t0 * j00 + g0, 0.5 * (t0 * j01 + t1 * j10), t1 * j11 + g1
+    k = max(abs(p), abs(q), abs(r))
+    if not 0.0 < k < math.inf:
+        return None
+    p, q, r = p / k, q / k, r / k
+    det = abs(p * r - q * q)
+    if det == 0.0:
+        return None
+    m00, m01, m11 = p * p + q * q + det, q * (p + r), q * q + r * r + det
+    scale = -1.0 / (k * det * math.sqrt(p * p + r * r + 2.0 * q * q + 2.0 * det))
+    direction = ((m11 * g0 - m01 * g1) * scale, (m00 * g1 - m01 * g0) * scale)
     return (direction, grad) if all(map(math.isfinite, direction)) else None
 
 
 def _root_from(eq: _WeightedEquation, eta0):
     """Residual Newton from eta0, then the descent from the same evaluated
     start when Newton gives no root: (end point, iterations of both,
-    converged, path tag), for alpha > 0.  A converged end where the density
-    has collapsed on every observation (data mass below 1e-8 of the start's)
-    is a boundary runaway."""
+    converged, path tag), for the Weibull at alpha > 0.  A converged end
+    where the density has collapsed on every observation (data mass below
+    1e-8 of the start's) is a boundary runaway."""
     start, iters = eq.point(eta0), 0
     for tag, descent in (("newton", False), ("descent", True)):
         end, n, ok = _trajectory(eq, start, _TOL_GRADIENT, _MAX_ITER, descent)
@@ -421,39 +401,77 @@ def _root_from(eq: _WeightedEquation, eta0):
     return end, iters, ok, tag
 
 
-def _profile_root(eq: _WeightedEquation):
-    """(Fused point at the alpha = 0 root, iterations): the mean sum w z /
-    sum w, or Newton in y = log b on h(b) = 1/b + sum w L / sum w - sum w
-    e^(bL) L / sum w e^(bL), L = log z - max log z (e^(bL) <= 1 in any time
-    unit), from pi / (sqrt 6 sd_w(L)), steps at most _MAX_LOG_STEP, bisecting
-    the bracket of h's sign where a step leaves it, until the step is within
-    4e-16 max(1, |y|) or the bracket is two adjacent floats; sigma^b = sum w
-    z^b / sum w."""
-    mass = eq.weights
-    if eq.family.family_id == "exponential":
-        total, first = (eq.prepared[:2] @ mass).tolist()
-        return eq.point((math.log(first / total),)), 0
+def _bracketed_newton(newton, y):
+    """The one 1-D solver, safeguarded Newton in y: newton(y) gives (h, step,
+    state), h > 0 where the root lies above y and step = h / -h'(y).  A step
+    is at most _MAX_LOG_STEP; one that leaves the bracket of h's sign bisects
+    it instead or, while a side is open, goes _MAX_LOG_STEP towards the root.
+    It stops once the step is within 4e-16 max(1, |y|) or the bracket is two
+    adjacent floats: (y, its state, passes)."""
+    lo, hi = -math.inf, math.inf
+    for iteration in range(1, _MAX_ITER + 1):
+        h, step, state = newton(y)
+        lo, hi = (y, hi) if h > 0.0 else (lo, y)
+        ahead = y + max(-_MAX_LOG_STEP, min(step, _MAX_LOG_STEP))
+        if not lo < ahead < hi:
+            ahead = 0.5 * (lo + hi) if hi - lo < math.inf else y + math.copysign(_MAX_LOG_STEP, h)
+        if not (abs(step) > 4e-16 * max(1.0, abs(y)) and lo < ahead < hi):
+            break
+        y = ahead
+    return y, state, iteration
+
+
+def _profile_root(eq: _WeightedEquation, eta0):
+    """(Fused point at the 1-D root, passes): the exponential mean, sum w z /
+    sum w at alpha = 0, else from eta0 the root in y = log theta of k =
+    theta^(1+alpha) g = sum w (1 - r) e^(-alpha r) - alpha / (1 + alpha)^2,
+    r = z / theta, which tends to -alpha / (1 + alpha)^2 and 1 - alpha / (1 +
+    alpha)^2 at the ends, so every start brackets it; or the Weibull shape,
+    from pi / (sqrt 6 sd_w(L)), as the root in y = log b of h(b) = 1/b + sum
+    w L / sum w - sum w e^(bL) L / sum w e^(bL), L = log z - max log z
+    (e^(bL) <= 1 in any time unit), then sigma^b = sum w z^b / sum w."""
+    mass, alpha, family = eq.weights, eq.alpha, eq.family
+    if family.family_id == "exponential":
+        if alpha == 0.0:
+            return eq.point((math.log(float(eq.points @ mass) / float(mass.sum())),)), 0
+        shift = alpha / (1.0 + alpha) ** 2
+
+        def newton(y):
+            s0, s1, s2 = family._sums(math.exp(y), alpha, eq.prepared, mass)
+            k, slope = s0 - s1 - shift, alpha * s2 - (1.0 + alpha) * s1  # slope = -dk/dy
+            return -k, k / slope if slope else -k * math.inf, None
+
+        y, _, iterations = _bracketed_newton(newton, eta0[0])
+        return eq.point((y,)), iterations
     top = float(eq.prepared[0][-1])  # the points are sorted
     shifted = eq.prepared[0] - top
     rows = np.stack((mass, mass * shifted, mass * shifted * shifted))
     w0, w1, w2 = rows.sum(axis=1).tolist()
     mean0, var = w1 / w0, w2 / w0 - (w1 / w0) ** 2
-    y = math.log(math.pi / math.sqrt(6.0 * var)) if var > 0.0 else 0.0
-    lo, hi, tilt = -math.inf, math.inf, np.empty_like(shifted)
-    for iteration in range(1, _MAX_ITER + 1):
+    tilt = np.empty_like(shifted)
+
+    def newton(y):
         b = math.exp(y)
         s0, s1, s2 = (rows @ np.exp(np.multiply(shifted, b, out=tilt), out=tilt)).tolist()
         mean = s1 / s0
         h = 1.0 / b + mean0 - mean
-        step = h / (1.0 / b + b * (s2 / s0 - mean * mean))  # -dh/dy = 1/b + b Var
-        lo, hi = (y, hi) if h > 0.0 else (lo, y)
-        ahead = y + max(-_MAX_LOG_STEP, min(step, _MAX_LOG_STEP))
-        if not lo < ahead < hi:  # a Newton step leaves the bracket only where lo and hi are finite
-            ahead = 0.5 * (lo + hi)
-        if not (abs(step) > 4e-16 * max(1.0, abs(y)) and lo < ahead < hi):
-            break
-        y = ahead
-    return eq.point((top + math.log(s0 / w0) / b, y)), iteration
+        return h, h / (1.0 / b + b * (s2 / s0 - mean * mean)), (s0, b)  # -dh/dy = 1/b + b Var
+
+    y, (s0, b), iterations = _bracketed_newton(newton, math.log(math.pi / math.sqrt(6.0 * var)) if var > 0.0 else 0.0)
+    return eq.point((top + math.log(s0 / w0) / b, y)), iterations
+
+
+def _certified(eq: _WeightedEquation, end: _Point) -> bool:
+    """The certificate of a 1-D root, per component k: |g_k| <= _TOL_GRADIENT
+    (|jvec_k| + sum_i w_i |u_ik| f_i^alpha), relative to the size of g's two
+    terms and so free of the time unit; a g the pass could not form fails."""
+    if not all(map(math.isfinite, end.g)):
+        return False
+    theta, alpha = [math.exp(v) for v in end.eta], eq.alpha
+    jvec = eq.family._integrals(theta, alpha)[1] if alpha else (0.0,) * len(theta)
+    logf, u = eq.family._pointwise(theta, eq.points, 2 if alpha else 1)
+    size = ((eq.weights * np.exp(alpha * logf) if alpha else eq.weights) @ np.abs(u, out=u)).tolist()
+    return all(abs(g) <= _TOL_GRADIENT * (abs(j) + s) for g, j, s in zip(end.g, jvec, size))
 
 
 def _start_eta(family: ParametricFamily, theta, alpha: float) -> tuple:
@@ -508,19 +526,16 @@ def _hazard_start(sample: CensoredSample, family: ParametricFamily) -> np.ndarra
 def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | None = None) -> FitResult:
     """Fit the divergence estimator at config.alpha and attach the sandwich.
 
-    At alpha = 0 the root is exact ("profile"; a start is only validated).
-    Otherwise residual Newton, then descent Newton when Newton gives no
-    root, run from one start (module docstring) under three rules: a Weibull
-    start shape is raised to 1.5 alpha / (1 + alpha) when below it; a root
-    may not lie above its start's objective; and an explicit config.start
-    without a root is retried once from the default start.
-    FitResult.message is "profile", "newton", "descent" or
-    "descent-degenerate", with ": no root at tol 1e-08" when nothing
-    converged; the fit then returns converged=False, the last point and NaN
-    matrices rather than raising.  An unidentifiable sample raises
+    The solvers are the module docstring's: one 1-D solve ("profile") at
+    alpha = 0, where a start is only validated, and for the exponential at
+    alpha > 0, from its start; the Weibull's trajectories ("newton",
+    "descent", "descent-degenerate") at alpha > 0 under its three rules.
+    When nothing converged, ": no root at tol 1e-08" ends the message, and
+    the fit returns converged=False, the last point and NaN matrices rather
+    than raising.  An unidentifiable sample raises
     :class:`UnidentifiableSampleError` before any solve; a converged
-    estimate whose sensitivity matrix is singular raises
-    :class:`varest.SingularSensitivityError`.
+    estimate whose sensitivity matrix is singular, or whose closed forms are
+    not finite, raises :class:`varest.SingularSensitivityError`.
     """
     config = config or FitConfig()
     alpha = config.alpha
@@ -531,22 +546,24 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
             f"time(s); the sample has {eq.event_times}"
         )
     explicit = config.start is not None
-    if explicit and alpha == 0.0:
-        family.validate(config.start)  # unused by the unique root, but checked as for alpha > 0
+    # at alpha = 0 an explicit start is unused by the unique root, but checked as for alpha > 0
+    eta0 = _start_eta(family, config.start if explicit else _initial_theta(sample, family), alpha) if alpha or explicit else None
     # trial points may overflow (rejected steps); psi is checked where formed
     with np.errstate(all="ignore"):
-        if alpha == 0.0:
-            (end, iters), tag = _profile_root(eq), "profile"
-            ok = end.norm <= _TOL_GRADIENT
+        if alpha == 0.0 or family.dim == 1:
+            (end, iters), tag = _profile_root(eq, eta0), "profile"
+            ok = _certified(eq, end)
         else:
-            eta0 = _start_eta(family, config.start if explicit else _initial_theta(sample, family), alpha)
             end, iters, ok, tag = _root_from(eq, eta0)
             if not ok and explicit:
                 end, more, ok, tag = _root_from(eq, _start_eta(family, _initial_theta(sample, family), alpha))
                 iters += more
         theta_hat = np.exp(end.eta)
         if ok:  # a converged theta_hat is finite and positive
-            lam, psi = _sample_psi(family, theta_hat, alpha)
+            try:
+                lam, psi = _sample_psi(family, theta_hat, alpha)
+            except ValueError:  # Lambda overflows: no sandwich in floats
+                raise varest.SingularSensitivityError("sensitivity matrix is singular (cond=inf)") from None
             cov = varest.covariance_estimate(sample, psi, theta_hat, lam)
     if not ok:  # no sandwich away from a root, where Lambda need not even exist
         nan = np.full((family.dim, family.dim), np.nan)

@@ -131,11 +131,15 @@ def if2_wald(
 
     a nonnegative quadratic form in the estimator IF (the first-order IF is
     identically zero at the null)."""
-    jac, inverse = _null_inverse(family, theta0, alpha, restriction, sigma)
-    iv = np.atleast_2d(if_estimator(family, theta0, alpha, t))
-    proj = iv @ jac
-    values = 2.0 * np.einsum("ij,ij->i", proj, proj @ inverse)
+    null = _null_inverse(family, theta0, alpha, restriction, sigma)
+    values = _if2_values(*null, np.atleast_2d(if_estimator(family, theta0, alpha, t)))
     return float(values[0]) if np.ndim(t) == 0 else values
+
+
+def _if2_values(jac, inverse, iv) -> np.ndarray:
+    """2 IF^T M (M^T Sigma M)^{-1} M^T IF for each row of the IF table iv."""
+    proj = iv @ jac
+    return 2.0 * np.einsum("ij,ij->i", proj, proj @ inverse)
 
 
 def kstar(s: float, p: int, level: float = 0.05) -> float:
@@ -190,13 +194,17 @@ def pif(
 
     d = 0 is the level case: the LIF, identically zero for bounded
     estimating functions."""
-    d = np.asarray(d, dtype=float)
-    jac, inverse = _null_inverse(family, theta0, alpha, restriction, sigma)
-    s0 = (inverse @ (jac.T @ d)) @ jac.T  # row vector d^T M (M^T Sigma M)^{-1} M^T
-    s = float(s0 @ d)
+    null = _null_inverse(family, theta0, alpha, restriction, sigma)
     iv = np.atleast_2d(if_estimator(family, theta0, alpha, t))
-    values = kstar(s, restriction.r, level) * (iv @ s0)
+    values = _pif_values(*null, iv, np.asarray(d, dtype=float), restriction.r, level)
     return float(values[0]) if np.ndim(t) == 0 else values
+
+
+def _pif_values(jac, inverse, iv, d, r: int, level: float) -> np.ndarray:
+    """K*_r(S0 d) S0 IF for each row of the IF table iv, with the row vector
+    S0 = d^T M (M^T Sigma M)^{-1} M^T."""
+    s0 = (inverse @ (jac.T @ d)) @ jac.T
+    return kstar(float(s0 @ d), r, level) * (iv @ s0)
 
 
 def if2_two_sample(

@@ -21,16 +21,17 @@ influence.sigma_model) takes them from one checked call,
 not finite.
 
 The solver's fused pass gives the objective H, the estimating equation g =
-jvec - sum_i m_i u_i f_i^alpha and its exact Jacobian from one reduction,
-weighted by v_i = m_i f_i^alpha, of the rows 1, x, x^2 (exponential) or, with
-t = log(x / sigma) and w = e^{b t}, 1, w - 1, t (w - 1), t w, t^2 w,
-(w - 1)^2, t (w - 1)^2, (t (w - 1))^2 (Weibull): H = xi - (1 + alpha)/alpha
-sum_i v_i + 1/alpha, or -sum_i m_i log f_i at alpha = 0.  The Weibull pass
-writes its rows with ``out=`` ufuncs into an (8, n) buffer that ``_prepare``
-allocates once per fit, row 0 held at 1; rows 5-7 enter only times alpha, so
-at alpha = 0 they stay at the zeros that ``_prepare`` wrote, and the pass
-skips their three products.  log f and u take one pass of their own, which
-mdpde_psi and the fit's sandwich share (:func:`_psi`).
+jvec - sum_i m_i u_i f_i^alpha and, for the Weibull, its exact Jacobian from
+one reduction weighted by v_i = m_i f_i^alpha: of 1, r, r^2 with r = x / mean
+(exponential, so that only r carries the time unit) or, with t = log(x /
+sigma) and w = e^{b t}, of 1, w - 1, t (w - 1), t w, t^2 w, (w - 1)^2,
+t (w - 1)^2, (t (w - 1))^2 (Weibull): H = xi - (1 + alpha)/alpha sum_i v_i +
+1/alpha, or -sum_i m_i log f_i at alpha = 0.  Each pass writes its rows with
+``out=`` ufuncs into buffers that ``_prepare`` allocates once per fit; the
+Weibull's rows 5-7 enter only times alpha, so at alpha = 0 they stay at the
+zeros that ``_prepare`` wrote, and the pass skips their three products.  log
+f and u take one pass of their own, which mdpde_psi and the fit's sandwich
+share (:func:`_psi`).
 """
 
 from __future__ import annotations
@@ -123,19 +124,20 @@ class ParametricFamily:
             raise ValueError(_X_DOMAIN)
         return x
 
-    # -- subclass surface -------------------------------------------------
     def logpdf(self, theta, x) -> np.ndarray:
-        raise NotImplementedError
+        return self._checked(theta, x, 0)
 
     def score(self, theta, x) -> np.ndarray:
         """Gradient of log f at each x; shape (len(x), p)."""
-        raise NotImplementedError
-
-    def sample(self, theta, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
+        return self._checked(theta, x, 1)
 
     def weighted_integrals(self, theta, alpha: float) -> WeightedIntegrals:
         """Closed-form (xi, jvec, kmat); ValueError where they are not finite."""
+        xi, jvec, kmat = _closed_forms(self, self.validate(theta), validate_alpha(alpha))
+        return WeightedIntegrals(xi, np.array(jvec), np.array(kmat))
+
+    # -- subclass surface -------------------------------------------------
+    def sample(self, theta, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
     # The closed forms below take theta as a sequence of p scalars and do
@@ -154,7 +156,7 @@ class ParametricFamily:
     def _integrals(self, theta, alpha: float):
         """(xi, jvec, kmat, djvec), matrices as tuples of rows, for an already
         validated theta, where djvec = d jvec / d theta = integral of grad u
-        f^(1+alpha) plus (1+alpha) kmat."""
+        f^(1+alpha) plus (1+alpha) kmat (None for a 1-D root's family)."""
         raise NotImplementedError
 
     def _prepare(self, x: np.ndarray):
@@ -166,8 +168,8 @@ class ParametricFamily:
     def _equation(self, theta, alpha: float, prepared, mass: np.ndarray):
         """The fused pass (module docstring) at the points that ``_prepare``
         turned into ``prepared``, with masses ``mass``: (H, g, J_theta, s0),
-        J by rows and s0 = sum_i m_i f_i^alpha, as Python floats for a
-        Python-float theta."""
+        J by rows (None with djvec) and s0 = sum_i m_i f_i^alpha, as Python
+        floats for a Python-float theta."""
         raise NotImplementedError
 
     def _checked(self, theta, x, order: int) -> np.ndarray:
@@ -190,24 +192,15 @@ class Exponential(ParametricFamily):
     family_id = "exponential"
     param_names = ("mean",)
 
-    def logpdf(self, theta, x):
-        return self._checked(theta, x, 0)
-
-    def score(self, theta, x):
-        return self._checked(theta, x, 1)
-
     def sample(self, theta, rng, size):
         (m,) = self.validate(theta)
         return rng.exponential(m, size)
 
-    def weighted_integrals(self, theta, alpha):
-        xi, jvec, kmat = _closed_forms(self, self.validate(theta), validate_alpha(alpha))
-        return WeightedIntegrals(xi, np.array(jvec), np.array(kmat))
-
     def _pointwise(self, theta, x, order):
         (m,) = theta
-        logf = -np.log(m) - x / m if order != 1 else None
-        u = ((x - m) / m**2)[..., None] if order >= 1 else None
+        r = x / m
+        logf = -np.log(m) - r if order != 1 else None
+        u = ((r - 1.0) / m)[..., None] if order >= 1 else None
         return logf, u
 
     def _integrals(self, theta, alpha):
@@ -216,52 +209,43 @@ class Exponential(ParametricFamily):
         xi = m**-alpha / beta
         jvec = (-alpha * m ** -(alpha + 1.0) / beta**2,)
         k = (1.0 + alpha**2) * beta**-3 * m ** -(alpha + 2.0)
-        # integral of grad u f^(1+alpha), grad u = (m - 2x) / m^3
-        h = (alpha - 1.0) * m ** -(alpha + 2.0) / beta**2
-        return xi, jvec, ((k,),), ((h + beta * k,),)
+        return xi, jvec, ((k,),), None
 
     def _prepare(self, x):
-        return np.stack((np.ones_like(x), x, x * x))
+        # rows x, r = x / m and v r: the points and two buffers that each pass overwrites
+        return np.stack((x, x, x))
+
+    @staticmethod
+    def _sums(m, alpha, rows, mass):
+        """(sum v r^k for k = 0, 1, 2), r = x / m and v = mass e^(-alpha r), each
+        exponential pass's reduction; v r^2 as (v r) r adds 0 where v underflows."""
+        x, r, vr = rows
+        np.divide(x, m, out=r)
+        v = mass * np.exp(-alpha * r) if alpha else mass
+        np.multiply(v, r, out=vr)
+        return float(v.sum()), float(vr.sum()), float(vr @ r)
 
     def _equation(self, theta, alpha, rows, mass):
         (m,) = theta
-        if alpha == 0.0:
-            # jvec and its theta-derivative vanish identically at alpha = 0
-            v, pref, j, dj = mass, 1.0, 0.0, 0.0
-        else:
-            # f^alpha = m^-alpha e^(-alpha x / m)
-            v = mass * np.exp((-alpha / m) * rows[1])
-            pref = m**-alpha
-            xi, (j,), _, ((dj,),) = self._integrals(theta, alpha)
-        s0, s1, s2 = (pref * s for s in (rows @ v).tolist())
-        if alpha == 0.0:
-            h = math.log(m) * s0 + s1 / m  # -log f = log m + x / m
-        else:
-            h = xi - (1.0 + alpha) / alpha * s0 + 1.0 / alpha
-        # u = (x - m) / m^2 and grad u = (m - 2x) / m^3, summed with v
-        m2 = m * m
-        jac = dj - (m * s0 - 2.0 * s1) / (m2 * m) - alpha * (s2 - 2.0 * m * s1 + m2 * s0) / (m2 * m2)
-        return h, (j - (s1 - m * s0) / m2,), ((jac,),), s0
+        s0, s1, _ = self._sums(m, alpha, rows, mass)
+        # f^alpha = m^-alpha e^(-alpha r) and u = (r - 1) / m; at alpha = 0
+        # jvec vanishes identically and -log f = log m + r
+        xi, (j,), _, _ = self._integrals(theta, alpha) if alpha else (0.0, (0.0,), None, None)
+        pref = m**-alpha
+        h = xi - (1.0 + alpha) / alpha * pref * s0 + 1.0 / alpha if alpha else math.log(m) * s0 + s1
+        return h, (j - pref * (s1 - s0) / m,), None, pref * s0
 
 class Weibull(ParametricFamily):
     """Weibull lifetimes with scale sigma and shape b: F(x) = 1 - exp(-(x/sigma)^b)."""
 
     family_id = "weibull"
     param_names = ("scale", "shape")
-
-    def logpdf(self, theta, x):
-        return self._checked(theta, x, 0)
-
-    def score(self, theta, x):
-        return self._checked(theta, x, 1)
+    # bench/tracing.py wraps these three in Weibull's own namespace
+    logpdf, score, weighted_integrals = ParametricFamily.logpdf, ParametricFamily.score, ParametricFamily.weighted_integrals
 
     def sample(self, theta, rng, size):
         sigma, b = self.validate(theta)
         return sigma * rng.weibull(b, size)
-
-    def weighted_integrals(self, theta, alpha):
-        xi, jvec, kmat = _closed_forms(self, self.validate(theta), validate_alpha(alpha))
-        return WeightedIntegrals(xi, np.array(jvec), np.array(kmat))
 
     def _pointwise(self, theta, x, order):
         sigma, b = theta

@@ -15,6 +15,7 @@ from robustsurv import (
     FamilySpec,
     FitConfig,
     FitResult,
+    SingularSensitivityError,
     SyntheticDesign,
     UnidentifiableSampleError,
     WEIBULL,
@@ -31,9 +32,12 @@ from robustsurv import estimator
 from robustsurv.estimator import (
     _MAX_LOG_DRIFT,
     _STALL_STEPS,
+    _bracketed_newton,
+    _certified,
     _descent_direction,
     _initial_theta,
     _Point,
+    _profile_root,
     _start_eta,
     _trajectory,
     _WeightedEquation,
@@ -45,21 +49,36 @@ def uncensored(z):
     return CensoredSample(z, np.ones(z.size, dtype=np.int8))
 
 
+def fused_pass(eq, theta):
+    """The fit's fused pass (H, g, J_theta, s0) at p parameter values."""
+    return eq.family._equation([float(v) for v in theta], eq.alpha, eq.prepared, eq.weights)
+
+
+def objective_at(eq, theta) -> float:
+    """H(theta) from the fused pass; inf where it overflows or is not finite."""
+    try:
+        value = fused_pass(eq, theta)[0]
+    except ArithmeticError:
+        return math.inf
+    return value if math.isfinite(value) else math.inf
+
+
 class ScriptedEquation:
-    """A stand-in equation for the trajectories: at eta its residual is g =
-    (-step,), and J_eta is 1 for Newton and 1 + step for the descent, so
-    that every step of either moves eta by ``step``; |g| and the objective
-    are the given functions of eta."""
+    """A stand-in equation for the trajectories, p = 2 with an inert second
+    coordinate: at eta its residual is g = (-step, 0), and J_eta is the
+    identity for Newton and diag(1 + step, 1) for the descent, so that every
+    step of either moves eta by (step, 0); |g| and the objective are the
+    given functions of eta[0]."""
 
     alpha = 0.0
 
     def __init__(self, step, norm, value=lambda e: 0.0, descent=False):
         self.step, self.norm, self.value = step, norm, value
-        self.jac = ((1.0 + step,),) if descent else ((1.0,),)
+        self.jac = ((1.0 + step, 0.0), (0.0, 1.0)) if descent else ((1.0, 0.0), (0.0, 1.0))
 
     def point(self, eta):
-        (e,) = eta
-        return _Point((e,), self.value(e), (-self.step,), self.jac, self.norm(e), 1.0)
+        e, other = eta
+        return _Point((e, other), self.value(e), (-self.step, 0.0), self.jac, self.norm(e), 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -76,15 +95,15 @@ def weibull_censored(weibull_design):
 class TestObjective:
     def test_alpha_zero_is_weighted_negative_loglik(self, exp_sample):
         theta = [1.7]
-        got = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0).objective(theta)
+        got = objective_at(_WeightedEquation(exp_sample, EXPONENTIAL, 0.0), theta)
         expected = -np.mean(EXPONENTIAL.logpdf(theta, exp_sample.z))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_continuous_in_alpha(self, exp_sample):
         theta = [2.1]
-        limit = _WeightedEquation(exp_sample, EXPONENTIAL, 0.0).objective(theta)
+        limit = objective_at(_WeightedEquation(exp_sample, EXPONENTIAL, 0.0), theta)
         gaps = [
-            abs(_WeightedEquation(exp_sample, EXPONENTIAL, a).objective(theta) - limit)
+            abs(objective_at(_WeightedEquation(exp_sample, EXPONENTIAL, a), theta) - limit)
             for a in (1e-3, 1e-4, 1e-5)
         ]
         assert gaps[0] < 5e-3
@@ -95,11 +114,11 @@ class TestObjective:
     def test_local_minimum_property(self, exp_sample):
         result = fit(exp_sample, EXPONENTIAL, FitConfig(alpha=0.5))
         eq = _WeightedEquation(exp_sample, EXPONENTIAL, 0.5)
-        base = eq.objective(result.theta_hat)
+        base = objective_at(eq, result.theta_hat)
         rng = np.random.default_rng(0)
         for _ in range(50):
             perturbed = result.theta_hat * np.exp(rng.normal(0, 0.3))
-            assert eq.objective(perturbed) >= base
+            assert objective_at(eq, perturbed) >= base
 
     def test_gradient_matches_estimating_equation(self, weibull_censored):
         # grad objective = (1+alpha) * estimating equation
@@ -111,8 +130,8 @@ class TestObjective:
             up, down = theta.copy(), theta.copy()
             up[j] += h
             down[j] -= h
-            grad_fd[j] = (eq.objective(up) - eq.objective(down)) / (2 * h)
-        np.testing.assert_allclose(grad_fd, 1.4 * np.array(eq._pass(theta)[1]), rtol=1e-5, atol=1e-9)
+            grad_fd[j] = (objective_at(eq, up) - objective_at(eq, down)) / (2 * h)
+        np.testing.assert_allclose(grad_fd, 1.4 * np.array(fused_pass(eq, theta)[1]), rtol=1e-5, atol=1e-9)
 
 
 def contaminated_design(seed):
@@ -156,7 +175,7 @@ def objective_minimum(sample, alpha, scale_range, shape_range):
     def objective(eta):
         try:
             with np.errstate(all="ignore"):
-                return eq.objective(np.exp(eta))
+                return objective_at(eq, np.exp(eta))
         except ValueError:  # f^(1+alpha) not integrable
             return np.inf
 
@@ -173,23 +192,22 @@ def objective_minimum(sample, alpha, scale_range, shape_range):
 
 class TestExactJacobian:
     """The solver's closed-form Jacobian against central differences of the
-    estimating equation, in theta and in the solver's log coordinates."""
+    estimating equation, in theta and in the solver's log coordinates: the
+    Weibull's, as no exponential fit solves with a Jacobian."""
 
     @given(
-        family=st.sampled_from([EXPONENTIAL, WEIBULL]),
         contaminated=st.booleans(),
         alpha=st.floats(0.0, 1.0),
         log_offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     )
-    @example(family=WEIBULL, contaminated=True, alpha=0.0, log_offset=(0.3, -0.4))
-    @example(family=EXPONENTIAL, contaminated=False, alpha=0.0, log_offset=(-0.5, 0.0))
-    def test_matches_central_differences(self, family, contaminated, alpha, log_offset):
-        eq = _WeightedEquation(jacobian_sample(contaminated), family, alpha)
-        eta = np.log([2.0, 5.0][: family.dim]) + np.array(log_offset[: family.dim])
+    @example(contaminated=True, alpha=0.0, log_offset=(0.3, -0.4))
+    def test_matches_central_differences(self, contaminated, alpha, log_offset):
+        eq = _WeightedEquation(jacobian_sample(contaminated), WEIBULL, alpha)
+        eta = np.log([2.0, 5.0]) + np.array(log_offset)
         theta = np.exp(eta)
 
-        g, jac = (np.array(v) for v in eq._pass(theta)[1:3])
-        fd = central_jacobian(lambda th: np.array(eq._pass(th)[1]), theta, 1e-5 * theta)
+        g, jac = (np.array(v) for v in fused_pass(eq, theta)[1:3])
+        fd = central_jacobian(lambda th: np.array(fused_pass(eq, th)[1]), theta, 1e-5 * theta)
         np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(jac).max())
 
         at = eq.point(eta)
@@ -204,7 +222,8 @@ class TestExactJacobian:
 
 class TestFusedPass:
     """The solver's fused (g, J) against an assembly from the public score,
-    logpdf and weighted_integrals over the product-limit weights."""
+    logpdf and weighted_integrals over the product-limit weights (the
+    exponential's pass forms g alone)."""
 
     @given(
         family=st.sampled_from([EXPONENTIAL, WEIBULL]),
@@ -228,9 +247,12 @@ class TestFusedPass:
 
         jvec, u, weights = parts(theta)
         terms = weights[:, None] * u
-        g, jac = (np.array(v) for v in _WeightedEquation(sample, family, alpha)._pass(theta)[1:3])
+        g, jac = fused_pass(_WeightedEquation(sample, family, alpha), theta)[1:3]
         scale = max(np.abs(jvec).max(), np.abs(terms).sum(axis=0).max())
         np.testing.assert_allclose(g, jvec - terms.sum(axis=0), rtol=1e-12, atol=1e-12 * scale)
+        if family is EXPONENTIAL:  # a 1-D root, whose pass forms no Jacobian
+            assert jac is None
+            return
 
         # J = d jvec / d theta - sum_i mass_i f_i^alpha (grad u_i + alpha u_i u_i^T),
         # the theta-derivatives by central differences of the public pieces
@@ -258,9 +280,9 @@ class TestFusedPass:
         sample = jacobian_sample(True)
         theta1, theta2 = (np.array(v[: family.dim]) for v in ([2.0, 5.0], [3.5, 1.2]))
         eq = _WeightedEquation(sample, family, alpha)
-        first, between, again = (eq._pass(th) for th in (theta1, theta2, theta1))
+        first, between, again = (fused_pass(eq, th) for th in (theta1, theta2, theta1))
         other = _WeightedEquation(sample, family, alpha)
-        assert first == again == other._pass(theta1) and between != first
+        assert first == again == fused_pass(other, theta1) and between != first
         mine, theirs = (
             [p] if isinstance(p, np.ndarray) else list(p) for p in (eq.prepared, other.prepared)
         )
@@ -292,7 +314,7 @@ class TestFusedPass:
             s0,
         )
         eq = _WeightedEquation(sample, WEIBULL, 0.0)
-        assert repr(eq._pass(theta)) == repr(expected)
+        assert repr(fused_pass(eq, theta)) == repr(expected)
         assert not eq.prepared[1][5:].any()
 
 
@@ -326,9 +348,9 @@ class TestSolver:
         # a trajectory that halves |g| at every step is not stalled, but one
         # that moves eta by 4 per step passes the drift bound at step 6
         eq = ScriptedEquation(4.0, lambda e: 0.5 ** (e / 4.0))
-        end, iters, ok = _trajectory(eq, eq.point((0.0,)), 1e-8, 200, False)
+        end, iters, ok = _trajectory(eq, eq.point((0.0, 0.0)), 1e-8, 200, False)
         assert not ok
-        assert iters == 6 and end.eta[0] > _MAX_LOG_DRIFT
+        assert iters == 6 and end.eta[0] > _MAX_LOG_DRIFT and end.eta[1] == 0.0
 
     def test_root_above_its_start_is_not_converged(self):
         # a step to |g| = 0 whose objective is above the start's is a
@@ -336,7 +358,7 @@ class TestSolver:
         # converges
         for rises, converged in ((1e-6, False), (0.0, True)):
             eq = ScriptedEquation(1.0, lambda e: max(1.0 - 2.0 * e, 0.0), lambda e: rises * e)
-            end, iters, ok = _trajectory(eq, eq.point((0.0,)), 1e-8, 200, False)
+            end, iters, ok = _trajectory(eq, eq.point((0.0, 0.0)), 1e-8, 200, False)
             assert ok is converged and iters == 1 and end.norm == 0.0
 
     def test_stall_stop_only_where_asked(self):
@@ -345,11 +367,11 @@ class TestSolver:
         # the same crawl to max_iter
         crawl = lambda e: 0.9 ** round(e / 0.01)
         eq = ScriptedEquation(0.01, crawl)
-        _, iters, ok = _trajectory(eq, eq.point((0.0,)), 1e-300, 100, False)
+        _, iters, ok = _trajectory(eq, eq.point((0.0, 0.0)), 1e-300, 100, False)
         assert not ok and iters == _STALL_STEPS
         eq = ScriptedEquation(0.01, crawl, descent=True)
-        end, iters, ok = _trajectory(eq, eq.point((0.0,)), 1e-300, 100, True)
-        assert not ok and iters == 100 and end.eta[0] == pytest.approx(1.0)
+        end, iters, ok = _trajectory(eq, eq.point((0.0, 0.0)), 1e-300, 100, True)
+        assert not ok and iters == 100 and end.eta[0] == pytest.approx(1.0) and end.eta[1] == 0.0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -357,7 +379,10 @@ class TestSolver:
     def test_extreme_trial_points_are_rejected_not_raised(self, weibull_censored, family, alpha):
         # the solver's evaluations on trial points out to theta = 0 and inf:
         # overflow, division by zero and log(0) must come back as values the
-        # damping logic rejects, never as an exception or a warning
+        # damping logic rejects, never as an exception or a warning; the
+        # exponential's pass, in r = x / theta, forms no Jacobian and gives
+        # the finite limit g = 0 at theta = inf, where no exponential fit
+        # evaluates (each is a 1-D solve that passes only at its end)
         eq = _WeightedEquation(weibull_censored, family, alpha)
         p = family.dim
         for eta in itertools.product((-800.0, -40.0, 0.0, 40.0, 800.0), repeat=p):
@@ -365,14 +390,16 @@ class TestSolver:
             with np.errstate(all="ignore"):  # as fit() sets for its solve
                 at = eq.point(eta)
                 g = g_j = np.array(at.g)
-                jac = np.array(at.jac)
+                jac = at.jac
                 value = at.value
                 mass = at.mass
-            assert g.shape == g_j.shape == (p,) and jac.shape == (p, p)
+            assert g.shape == g_j.shape == (p,) and (p == 1 or np.shape(jac) == (p, p))  # no J for the exponential
             assert not np.isnan(value) and value > -np.inf
             if np.max(np.abs(eta)) == 800.0:  # some coordinate is 0 or inf
-                assert not np.all(np.isfinite(g)) and not np.all(np.isfinite(g_j))
-                assert not np.all(np.isfinite(jac))
+                if p == 2 or eta[0] < 0.0:
+                    assert not np.all(np.isfinite(g)) and not np.all(np.isfinite(g_j))
+                if p == 2:
+                    assert not np.all(np.isfinite(jac))
                 # never counted as density mass for alpha > 0 (0.0, or NaN
                 # for an evaluation that raised); at alpha = 0 the mass
                 # sum_i w_i f_i^0 is the total weight, which the solver
@@ -456,9 +483,6 @@ class TestDescentDirection:
             # entries whose squares overflow or underflow
             ((0.0, 0.0), (1e150, -3e150), ((2e160, 1e159), (1e159, -3e160))),
             ((0.0, 0.0), (1e-160, 3e-160), ((2e-170, 1e-171), (1e-171, 5e-170))),
-            # p = 1, both signs of the curvature
-            ((0.4,), (0.3,), ((2.0,),)),
-            ((-1.0,), (2.5,), ((-7.0,),)),
         ],
     )
     def test_matches_eigh(self, eta, g, jac):
@@ -497,7 +521,6 @@ class TestDescentDirection:
             ((0.0, 0.0), (0.0, 0.0), ((1.0, 1.0), (1.0, 1.0))),  # singular S
             ((0.0, 0.0), (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))),  # S = 0
             ((0.0, 0.0), (1.0, 1.0), ((math.inf, 0.0), (0.0, 1.0))),
-            ((0.0,), (1.0,), ((-1.0,),)),  # p = 1, S = 0
         ],
     )
     def test_no_step_where_s_is_singular_or_not_finite(self, eta, g, jac):
@@ -588,6 +611,165 @@ class TestProfile:
         scaled = fit(CensoredSample(sample.z * c, sample.delta), family)
         assert scaled.converged == base.converged
         np.testing.assert_allclose(scaled.theta_hat, base.theta_hat * [c, 1.0][: family.dim], rtol=1e-12, atol=0)
+
+
+def k_oracle(sample, alpha, lo, hi):
+    """Oracle of the exponential fit: scipy's brentq root, in y = log theta
+    over [log lo, log hi], of k = sum w (1 - r) e^(-alpha r) - alpha / (1 +
+    alpha)^2, r = z / theta, over the product-limit weights."""
+    km = kmpl_fit(sample)
+    mass, z = km.weight_masses, km.weight_points
+
+    def k(y):
+        r = z / math.exp(y)
+        return float(mass @ ((1.0 - r) * np.exp(-alpha * r))) - alpha / (1.0 + alpha) ** 2
+
+    return math.exp(optimize.brentq(k, math.log(lo), math.log(hi), xtol=1e-15, rtol=8.9e-16, maxiter=500))
+
+
+def outlier_probe(outlier):
+    """49 Exp(5) draws and one outlying point, all events."""
+    return uncensored(np.append(np.random.default_rng(1).exponential(5.0, 49), outlier))
+
+
+class TestExponentialRoot:
+    """The exponential at every alpha: one bracketed 1-D solve in y = log
+    theta of k = theta^(1+alpha) g, which depends on the data only through r
+    = z / theta, so the estimate follows any change of time unit."""
+
+    @pytest.mark.parametrize("outlier", [1e4, 1e6, 1e8])
+    def test_one_outlier_leaves_the_robust_root(self, outlier):
+        # k changes sign once, near 5.8; the outlier's term underflows to 0
+        sample = outlier_probe(outlier)
+        result = fit(sample, EXPONENTIAL, FitConfig(alpha=0.5))
+        assert result.converged and result.message == "profile"
+        oracle = k_oracle(sample, 0.5, 1.0, 100.0)
+        assert oracle == pytest.approx(5.800975936934, rel=1e-12)
+        assert result.theta_hat[0] == pytest.approx(oracle, rel=1e-12)
+
+    def test_four_points_with_an_outlier(self):
+        sample = uncensored([9.4e6, 12.8, 15.2, 16.6])
+        result = fit(sample, EXPONENTIAL, FitConfig(alpha=0.5))
+        assert result.converged
+        oracle = k_oracle(sample, 0.5, 1.0, 1000.0)
+        assert oracle == pytest.approx(24.69985061246, rel=1e-12)
+        assert result.theta_hat[0] == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, root", [(0.5, 123.4335713511), (1.0, 118.9275659756)])
+    @pytest.mark.parametrize("unit", [1.0, 24.0, 86400.0], ids=["days", "hours", "seconds"])
+    def test_veteran_arm_a_in_any_unit(self, veteran, alpha, root, unit):
+        arm = veteran["A"]
+        sample = CensoredSample(arm.z * unit, arm.delta)
+        result = fit(sample, EXPONENTIAL, FitConfig(alpha=alpha))
+        assert result.converged and result.message == "profile" and result.n_iter > 0
+        oracle = k_oracle(arm, alpha, 50.0, 300.0)
+        assert oracle == pytest.approx(root, rel=1e-12)
+        assert result.theta_hat[0] / unit == pytest.approx(oracle, rel=1e-12)
+
+    @given(
+        which=st.sampled_from(["clean", "contaminated", "veteran A"]),
+        alpha=st.floats(0.0, 1.0),
+        log_c=st.floats(math.log(1e-8), math.log(1e8)),
+    )
+    @example(which="veteran A", alpha=0.5, log_c=math.log(24.0))
+    @example(which="veteran A", alpha=1.0, log_c=math.log(86400.0))
+    @example(which="contaminated", alpha=1.0, log_c=math.log(1e-8))
+    def test_unit_equivariance(self, veteran, which, alpha, log_c):
+        # z -> c z: the mean follows c, and converged stays
+        sample = veteran["A"] if which == "veteran A" else jacobian_sample(which == "contaminated")
+        c = math.exp(log_c)
+        base = fit(sample, EXPONENTIAL, FitConfig(alpha=alpha))
+        scaled = fit(CensoredSample(sample.z * c, sample.delta), EXPONENTIAL, FitConfig(alpha=alpha))
+        assert base.converged and scaled.converged == base.converged
+        assert scaled.theta_hat[0] == pytest.approx(c * base.theta_hat[0], rel=1e-12)
+
+    def test_no_trajectory_runs(self, weibull_censored, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an exponential fit ran the 2-D solver")
+
+        for name in ("_trajectory", "_descent_direction", "_root_from"):
+            monkeypatch.setattr(estimator, name, refuse)
+        for alpha in (0.0, 0.5, 1.0):
+            for start in (None, (1e-3,), (1e3,)):
+                result = fit(weibull_censored, EXPONENTIAL, FitConfig(alpha=alpha, start=start))
+                assert result.converged and result.message == "profile"
+        assert all(r.converged for r in fit_grid(weibull_censored, EXPONENTIAL, [0.0, 0.5, 1.0]))
+
+    @pytest.mark.parametrize("start", [(1e-12,), (1e12,)])
+    def test_any_start_reaches_the_root(self, weibull_censored, start):
+        # the first steps run _MAX_LOG_STEP towards the root until its sign
+        # changes, then Newton stays in the bracket
+        cold = fit(weibull_censored, EXPONENTIAL, FitConfig(alpha=0.5))
+        result = fit(weibull_censored, EXPONENTIAL, FitConfig(alpha=0.5, start=start))
+        assert result.converged and result.n_iter > cold.n_iter
+        assert result.theta_hat[0] == pytest.approx(cold.theta_hat[0], rel=1e-14)
+
+    def test_exact_root_in_tiny_units_is_certified(self):
+        # the alpha = 0 mean is exact in any unit; in units of 1e-300 its
+        # Lambda, 1 / theta^2, is no float, so the fit cannot form a sandwich
+        for unit in (1e-150, 1e-300):
+            sample = uncensored(np.array([1.0, 2.0, 3.0]) * unit)
+            eq = _WeightedEquation(sample, EXPONENTIAL, 0.0)
+            with np.errstate(all="ignore"):
+                end, iters = _profile_root(eq, None)
+                assert _certified(eq, end) and iters == 0
+            assert math.exp(end.eta[0]) == pytest.approx(2.0 * unit, rel=1e-15)
+        result = fit(uncensored([1e-150, 2e-150, 3e-150]), EXPONENTIAL)
+        assert result.converged and result.theta_hat[0] == pytest.approx(2e-150, rel=1e-15)
+        with pytest.raises(SingularSensitivityError, match="cond=inf"):
+            fit(uncensored([1e-300, 2e-300, 3e-300]), EXPONENTIAL)
+
+
+class TestOneHugeTime:
+    """[1e300, 1, 2], all events: every fit ends as documented, and none
+    warns (Tier-1 turns warnings into errors)."""
+
+    sample = uncensored([1e300, 1.0, 2.0])
+
+    @pytest.mark.parametrize("family", [EXPONENTIAL, WEIBULL], ids=["exp", "weibull"])
+    def test_alpha_zero_has_no_sandwich(self, family):
+        # the exponential's Lambda underflows to 0 at the mean 3.3e299; the
+        # Weibull's closed forms overflow at its root (8.5e174, 0.0031)
+        with pytest.raises(SingularSensitivityError, match="cond=inf"):
+            fit(self.sample, family)
+
+    def test_exponential_alpha_half_converges(self):
+        result = fit(self.sample, EXPONENTIAL, FitConfig(alpha=0.5))
+        assert result.converged and np.isfinite(result.sigma_hat).all()
+        oracle = k_oracle(self.sample, 0.5, 1.0, 10.0)
+        assert oracle == pytest.approx(2.604832346999, rel=1e-12)
+        assert result.theta_hat[0] == pytest.approx(oracle, rel=1e-12)
+
+    def test_weibull_alpha_half_finds_no_root(self):
+        result = fit(self.sample, WEIBULL, FitConfig(alpha=0.5))
+        assert not result.converged and result.message.endswith(": no root at tol 1e-08")
+
+
+class TestBracketedNewton:
+    def test_open_side_step_towards_the_root(self):
+        # a step that points away from the root while the bracket is open on
+        # the root's side goes _MAX_LOG_STEP towards it; once bracketed, the
+        # bisection ends at adjacent floats
+        ys = []
+
+        def newton(y):
+            ys.append(y)
+            return 10.0 - y, -1.0, y
+
+        y, state, iterations = _bracketed_newton(newton, 0.0)
+        assert ys[:4] == [0.0, 4.0, 8.0, 12.0] and state == y and iterations == len(ys)
+        assert abs(y - 10.0) <= 2e-15
+
+    def test_newton_converges_without_bisection(self):
+        ys = []
+
+        def newton(y):
+            ys.append(y)
+            h = math.exp(-y) - 0.5  # root log 2, h falling
+            return h, h / math.exp(-y), None
+
+        y, _, iterations = _bracketed_newton(newton, 0.0)
+        assert y == pytest.approx(math.log(2.0), rel=1e-15) and iterations <= 7
 
 
 class TestFit:
@@ -704,7 +886,10 @@ class TestFit:
         sample = CensoredSample(np.append(base.z, 0.0), np.append(base.delta, 0))
         result = fit(sample, family, FitConfig(alpha=alpha))
         assert result.converged and result.n == 61
-        np.testing.assert_array_equal(result.theta_hat, fit(base, family, FitConfig(alpha=alpha)).theta_hat)
+        # from the same start: the exponential's, the total-time-on-test
+        # mean, sums 61 values in another np.sum grouping than 60
+        start = FitConfig(alpha=alpha, start=_initial_theta(sample, family))
+        np.testing.assert_array_equal(result.theta_hat, fit(base, family, start).theta_hat)
         theta = result.theta_hat
         public = covariance_estimate(
             sample, lambda x, th: mdpde_psi(family, th, alpha, x), theta,
