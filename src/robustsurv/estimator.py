@@ -15,7 +15,9 @@ decreasing profile equation (Farnum & Booth 1997, IEEE Trans. Reliab.
 46:523), and its scale and the exponential mean follow in closed form; at
 alpha > 0 the exponential mean solves k = theta^(1+alpha) g in y = log theta,
 which reads the data only through r = z / theta, so the estimate follows any
-change of time unit, as its certificate (_certified) does.
+change of time unit.  Every 1-D root ends on one evaluation (_root_end) that
+gives its H, g and certificate together: the exponential's is relative to
+k's terms in r, the Weibull's to the terms of g = -sum_i w_i u_i.
 
 Weibull solver at alpha > 0: one start and at most two trajectories from it,
 in log-parameter space (positivity for free), on the exact Jacobian
@@ -25,7 +27,7 @@ in log-parameter space (positivity for free), on the exact Jacobian
 with d jvec / d theta from the family's closed-form integrals (Basu, Harris,
 Hjort & Jones 1998, Biometrika 85:549, for the alpha-weighted information),
 and J_eta = J_theta diag(theta) in the log coordinates eta.  The family's
-fused pass, the solver's only evaluation, gives the objective H, g, J and
+fused pass, the trajectories' only evaluation, gives the objective H, g, J and
 the data mass sum_i w_i f_i^alpha at a point at once; no trajectory makes it
 twice at one point, and the start's pass serves both trajectories.  Both
 trajectories run in one loop of straight-line float code (_trajectory), so
@@ -34,9 +36,9 @@ point is formed on floats too (J_eta by scalar products, |g| = sqrt(g0^2 +
 g1^2)), and the pass fills the per-fit row buffer that the family's
 _prepare allocated for this fit's equation, so it allocates no row array.
 
-The default start (_hazard_start) is the exponential's total-time-on-test
-mean, or the Weibull's log-log hazard line over the product-limit support,
-fitted by centred least squares in closed form.
+The default start (_hazard_start) is the exponential's product-limit median
+over log 2, or the Weibull's log-log hazard line over the product-limit
+support, fitted by centred least squares in closed form.
 At a root one closed-form call gives the sandwich's Lambda (kmat) and
 psi's jvec, and psi is evaluated once at the sample's event times, through
 varest.covariance_estimate, inside the solve's quiet floating-point state;
@@ -131,8 +133,9 @@ class UnidentifiableSampleError(ValueError):
 class FitConfig:
     """Divergence tuning constant and optional solver start of one fit (a
     warm-started alpha sweep passes each estimate on as the next start; when
-    it gives the Weibull no root, the fit retries from the default start;
-    alpha = 0 needs none).  The tolerance 1e-8 and the 200 iterations are fixed."""
+    it gives the Weibull no root, the fit retries from the default start, the
+    log-log hazard line; the exponential's is the product-limit median over
+    log 2; alpha = 0 needs none).  The tolerance 1e-8 and 200 iterations are fixed."""
 
     alpha: float = 0.0
     start: Sequence[float] | None = None
@@ -271,18 +274,17 @@ class _WeightedEquation:
     # as NaN/inf for the damping logic, as do numpy's overflows under the
     # quiet floating-point state that fit() sets once for its whole solve
     def point(self, eta) -> _Point:
-        """The solver's one evaluation at theta = exp(eta): (H, g, J_eta)
-        with J_eta = J_theta diag(theta), from the family's fused pass."""
+        """The trajectories' one evaluation at theta = exp(eta), for the
+        Weibull at alpha > 0: (H, g, J_eta) with J_eta = J_theta diag(theta),
+        from the family's fused pass."""
         theta = np.exp(eta).tolist()
         try:
             value, g, jac, mass = self.family._equation(theta, self.alpha, self.prepared, self.weights)
         except (ArithmeticError, ValueError):
-            nan = (math.nan,) * len(theta)
-            return _Point(eta, math.inf, nan, (nan,) * len(theta), math.inf, math.nan)
-        norm = abs(g[0])  # the exponential's pass, for a 1-D root, forms no J
-        if jac is not None:
-            ((g0, g1), ((d00, d01), (d10, d11)), (th0, th1)) = g, jac, theta
-            jac, norm = ((d00 * th0, d01 * th1), (d10 * th0, d11 * th1)), math.sqrt(g0 * g0 + g1 * g1)
+            nan = (math.nan, math.nan)
+            return _Point(eta, math.inf, nan, (nan, nan), math.inf, math.nan)
+        ((g0, g1), ((d00, d01), (d10, d11)), (th0, th1)) = g, jac, theta
+        jac, norm = ((d00 * th0, d01 * th1), (d10 * th0, d11 * th1)), math.sqrt(g0 * g0 + g1 * g1)
         # H and |g|, inf where they are not finite or overflow
         value = value if math.isfinite(value) else math.inf
         norm = norm if math.isfinite(norm) else math.inf
@@ -422,27 +424,27 @@ def _bracketed_newton(newton, y):
 
 
 def _profile_root(eq: _WeightedEquation, eta0):
-    """(Fused point at the 1-D root, passes): the exponential mean, sum w z /
-    sum w at alpha = 0, else from eta0 the root in y = log theta of k =
-    theta^(1+alpha) g = sum w (1 - r) e^(-alpha r) - alpha / (1 + alpha)^2,
-    r = z / theta, which tends to -alpha / (1 + alpha)^2 and 1 - alpha / (1 +
-    alpha)^2 at the ends, so every start brackets it; or the Weibull shape,
-    from pi / (sqrt 6 sd_w(L)), as the root in y = log b of h(b) = 1/b + sum
-    w L / sum w - sum w e^(bL) L / sum w e^(bL), L = log z - max log z
-    (e^(bL) <= 1 in any time unit), then sigma^b = sum w z^b / sum w."""
+    """(_root_end's point and certificate, passes) of the 1-D root: the
+    exponential mean, sum w z / sum w at alpha = 0, else from eta0 the root in
+    y = log theta of k = theta^(1+alpha) g = sum w (1 - r) e^(-alpha r) -
+    alpha / (1 + alpha)^2, r = z / theta, which tends to -alpha / (1 + alpha)^2
+    and 1 - alpha / (1 + alpha)^2 at the ends, so every start brackets it; or
+    the Weibull shape, from pi / (sqrt 6 sd_w(L)), as the root in y = log b of
+    h(b) = 1/b + sum w L / sum w - sum w e^(bL) L / sum w e^(bL), L = log z -
+    max log z (e^(bL) <= 1 in any time unit), then sigma^b = sum w z^b / sum w."""
     mass, alpha, family = eq.weights, eq.alpha, eq.family
     if family.family_id == "exponential":
         if alpha == 0.0:
-            return eq.point((math.log(float(eq.points @ mass) / float(mass.sum())),)), 0
+            return (*_root_end(eq, (math.log(float(eq.points @ mass) / float(mass.sum())),)), 0)
         shift = alpha / (1.0 + alpha) ** 2
 
         def newton(y):
-            s0, s1, s2 = family._sums(math.exp(y), alpha, eq.prepared, mass)
+            s0, s1, s2 = family._sums(float(np.exp(y)), alpha, eq.prepared, mass)  # inf past the float range
             k, slope = s0 - s1 - shift, alpha * s2 - (1.0 + alpha) * s1  # slope = -dk/dy
             return -k, k / slope if slope else -k * math.inf, None
 
         y, _, iterations = _bracketed_newton(newton, eta0[0])
-        return eq.point((y,)), iterations
+        return (*_root_end(eq, (y,)), iterations)
     top = float(eq.prepared[0][-1])  # the points are sorted
     shifted = eq.prepared[0] - top
     rows = np.stack((mass, mass * shifted, mass * shifted * shifted))
@@ -458,20 +460,37 @@ def _profile_root(eq: _WeightedEquation, eta0):
         return h, h / (1.0 / b + b * (s2 / s0 - mean * mean)), (s0, b)  # -dh/dy = 1/b + b Var
 
     y, (s0, b), iterations = _bracketed_newton(newton, math.log(math.pi / math.sqrt(6.0 * var)) if var > 0.0 else 0.0)
-    return eq.point((top + math.log(s0 / w0) / b, y)), iterations
+    return (*_root_end(eq, (top + math.log(s0 / w0) / b, y)), iterations)
 
 
-def _certified(eq: _WeightedEquation, end: _Point) -> bool:
-    """The certificate of a 1-D root, per component k: |g_k| <= _TOL_GRADIENT
-    (|jvec_k| + sum_i w_i |u_ik| f_i^alpha), relative to the size of g's two
-    terms and so free of the time unit; a g the pass could not form fails."""
-    if not all(map(math.isfinite, end.g)):
-        return False
-    theta, alpha = [math.exp(v) for v in end.eta], eq.alpha
-    jvec = eq.family._integrals(theta, alpha)[1] if alpha else (0.0,) * len(theta)
-    logf, u = eq.family._pointwise(theta, eq.points, 2 if alpha else 1)
-    size = ((eq.weights * np.exp(alpha * logf) if alpha else eq.weights) @ np.abs(u, out=u)).tolist()
-    return all(abs(g) <= _TOL_GRADIENT * (abs(j) + s) for g, j, s in zip(end.g, jvec, size))
+def _root_end(eq: _WeightedEquation, eta):
+    """(Point, certified) at a 1-D root's end eta from one evaluation of H, g
+    and the unit-free certificate |e_k| <= _TOL_GRADIENT s_k: for the
+    exponential e = k and s = alpha / (1 + alpha)^2 + sum w |1 - r| e^(-alpha
+    r), and g = theta^-(1+alpha) k; for the Weibull at alpha = 0 (jvec = 0), e
+    = g = -sum w u and s = sum w |u|.  J_eta and the data mass are not formed."""
+    mass, alpha = eq.weights, eq.alpha
+    try:
+        if eq.family.dim == 1:
+            (y,) = eta
+            r = eq.points / float(np.exp(y))
+            v = mass * np.exp(-alpha * r) if alpha else mass
+            vr = v * r
+            shift, s0, s1 = alpha / (1.0 + alpha) ** 2, float(v.sum()), float(vr.sum())
+            k = s0 - s1 - shift
+            # theta^-alpha and theta^-(1+alpha), inf where they overflow
+            pref, unit = np.exp([-alpha * y, -(1.0 + alpha) * y]).tolist()
+            value = pref * (1.0 / (1.0 + alpha) - (1.0 + alpha) / alpha * s0) + 1.0 / alpha if alpha else y * s0 + s1
+            g, pairs = (unit * k,), ((k, shift + float(np.abs(v - vr).sum())),)
+        else:
+            logf, u = eq.family._pointwise(np.exp(eta).tolist(), eq.points, 2)
+            value, g = -float(mass @ logf), tuple((-(mass @ u)).tolist())
+            pairs = zip(g, (mass @ np.abs(u, out=u)).tolist())
+    except ArithmeticError:  # sigma underflows to 0 under b / sigma
+        value, g, pairs = math.inf, (math.nan,) * len(eta), ((math.nan, 0.0),)
+    # H and |g|, inf where they are not finite or overflow
+    value, norm = (x if math.isfinite(x) else math.inf for x in (value, math.hypot(*g)))
+    return _Point(eta, value, g, None, norm, math.nan), all(abs(e) <= _TOL_GRADIENT * s < math.inf for e, s in pairs)
 
 
 def _start_eta(family: ParametricFamily, theta, alpha: float) -> tuple:
@@ -487,7 +506,7 @@ def _start_eta(family: ParametricFamily, theta, alpha: float) -> tuple:
 def _initial_theta(sample: CensoredSample, family: ParametricFamily) -> np.ndarray:
     """Moment/hazard-regression starting values of the two shipped families.
 
-    Exponential: total time on test over event count.  Weibull: straight-line
+    Exponential: the product-limit median over log 2.  Weibull: straight-line
     fit of log cumulative hazard against log time at the event times (the
     log-log diagnostic line), falling back to shape 1 when degenerate.
     """
@@ -497,14 +516,20 @@ def _initial_theta(sample: CensoredSample, family: ParametricFamily) -> np.ndarr
 
 
 def _hazard_start(sample: CensoredSample, family: ParametricFamily) -> np.ndarray:
-    """The start of :func:`_initial_theta`.  The Weibull line y = intercept +
-    slope log t is fitted by centred least squares in closed form, slope =
-    sum dx (y - mean y) / sum dx^2 with dx = log t - mean log t, over the
-    product-limit support's run of positive times with a CDF below 1 - 1e-9
-    (the support rises and the CDF does not fall), whose times are distinct."""
-    if family.family_id != "exponential":
-        km = kmpl_fit(sample)
-        support, cdf = km.support, km.cdf_values
+    """The start of :func:`_initial_theta`.  The exponential's median is the
+    first support point with a CDF of at least 1/2.  The Weibull line y =
+    intercept + slope log t is fitted by centred least squares in closed form,
+    slope = sum dx (y - mean y) / sum dx^2 with dx = log t - mean log t, over
+    the product-limit support's run of positive times with a CDF below 1 -
+    1e-9 (the support rises and the CDF does not fall), whose times are
+    distinct.  Either falls back on the total-time-on-test mean."""
+    km = kmpl_fit(sample)
+    support, cdf = km.support, km.cdf_values
+    if family.family_id == "exponential":
+        half = int(np.searchsorted(cdf, 0.5))
+        if half < support.size:
+            return np.array([float(support[half]) / math.log(2.0)])
+    else:
         run = slice(1 if support.size and support[0] == 0.0 else 0, int(np.searchsorted(cdf, 1.0 - 1e-9)))
         x = np.log(support[run])
         if x.size >= 2:
@@ -519,8 +544,7 @@ def _hazard_start(sample: CensoredSample, family: ParametricFamily) -> np.ndarra
                 sigma0 = float(np.exp(-intercept / slope))
                 if math.isfinite(sigma0) and sigma0 > 0:
                     return np.array([sigma0, b0])
-    ttt_mean = max(float(sample.z.sum()) / max(sample.n_events, 1), 1e-12)
-    return np.array([ttt_mean] if family.family_id == "exponential" else [ttt_mean, 1.0])
+    return np.array([float(sample.z.sum()) / max(sample.n_events, 1), 1.0][: family.dim])  # total time on test
 
 
 def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | None = None) -> FitResult:
@@ -528,8 +552,9 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
 
     The solvers are the module docstring's: one 1-D solve ("profile") at
     alpha = 0, where a start is only validated, and for the exponential at
-    alpha > 0, from its start; the Weibull's trajectories ("newton",
-    "descent", "descent-degenerate") at alpha > 0 under its three rules.
+    alpha > 0, from its start (by default the product-limit median over log
+    2); the Weibull's trajectories ("newton", "descent",
+    "descent-degenerate") at alpha > 0 under its three rules.
     When nothing converged, ": no root at tol 1e-08" ends the message, and
     the fit returns converged=False, the last point and NaN matrices rather
     than raising.  An unidentifiable sample raises
@@ -551,8 +576,7 @@ def fit(sample: CensoredSample, family: ParametricFamily, config: FitConfig | No
     # trial points may overflow (rejected steps); psi is checked where formed
     with np.errstate(all="ignore"):
         if alpha == 0.0 or family.dim == 1:
-            (end, iters), tag = _profile_root(eq, eta0), "profile"
-            ok = _certified(eq, end)
+            (end, ok, iters), tag = _profile_root(eq, eta0), "profile"
         else:
             end, iters, ok, tag = _root_from(eq, eta0)
             if not ok and explicit:

@@ -20,18 +20,18 @@ influence.sigma_model) takes them from one checked call,
 :func:`_closed_forms`, which raises one ValueError where they overflow or are
 not finite.
 
-The solver's fused pass gives the objective H, the estimating equation g =
-jvec - sum_i m_i u_i f_i^alpha and, for the Weibull, its exact Jacobian from
-one reduction weighted by v_i = m_i f_i^alpha: of 1, r, r^2 with r = x / mean
-(exponential, so that only r carries the time unit) or, with t = log(x /
-sigma) and w = e^{b t}, of 1, w - 1, t (w - 1), t w, t^2 w, (w - 1)^2,
-t (w - 1)^2, (t (w - 1))^2 (Weibull): H = xi - (1 + alpha)/alpha sum_i v_i +
-1/alpha, or -sum_i m_i log f_i at alpha = 0.  Each pass writes its rows with
-``out=`` ufuncs into buffers that ``_prepare`` allocates once per fit; the
-Weibull's rows 5-7 enter only times alpha, so at alpha = 0 they stay at the
-zeros that ``_prepare`` wrote, and the pass skips their three products.  log
-f and u take one pass of their own, which mdpde_psi and the fit's sandwich
-share (:func:`_psi`).
+The Weibull's fused pass, the evaluation of its trajectories at alpha > 0,
+gives the objective H = xi - (1 + alpha)/alpha sum_i v_i + 1/alpha, the
+estimating equation g = jvec - sum_i m_i u_i f_i^alpha and its exact Jacobian
+from one reduction weighted by v_i = m_i f_i^alpha, of 1, w - 1, t (w - 1),
+t w, t^2 w, (w - 1)^2, t (w - 1)^2, (t (w - 1))^2 with t = log(x / sigma)
+and w = e^{b t}.  The exponential, a 1-D root at every alpha, keeps only the
+reduction of its Newton steps, the sums of v, v r and v r^2 with r = x /
+mean, so that only r carries the time unit (``Exponential._sums``).  Each
+pass writes its rows with ``out=`` ufuncs into buffers that ``_prepare``
+allocates once per fit.  log f and u take one pass of their own, which
+mdpde_psi, the fit's sandwich (:func:`_psi`) and the end of the Weibull's
+alpha = 0 root share.
 """
 
 from __future__ import annotations
@@ -160,16 +160,9 @@ class ParametricFamily:
         raise NotImplementedError
 
     def _prepare(self, x: np.ndarray):
-        """Per-fit state of the fused pass at the validated points x.  It may
-        hold a buffer that every pass overwrites, so it belongs to one fit and
-        is never shared between fits or memoised on a sample."""
-        raise NotImplementedError
-
-    def _equation(self, theta, alpha: float, prepared, mass: np.ndarray):
-        """The fused pass (module docstring) at the points that ``_prepare``
-        turned into ``prepared``, with masses ``mass``: (H, g, J_theta, s0),
-        J by rows (None with djvec) and s0 = sum_i m_i f_i^alpha, as Python
-        floats for a Python-float theta."""
+        """Per-fit state of the solver's passes at the validated points x.  It
+        may hold a buffer that every pass overwrites, so it belongs to one fit
+        and is never shared between fits or memoised on a sample."""
         raise NotImplementedError
 
     def _checked(self, theta, x, order: int) -> np.ndarray:
@@ -224,16 +217,6 @@ class Exponential(ParametricFamily):
         v = mass * np.exp(-alpha * r) if alpha else mass
         np.multiply(v, r, out=vr)
         return float(v.sum()), float(vr.sum()), float(vr @ r)
-
-    def _equation(self, theta, alpha, rows, mass):
-        (m,) = theta
-        s0, s1, _ = self._sums(m, alpha, rows, mass)
-        # f^alpha = m^-alpha e^(-alpha r) and u = (r - 1) / m; at alpha = 0
-        # jvec vanishes identically and -log f = log m + r
-        xi, (j,), _, _ = self._integrals(theta, alpha) if alpha else (0.0, (0.0,), None, None)
-        pref = m**-alpha
-        h = xi - (1.0 + alpha) / alpha * pref * s0 + 1.0 / alpha if alpha else math.log(m) * s0 + s1
-        return h, (j - pref * (s1 - s0) / m,), None, pref * s0
 
 class Weibull(ParametricFamily):
     """Weibull lifetimes with scale sigma and shape b: F(x) = 1 - exp(-(x/sigma)^b)."""
@@ -306,41 +289,33 @@ class Weibull(ParametricFamily):
             (h_ss + beta * k_ss, d_sb), (d_sb, pref_bb * (-i00 - i21) + beta * k_bb))
 
     def _prepare(self, x):
-        # log x, the pass buffer of the eight reduction rows (row 0 stays 1,
-        # and the alpha-only rows 5-7 stay 0 for an alpha = 0 equation) and
-        # views of rows 1-7, which each pass overwrites
+        # log x, the pass buffer of the eight reduction rows (row 0 stays 1)
+        # and views of rows 1-7, which each pass overwrites
         rows = np.zeros((8,) + x.shape)
         rows[0] = 1.0
         return (np.log(x), rows, *rows[1:])
 
     def _equation(self, theta, alpha, prepared, mass):
+        """The fused pass (module docstring) at alpha > 0 and the points that
+        ``_prepare`` turned into ``prepared``, with masses ``mass``: (H, g, J_theta
+        by rows, s0 = sum_i m_i f_i^alpha), as Python floats for a float theta."""
         logx, rows, wm1, twm1, tw, t2w, wm1_2, twm1_wm1, twm1_2 = prepared
         sigma, b = theta
         t = logx - math.log(sigma)
         w = np.exp(b * t)
-        if alpha == 0.0:
-            # jvec and its theta-derivative vanish identically at alpha = 0
-            v, pref = mass, 1.0
-            j_s = j_b = d_ss = d_sb = d_bb = 0.0
-        else:
-            # f^alpha = (b / sigma)^alpha e^(alpha ((b - 1) t - w))
-            v = mass * np.exp(alpha * ((b - 1.0) * t - w))
-            pref = (b / sigma) ** alpha
-            xi, (j_s, j_b), _, ((d_ss, d_sb), (_, d_bb)) = self._integrals(theta, alpha)
+        # f^alpha = (b / sigma)^alpha e^(alpha ((b - 1) t - w))
+        v = mass * np.exp(alpha * ((b - 1.0) * t - w))
+        pref = (b / sigma) ** alpha
+        xi, (j_s, j_b), _, ((d_ss, d_sb), (_, d_bb)) = self._integrals(theta, alpha)
         np.subtract(w, 1.0, out=wm1)
         np.multiply(t, w, out=tw)
         np.multiply(t, wm1, out=twm1)
         np.multiply(t, tw, out=t2w)
-        if alpha != 0.0:  # rows 5-7 enter only times alpha
-            np.multiply(wm1, wm1, out=wm1_2)
-            np.multiply(twm1, wm1, out=twm1_wm1)
-            np.multiply(twm1, twm1, out=twm1_2)
+        np.multiply(wm1, wm1, out=wm1_2)
+        np.multiply(twm1, wm1, out=twm1_wm1)
+        np.multiply(twm1, twm1, out=twm1_2)
         s0, s1, s2, s3, s4, s5, s6, s7 = [pref * s for s in (rows @ v).tolist()]
-        if alpha == 0.0:
-            # log f = log(b / sigma) + (b - 1) t - w, with sum_i m_i t_i = s3 - s2
-            h = -(math.log(b / sigma) * s0 + (b - 1.0) * (s3 - s2) - s1 - s0)
-        else:
-            h = xi - (1.0 + alpha) / alpha * s0 + 1.0 / alpha
+        h = xi - (1.0 + alpha) / alpha * s0 + 1.0 / alpha
         # u = (r (w - 1), 1/b - t (w - 1)) with r = b / sigma; grad u has
         # entries -(r / sigma)(w - 1) - r^2 w, (w - 1 + b t w) / sigma and
         # -1/b^2 - t^2 w

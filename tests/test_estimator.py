@@ -33,11 +33,11 @@ from robustsurv.estimator import (
     _MAX_LOG_DRIFT,
     _STALL_STEPS,
     _bracketed_newton,
-    _certified,
     _descent_direction,
     _initial_theta,
     _Point,
     _profile_root,
+    _root_end,
     _start_eta,
     _trajectory,
     _WeightedEquation,
@@ -50,12 +50,21 @@ def uncensored(z):
 
 
 def fused_pass(eq, theta):
-    """The fit's fused pass (H, g, J_theta, s0) at p parameter values."""
+    """The Weibull's fused pass (H, g, J_theta, s0) at alpha > 0."""
     return eq.family._equation([float(v) for v in theta], eq.alpha, eq.prepared, eq.weights)
 
 
+def root_end(eq, theta):
+    """The 1-D root's end (point, certified) at theta, for the exponential
+    or the Weibull at alpha = 0."""
+    return _root_end(eq, tuple(np.log(np.asarray(theta, dtype=float)).tolist()))
+
+
 def objective_at(eq, theta) -> float:
-    """H(theta) from the fused pass; inf where it overflows or is not finite."""
+    """H(theta) from the solver's evaluation there, the fused pass or a 1-D
+    root's end; inf where it overflows or is not finite."""
+    if eq.family is EXPONENTIAL or eq.alpha == 0.0:
+        return root_end(eq, theta)[0].value
     try:
         value = fused_pass(eq, theta)[0]
     except ArithmeticError:
@@ -193,14 +202,14 @@ def objective_minimum(sample, alpha, scale_range, shape_range):
 class TestExactJacobian:
     """The solver's closed-form Jacobian against central differences of the
     estimating equation, in theta and in the solver's log coordinates: the
-    Weibull's, as no exponential fit solves with a Jacobian."""
+    Weibull's at alpha > 0, as no 1-D root solves with a Jacobian."""
 
     @given(
         contaminated=st.booleans(),
-        alpha=st.floats(0.0, 1.0),
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
         log_offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     )
-    @example(contaminated=True, alpha=0.0, log_offset=(0.3, -0.4))
+    @example(contaminated=True, alpha=1e-3, log_offset=(0.3, -0.4))
     def test_matches_central_differences(self, contaminated, alpha, log_offset):
         eq = _WeightedEquation(jacobian_sample(contaminated), WEIBULL, alpha)
         eta = np.log([2.0, 5.0]) + np.array(log_offset)
@@ -221,9 +230,10 @@ class TestExactJacobian:
 
 
 class TestFusedPass:
-    """The solver's fused (g, J) against an assembly from the public score,
-    logpdf and weighted_integrals over the product-limit weights (the
-    exponential's pass forms g alone)."""
+    """The solver's (g, J) against an assembly from the public score, logpdf
+    and weighted_integrals over the product-limit weights: the Weibull's
+    fused pass at alpha > 0, and g alone from a 1-D root's end (the
+    exponential, the Weibull at alpha = 0)."""
 
     @given(
         family=st.sampled_from([EXPONENTIAL, WEIBULL]),
@@ -247,11 +257,12 @@ class TestFusedPass:
 
         jvec, u, weights = parts(theta)
         terms = weights[:, None] * u
-        g, jac = fused_pass(_WeightedEquation(sample, family, alpha), theta)[1:3]
+        eq = _WeightedEquation(sample, family, alpha)
+        one_d = family is EXPONENTIAL or alpha == 0.0
+        g, jac = (root_end(eq, theta)[0].g, None) if one_d else fused_pass(eq, theta)[1:3]
         scale = max(np.abs(jvec).max(), np.abs(terms).sum(axis=0).max())
         np.testing.assert_allclose(g, jvec - terms.sum(axis=0), rtol=1e-12, atol=1e-12 * scale)
-        if family is EXPONENTIAL:  # a 1-D root, whose pass forms no Jacobian
-            assert jac is None
+        if one_d:  # a 1-D root, whose end forms no Jacobian
             return
 
         # J = d jvec / d theta - sum_i mass_i f_i^alpha (grad u_i + alpha u_i u_i^T),
@@ -274,48 +285,28 @@ class TestFusedPass:
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     @pytest.mark.parametrize("family", [EXPONENTIAL, WEIBULL], ids=["exp", "weibull"])
     def test_reused_buffer_leaks_no_state(self, family, alpha):
-        # each pass overwrites the rows _prepare allocated for its equation:
-        # passes at theta1, theta2, theta1 repeat the bits of a fresh one,
-        # and no two equations on one sample share that buffer
+        # each pass overwrites the rows _prepare allocated for its equation
+        # (the Weibull's fused pass at alpha > 0, the exponential's _sums),
+        # and a 1-D root's end reads none: evaluations at theta1, theta2,
+        # theta1 repeat the bits of a fresh one, and no two equations on one
+        # sample share that buffer
         sample = jacobian_sample(True)
         theta1, theta2 = (np.array(v[: family.dim]) for v in ([2.0, 5.0], [3.5, 1.2]))
+
+        def evaluate(eq, theta):
+            if family is WEIBULL and alpha:
+                return fused_pass(eq, theta)
+            sums = family._sums(float(theta[0]), alpha, eq.prepared, eq.weights) if family is EXPONENTIAL else None
+            return repr((sums, root_end(eq, theta)))
+
         eq = _WeightedEquation(sample, family, alpha)
-        first, between, again = (fused_pass(eq, th) for th in (theta1, theta2, theta1))
+        first, between, again = (evaluate(eq, th) for th in (theta1, theta2, theta1))
         other = _WeightedEquation(sample, family, alpha)
-        assert first == again == fused_pass(other, theta1) and between != first
+        assert first == again == evaluate(other, theta1) and between != first
         mine, theirs = (
             [p] if isinstance(p, np.ndarray) else list(p) for p in (eq.prepared, other.prepared)
         )
         assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
-
-    @pytest.mark.parametrize("contaminated", [False, True])
-    @pytest.mark.parametrize("theta", [(2.0, 5.0), (3.5, 1.2), (0.4, 9.0)])
-    def test_alpha_zero_weibull_pass_matches_the_eight_row_oracle(self, contaminated, theta):
-        # at alpha = 0 the pass leaves the alpha-only rows 5-7 at zero; its
-        # (H, g, J, s0) must keep the bits of the reduction of all eight rows
-        sample = jacobian_sample(contaminated)
-        km = kmpl_fit(sample)
-        sigma, b = theta
-        t = np.log(km.weight_points) - math.log(sigma)
-        w = np.exp(b * t)
-        wm1, tw = w - 1.0, t * w
-        twm1 = t * wm1
-        rows = np.stack((np.ones_like(t), wm1, twm1, tw, t * tw, wm1 * wm1, twm1 * wm1, twm1 * twm1))
-        s0, s1, s2, s3, s4, s5, s6, s7 = (rows @ km.weight_masses).tolist()
-        r, bb = b / sigma, b * b
-        j_sb = 0.0 - (s1 + b * s3) / sigma - 0.0 * (s1 / sigma - r * s6)
-        expected = (
-            -(math.log(b / sigma) * s0 + (b - 1.0) * (s3 - s2) - s1 - s0),
-            (0.0 - r * s1, 0.0 - s0 / b + s2),
-            (
-                (0.0 + (r / sigma) * s1 + r * r * (s1 + s0 - 0.0 * s5), j_sb),
-                (j_sb, 0.0 + s0 / bb + s4 - 0.0 * (s0 / bb - 2.0 * s2 / b + s7)),
-            ),
-            s0,
-        )
-        eq = _WeightedEquation(sample, WEIBULL, 0.0)
-        assert repr(fused_pass(eq, theta)) == repr(expected)
-        assert not eq.prepared[1][5:].any()
 
 
 class TestSolver:
@@ -377,36 +368,38 @@ class TestSolver:
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     @pytest.mark.parametrize("family", [EXPONENTIAL, WEIBULL], ids=["exp", "weibull"])
     def test_extreme_trial_points_are_rejected_not_raised(self, weibull_censored, family, alpha):
-        # the solver's evaluations on trial points out to theta = 0 and inf:
-        # overflow, division by zero and log(0) must come back as values the
-        # damping logic rejects, never as an exception or a warning; the
-        # exponential's pass, in r = x / theta, forms no Jacobian and gives
-        # the finite limit g = 0 at theta = inf, where no exponential fit
-        # evaluates (each is a 1-D solve that passes only at its end)
+        # the solver's evaluations out to theta = 0 and inf: overflow,
+        # division by zero and log(0) must come back as values the solver
+        # rejects, never as an exception or a warning.  The Weibull's fused
+        # pass serves its trajectories at alpha > 0; a 1-D root's end (the
+        # exponential, the Weibull at alpha = 0) is not certified there, and
+        # the exponential's Newton sums stay quiet; its g has the finite
+        # limit 0 at theta = inf, where no exponential fit ends
         eq = _WeightedEquation(weibull_censored, family, alpha)
-        p = family.dim
+        p, one_d = family.dim, family is EXPONENTIAL or alpha == 0.0
         for eta in itertools.product((-800.0, -40.0, 0.0, 40.0, 800.0), repeat=p):
-            eta = np.array(eta)
             with np.errstate(all="ignore"):  # as fit() sets for its solve
-                at = eq.point(eta)
-                g = g_j = np.array(at.g)
-                jac = at.jac
-                value = at.value
-                mass = at.mass
-            assert g.shape == g_j.shape == (p,) and (p == 1 or np.shape(jac) == (p, p))  # no J for the exponential
-            assert not np.isnan(value) and value > -np.inf
+                if one_d:
+                    at, certified = _root_end(eq, eta)
+                    if family is EXPONENTIAL:
+                        family._sums(float(np.exp(eta[0])), alpha, eq.prepared, eq.weights)
+                else:
+                    at = eq.point(np.array(eta))
+            g = np.array(at.g)
+            assert g.shape == (p,) and not np.isnan(at.value) and at.value > -np.inf
             if np.max(np.abs(eta)) == 800.0:  # some coordinate is 0 or inf
-                if p == 2 or eta[0] < 0.0:
-                    assert not np.all(np.isfinite(g)) and not np.all(np.isfinite(g_j))
-                if p == 2:
-                    assert not np.all(np.isfinite(jac))
-                # never counted as density mass for alpha > 0 (0.0, or NaN
-                # for an evaluation that raised); at alpha = 0 the mass
-                # sum_i w_i f_i^0 is the total weight, which the solver
-                # never consults
-                assert not mass > 0.0 or (alpha == 0.0 and mass == pytest.approx(1.0))
+                assert (p == 1 and eta[0] > 0.0) or not np.all(np.isfinite(g))
+                if one_d:
+                    assert not certified and at.jac is None
+                else:
+                    assert np.shape(at.jac) == (p, p) and not np.all(np.isfinite(at.jac))
+                    # never counted as density mass (0.0, or NaN for an
+                    # evaluation that raised)
+                    assert not at.mass > 0.0
             if np.min(eta) == -800.0:  # density not defined at theta = 0
-                assert value == np.inf
+                # (the exponential's end forms H in y = log theta, from r
+                # = inf, as e^(800 alpha) / (1 + alpha) + 1 / alpha)
+                assert at.value == np.inf or (family is EXPONENTIAL and alpha and at.value > 1e100)
 
     def test_descent_fallback_after_failed_newton(self):
         # the cold alpha = 0.5 fit of this contaminated sample: residual
@@ -589,13 +582,23 @@ class TestProfile:
 
     @pytest.mark.parametrize("family", [EXPONENTIAL, WEIBULL], ids=["exp", "weibull"])
     def test_certificate_judges_the_root(self, weibull_censored, family, monkeypatch):
-        # the root is exact, yet converged still comes from |g| at one fused
-        # pass there (the exponential's is 0): a tolerance that no |g| meets
-        # reports no root
+        # the root is exact, yet converged still comes from the certificate
+        # of the root's end (its |g| is 0 to rounding): a tolerance that no
+        # residual meets reports no root
         monkeypatch.setattr(estimator, "_TOL_GRADIENT", -1.0)
         result = fit(weibull_censored, family)
         assert not result.converged and result.message == "profile: no root at tol -1"
         assert 0.0 <= result.eqn_residual < 1e-12 and np.isnan(result.sigma_hat).all()
+
+    def test_no_fused_pass(self, weibull_censored, monkeypatch):
+        # the Weibull's fused pass serves its trajectories at alpha > 0 only
+        def refuse(*args):
+            raise AssertionError("an alpha = 0 fit ran the fused pass")
+
+        monkeypatch.setattr(_WeightedEquation, "point", refuse)
+        monkeypatch.setattr(type(WEIBULL), "_equation", refuse)
+        for start in (None, (2.0, 5.0)):
+            assert fit(weibull_censored, WEIBULL, FitConfig(start=start)).converged
 
     @given(
         family=st.sampled_from([EXPONENTIAL, WEIBULL]),
@@ -689,6 +692,7 @@ class TestExponentialRoot:
 
         for name in ("_trajectory", "_descent_direction", "_root_from"):
             monkeypatch.setattr(estimator, name, refuse)
+        monkeypatch.setattr(_WeightedEquation, "point", refuse)
         for alpha in (0.0, 0.5, 1.0):
             for start in (None, (1e-3,), (1e3,)):
                 result = fit(weibull_censored, EXPONENTIAL, FitConfig(alpha=alpha, start=start))
@@ -705,19 +709,60 @@ class TestExponentialRoot:
         assert result.theta_hat[0] == pytest.approx(cold.theta_hat[0], rel=1e-14)
 
     def test_exact_root_in_tiny_units_is_certified(self):
-        # the alpha = 0 mean is exact in any unit; in units of 1e-300 its
-        # Lambda, 1 / theta^2, is no float, so the fit cannot form a sandwich
+        # the alpha = 0 mean is exact in any unit, and so is its certificate,
+        # in r = z / theta; in units of 1e-300 its Lambda, 1 / theta^2, is no
+        # float, so the fit cannot form a sandwich
         for unit in (1e-150, 1e-300):
             sample = uncensored(np.array([1.0, 2.0, 3.0]) * unit)
             eq = _WeightedEquation(sample, EXPONENTIAL, 0.0)
             with np.errstate(all="ignore"):
-                end, iters = _profile_root(eq, None)
-                assert _certified(eq, end) and iters == 0
+                end, certified, iters = _profile_root(eq, None)
+            assert certified and iters == 0
             assert math.exp(end.eta[0]) == pytest.approx(2.0 * unit, rel=1e-15)
         result = fit(uncensored([1e-150, 2e-150, 3e-150]), EXPONENTIAL)
         assert result.converged and result.theta_hat[0] == pytest.approx(2e-150, rel=1e-15)
         with pytest.raises(SingularSensitivityError, match="cond=inf"):
             fit(uncensored([1e-300, 2e-300, 3e-300]), EXPONENTIAL)
+
+
+def outcome_in_units(c, alpha):
+    """fit of [1, 2, 3] * c, all events, at alpha: (converged, mean / c,
+    n_iter), or the message of the SingularSensitivityError it raises."""
+    try:
+        result = fit(uncensored(np.array([1.0, 2.0, 3.0]) * c), EXPONENTIAL, FitConfig(alpha=alpha))
+    except SingularSensitivityError as exc:
+        return str(exc)
+    return result.converged, result.theta_hat[0] / c, result.n_iter
+
+
+class TestExtremeUnits:
+    """[1, 2, 3] in units from 1e-300 to 1e200: every exponential fit is
+    the unit-1 root in that unit, found in as many passes, or has no
+    sandwich; none reports its exact root as no root."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-130, 1e-100, 1e100, 1e200])
+    def test_root_or_no_sandwich(self, c, alpha):
+        base = outcome_in_units(1.0, alpha)
+        assert base[0] and base[2] <= 6
+        got = outcome_in_units(c, alpha)
+        if isinstance(got, str):
+            assert "cond=inf" in got
+        else:
+            converged, mean, n_iter = got
+            assert converged and mean == pytest.approx(base[1], rel=1e-12) and n_iter <= 6
+
+    @pytest.mark.filterwarnings("error")
+    def test_steps_past_the_float_maximum_are_rejected_not_raised(self):
+        # Newton in log theta may step beyond e^709.78; there theta = inf
+        # and k > 0, so the step turns back: [1e307, 1e308] has a root, but
+        # no sandwich, and the root of [1e308, 1.5e308] at alpha = 1 lies
+        # above the float range
+        for alpha in (0.5, 1.0):
+            with pytest.raises(SingularSensitivityError, match="cond=inf"):
+                fit(uncensored([1e307, 1e308]), EXPONENTIAL, FitConfig(alpha=alpha))
+        result = fit(uncensored([1e308, 1.5e308]), EXPONENTIAL, FitConfig(alpha=1.0))
+        assert not result.converged and result.message == "profile: no root at tol 1e-08"
 
 
 class TestOneHugeTime:
@@ -739,6 +784,15 @@ class TestOneHugeTime:
         oracle = k_oracle(self.sample, 0.5, 1.0, 10.0)
         assert oracle == pytest.approx(2.604832346999, rel=1e-12)
         assert result.theta_hat[0] == pytest.approx(oracle, rel=1e-12)
+
+    def test_exponential_grid_starts_at_the_median(self):
+        # the alpha = 0 fit fails, so alpha = 0.5 starts cold, at the
+        # product-limit median over log 2 (2.885), not at the
+        # total-time-on-test mean 3.3e299, which took 178 passes
+        zero, half, _ = fit_grid(self.sample, EXPONENTIAL, [0.0, 0.5, 1.0])
+        assert not zero.converged and "cond=inf" in zero.message
+        assert half.converged and half.n_iter <= 10
+        assert half.theta_hat[0] == pytest.approx(2.604832346999, rel=1e-12)
 
     def test_weibull_alpha_half_finds_no_root(self):
         result = fit(self.sample, WEIBULL, FitConfig(alpha=0.5))
@@ -886,10 +940,8 @@ class TestFit:
         sample = CensoredSample(np.append(base.z, 0.0), np.append(base.delta, 0))
         result = fit(sample, family, FitConfig(alpha=alpha))
         assert result.converged and result.n == 61
-        # from the same start: the exponential's, the total-time-on-test
-        # mean, sums 61 values in another np.sum grouping than 60
-        start = FitConfig(alpha=alpha, start=_initial_theta(sample, family))
-        np.testing.assert_array_equal(result.theta_hat, fit(base, family, start).theta_hat)
+        # the default start, from the product-limit fit, ignores it too
+        np.testing.assert_array_equal(result.theta_hat, fit(base, family, FitConfig(alpha=alpha)).theta_hat)
         theta = result.theta_hat
         public = covariance_estimate(
             sample, lambda x, th: mdpde_psi(family, th, alpha, x), theta,
@@ -902,7 +954,7 @@ class TestFit:
 def polyfit_start(sample):
     """The default Weibull start with its line fitted by np.polyfit: the
     oracle of TestHazardStart."""
-    ttt_mean = max(float(sample.z.sum()) / max(sample.n_events, 1), 1e-12)
+    ttt_mean = float(sample.z.sum()) / max(sample.n_events, 1)
     km = kmpl_fit(sample)
     mask = (km.cdf_values < 1.0 - 1e-9) & (km.support > 0.0)
     t = km.support[mask]
@@ -918,7 +970,8 @@ def polyfit_start(sample):
 
 
 class TestHazardStart:
-    """The closed-form least-squares line of the default Weibull start."""
+    """The closed-form least-squares line of the default Weibull start, and
+    the exponential's product-limit median over log 2."""
 
     @given(
         observations=st.lists(st.tuples(st.integers(1, 400), st.floats(0.0, 1.0)), min_size=1, max_size=120),
@@ -938,8 +991,18 @@ class TestHazardStart:
             estimator._hazard_start(sample, WEIBULL), polyfit_start(sample), rtol=1e-12, atol=0
         )
 
-    def test_exponential_start_is_the_total_time_on_test_mean(self, small_sample):
-        np.testing.assert_array_equal(estimator._hazard_start(small_sample, EXPONENTIAL), [3.0])
+    def test_exponential_start_is_the_median_over_log_2(self, small_sample):
+        # the product-limit CDF is 1/3 at 1 and 1 at 3
+        np.testing.assert_array_equal(estimator._hazard_start(small_sample, EXPONENTIAL), [3.0 / math.log(2.0)])
+
+    @pytest.mark.parametrize("unit", [1e-200, 1.0, 1e200])
+    def test_starts_without_a_median_fall_back_to_the_unfloored_ttt_mean(self, unit):
+        # one event among four times: the product-limit CDF stays at 1/4, and
+        # there is no floor on the total time on test in any unit
+        sample = CensoredSample(np.array([1.0, 2.0, 3.0, 4.0]) * unit, np.array([1, 0, 0, 0], dtype=np.int8))
+        np.testing.assert_array_equal(estimator._hazard_start(sample, EXPONENTIAL), [10.0 * unit])
+        single = CensoredSample(np.array([2.0, 3.0]) * unit, np.array([1, 0], dtype=np.int8))
+        np.testing.assert_array_equal(estimator._hazard_start(single, WEIBULL), [5.0 * unit, 1.0])
 
 
 class TestSummary:
