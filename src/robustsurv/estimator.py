@@ -439,7 +439,7 @@ def _profile_root(eq: _WeightedEquation, eta0):
         shift = alpha / (1.0 + alpha) ** 2
 
         def newton(y):
-            s0, s1, s2 = family._sums(float(np.exp(y)), alpha, eq.prepared, mass)  # inf past the float range
+            s0, s1, s2 = family._sums(float(np.exp(y)), alpha, eq.points, mass)  # inf past the float range
             k, slope = s0 - s1 - shift, alpha * s2 - (1.0 + alpha) * s1  # slope = -dk/dy
             return -k, k / slope if slope else -k * math.inf, None
 
@@ -483,10 +483,10 @@ def _root_end(eq: _WeightedEquation, eta):
             value = pref * (1.0 / (1.0 + alpha) - (1.0 + alpha) / alpha * s0) + 1.0 / alpha if alpha else y * s0 + s1
             g, pairs = (unit * k,), ((k, shift + float(np.abs(v - vr).sum())),)
         else:
-            logf, u = eq.family._pointwise(np.exp(eta).tolist(), eq.points, 2)
+            logf, u = eq.family._pointwise(np.exp(eta).tolist(), eq.points)
             value, g = -float(mass @ logf), tuple((-(mass @ u)).tolist())
             pairs = zip(g, (mass @ np.abs(u, out=u)).tolist())
-    except ArithmeticError:  # sigma underflows to 0 under b / sigma
+    except ArithmeticError:  # sigma or b underflows to 0 under b / sigma or 1 / b
         value, g, pairs = math.inf, (math.nan,) * len(eta), ((math.nan, 0.0),)
     # H and |g|, inf where they are not finite or overflow
     value, norm = (x if math.isfinite(x) else math.inf for x in (value, math.hypot(*g)))
@@ -517,18 +517,19 @@ def _initial_theta(sample: CensoredSample, family: ParametricFamily) -> np.ndarr
 
 def _hazard_start(sample: CensoredSample, family: ParametricFamily) -> np.ndarray:
     """The start of :func:`_initial_theta`.  The exponential's median is the
-    first support point with a CDF of at least 1/2.  The Weibull line y =
-    intercept + slope log t is fitted by centred least squares in closed form,
-    slope = sum dx (y - mean y) / sum dx^2 with dx = log t - mean log t, over
-    the product-limit support's run of positive times with a CDF below 1 -
-    1e-9 (the support rises and the CDF does not fall), whose times are
-    distinct.  Either falls back on the total-time-on-test mean."""
+    first support point with a CDF of at least 1/2 (over log 2 capped at the
+    float maximum).  The Weibull line y = intercept + slope log t is fitted
+    by centred least squares in closed form, slope = sum dx (y - mean y) /
+    sum dx^2 with dx = log t - mean log t, over the product-limit support's
+    run of positive times with a CDF below 1 - 1e-9 (the support rises and
+    the CDF does not fall), whose times are distinct.  Either falls back on
+    the total-time-on-test mean."""
     km = kmpl_fit(sample)
     support, cdf = km.support, km.cdf_values
     if family.family_id == "exponential":
         half = int(np.searchsorted(cdf, 0.5))
         if half < support.size:
-            return np.array([float(support[half]) / math.log(2.0)])
+            return np.array([min(float(support[half]) / math.log(2.0), np.finfo(float).max)])
     else:
         run = slice(1 if support.size and support[0] == 0.0 else 0, int(np.searchsorted(cdf, 1.0 - 1e-9)))
         x = np.log(support[run])

@@ -355,7 +355,7 @@ def _wald_form(m, jac, sigma) -> tuple[float, list, float]:
     floats, m, M and Sigma as lists (by rows), by Cramer's rule; NaN where the
     solve overflows.  :func:`_wald_inner` forms and checks the r x r matrix
     (cond <= 1e12: finite, nonzero determinant).  Shared by the one- and
-    two-sample Wald tests, the power approximations and the two-sample IF2."""
+    two-sample Wald tests and the power approximations."""
     inner, cond = _wald_inner(jac, sigma)
     if len(m) == 1:
         x = (m[0] / inner[0][0],)

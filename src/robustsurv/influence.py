@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import _csv_table
 from .hypothesis import (
-    _chi2_tails, _poisson_mixture, _wald_form, _wald_inner, chi2_quantile, contiguous_power,
+    _chi2_tails, _poisson_mixture, _wald_inner, chi2_quantile, contiguous_power,
 )
 from .model import ParametricFamily, _closed_forms, lambda_model, mdpde_psi, validate_alpha
 from .twosample import _stacked_sigma
@@ -222,7 +222,8 @@ def if2_two_sample(
 ) -> float:
     """Second-order IF of the two-sample Wald functional under the null.
 
-    The one-sample form on the stacked theta0 = (theta10, theta20), with
+    The one-sample IF2 (:func:`if2_wald`'s inverse and form) on the stacked
+    theta0 = (theta10, theta20), which must satisfy the null, with
     covariance diag(omega Sigma1, (1 - omega) Sigma2) and the stacked IF
     (zero in an arm without contamination): contamination in arm i
     contributes M_i^T IF(t_i) evaluated at that arm's null parameter, so
@@ -233,13 +234,8 @@ def if2_two_sample(
         raise ValueError("supply a contamination point for at least one arm")
     if not 0.0 < omega < 1.0:
         raise ValueError("omega must lie in (0, 1)")
-    theta0 = np.concatenate((np.asarray(theta10, dtype=float), np.asarray(theta20, dtype=float)))
-    if np.max(np.abs(restriction.m(theta0))) > 1e-8:
-        raise ValueError("(theta10, theta20) must satisfy the null restriction")
-    jac = np.asarray(restriction.jacobian(theta0), dtype=float)
-    iv, sigmas = [], []
-    for theta, t, sigma in ((theta10, t1, sigma1), (theta20, t2, sigma2)):
-        iv.append(np.zeros(np.size(theta)) if t is None else if_estimator(family, theta, alpha, float(t)))
-        sigmas.append(sigma_model(family, theta, alpha) if sigma is None else sigma)
-    q = jac.T @ np.concatenate(iv)
-    return 2.0 * _wald_form(q.tolist(), jac.tolist(), _stacked_sigma(omega, *sigmas))[0]
+    arms = ((theta10, t1, sigma1), (theta20, t2, sigma2))
+    sigma = _stacked_sigma(omega, *(sigma_model(family, th, alpha) if s is None else s for th, _, s in arms))
+    null = _null_inverse(family, np.concatenate((theta10, theta20)), alpha, restriction, sigma)
+    iv = [np.zeros(np.size(th)) if t is None else if_estimator(family, th, alpha, float(t)) for th, t, _ in arms]
+    return float(_if2_values(*null, np.concatenate(iv)[None, :])[0])

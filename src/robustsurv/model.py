@@ -24,14 +24,15 @@ The Weibull's fused pass, the evaluation of its trajectories at alpha > 0,
 gives the objective H = xi - (1 + alpha)/alpha sum_i v_i + 1/alpha, the
 estimating equation g = jvec - sum_i m_i u_i f_i^alpha and its exact Jacobian
 from one reduction weighted by v_i = m_i f_i^alpha, of 1, w - 1, t (w - 1),
-t w, t^2 w, (w - 1)^2, t (w - 1)^2, (t (w - 1))^2 with t = log(x / sigma)
-and w = e^{b t}.  The exponential, a 1-D root at every alpha, keeps only the
-reduction of its Newton steps, the sums of v, v r and v r^2 with r = x /
-mean, so that only r carries the time unit (``Exponential._sums``).  Each
-pass writes its rows with ``out=`` ufuncs into buffers that ``_prepare``
-allocates once per fit.  log f and u take one pass of their own, which
-mdpde_psi, the fit's sandwich (:func:`_psi`) and the end of the Weibull's
-alpha = 0 root share.
+t w, t^2 w, (w - 1)^2, t (w - 1)^2, (t (w - 1))^2 with t = log x - log sigma
+and w = e^{b t}; it writes rows 1-7 with ``out=`` ufuncs into an (8, n)
+buffer that ``_prepare`` allocates once per fit.  The exponential, a 1-D root
+at every alpha, keeps only the reduction of its Newton steps, the sums of v,
+v r and v r^2 with r = x / mean, so that only r carries the time unit
+(``Exponential._sums``, which keeps no buffer).  log f and u take one pass of
+their own (``_pointwise``, t formed as in the fused pass), which logpdf,
+score, mdpde_psi, the fit's sandwich (:func:`_psi`) and the end of the
+Weibull's alpha = 0 root share.
 """
 
 from __future__ import annotations
@@ -147,10 +148,9 @@ class ParametricFamily:
     # (OverflowError, ZeroDivisionError) where numpy returns inf or NaN; the
     # solver counts those as rejected trial points, and _closed_forms turns
     # them into ValueError.
-    def _pointwise(self, theta, x: np.ndarray, order: int):
+    def _pointwise(self, theta, x: np.ndarray):
         """(log f, u) at x from one pass, for theta and x already validated,
-        u of shape (..., p): log f alone at order 0, u alone at order 1 (the
-        other None), both at order 2.  log f, score and psi call this."""
+        u of shape (..., p).  logpdf, score and psi call this."""
         raise NotImplementedError
 
     def _integrals(self, theta, alpha: float):
@@ -160,17 +160,17 @@ class ParametricFamily:
         raise NotImplementedError
 
     def _prepare(self, x: np.ndarray):
-        """Per-fit state of the solver's passes at the validated points x.  It
-        may hold a buffer that every pass overwrites, so it belongs to one fit
-        and is never shared between fits or memoised on a sample."""
-        raise NotImplementedError
+        """Per-fit state of the solver's passes at the validated points x (here
+        the points themselves).  A buffer in it, which every pass overwrites,
+        belongs to one fit and is never shared between fits or memoised on a sample."""
+        return x
 
     def _checked(self, theta, x, order: int) -> np.ndarray:
-        """log f (order 0) or u (order 1), for logpdf and score; ValueError, as
-        from mdpde_psi, where a value overflows at an extreme theta."""
+        """log f (order 0) or u (order 1) of the one pass, for logpdf and score;
+        ValueError, as from mdpde_psi, where a value overflows at an extreme theta."""
         theta = self.validate(theta)
         with np.errstate(all="ignore"):
-            values = self._pointwise(theta, self._check_x(x), order)[order]
+            values = self._pointwise(theta, self._check_x(x))[order]
         if not np.isfinite(values).all():
             raise ValueError(f"{self.family_id} {('log-density', 'score')[order]} is not finite at theta={theta.tolist()}")
         return values
@@ -189,12 +189,10 @@ class Exponential(ParametricFamily):
         (m,) = self.validate(theta)
         return rng.exponential(m, size)
 
-    def _pointwise(self, theta, x, order):
+    def _pointwise(self, theta, x):
         (m,) = theta
         r = x / m
-        logf = -np.log(m) - r if order != 1 else None
-        u = ((r - 1.0) / m)[..., None] if order >= 1 else None
-        return logf, u
+        return -np.log(m) - r, ((r - 1.0) / m)[..., None]
 
     def _integrals(self, theta, alpha):
         (m,) = theta
@@ -204,18 +202,13 @@ class Exponential(ParametricFamily):
         k = (1.0 + alpha**2) * beta**-3 * m ** -(alpha + 2.0)
         return xi, jvec, ((k,),), None
 
-    def _prepare(self, x):
-        # rows x, r = x / m and v r: the points and two buffers that each pass overwrites
-        return np.stack((x, x, x))
-
     @staticmethod
-    def _sums(m, alpha, rows, mass):
+    def _sums(m, alpha, x, mass):
         """(sum v r^k for k = 0, 1, 2), r = x / m and v = mass e^(-alpha r), each
         exponential pass's reduction; v r^2 as (v r) r adds 0 where v underflows."""
-        x, r, vr = rows
-        np.divide(x, m, out=r)
+        r = x / m
         v = mass * np.exp(-alpha * r) if alpha else mass
-        np.multiply(v, r, out=vr)
+        vr = v * r
         return float(v.sum()), float(vr.sum()), float(vr @ r)
 
 class Weibull(ParametricFamily):
@@ -230,17 +223,15 @@ class Weibull(ParametricFamily):
         sigma, b = self.validate(theta)
         return sigma * rng.weibull(b, size)
 
-    def _pointwise(self, theta, x, order):
+    def _pointwise(self, theta, x):
         sigma, b = theta
-        logx = np.log(x / sigma)
-        w = np.exp(b * logx)
-        logf = np.log(b / sigma) + (b - 1.0) * logx - w if order != 1 else None
-        if order == 0:
-            return logf, None
-        u = np.empty(logx.shape + (2,))
-        u[..., 0] = (b / sigma) * (w - 1.0)
-        u[..., 1] = 1.0 / b + logx * (1.0 - w)
-        return logf, u
+        r, inverse_b = b / sigma, 1.0 / b  # on floats, ZeroDivisionError where sigma or b underflows
+        t = np.log(x) - math.log(sigma)
+        w = np.exp(b * t)
+        u = np.empty(t.shape + (2,))
+        u[..., 0] = r * (w - 1.0)
+        u[..., 1] = inverse_b + t * (1.0 - w)
+        return math.log(b) - math.log(sigma) + (b - 1.0) * t - w, u
 
     def _integrals(self, theta, alpha):
         sigma, b = theta
@@ -427,7 +418,7 @@ def _psi(family: ParametricFamily, theta: np.ndarray, alpha: float, x: np.ndarra
     checked here: each caller checks them once (mdpde_psi itself, the fit's
     sandwich in varest.u_hat).  The caller sets a quiet floating-point
     state."""
-    logf, out = family._pointwise(theta, x, 2 if alpha else 1)
+    logf, out = family._pointwise(theta, x)
     if alpha == 0.0:
         np.negative(out, out=out)
     else:

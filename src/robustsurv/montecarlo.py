@@ -74,7 +74,7 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentReport:
-    """Aggregated experiment outcome.
+    """Aggregated outcome of the experiment ``spec``.
 
     ``rows`` is one dict per (alpha x hypothesis) or (alpha x parameter)
     cell; ``wall_seconds`` is informational and deliberately excluded from
@@ -84,17 +84,12 @@ class ExperimentReport:
     count as failed in the rows); it is not part of the CSV either.
     """
 
-    kind: str
-    seed: int
-    level: float
-    n: int
-    replications: int
+    spec: ExperimentSpec
     columns: tuple[str, ...]
     rows: list[dict]
     failed_by_alpha: dict[float, int]
     invalid: bool
     wall_seconds: float
-    design_label: str
     test_failures: dict[str, int]
 
     def to_csv_string(self) -> str:
@@ -104,9 +99,10 @@ class ExperimentReport:
         _csv_table(self.columns, ([row[c] for c in self.columns] for row in self.rows), path)
 
     def summary(self) -> str:
+        spec = self.spec
         lines = [
-            f"{self.kind} experiment: {self.design_label}, n={self.n}, "
-            f"{self.replications} replications, seed={self.seed}, level={self.level:g}",
+            f"{spec.kind} experiment: {_design_label(spec.design)}, n={spec.n}, "
+            f"{spec.replications} replications, seed={spec.design.seed}, level={spec.level:g}",
             f"failed fits by alpha: "
             + (", ".join(f"{a:g}: {k}" for a, k in sorted(self.failed_by_alpha.items())) or "none"),
         ]
@@ -268,17 +264,12 @@ def _report(spec: ExperimentSpec, start: float, columns, rows, converged: list, 
     counting per alpha the replications whose fit converged."""
     failed = {float(a): spec.replications - k for a, k in zip(spec.alpha_grid, converged)}
     return ExperimentReport(
-        kind=spec.kind,
-        seed=spec.design.seed,
-        level=spec.level,
-        n=spec.n,
-        replications=spec.replications,
+        spec=spec,
         columns=columns,
         rows=rows,
         failed_by_alpha=failed,
         invalid=any(k > FAILURE_FRACTION_LIMIT * spec.replications for k in failed.values()),
         wall_seconds=time.perf_counter() - start,
-        design_label=_design_label(spec.design),
         test_failures=test_failures,
     )
 

@@ -285,28 +285,26 @@ class TestFusedPass:
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     @pytest.mark.parametrize("family", [EXPONENTIAL, WEIBULL], ids=["exp", "weibull"])
     def test_reused_buffer_leaks_no_state(self, family, alpha):
-        # each pass overwrites the rows _prepare allocated for its equation
-        # (the Weibull's fused pass at alpha > 0, the exponential's _sums),
-        # and a 1-D root's end reads none: evaluations at theta1, theta2,
-        # theta1 repeat the bits of a fresh one, and no two equations on one
-        # sample share that buffer
+        # the Weibull's fused pass overwrites the rows _prepare allocated for
+        # its equation, the exponential's _sums keeps no buffer, and a 1-D
+        # root's end reads none: evaluations at theta1, theta2, theta1 repeat
+        # the bits of a fresh one, and no two Weibull equations on one sample
+        # share that buffer
         sample = jacobian_sample(True)
         theta1, theta2 = (np.array(v[: family.dim]) for v in ([2.0, 5.0], [3.5, 1.2]))
 
         def evaluate(eq, theta):
             if family is WEIBULL and alpha:
                 return fused_pass(eq, theta)
-            sums = family._sums(float(theta[0]), alpha, eq.prepared, eq.weights) if family is EXPONENTIAL else None
+            sums = family._sums(float(theta[0]), alpha, eq.points, eq.weights) if family is EXPONENTIAL else None
             return repr((sums, root_end(eq, theta)))
 
         eq = _WeightedEquation(sample, family, alpha)
         first, between, again = (evaluate(eq, th) for th in (theta1, theta2, theta1))
         other = _WeightedEquation(sample, family, alpha)
         assert first == again == evaluate(other, theta1) and between != first
-        mine, theirs = (
-            [p] if isinstance(p, np.ndarray) else list(p) for p in (eq.prepared, other.prepared)
-        )
-        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+        if family is WEIBULL:
+            assert not any(np.shares_memory(a, b) for a in eq.prepared for b in other.prepared)
 
 
 class TestSolver:
@@ -382,7 +380,7 @@ class TestSolver:
                 if one_d:
                     at, certified = _root_end(eq, eta)
                     if family is EXPONENTIAL:
-                        family._sums(float(np.exp(eta[0])), alpha, eq.prepared, eq.weights)
+                        family._sums(float(np.exp(eta[0])), alpha, eq.points, eq.weights)
                 else:
                     at = eq.point(np.array(eta))
             g = np.array(at.g)
@@ -615,6 +613,30 @@ class TestProfile:
         assert scaled.converged == base.converged
         np.testing.assert_allclose(scaled.theta_hat, base.theta_hat * [c, 1.0][: family.dim], rtol=1e-12, atol=0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z, converged", [
+        ([5e-324, 1e-323, 1e300], False),
+        ([5e-324, 1e-320, 1e-300, 1e308], True),
+        ([1e-300, 1e-299, 1e308, 1e307], False),
+    ])
+    def test_subnormal_and_huge_times_end_on_a_certified_root(self, z, converged):
+        # u and psi form t = log z - log sigma, as the fused pass does, so a
+        # subnormal time under a large scale keeps a finite u, and the end
+        # certifies the exact profile root: the fit converges on it, or
+        # raises for want of a sandwich, but never reports "no root"
+        sample = uncensored(z)
+        with np.errstate(all="ignore"):
+            _, certified, _ = _profile_root(_WeightedEquation(sample, WEIBULL, 0.0), None)
+        assert certified
+        if not converged:
+            with pytest.raises(SingularSensitivityError):
+                fit(sample, WEIBULL)
+            return
+        result = fit(sample, WEIBULL)
+        assert result.converged and result.message == "profile"
+        np.testing.assert_allclose(result.theta_hat, profile_oracle(sample), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(result.theta_hat, [1.0404e-11, 1.4567e-3], rtol=1e-4)
+
 
 def k_oracle(sample, alpha, lo, hi):
     """Oracle of the exponential fit: scipy's brentq root, in y = log theta
@@ -756,13 +778,18 @@ class TestExtremeUnits:
     def test_steps_past_the_float_maximum_are_rejected_not_raised(self):
         # Newton in log theta may step beyond e^709.78; there theta = inf
         # and k > 0, so the step turns back: [1e307, 1e308] has a root, but
-        # no sandwich, and the root of [1e308, 1.5e308] at alpha = 1 lies
-        # above the float range
-        for alpha in (0.5, 1.0):
+        # no sandwich, and so has [1e308, 1.5e308] at alpha = 0.5.  Its root
+        # at alpha = 1 lies above the float range, and so do those of [1e308,
+        # 1.5e308, 1.7e308] (brentq: 2.0e308 at alpha = 0.5, 2.4e308 at 1),
+        # whose product-limit median start over log 2 is the float maximum
+        for z, alpha in (([1e307, 1e308], 0.5), ([1e307, 1e308], 1.0), ([1e308, 1.5e308], 0.5)):
             with pytest.raises(SingularSensitivityError, match="cond=inf"):
-                fit(uncensored([1e307, 1e308]), EXPONENTIAL, FitConfig(alpha=alpha))
-        result = fit(uncensored([1e308, 1.5e308]), EXPONENTIAL, FitConfig(alpha=1.0))
-        assert not result.converged and result.message == "profile: no root at tol 1e-08"
+                fit(uncensored(z), EXPONENTIAL, FitConfig(alpha=alpha))
+        huge = [1e308, 1.5e308, 1.7e308]
+        assert _initial_theta(uncensored(huge), EXPONENTIAL)[0] == np.finfo(float).max
+        for z, alpha in (([1e308, 1.5e308], 1.0), (huge, 0.5), (huge, 1.0)):
+            result = fit(uncensored(z), EXPONENTIAL, FitConfig(alpha=alpha))
+            assert not result.converged and result.message == "profile: no root at tol 1e-08"
 
 
 class TestOneHugeTime:

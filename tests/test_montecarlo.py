@@ -138,7 +138,7 @@ class TestLevelPower:
 
     def test_run_experiment_dispatch(self):
         report = run_experiment(small_spec())
-        assert report.kind == "level_power"
+        assert report.spec.kind == "level_power"
         assert report.to_csv_string() == run_level_power(small_spec()).to_csv_string()
         with pytest.raises(ValueError, match="spec.kind must be 'level_power'"):
             run_level_power(small_spec(kind="mse", hypotheses=()))

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import json
@@ -73,11 +74,10 @@ def test_package_surface_is_declared():
         assert not undeclared, f"robustsurv re-exports {undeclared} outside {node.module}.__all__"
 
 
-def test_every_exported_function_has_a_caller_outside_the_tests():
-    # no public function that only the tests use: each function in the
-    # robustsurv namespace is named in code (an ast.Name or ast.Attribute; a
-    # string or docstring does not count) in a package module other than
-    # __init__, in a demo or in the benchmark
+def _named_outside_the_tests() -> set:
+    """Every name in code (an ast.Name or ast.Attribute; a string or
+    docstring does not count) in a package module other than __init__, in a
+    demo or in the benchmark."""
     package = Path(robustsurv.__file__).resolve().parent
     root = package.parents[1]
     assert (root / "demos").is_dir() and (root / "bench").is_dir()
@@ -90,9 +90,30 @@ def test_every_exported_function_has_a_caller_outside_the_tests():
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+    return named
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    # no public function that only the tests use: each function in the
+    # robustsurv namespace is named in code outside the tests
     functions = {name for name, obj in vars(robustsurv).items() if inspect.isfunction(obj)}
     assert functions
-    assert sorted(functions - named) == []
+    assert sorted(functions - _named_outside_the_tests()) == []
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller_outside_the_tests():
+    # likewise for each public method and property that a class in the
+    # robustsurv namespace defines (static, class or cached ones included)
+    kinds = (property, functools.cached_property, staticmethod, classmethod)
+    members = {
+        (cls.__name__, name)
+        for cls in vars(robustsurv).values() if inspect.isclass(cls)
+        for name, obj in vars(cls).items()
+        if not name.startswith("_") and (inspect.isfunction(obj) or isinstance(obj, kinds))
+    }
+    assert members
+    named = _named_outside_the_tests()
+    assert sorted(f"{cls}.{name}" for cls, name in members if name not in named) == []
 
 
 def test_every_field_of_an_exported_dataclass_is_read():
